@@ -37,11 +37,6 @@ from .oracle import build_oracle_rules, never_finishing_backend, oracle_backend
 from .orchestrator import (
     METHODS,
     RunConfig,
-    run_codeact,
-    run_goalact,
-    run_plan_and_execute,
-    run_plan_and_solve,
-    run_react,
     run_task,
     summarize,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .errors import NoMatch, UnknownField, UnknownTool
+from .errors import NoMatch, ToolError, UnknownField, UnknownTool
 
 Scalar = Any  # str | int | float | bool
 Row = dict[str, Scalar]
@@ -93,6 +93,23 @@ def render_rows(rows: Sequence[Row]) -> str:
     if not rows:
         return "[]"
     return "[" + ", ".join(render_row(r) for r in rows) + "]"
+
+
+def observe_tool_call(env: Any, call: "ToolCall"
+                      ) -> tuple[str, Optional[ToolError]]:
+    """Invoke one tool call and render the result as observation text.
+
+    A get_record result renders as its one row, a filter_records result as
+    the list of rows.  A failing call renders as `Tool call <name> failed:
+    <error>` and its error is returned alongside; no text is truncated.
+    """
+    try:
+        rows = env.invoke_tool(call)
+    except ToolError as exc:
+        return f"Tool call {call.tool_name} failed: {exc}", exc
+    if env.tool(call.tool_name).semantics == "get_record":
+        return render_row(rows[0]), None
+    return render_rows(rows), None
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,30 @@
-"""Control loops for every benchmark method.
+"""One run loop for every benchmark method; each method is a step policy.
 
-GoalAct re-plans the full global plan before each executed action and routes
-actions through the skill registry.  The four baseline loops share the same
-environment, backend, iteration cap, and terminal summarization but differ in
-how much planning and what action space they get:
+`run_task` owns what the methods share: the trajectory and its recording
+wrappers, the iteration cap, the terminal summary and fault handling.  Each
+iteration asks the method's policy for one step:
 
+  GoalAct        - re-plans the global plan, then dispatches the first
+                   pending step through the skill registry.
   PlanAndSolve   - one plan up front, executed without revision.
   PlanAndExecute - re-planned free-text sub-tasks, each mapped to one tool call.
   ReAct          - no plan; one thought plus one tool call per iteration.
   CodeAct        - no plan; one sandbox script per iteration.
 
-Recoverable trouble (tool errors, malformed emissions, backend outages inside
-a skill) always degrades to an observation so the next iteration can react;
-only configuration faults and scripted-fixture misses abort a run.
+GoalAct's no_global_plan ablation asks for one next step at a time instead.
+Trouble inside a step (tool errors, malformed emissions, backend outages in a
+skill) degrades to an observation the next iteration can react to.  A backend
+outage in a policy's own decision call, or a plan still unusable after its
+repair retry, ends the run as fatal_error with a summary of what it has.  Only
+configuration faults and scripted-fixture or cassette misses abort a run; the
+exception carries the partial trajectory.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .backends import (
@@ -27,7 +32,7 @@ from .backends import (
     strip_code_fences,
     user_request,
 )
-from .environment import ToolEnvironment, render_row, render_rows
+from .environment import ToolEnvironment, observe_tool_call, render_rows
 from .errors import (
     AuthFailure,
     BackendUnavailable,
@@ -35,7 +40,6 @@ from .errors import (
     FatalError,
     PlanningFailed,
     PlanParseError,
-    PlanValidationError,
     RuleMiss,
     SkillDisabled,
     SkillUnknown,
@@ -63,9 +67,11 @@ from .plan import (
 )
 from .planner import (
     load_default_exemplars,
+    parse_action,
     parse_step_texts,
     render_history,
-    splice_pending,
+    render_skill_menu,
+    revise_plan,
     update_global_plan,
 )
 from .sandbox import (
@@ -108,8 +114,6 @@ PE_SUBTASK_KIND = "Subtask"
 
 _FINISH_TEXT_RE = re.compile(r"^\s*finish\s*(?:\[(.*)\])?\s*$",
                              re.IGNORECASE | re.DOTALL)
-
-_FATAL_BACKEND = (AuthFailure, RuleMiss, CassetteMiss)
 
 
 @dataclass(frozen=True)
@@ -186,25 +190,8 @@ class RecordingEnvironment:
         self.inner = inner
         self.trajectory = trajectory
 
-    @property
-    def tools(self):
-        return self.inner.tools
-
-    @property
-    def tables(self):
-        return self.inner.tables
-
-    def tool(self, name: str):
-        return self.inner.tool(name)
-
-    def table(self, name: str):
-        return self.inner.table(name)
-
-    def render_tool_descriptions(self) -> str:
-        return self.inner.render_tool_descriptions()
-
-    def render_table_schemas(self) -> str:
-        return self.inner.render_table_schemas()
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.inner, name)
 
     def invoke_tool(self, call):
         try:
@@ -268,243 +255,128 @@ def _exemplars_for(config: RunConfig) -> list[str]:
     return load_default_exemplars(config.exemplar_count)
 
 
-def _execute_action(action: SkillAction, context: SkillContext,
-                    registry: SkillRegistry) -> tuple[str, Optional[dict]]:
-    """Dispatch one action; dispatch-level faults become observations too."""
-    try:
-        outcome = dispatch(action, context, registry)
-    except (SkillDisabled, SkillUnknown) as exc:
-        return f"Action not executed: {exc}", None
-    payload = dict(outcome.payload) if outcome.payload else None
-    return outcome.observation, payload
+def _history_summary(history: History) -> tuple[str, str]:
+    """(history text, last observation) of a skill history."""
+    last = history.triples[-1][2] if history.triples else ""
+    return render_history(history), last
 
 
-def _mark_executed(plan: GlobalPlan, step: PlanStep, observation: str,
-                   payload: Optional[dict]) -> GlobalPlan:
-    steps = tuple(
-        s.mark_executed(observation, payload) if s.index == step.index else s
-        for s in plan.steps
-    )
-    return GlobalPlan(steps=steps, revision=plan.revision)
+def _observe_call(call: Any, env: Any, config: RunConfig) -> str:
+    """A tool call's observation; a successful result is truncated."""
+    observation, error = observe_tool_call(env, call)
+    if error is not None:
+        return observation
+    return truncate_observation(observation, config.observation_bytes)
 
 
-def _last_observation(history: History) -> str:
-    if not history.triples:
-        return ""
-    return history.triples[-1][2]
+# --- policies ------------------------------------------------------------------------
+
+@dataclass
+class _Policy:
+    """One run's task, config and recording wrappers, seen by its policy.
+
+    Each policy has step(), which takes one step and returns True once the
+    method has finished, and summary(), the (history text, best observation)
+    pair to summarize from at any point.  A PlanningFailed or
+    BackendUnavailable out of step() comes from the policy's own decision
+    call, the one made for `purpose`.
+    """
+
+    task: Task
+    config: RunConfig
+    trajectory: Trajectory
+    backend: RecordingBackend
+    env: RecordingEnvironment
+
+    def ask(self, purpose: str, prompt: str) -> str:
+        self.backend.purpose = purpose
+        return self.backend.complete(user_request(prompt,
+                                                  model=self.config.model))
+
+    def world_prompt(self, intro: tuple[str, ...], label: str,
+                     transcript: str, outro: tuple[str, ...]) -> str:
+        """`intro`, the tools, tables and question, `transcript`, `outro`."""
+        return "\n".join([
+            *intro,
+            "Available tools:",
+            self.env.render_tool_descriptions(),
+            "Data tables:",
+            self.env.render_table_schemas(),
+            f"Question: {self.task.query}",
+            label,
+            transcript,
+            *outro,
+        ])
+
+    def run_skill(self, action: SkillAction, history: History,
+                registry: SkillRegistry) -> tuple[str, Optional[dict]]:
+        """Dispatch one skill action; dispatch-level faults become observations."""
+        self.backend.purpose = f"skill:{action.kind}"
+        context = SkillContext(
+            question=self.task.query, history=history, env=self.env,
+            backend=self.backend, sandbox_limits=self.config.sandbox_limits,
+            observation_bytes=self.config.observation_bytes,
+            writing_budget=self.config.writing_budget, model=self.config.model)
+        try:
+            outcome = dispatch(action, context, registry)
+        except (SkillDisabled, SkillUnknown) as exc:
+            return f"Action not executed: {exc}", None
+        payload = dict(outcome.payload) if outcome.payload else None
+        return outcome.observation, payload
 
 
-# --- GoalAct --------------------------------------------------------------------------
+# --- plan-based policies: GoalAct, Plan-and-Solve, Plan-and-Execute -------------------
 
-def run_goalact(task: Task, env: ToolEnvironment, config: RunConfig,
-                backend: Any) -> Trajectory:
-    """Plan, execute one step, observe, re-plan, until Finish or the cap."""
-    if ABLATION_NO_GLOBAL_PLAN in config.ablations:
-        return _run_goalact_planless(task, env, config, backend)
+@dataclass
+class _PlanPolicy(_Policy):
+    """Shared plan state: (re-)plan, then execute the first pending step."""
 
-    traj = Trajectory(task_id=task.id, method=METHOD_GOALACT)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    registry = _registry_for(config)
-    exemplars = _exemplars_for(config)
+    purpose = "planning"
+    replans = True  # re-plan every round; False plans once, up front
     plan: Optional[GlobalPlan] = None
 
-    try:
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            rec_backend.purpose = "planning"
-            try:
-                plan = update_global_plan(
-                    task.query, rec_env, plan, rec_backend, registry=registry,
-                    exemplars=exemplars, exemplar_count=config.exemplar_count,
-                    max_plan_steps=config.max_plan_steps, model=config.model)
-            except (PlanningFailed, BackendUnavailable) as exc:
-                _finalize(traj, task, render_history(history_of(plan)),
-                          rec_backend, config,
-                          reason=TERMINATION_FATAL,
-                          best_observation=f"planning failed: {exc}")
-                return traj
-            traj.record_plan(plan)
-            step = first_pending(plan)
-            history = history_of(plan)
-            if step is None or step.action.kind == FINISH:
-                _finalize(traj, task, render_history(history), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=_last_observation(history))
-                return traj
-            context = _context(task, history, rec_env, rec_backend, config)
-            rec_backend.purpose = f"skill:{step.action.kind}"
-            observation, payload = _execute_action(step.action, context,
-                                                   registry)
-            plan = _mark_executed(plan, step, observation, payload)
-        history = history_of(plan)
-        _finalize(traj, task, render_history(history), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=_last_observation(history))
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
+    def step(self) -> bool:
+        if self.replans or self.plan is None:
+            self.backend.purpose = self.purpose
+            self.plan = self.revise()
+            self.trajectory.record_plan(self.plan)
+        step = first_pending(self.plan)
+        if step is None or step.action.kind == FINISH:
+            return True
+        observation, payload = self.execute_step(step)
+        steps = tuple(s.mark_executed(observation, payload)
+                      if s.index == step.index else s for s in self.plan.steps)
+        self.plan = GlobalPlan(steps=steps, revision=self.plan.revision)
+        return False
+
+    def summary(self) -> tuple[str, str]:
+        return _history_summary(history_of(self.plan))
 
 
-def _run_goalact_planless(task: Task, env: ToolEnvironment, config: RunConfig,
-                          backend: Any) -> Trajectory:
-    """The w/o-global-plan ablation: single-step queries, same skills."""
-    traj = Trajectory(task_id=task.id, method=METHOD_GOALACT)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    registry = _registry_for(config)
-    triples: list[tuple[str, SkillAction, str]] = []
+@dataclass
+class _GoalActPolicy(_PlanPolicy):
+    """Re-plan the global plan, then dispatch one step through the skills."""
 
-    try:
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            history = History(triples=tuple(triples))
-            rec_backend.purpose = "next_step"
-            prompt = "\n".join([
-                "You act step by step with the skills below; no plan is kept.",
-                _skill_menu_text(registry),
-                "Available tools:",
-                rec_env.render_tool_descriptions(),
-                "Data tables:",
-                rec_env.render_table_schemas(),
-                f"Question: {task.query}",
-                "Steps so far:",
-                render_history(history),
-                NO_PLAN_MARKER,
-                'Respond with a JSON array holding one {"Thinking": "...", '
-                '"Action": "Kind[objective]"} object.',
-            ])
-            step = _ask_single_step(rec_backend, prompt, registry, config)
-            if step is None:
-                triples.append(("(unparseable step)",
-                                SkillAction(kind=SEARCHING, objective="none"),
-                                "The step could not be parsed; try again."))
-                continue
-            thought, action = step
-            if action.kind == FINISH:
-                _finalize(traj, task, render_history(history), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=_last_observation(history))
-                return traj
-            context = _context(task, history, rec_env, rec_backend, config)
-            rec_backend.purpose = f"skill:{action.kind}"
-            observation, payload = _execute_action(action, context, registry)
-            if payload:
-                action = SkillAction(kind=action.kind,
-                                     objective=action.objective,
-                                     payload=payload)
-            triples.append((thought, action, observation))
-        history = History(triples=tuple(triples))
-        _finalize(traj, task, render_history(history), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=_last_observation(history))
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
+    def __post_init__(self) -> None:
+        self.registry = _registry_for(self.config)
+        self.exemplars = _exemplars_for(self.config)
+
+    def revise(self) -> GlobalPlan:
+        return update_global_plan(
+            self.task.query, self.env, self.plan, self.backend,
+            registry=self.registry, exemplars=self.exemplars,
+            exemplar_count=self.config.exemplar_count,
+            max_plan_steps=self.config.max_plan_steps, model=self.config.model)
+
+    def execute_step(self, step: PlanStep) -> tuple[str, Optional[dict]]:
+        return self.run_skill(step.action, history_of(self.plan), self.registry)
 
 
-def _skill_menu_text(registry: SkillRegistry) -> str:
-    lines = [f"{i}. {name}: {desc}"
-             for i, (name, desc) in enumerate(registry.enabled_entries(), 1)]
-    return "Skills:\n" + "\n".join(lines)
+class _PlanAndSolvePolicy(_GoalActPolicy):
+    """One plan up front, every step in order with no adaptation."""
 
+    replans = False
 
-def _ask_single_step(backend: Any, prompt: str, registry: SkillRegistry,
-                     config: RunConfig) -> Optional[tuple[str, SkillAction]]:
-    from .planner import parse_action
-
-    raw = backend.complete(user_request(prompt, model=config.model))
-    try:
-        pairs = parse_step_texts(raw)
-        thought, text = pairs[0]
-        return thought, parse_action(text, registry.kinds())
-    except PlanParseError:
-        return None
-
-
-def _context(task: Task, history: History, env: Any, backend: Any,
-             config: RunConfig) -> SkillContext:
-    return SkillContext(
-        question=task.query,
-        history=history,
-        env=env,
-        backend=backend,
-        sandbox_limits=config.sandbox_limits,
-        observation_bytes=config.observation_bytes,
-        writing_budget=config.writing_budget,
-        model=config.model,
-    )
-
-
-def _finalize(traj: Trajectory, task: Task, history_text: str, backend: Any,
-              config: RunConfig, reason: str, best_observation: str) -> None:
-    backend.purpose = "summarize"
-    answer, degraded = summarize(task.query, history_text, backend,
-                                 model=config.model,
-                                 best_observation=best_observation)
-    traj.final_answer = answer
-    traj.degraded = degraded
-    traj.termination_reason = reason
-
-
-# --- Plan-and-Solve --------------------------------------------------------------------
-
-def run_plan_and_solve(task: Task, env: ToolEnvironment, config: RunConfig,
-                       backend: Any) -> Trajectory:
-    """One planning call, then every step in order with no adaptation."""
-    traj = Trajectory(task_id=task.id, method=METHOD_PLAN_AND_SOLVE)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    registry = _registry_for(config)
-    exemplars = _exemplars_for(config)
-
-    try:
-        rec_backend.purpose = "planning"
-        try:
-            plan = update_global_plan(
-                task.query, rec_env, None, rec_backend, registry=registry,
-                exemplars=exemplars, exemplar_count=config.exemplar_count,
-                max_plan_steps=config.max_plan_steps, model=config.model)
-        except (PlanningFailed, BackendUnavailable) as exc:
-            traj.step_count = 1
-            _finalize(traj, task, "", rec_backend, config,
-                      reason=TERMINATION_FATAL,
-                      best_observation=f"planning failed: {exc}")
-            return traj
-        traj.record_plan(plan)
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            step = first_pending(plan)
-            history = history_of(plan)
-            if step is None or step.action.kind == FINISH:
-                _finalize(traj, task, render_history(history), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=_last_observation(history))
-                return traj
-            context = _context(task, history, rec_env, rec_backend, config)
-            rec_backend.purpose = f"skill:{step.action.kind}"
-            observation, payload = _execute_action(step.action, context,
-                                                   registry)
-            plan = _mark_executed(plan, step, observation, payload)
-        history = history_of(plan)
-        _finalize(traj, task, render_history(history), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=_last_observation(history))
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
-
-
-# --- Plan-and-Execute --------------------------------------------------------------------
 
 def _free_action(text: str) -> SkillAction:
     match = _FINISH_TEXT_RE.match(text)
@@ -513,119 +385,76 @@ def _free_action(text: str) -> SkillAction:
     return SkillAction(kind=PE_SUBTASK_KIND, objective=text.strip())
 
 
-def _pe_plan_prompt(question: str, env: Any, history: History) -> str:
-    return "\n".join([
-        "You direct an agent that can run exactly one retrieval tool call "
-        "per sub-task. Describe each remaining sub-task in plain language.",
-        "Available tools:",
-        env.render_tool_descriptions(),
-        "Data tables:",
-        env.render_table_schemas(),
-        f"Question: {question}",
-        "Executed so far:",
-        render_history(history),
-        PE_PLAN_MARKER,
-        'Respond with a JSON array of {"Thinking": "...", "Action": "..."} '
-        'objects; the final Action must be "Finish".',
-    ])
+class _PlanAndExecutePolicy(_PlanPolicy):
+    """Re-planned free-text sub-tasks run by the generic one-call executor."""
 
-
-def _pe_update_plan(question: str, env: Any, plan_prev: Optional[GlobalPlan],
-                    backend: Any, config: RunConfig) -> GlobalPlan:
-    history = history_of(plan_prev)
-    executed = tuple(plan_prev.steps[:len(history)]) if plan_prev else ()
-    revision = plan_prev.revision + 1 if plan_prev else 1
-    prompt = _pe_plan_prompt(question, env, history)
+    intro = ("You direct an agent that can run exactly one retrieval tool call "
+             "per sub-task. Describe each remaining sub-task in plain language.",)
+    outro = (PE_PLAN_MARKER,
+             'Respond with a JSON array of {"Thinking": "...", "Action": "..."} '
+             'objects; the final Action must be "Finish".')
     repair = ("\n\nYour previous reply could not be used. Output a valid "
               "structured array only.")
-    failure: Exception | None = None
-    for attempt_prompt in (prompt, prompt + repair):
-        raw = backend.complete(user_request(attempt_prompt, model=config.model))
+
+    def revise(self) -> GlobalPlan:
+        return revise_plan(
+            self.plan, self.backend,
+            lambda history: self.world_prompt(
+                self.intro, "Executed so far:", render_history(history),
+                self.outro),
+            lambda raw: [(thought, _free_action(text))
+                         for thought, text in parse_step_texts(raw)],
+            self.repair, "sub-task plan",
+            max_plan_steps=self.config.max_plan_steps, model=self.config.model)
+
+    def execute_step(self, step: PlanStep) -> tuple[str, Optional[dict]]:
+        prompt = "\n".join([
+            "Map the sub-task below to exactly one tool call. Respond with a "
+            "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
+            "Available tools:",
+            self.env.render_tool_descriptions(),
+            f"Question: {self.task.query}",
+            f"{PE_SUBTASK_MARKER} {step.action.objective}",
+        ])
         try:
-            pairs = parse_step_texts(raw)
-            parsed = [(thought, _free_action(text)) for thought, text in pairs]
-            return splice_pending(executed, parsed, revision,
-                                  max_steps=config.max_plan_steps)
-        except (PlanParseError, PlanValidationError) as exc:
-            failure = exc
-    raise PlanningFailed(f"no valid sub-task plan after repair retry: {failure}")
+            emission = self.ask("subtask", prompt)
+        except BackendUnavailable as exc:
+            return f"Sub-task failed before any tool ran: {exc}", None
+        calls, problem = parse_tool_emission(emission)
+        if problem is not None:
+            return f"Sub-task emitted no usable tool call ({problem}).", None
+        call = calls[0]
+        payload = {"tool": call.tool_name, "args": dict(call.arguments)}
+        return _observe_call(call, self.env, self.config), payload
 
 
-def _exec_subtask(objective: str, task: Task, env: Any, backend: Any,
-                  config: RunConfig) -> tuple[str, Optional[dict]]:
-    """The generic executor: one backend-chosen tool call per sub-task."""
-    prompt = "\n".join([
-        "Map the sub-task below to exactly one tool call. Respond with a "
-        "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
-        "Available tools:",
-        env.render_tool_descriptions(),
-        f"Question: {task.query}",
-        f"{PE_SUBTASK_MARKER} {objective}",
-    ])
-    try:
-        emission = backend.complete(user_request(prompt, model=config.model))
-    except BackendUnavailable as exc:
-        return f"Sub-task failed before any tool ran: {exc}", None
-    calls, problem = parse_tool_emission(emission)
-    if problem is not None:
-        return f"Sub-task emitted no usable tool call ({problem}).", None
-    call = calls[0]
-    payload = {"tool": call.tool_name, "args": dict(call.arguments)}
-    try:
-        rows = env.invoke_tool(call)
-    except ToolError as exc:
-        return f"Tool call {call.tool_name} failed: {exc}", payload
-    spec = env.tool(call.tool_name)
-    rendered = render_row(rows[0]) if spec.semantics == "get_record" \
-        else render_rows(rows)
-    return truncate_observation(rendered, config.observation_bytes), payload
+# --- transcript-based policies: ReAct, CodeAct, GoalAct without a plan --------------
+
+class _TranscriptPolicy(_Policy):
+    """No plan: each step sends one prompt over the transcript so far."""
+
+    label = "Transcript:"
+
+    def step(self) -> bool:
+        return self.take(self.ask(self.purpose, self.world_prompt(
+            self.intro, self.label, self.summary()[0], self.outro)))
 
 
-def run_plan_and_execute(task: Task, env: ToolEnvironment, config: RunConfig,
-                         backend: Any) -> Trajectory:
-    """Re-planned free-text sub-tasks run by the generic one-call executor."""
-    traj = Trajectory(task_id=task.id, method=METHOD_PLAN_AND_EXECUTE)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    plan: Optional[GlobalPlan] = None
+@dataclass
+class _LinePolicy(_TranscriptPolicy):
+    """ReAct and CodeAct keep their transcript as Thought/Action/Observation
+    lines."""
 
-    try:
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            rec_backend.purpose = "planning"
-            try:
-                plan = _pe_update_plan(task.query, rec_env, plan, rec_backend,
-                                       config)
-            except (PlanningFailed, BackendUnavailable) as exc:
-                _finalize(traj, task, render_history(history_of(plan)),
-                          rec_backend, config, reason=TERMINATION_FATAL,
-                          best_observation=f"planning failed: {exc}")
-                return traj
-            traj.record_plan(plan)
-            step = first_pending(plan)
-            history = history_of(plan)
-            if step is None or step.action.kind == FINISH:
-                _finalize(traj, task, render_history(history), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=_last_observation(history))
-                return traj
-            rec_backend.purpose = "subtask"
-            observation, payload = _exec_subtask(step.action.objective, task,
-                                                 rec_env, rec_backend, config)
-            plan = _mark_executed(plan, step, observation, payload)
-        history = history_of(plan)
-        _finalize(traj, task, render_history(history), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=_last_observation(history))
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
+    lines: list[str] = field(default_factory=list)
+    last_observation: str = ""
 
+    def observe(self, observation: str) -> None:
+        self.last_observation = observation
+        self.lines.append(f"Observation: {observation}")
 
-# --- ReAct -----------------------------------------------------------------------------
+    def summary(self) -> tuple[str, str]:
+        return "\n".join(self.lines), self.last_observation
+
 
 def _parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
     body = strip_code_fences(raw)
@@ -650,149 +479,144 @@ def _parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
     return str(thought), str(action)
 
 
-def _render_transcript(lines: list[str]) -> str:
-    return "\n".join(lines)
-
-
-def run_react(task: Task, env: ToolEnvironment, config: RunConfig,
-              backend: Any) -> Trajectory:
+class _ReActPolicy(_LinePolicy):
     """Incremental thought-action-observation with no global plan."""
-    traj = Trajectory(task_id=task.id, method=METHOD_REACT)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    lines: list[str] = []
-    last_observation = ""
 
-    try:
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            rec_backend.purpose = "react_step"
-            prompt = "\n".join([
-                "You solve the task through alternating thought, action, and "
-                "observation steps.",
-                "Each action is exactly one tool call written as "
-                "tool_name[key=value, ...], or Finish[answer] once the "
-                "observations already answer the question.",
-                "Available tools:",
-                rec_env.render_tool_descriptions(),
-                "Data tables:",
-                rec_env.render_table_schemas(),
-                f"Question: {task.query}",
-                "Transcript:",
-                _render_transcript(lines),
-                REACT_MARKER,
-                'Respond with a JSON object {"Thought": "...", "Action": "..."}.',
-            ])
-            parsed = _parse_thought_action(rec_backend.complete(
-                user_request(prompt, model=config.model)))
-            if parsed is None:
-                lines.append("Observation: the previous response could not "
-                             "be parsed; answer with the JSON object format.")
-                continue
-            thought, action_text = parsed
-            lines.append(f"Thought: {thought}")
-            lines.append(f"Action: {action_text}")
-            if _FINISH_TEXT_RE.match(action_text):
-                _finalize(traj, task, _render_transcript(lines), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=last_observation)
-                return traj
-            observation = _react_observe(action_text, rec_env, config)
-            last_observation = observation
-            lines.append(f"Observation: {observation}")
-        _finalize(traj, task, _render_transcript(lines), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=last_observation)
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
+    purpose = "react_step"
+    intro = ("You solve the task through alternating thought, action, and "
+             "observation steps.",
+             "Each action is exactly one tool call written as "
+             "tool_name[key=value, ...], or Finish[answer] once the "
+             "observations already answer the question.")
+    outro = (REACT_MARKER,
+             'Respond with a JSON object {"Thought": "...", "Action": "..."}.')
+
+    def take(self, emission: str) -> bool:
+        parsed = _parse_thought_action(emission)
+        if parsed is None:
+            self.lines.append("Observation: the previous response could not "
+                              "be parsed; answer with the JSON object format.")
+            return False
+        thought, action_text = parsed
+        self.lines.append(f"Thought: {thought}")
+        self.lines.append(f"Action: {action_text}")
+        if _FINISH_TEXT_RE.match(action_text):
+            return True
+        calls, problem = parse_tool_emission(action_text)
+        if problem is not None:
+            self.observe(f"No usable tool call found ({problem}).")
+        else:
+            self.observe(_observe_call(calls[0], self.env, self.config))
+        return False
 
 
-def _react_observe(action_text: str, env: Any, config: RunConfig) -> str:
-    calls, problem = parse_tool_emission(action_text)
-    if problem is not None:
-        return f"No usable tool call found ({problem})."
-    call = calls[0]
-    try:
-        rows = env.invoke_tool(call)
-    except ToolError as exc:
-        return f"Tool call {call.tool_name} failed: {exc}"
-    spec = env.tool(call.tool_name)
-    rendered = render_row(rows[0]) if spec.semantics == "get_record" \
-        else render_rows(rows)
-    return truncate_observation(rendered, config.observation_bytes)
-
-
-# --- CodeAct ---------------------------------------------------------------------------
-
-def run_codeact(task: Task, env: ToolEnvironment, config: RunConfig,
-                backend: Any) -> Trajectory:
+class _CodeActPolicy(_LinePolicy):
     """One whole sandbox script per iteration; the script is the action."""
-    traj = Trajectory(task_id=task.id, method=METHOD_CODEACT)
-    rec_backend = RecordingBackend(backend, traj)
-    rec_env = RecordingEnvironment(env, traj)
-    lines: list[str] = []
-    last_observation = ""
 
-    try:
-        for t in range(1, config.max_iterations + 1):
-            traj.step_count = t
-            rec_backend.purpose = "codeact_step"
-            prompt = "\n".join([
-                "You solve the task by writing one script per turn in the "
-                "sandbox language below, or Finish[answer] once done.",
-                GRAMMAR_REFERENCE,
-                "Available tools:",
-                rec_env.render_tool_descriptions(),
-                "Data tables:",
-                rec_env.render_table_schemas(),
-                f"Question: {task.query}",
-                "Transcript:",
-                _render_transcript(lines),
-                CODEACT_MARKER,
-            ])
-            emission = rec_backend.complete(
-                user_request(prompt, model=config.model))
-            body = strip_code_fences(emission)
-            if _FINISH_TEXT_RE.match(body):
-                lines.append(f"Action: {body.strip()}")
-                _finalize(traj, task, _render_transcript(lines), rec_backend,
-                          config, reason=TERMINATION_FINISH,
-                          best_observation=last_observation)
-                return traj
-            result = eval_script(Script(body), rec_env, config.sandbox_limits)
-            observation = truncate_observation(render_sandbox_outcome(result),
-                                               config.observation_bytes)
-            last_observation = observation
-            lines.append("Action: script")
-            lines.append(f"Observation: {observation}")
-        _finalize(traj, task, _render_transcript(lines), rec_backend, config,
-                  reason=TERMINATION_MAX_ITERATIONS,
-                  best_observation=last_observation)
-        return traj
-    except _FATAL_BACKEND as exc:
-        traj.termination_reason = TERMINATION_FATAL
-        traj.final_answer = None
-        exc.trajectory = traj  # let the caller persist the partial record
-        raise
+    purpose = "codeact_step"
+    intro = ("You solve the task by writing one script per turn in the "
+             "sandbox language below, or Finish[answer] once done.",
+             GRAMMAR_REFERENCE)
+    outro = (CODEACT_MARKER,)
+
+    def take(self, emission: str) -> bool:
+        body = strip_code_fences(emission)
+        if _FINISH_TEXT_RE.match(body):
+            self.lines.append(f"Action: {body.strip()}")
+            return True
+        result = eval_script(Script(body), self.env, self.config.sandbox_limits)
+        self.lines.append("Action: script")
+        self.observe(truncate_observation(render_sandbox_outcome(result),
+                                          self.config.observation_bytes))
+        return False
 
 
-# --- entry point -----------------------------------------------------------------------
+@dataclass
+class _NextStepPolicy(_TranscriptPolicy):
+    """The w/o-global-plan ablation: single-step queries, same skills.
 
-_RUNNERS = {
-    METHOD_GOALACT: run_goalact,
-    METHOD_PLAN_AND_SOLVE: run_plan_and_solve,
-    METHOD_PLAN_AND_EXECUTE: run_plan_and_execute,
-    METHOD_REACT: run_react,
-    METHOD_CODEACT: run_codeact,
+    Its transcript is the skill history.
+    """
+
+    purpose = "next_step"
+    label = "Steps so far:"
+    outro = (NO_PLAN_MARKER,
+             'Respond with a JSON array holding one {"Thinking": "...", '
+             '"Action": "Kind[objective]"} object.')
+    triples: list[tuple[str, SkillAction, str]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.registry = _registry_for(self.config)
+        self.intro = ("You act step by step with the skills below; no plan is "
+                      "kept.", "Skills:\n" + render_skill_menu(self.registry)[1])
+
+    def history(self) -> History:
+        return History(triples=tuple(self.triples))
+
+    def summary(self) -> tuple[str, str]:
+        return _history_summary(self.history())
+
+    def take(self, emission: str) -> bool:
+        try:
+            thought, text = parse_step_texts(emission)[0]
+            action = parse_action(text, self.registry.kinds())
+        except PlanParseError:
+            self.triples.append(("(unparseable step)",
+                                 SkillAction(kind=SEARCHING, objective="none"),
+                                 "The step could not be parsed; try again."))
+            return False
+        if action.kind == FINISH:
+            return True
+        observation, payload = self.run_skill(action, self.history(),
+                                              self.registry)
+        if payload:
+            action = SkillAction(kind=action.kind, objective=action.objective,
+                                 payload=payload)
+        self.triples.append((thought, action, observation))
+        return False
+
+
+# --- the run loop ----------------------------------------------------------------------
+
+_POLICIES = {
+    METHOD_GOALACT: _GoalActPolicy,
+    METHOD_PLAN_AND_SOLVE: _PlanAndSolvePolicy,
+    METHOD_PLAN_AND_EXECUTE: _PlanAndExecutePolicy,
+    METHOD_REACT: _ReActPolicy,
+    METHOD_CODEACT: _CodeActPolicy,
 }
 
 
 def run_task(task: Task, env: ToolEnvironment, config: RunConfig,
              backend: Any) -> Trajectory:
-    """Run one task with the configured method's loop."""
-    runner = _RUNNERS[config.method]
-    return runner(task, env, config, backend)
+    """Run one task: the method's policy takes each step, up to the cap."""
+    traj = Trajectory(task_id=task.id, method=config.method)
+    policy_class = _NextStepPolicy \
+        if ABLATION_NO_GLOBAL_PLAN in config.ablations \
+        else _POLICIES[config.method]
+    policy = policy_class(task, config, traj, RecordingBackend(backend, traj),
+                          RecordingEnvironment(env, traj))
+    try:
+        reason, failure = TERMINATION_MAX_ITERATIONS, ""
+        for t in range(1, config.max_iterations + 1):
+            traj.step_count = t
+            try:
+                if policy.step():
+                    reason = TERMINATION_FINISH
+                    break
+            except (PlanningFailed, BackendUnavailable) as exc:
+                reason = TERMINATION_FATAL
+                failure = f"{policy.purpose} failed: {exc}"
+                break
+        history_text, best_observation = policy.summary()
+        policy.backend.purpose = "summarize"
+        traj.final_answer, traj.degraded = summarize(
+            task.query, history_text, policy.backend, model=config.model,
+            best_observation=failure or best_observation)
+        traj.termination_reason = reason
+        return traj
+    except (AuthFailure, RuleMiss, CassetteMiss) as exc:
+        traj.termination_reason = TERMINATION_FATAL
+        traj.final_answer = None
+        exc.trajectory = traj  # let the caller persist the partial record
+        raise

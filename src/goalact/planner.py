@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .backends import strip_code_fences, user_request
 from .environment import ToolEnvironment
@@ -243,6 +243,35 @@ def build_prompt_inputs(question: str, env: ToolEnvironment, history: History,
     )
 
 
+def revise_plan(plan_prev: Optional[GlobalPlan], backend: Any,
+                prompt_for: Callable[[History], str],
+                parse: Callable[[str], Sequence[tuple[str, SkillAction]]],
+                repair: str, what: str,
+                max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS,
+                model: str = "scripted") -> GlobalPlan:
+    """One planning round over the executed prefix of `plan_prev`.
+
+    Renders the prompt from the executed history, calls the backend once, plus
+    a single retry with `repair` appended when the reply cannot be parsed or
+    validated, and splices the parsed steps onto the executed prefix.  Raises
+    PlanningFailed naming `what` when both replies are unusable; backend
+    errors propagate.
+    """
+    history = history_of(plan_prev)
+    executed = tuple(plan_prev.steps[:len(history)]) if plan_prev else ()
+    revision = plan_prev.revision + 1 if plan_prev else 1
+    prompt = prompt_for(history)
+    failure: Exception | None = None
+    for attempt_prompt in (prompt, prompt + repair):
+        raw = backend.complete(user_request(attempt_prompt, model=model))
+        try:
+            return splice_pending(executed, parse(raw), revision,
+                                  max_steps=max_plan_steps)
+        except (PlanParseError, PlanValidationError) as exc:
+            failure = exc
+    raise PlanningFailed(f"no valid {what} after repair retry: {failure}")
+
+
 def update_global_plan(question: str, env: ToolEnvironment,
                        plan_prev: Optional[GlobalPlan], backend: Any,
                        registry: Optional[Any] = None,
@@ -260,22 +289,15 @@ def update_global_plan(question: str, env: ToolEnvironment,
         from .skills import default_registry
 
         registry = default_registry()
-    history = history_of(plan_prev)
-    executed = tuple(plan_prev.steps[:len(history)]) if plan_prev else ()
-    inputs = build_prompt_inputs(question, env, history,
-                                 exemplars=exemplars,
-                                 exemplar_count=exemplar_count)
-    prompt = build_planning_prompt(inputs, registry)
-    revision = plan_prev.revision + 1 if plan_prev else 1
     kinds = registry.kinds()
 
-    failure: Exception | None = None
-    for attempt_prompt in (prompt, prompt + "\n\n" + REPAIR_INSTRUCTION):
-        raw = backend.complete(user_request(attempt_prompt, model=model))
-        try:
-            parsed = parse_plan_response(raw, kinds)
-            return splice_pending(executed, parsed, revision,
-                                  max_steps=max_plan_steps)
-        except (PlanParseError, PlanValidationError) as exc:
-            failure = exc
-    raise PlanningFailed(f"no valid plan after repair retry: {failure}")
+    def prompt_for(history: History) -> str:
+        inputs = build_prompt_inputs(question, env, history,
+                                     exemplars=exemplars,
+                                     exemplar_count=exemplar_count)
+        return build_planning_prompt(inputs, registry)
+
+    return revise_plan(plan_prev, backend, prompt_for,
+                       lambda raw: parse_plan_response(raw, kinds),
+                       "\n\n" + REPAIR_INSTRUCTION, "plan",
+                       max_plan_steps=max_plan_steps, model=model)

@@ -27,6 +27,11 @@ FAULT_PARSE = "ParseError"
 FAULT_RUNTIME = "RuntimeError"
 FAULT_LIMIT = "LimitExceeded"
 
+# Deepest nesting of blocks, brackets, negations and operator chains a script
+# may have.  Both the parser and the evaluator recurse once per level, so the
+# limit keeps either from exhausting the Python stack.
+MAX_NESTING_DEPTH = 64
+
 GRAMMAR_REFERENCE = """\
 Script language reference (whitespace and newlines separate statements):
 
@@ -136,6 +141,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -152,6 +158,12 @@ class _Parser:
             shown = got_text if got_text else "<eof>"
             raise _Fault(FAULT_PARSE, f"expected {wanted!r}, got {shown!r}")
         return got_text
+
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise _Fault(FAULT_PARSE, "script nesting is deeper than "
+                                      f"{MAX_NESTING_DEPTH} levels")
 
     def program(self) -> list[Any]:
         statements = []
@@ -196,54 +208,71 @@ class _Parser:
 
     def block(self) -> list[Any]:
         self.expect("op", "{")
+        self.deeper()
         statements = []
         while self.peek() != ("op", "}"):
             if self.peek()[0] == "eof":
                 raise _Fault(FAULT_PARSE, "unterminated block")
             statements.append(self.statement())
         self.next()
+        self.depth -= 1
         return statements
 
     def expression(self) -> Any:
-        left = self.sum_expr()
+        self.deeper()
+        node = self.sum_expr()
         kind, text = self.peek()
         if kind == "op" and text in ("==", "!=", "<", "<=", ">", ">="):
             self.next()
-            return ("binop", text, left, self.sum_expr())
-        return left
+            node = ("binop", text, node, self.sum_expr())
+        self.depth -= 1
+        return node
+
+    # The operator and postfix loops below build left-nested trees, one level
+    # deeper per operator, so each operator counts as a level of nesting.
 
     def sum_expr(self) -> Any:
-        node = self.term()
+        node, entry = self.term(), self.depth
         while self.peek() in (("op", "+"), ("op", "-")):
             op = self.next()[1]
+            self.deeper()
             node = ("binop", op, node, self.term())
+        self.depth = entry
         return node
 
     def term(self) -> Any:
-        node = self.unary()
+        node, entry = self.unary(), self.depth
         while self.peek() in (("op", "*"), ("op", "/")):
             op = self.next()[1]
+            self.deeper()
             node = ("binop", op, node, self.unary())
+        self.depth = entry
         return node
 
     def unary(self) -> Any:
         if self.peek() == ("op", "-"):
             self.next()
-            return ("neg", self.unary())
+            self.deeper()
+            node = ("neg", self.unary())
+            self.depth -= 1
+            return node
         return self.postfix()
 
     def postfix(self) -> Any:
-        node = self.primary()
+        node, entry = self.primary(), self.depth
         while True:
             if self.peek() == ("op", "."):
                 self.next()
+                self.deeper()
                 node = ("field", node, self.expect("name"))
             elif self.peek() == ("op", "["):
                 self.next()
+                self.deeper()
                 index = self.expression()
                 self.expect("op", "]")
                 node = ("index", node, index)
             else:
+                self.depth = entry
                 return node
 
     def primary(self) -> Any:

@@ -14,14 +14,13 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Optional
 
 from .backends import strip_code_fences, user_request
-from .environment import ToolCall, ToolEnvironment, render_row, render_rows
+from .environment import ToolCall, ToolEnvironment, observe_tool_call
 from .errors import (
     BackendUnavailable,
     DuplicateSkill,
     ReservedKind,
     SkillDisabled,
     SkillUnknown,
-    ToolError,
 )
 from .plan import (
     CODING,
@@ -287,23 +286,17 @@ def exec_searching(action: SkillAction, context: SkillContext) -> SkillOutcome:
             observation=f"Searching emitted no usable tool call ({problem}).",
             error=OutcomeError(kind="MalformedToolCall", message=problem))
     call, discarded = calls[0], len(calls) - 1
-    try:
-        rows = context.env.invoke_tool(call)
-    except ToolError as exc:
+    payload = {"tool": call.tool_name, "args": dict(call.arguments)}
+    observation, error = observe_tool_call(context.env, call)
+    if error is not None:
         return SkillOutcome(
-            observation=(f"Tool call {call.tool_name} failed: {exc}"),
-            tool_calls_made=1,
-            error=OutcomeError(kind=type(exc).__name__, message=str(exc)),
-            payload={"tool": call.tool_name, "args": dict(call.arguments)})
-    spec = context.env.tool(call.tool_name)
-    rendered = render_row(rows[0]) if spec.semantics == "get_record" \
-        else render_rows(rows)
+            observation=observation, tool_calls_made=1,
+            error=OutcomeError(kind=type(error).__name__, message=str(error)),
+            payload=payload)
     note = "" if not discarded else \
         f" ({discarded} extra emitted call{'s' if discarded > 1 else ''} discarded)"
-    return SkillOutcome(
-        observation=rendered + note,
-        tool_calls_made=1,
-        payload={"tool": call.tool_name, "args": dict(call.arguments)})
+    return SkillOutcome(observation=observation + note, tool_calls_made=1,
+                        payload=payload)
 
 
 def render_source_material(history: History, budget: int) -> str:

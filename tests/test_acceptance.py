@@ -7,6 +7,7 @@ live-API smoke test is skipped unless endpoint environment variables are set.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -34,7 +35,7 @@ from goalact.generator import (
     generate_writing_task,
 )
 from goalact.oracle import never_finishing_backend, oracle_backend
-from goalact.orchestrator import RunConfig, run_task
+from goalact.orchestrator import METHODS, RunConfig, run_task
 from goalact.plan import (
     FINISH,
     TERMINATION_FINISH,
@@ -280,23 +281,45 @@ def test_acceptance_ablation_separations():
 
 # --- criterion 7: suite determinism -------------------------------------------------------
 
+# sha256 of every artifact of the 14-task x 5-method oracle suite below.
+_SUITE_DIGESTS = {
+    "manifest.json":
+        "53397e01ce7679b94dee332848ee4884994bf5692c4735d1c1d82565402bfdca",
+    "report.json":
+        "1a7133f4c7b4f721fe8d2e4dd29bec385cae4e9b523bc2ef9a0e3f973a2ed604",
+    "report.txt":
+        "65b47d2713b9d25696fd9699adec193e52de67d1535363f48e77cda181dd58b1",
+    "trajectories/GoalAct.jsonl":
+        "e0f6858f93d394f2d1c36b7e23f4b1ec77fb06720799be4faa8ed751759e3d85",
+    "trajectories/PlanAndSolve.jsonl":
+        "4fee5fd1b277894868287db446804e8ef1d02c31e5106ddf82b44c2d2b34e90e",
+    "trajectories/PlanAndExecute.jsonl":
+        "8503820ee57f945c58fcbd07e0206d12322fbcc6568ccc7faf00ae724a3bba45",
+    "trajectories/ReAct.jsonl":
+        "63f49bc9d7e89c9f8fdfec7c8e4f4ea2f0c49c65dea6a7cf3e40f4cf7c15a0c5",
+    "trajectories/CodeAct.jsonl":
+        "82a5f2b1585159fe5d53f23f1d5c64f52c880e4e29a844f7dd775e52122bb03e",
+}
+
+
 def test_acceptance_suite_determinism(tmp_path):
     pairs = [generate_task(category, seed)
              for category in CATEGORY_ORDER for seed in range(2)]
     config = RunConfig(method="GoalAct")
     out_a, out_b = tmp_path / "run-a", tmp_path / "run-b"
     for out in (out_a, out_b):
-        run_suite(pairs, ["GoalAct", "ReAct"], config, oracle_backend,
+        run_suite(pairs, list(METHODS), config, oracle_backend,
                   out_dir=out, backend_spec="scripted:oracle")
-    for name in ("manifest.json", "report.txt", "report.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    for method in ("GoalAct", "ReAct"):
-        a = (out_a / "trajectories" / f"{method}.jsonl").read_bytes()
-        b = (out_b / "trajectories" / f"{method}.jsonl").read_bytes()
-        assert a == b, method
+    written = sorted(str(p.relative_to(out_a)) for p in out_a.rglob("*")
+                     if p.is_file())
+    assert written == sorted(_SUITE_DIGESTS)
+    for name, digest in _SUITE_DIGESTS.items():
+        a, b = (out_a / name).read_bytes(), (out_b / name).read_bytes()
+        assert a == b, name
+        assert hashlib.sha256(a).hexdigest() == digest, name
     _verdict("determinism",
              "two suite runs with one manifest produced byte-identical "
-             "reports and trajectories")
+             "reports and trajectories, matching the pinned digests")
 
 
 # --- criterion 8: optional live-API smoke ---------------------------------------------------

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from goalact.backends import Rule, ScriptedBackend
-from goalact.errors import FatalError, RuleMiss
+from goalact.errors import BackendUnavailable, FatalError, RuleMiss
 from goalact.generator import (
     generate_aggregation_task,
     generate_khop_task,
@@ -24,8 +26,10 @@ from goalact.orchestrator import (
     summarize,
 )
 from goalact.plan import (
+    TERMINATION_FATAL,
     TERMINATION_FINISH,
     TERMINATION_MAX_ITERATIONS,
+    encode_trajectory,
     plan_from_dict,
 )
 
@@ -337,3 +341,174 @@ def test_summarize_degrades_when_the_backend_is_down():
     assert degraded is True
     assert "best known fact" in answer
     assert "[degraded" in answer
+
+
+# --- pinned trajectory bytes --------------------------------------------------------------
+
+class _DownAfter:
+    """Answers its first `calls` requests from `inner`, then is down."""
+
+    def __init__(self, inner, calls: int):
+        self.inner = inner
+        self.calls = calls
+
+    def complete(self, request):
+        if self.calls <= 0:
+            raise BackendUnavailable("backend went down")
+        self.calls -= 1
+        return self.inner.complete(request)
+
+
+_PIN_CONFIGS = {
+    "GoalAct": {"method": METHOD_GOALACT},
+    "PlanAndSolve": {"method": METHOD_PLAN_AND_SOLVE},
+    "PlanAndExecute": {"method": METHOD_PLAN_AND_EXECUTE},
+    "ReAct": {"method": METHOD_REACT},
+    "CodeAct": {"method": METHOD_CODEACT},
+    "GoalAct-no_global_plan": {"method": METHOD_GOALACT,
+                               "ablations": frozenset({"no_global_plan"})},
+    "GoalAct-no_coding-no_writing": {
+        "method": METHOD_GOALACT,
+        "ablations": frozenset({"no_coding", "no_writing"})},
+}
+
+_PIN_BACKENDS = {
+    "oracle": oracle_backend,
+    "never_finishing": lambda task: never_finishing_backend(),
+    "not_json": lambda task: ScriptedBackend(
+        [Rule.on_substrings("not json at all", "Question:")]),
+    "rule_miss": lambda task: ScriptedBackend([]),
+    "down": lambda task: _DownAfter(None, 0),
+}
+
+
+def _pin_tasks():
+    return [generate_khop_task(seed=7, k=2), generate_aggregation_task(seed=7),
+            generate_writing_task(seed=7)]
+
+
+def _cell_digest(config_name: str, backend_name: str) -> str:
+    """sha256 of the encoded trajectories of one config x backend cell.
+
+    A run that raises RuleMiss contributes the partial trajectory attached
+    to the exception.
+    """
+    digest = hashlib.sha256()
+    config = RunConfig(max_iterations=4, **_PIN_CONFIGS[config_name])
+    for task, env in _pin_tasks():
+        try:
+            traj = run_task(task, env, config, _PIN_BACKENDS[backend_name](task))
+        except RuleMiss as exc:
+            traj = exc.trajectory
+        digest.update(encode_trajectory(traj).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+# Cells whose decision call meets an outage; their fatal_error runs are
+# tested below rather than pinned.
+_OUTAGE_CELLS = {("ReAct", "down"), ("CodeAct", "down"),
+                 ("GoalAct-no_global_plan", "down")}
+
+PINNED_DIGESTS = {
+    ('GoalAct', 'oracle'):
+        "19281a160929a8af425ded343d3758ecd83e26be605e365c67bbc1f79fa5e00f",
+    ('GoalAct', 'never_finishing'):
+        "9103f57091a65ac5bb8e9f85cdea12a87704e1cf153b91441ef80b4d22a90754",
+    ('GoalAct', 'not_json'):
+        "7821b391fa55434ff33a4eb65ab1c76c482a3a92c6db336bf896674c922b1894",
+    ('GoalAct', 'rule_miss'):
+        "34b696f5bb58d083bc7bdcf4b580d3c1d5265f1659ae9307949e15fb599536e9",
+    ('GoalAct', 'down'):
+        "10647c545f9626698d478dc74d6887abcb54ad8da2fabbb03ffae0203709b75b",
+    ('PlanAndSolve', 'oracle'):
+        "6c5d16413c2e7fc729d387811c6df6d4082aa9d40abef6bee16921fcce9c1510",
+    ('PlanAndSolve', 'never_finishing'):
+        "1d8c5472cf6bcf65b3683e2a1a84cb3d343e4e47fe8aa74e5fc43a9edcda751e",
+    ('PlanAndSolve', 'not_json'):
+        "3821358f18b878e6332590590f2789382db47a3a450e780750b78c18ce570f72",
+    # Plan-and-Solve plans inside its first iteration, as GoalAct does, so a
+    # RuleMiss in that call leaves a partial trajectory with step_count 1.
+    ('PlanAndSolve', 'rule_miss'):
+        "5d9ece1a77840482ad70adbe486f92bbc04db5e6753be692cbe5bd5f7e031f44",
+    ('PlanAndSolve', 'down'):
+        "b075c186cfd86784b3239ba6ae7cb9cca51cc4ce508b4da765930f7d8b3de379",
+    ('PlanAndExecute', 'oracle'):
+        "6bd27a3eeb12e436f844969df18b34139d39be1f4931ee71433edc8d6144c12d",
+    ('PlanAndExecute', 'never_finishing'):
+        "6e049eed4fb467376498941f5a944c2416c7ead22327d8b25fc99a0e38ef02a3",
+    ('PlanAndExecute', 'not_json'):
+        "2576b97b83675a8d00ff19787532e9cc18b3ea98a02cccaa6545c968472e711e",
+    ('PlanAndExecute', 'rule_miss'):
+        "6e049eed4fb467376498941f5a944c2416c7ead22327d8b25fc99a0e38ef02a3",
+    ('PlanAndExecute', 'down'):
+        "26da2338db67198591eb4ab55dc424a9f3b7ff6a5b71001d8fe2002106c896b6",
+    ('ReAct', 'oracle'):
+        "98e373eac92507b07983c427088d3860c3c89a616fc7d6c2869b4cb04a905366",
+    ('ReAct', 'never_finishing'):
+        "45937d0bc4da4fa07abae869f8979e76ca42ae61ea26983a3107724def8ad8db",
+    ('ReAct', 'not_json'):
+        "a3ca2863861ed0068af72d00bb0eecfe8cc15cca39654ffdb792bb8191e40b79",
+    ('ReAct', 'rule_miss'):
+        "45937d0bc4da4fa07abae869f8979e76ca42ae61ea26983a3107724def8ad8db",
+    ('CodeAct', 'oracle'):
+        "d1edce3e64315198c25aca9e94b67cc5546c55509cc9fda6612e6859f60477c3",
+    ('CodeAct', 'never_finishing'):
+        "c2c74f98b308d3bd46970c2d75e1517a3a157b2a6141462d140843f9a99629f4",
+    ('CodeAct', 'not_json'):
+        "8cfd08b50ce55503a58a8f0d0f1488830ee93df99711adaa39a2ae243e96a6c5",
+    ('CodeAct', 'rule_miss'):
+        "c2c74f98b308d3bd46970c2d75e1517a3a157b2a6141462d140843f9a99629f4",
+    ('GoalAct-no_global_plan', 'oracle'):
+        "2992e5dfb1dd794d988050708da2902518d9d3f5ea7e0010d823cbcaebef42d5",
+    ('GoalAct-no_global_plan', 'never_finishing'):
+        "a04e9972febd641a2d7da164063f60cf51be91ab46f4468214d44c37ae2b7b16",
+    ('GoalAct-no_global_plan', 'not_json'):
+        "4a49bb0df704e779c4eb924fb21c32f12d64398f223b9bbe5034d0ffdd66c112",
+    ('GoalAct-no_global_plan', 'rule_miss'):
+        "34b696f5bb58d083bc7bdcf4b580d3c1d5265f1659ae9307949e15fb599536e9",
+    ('GoalAct-no_coding-no_writing', 'oracle'):
+        "5a84580a5ec0cf91a4ce0ccc20a2b396a8f57fe9b55288ee74c9ec5ce891dd6b",
+    ('GoalAct-no_coding-no_writing', 'never_finishing'):
+        "c2fe7bbb8f7189ca2d8a7800e52fc7449e40d8861867fdbb20893bd541b41b44",
+    ('GoalAct-no_coding-no_writing', 'not_json'):
+        "bdcf71deec17dce0ae2ebfd943ec41e63839f11ecd2f1fc236056662f5dd04fe",
+    ('GoalAct-no_coding-no_writing', 'rule_miss'):
+        "34b696f5bb58d083bc7bdcf4b580d3c1d5265f1659ae9307949e15fb599536e9",
+    ('GoalAct-no_coding-no_writing', 'down'):
+        "10647c545f9626698d478dc74d6887abcb54ad8da2fabbb03ffae0203709b75b",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_DIGESTS),
+                         ids=lambda cell: "-".join(cell))
+def test_trajectory_bytes_are_pinned(cell):
+    config_name, backend_name = cell
+    assert _cell_digest(config_name, backend_name) == PINNED_DIGESTS[cell]
+
+
+def test_pinned_table_covers_every_cell():
+    cells = {(c, b) for c in _PIN_CONFIGS for b in _PIN_BACKENDS}
+    assert set(PINNED_DIGESTS) == cells - _OUTAGE_CELLS
+
+
+# --- outages in a decision call ----------------------------------------------------------
+
+@pytest.mark.parametrize("config_name,good_calls,steps", [
+    ("ReAct", 0, 1), ("ReAct", 2, 3),
+    # CodeAct's oracle makes two decision calls (a script, then Finish), so
+    # only an outage at the second one falls on a decision call.
+    ("CodeAct", 0, 1), ("CodeAct", 1, 2),
+    # The ablation's second call is a skill call, which degrades in place.
+    ("GoalAct-no_global_plan", 0, 1), ("GoalAct-no_global_plan", 2, 2),
+])
+def test_decision_call_outage_ends_the_run_as_fatal(config_name, good_calls,
+                                                    steps):
+    task, env = generate_khop_task(seed=7, k=2)
+    backend = _DownAfter(oracle_backend(task), good_calls)
+    traj = run_task(task, env, RunConfig(**_PIN_CONFIGS[config_name]),
+                    backend)
+    assert traj.termination_reason == TERMINATION_FATAL
+    assert traj.degraded is True
+    assert traj.step_count == steps
+    assert traj.final_answer.startswith("[degraded: backend went down]")
+    assert traj.final_answer.endswith(" failed: backend went down")

@@ -104,6 +104,30 @@ def test_parse_error_reported_as_fault(company_env):
     assert result.fault.kind == FAULT_PARSE
 
 
+@pytest.mark.parametrize("script", [
+    "return " + "(" * 5000 + "1" + ")" * 5000,
+    "return " + "[" * 5000 + "1" + "]" * 5000,
+    "return " + "-" * 5000 + "1",
+    "if true { " * 2000 + "return 1" + " }" * 2000,
+    "return " + " + ".join(["1"] * 5000),
+    "x = [1]\nreturn x" + "[0]" * 5000,
+], ids=["parentheses", "brackets", "negations", "if-blocks", "operator-chain",
+        "index-chain"])
+def test_deep_nesting_is_a_parse_fault(company_env, script):
+    result = eval_script(Script(script), company_env)
+    assert result.fault is not None
+    assert result.fault.kind == FAULT_PARSE
+    assert "nesting" in result.fault.message
+
+
+def test_moderate_nesting_still_runs(company_env):
+    script = ("if true { " * 20 + "return " + "(" * 20 + "[1, 2]" + ")" * 20
+              + "[1]" + " }" * 20)
+    result = eval_script(Script(script), company_env)
+    assert result.ok, result.fault
+    assert result.value == "2"
+
+
 def test_runtime_faults_cover_common_misuse(company_env):
     cases = {
         "return undefined_name": "undefined",
