@@ -88,27 +88,37 @@ class ScriptedBackend:
 
     Matcher precedence: ordinal > prompt-hash > substring; within one class
     the first listed match wins.  An unmatched prompt raises RuleMiss naming
-    the closest rule - never a silent default.
+    the closest rule - never a silent default.  The rules are indexed once,
+    here, so `rules` must not be mutated after construction; a request is
+    hashed only when some rule carries a `prompt_hash`.
     """
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
         self.rules = list(rules)
         self.label = label
         self.calls_made = 0
+        self._by_ordinal: dict[int, str] = {}
+        self._by_hash: dict[str, str] = {}
+        for rule in self.rules:
+            if rule.ordinal is not None:
+                self._by_ordinal.setdefault(rule.ordinal, rule.response)
+            if rule.prompt_hash is not None:
+                self._by_hash.setdefault(rule.prompt_hash, rule.response)
+        self._by_substrings = [(rule.substrings, rule.response)
+                               for rule in self.rules if rule.substrings]
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls_made += 1
+        digest = request_hash(request) if self._by_hash else None
+        response = self._by_ordinal.get(self.calls_made)
+        if response is None and digest is not None:
+            response = self._by_hash.get(digest)
+        if response is not None:
+            return response
         prompt = request.rendered()
-        digest = request_hash(request)
-        for rule in self.rules:
-            if rule.ordinal is not None and rule.ordinal == self.calls_made:
-                return rule.response
-        for rule in self.rules:
-            if rule.prompt_hash is not None and rule.prompt_hash == digest:
-                return rule.response
-        for rule in self.rules:
-            if rule.substrings and all(key in prompt for key in rule.substrings):
-                return rule.response
+        for keys, response in self._by_substrings:
+            if all(key in prompt for key in keys):
+                return response
         raise RuleMiss(self._miss_message(prompt))
 
     def _miss_message(self, prompt: str) -> str:
@@ -235,6 +245,11 @@ class CassetteRecorder:
         self.inner = inner
         self.path = Path(path)
         self.entries: dict[str, str] = {}
+
+    @property
+    def last_attempts(self) -> int:
+        """The inner backend's attempt count for its last call, else 1."""
+        return getattr(self.inner, "last_attempts", 1)
 
     def complete(self, request: CompletionRequest) -> str:
         response = self.inner.complete(request)

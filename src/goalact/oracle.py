@@ -28,7 +28,7 @@ from .orchestrator import (
     SUMMARY_MARKER,
 )
 from .plan import CODING, FINISH, SEARCHING, WRITING, SkillAction
-from .planner import PLANNING_MARKER, render_plan_steps
+from .planner import PLANNING_MARKER, render_plan_steps, render_step_array
 from .sandbox import CODING_MARKER
 from .skills import SEARCHING_MARKER, WRITING_MARKER
 
@@ -44,25 +44,14 @@ def _react_json(thought: str, action: str) -> str:
     return json.dumps({"Thought": thought, "Action": action})
 
 
-def _step_array(steps: list[tuple[str, SkillAction]]) -> str:
-    return render_plan_steps(steps)
-
-
-def _free_step_array(steps: list[tuple[str, str]]) -> str:
-    """P&E plans carry plain free-text actions, not Kind[objective] strings."""
-    return json.dumps([{"Thinking": thought, "Action": text}
-                       for thought, text in steps], ensure_ascii=False,
-                      indent=2)
-
-
 def _pe_round_rules(steps: list[tuple[str, str]],
                     round_keys: list[Optional[str]], prefix: str) -> list[Rule]:
     rules = []
     for t in range(len(round_keys), 1, -1):
         rules.append(Rule.on_substrings(
-            _free_step_array(steps[t - 1:]), PE_PLAN_MARKER, round_keys[t - 1],
-            name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(_free_step_array(steps), PE_PLAN_MARKER,
+            render_step_array(steps[t - 1:]), PE_PLAN_MARKER,
+            round_keys[t - 1], name=f"{prefix}-round{t}"))
+    rules.append(Rule.on_substrings(render_step_array(steps), PE_PLAN_MARKER,
                                     name=f"{prefix}-round1"))
     return rules
 
@@ -75,13 +64,13 @@ def _round_rules(marker: str, steps: list[tuple[str, SkillAction]],
     (None for the opening round).  The continuation at round t is the step
     suffix with t-1 steps already executed.
     """
-    rules = [Rule.on_substrings(_step_array([steps[-1]]), marker,
+    rules = [Rule.on_substrings(render_plan_steps([steps[-1]]), marker,
                                 DISABLED_TEXT, name=f"{prefix}-disabled")]
     for t in range(len(round_keys), 1, -1):
         rules.append(Rule.on_substrings(
-            _step_array(steps[t - 1:]), marker, round_keys[t - 1],
+            render_plan_steps(steps[t - 1:]), marker, round_keys[t - 1],
             name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(_step_array(steps), marker,
+    rules.append(Rule.on_substrings(render_plan_steps(steps), marker,
                                     name=f"{prefix}-round1"))
     return rules
 
@@ -90,14 +79,15 @@ def _single_step_rules(steps: list[tuple[str, SkillAction]],
                        round_keys: list[Optional[str]], prefix: str
                        ) -> list[Rule]:
     """Array-of-one responses for the plan-less GoalAct ablation."""
-    rules = [Rule.on_substrings(_step_array([steps[-1]]), NO_PLAN_MARKER,
-                                DISABLED_TEXT, name=f"{prefix}-disabled")]
+    rules = [Rule.on_substrings(render_plan_steps([steps[-1]]),
+                                NO_PLAN_MARKER, DISABLED_TEXT,
+                                name=f"{prefix}-disabled")]
     for t in range(len(round_keys), 1, -1):
         rules.append(Rule.on_substrings(
-            _step_array([steps[t - 1]]), NO_PLAN_MARKER, round_keys[t - 1],
-            name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(_step_array([steps[0]]), NO_PLAN_MARKER,
-                                    name=f"{prefix}-round1"))
+            render_plan_steps([steps[t - 1]]), NO_PLAN_MARKER,
+            round_keys[t - 1], name=f"{prefix}-round{t}"))
+    rules.append(Rule.on_substrings(render_plan_steps([steps[0]]),
+                                    NO_PLAN_MARKER, name=f"{prefix}-round1"))
     return rules
 
 
@@ -389,19 +379,32 @@ def oracle_backend(task: Task) -> ScriptedBackend:
 
 
 def never_finishing_backend() -> ScriptedBackend:
-    """Plans forever: every round appends one more probe before Finish."""
+    """Never finishes under any method: each round plans or takes one more
+    probe of a record that does not exist."""
     probe = [("Probe the environment once more.",
               SkillAction(SEARCHING, "probe the tables for anything new")),
              ("Wrap up.", SkillAction(kind=FINISH))]
+    table, field, value = "companies", "name", "Nonexistent Corp"
+    lookup_call = _tool_json("get_record", table, field, value)
+    pe_probe = [(probe[0][0], f'Fetch the {table} record whose {field} is '
+                              f'"{value}"'),
+                (probe[1][0], "Finish")]
     return ScriptedBackend([
         Rule.on_substrings(render_plan_steps(probe), PLANNING_MARKER,
                            name="nf-plan"),
         Rule.on_substrings(render_plan_steps([probe[0]]), NO_PLAN_MARKER,
                            name="nf-single"),
-        Rule.on_substrings(
-            _tool_json("get_record", "companies", "name", "Nonexistent Corp"),
-            SEARCHING_MARKER, name="nf-search"),
+        Rule.on_substrings(lookup_call, SEARCHING_MARKER, name="nf-search"),
         Rule.on_substrings(
             "The iteration budget was exhausted before an answer emerged.",
             SUMMARY_MARKER, name="nf-summary"),
+        Rule.on_substrings(render_step_array(pe_probe), PE_PLAN_MARKER,
+                           name="nf-pe-plan"),
+        Rule.on_substrings(lookup_call, PE_SUBTASK_MARKER, name="nf-pe-sub"),
+        Rule.on_substrings(
+            _react_json(probe[0][0], f"get_record[table={table}, "
+                                     f"field={field}, value={value}]"),
+            REACT_MARKER, name="nf-react"),
+        Rule.on_substrings(f'return get_record("{table}", "{field}", '
+                           f'"{value}")', CODEACT_MARKER, name="nf-codeact"),
     ], label="never-finishing")

@@ -8,11 +8,13 @@ pending steps onto the immutable executed prefix.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Callable, Optional, Sequence
+from json.encoder import encode_basestring as _encode_string
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .backends import strip_code_fences, user_request
 from .environment import ToolEnvironment
@@ -65,21 +67,29 @@ def count_word(n: int) -> str:
     return _NUMBER_WORDS[n] if 0 <= n < len(_NUMBER_WORDS) else str(n)
 
 
+@functools.cache
 def load_template() -> str:
+    """The packaged planning template, read once per process."""
     return resources.files("goalact.prompts").joinpath(
         "global_planning.txt").read_text(encoding="utf-8")
 
 
-def load_default_exemplars(count: int = DEFAULT_EXEMPLAR_COUNT) -> list[str]:
-    """The packaged few-shot transcripts, one per planning process."""
+@functools.cache
+def _packaged_exemplars() -> tuple[str, ...]:
     raw = resources.files("goalact.prompts").joinpath(
         "exemplars.jsonl").read_text(encoding="utf-8")
-    transcripts = [json.loads(line)["transcript"]
-                   for line in raw.splitlines() if line.strip()]
+    return tuple(json.loads(line)["transcript"]
+                 for line in raw.splitlines() if line.strip())
+
+
+def load_default_exemplars(count: int = DEFAULT_EXEMPLAR_COUNT) -> list[str]:
+    """The packaged few-shot transcripts (parsed once per process), as a
+    new list on every call."""
+    transcripts = _packaged_exemplars()
     if count > len(transcripts):
         raise TemplateSlotMissing(
             f"{count} exemplars requested but only {len(transcripts)} shipped")
-    return transcripts[:count]
+    return list(transcripts[:count])
 
 
 def load_exemplars_file(path: Any, count: int) -> list[str]:
@@ -218,11 +228,24 @@ def splice_pending(executed: tuple[PlanStep, ...],
                                     revision=revision), max_steps=max_steps)
 
 
+def render_step_array(steps: Iterable[tuple[str, str]]) -> str:
+    """(thinking, action text) pairs as a JSON array of step objects.
+
+    Writes exactly the bytes of `json.dumps([{"Thinking": t, "Action": a},
+    ...], ensure_ascii=False, indent=2)`, but with `json`'s C string encoder:
+    `indent=` alone would send the whole document through the pure-Python
+    encoder.
+    """
+    objects = [f'  {{\n    "Thinking": {_encode_string(thinking)},\n'
+               f'    "Action": {_encode_string(action)}\n  }}'
+               for thinking, action in steps]
+    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
+
+
 def render_plan_steps(steps: Sequence[tuple[str, SkillAction]]) -> str:
     """The inverse of parse_plan_response, in the planner's output format."""
-    doc = [{"Thinking": thought, "Action": action.render()}
-           for thought, action in steps]
-    return json.dumps(doc, ensure_ascii=False, indent=2)
+    return render_step_array((thought, action.render())
+                             for thought, action in steps)
 
 
 def build_prompt_inputs(question: str, env: ToolEnvironment, history: History,

@@ -69,6 +69,102 @@ def test_rule_miss_is_a_hard_error_naming_the_closest_rule():
     assert "pair-rule" in str(exc_info.value)
 
 
+def test_first_listed_duplicate_ordinal_or_hash_wins():
+    request = _req("needle")
+    digest = request_hash(request)
+    backend = ScriptedBackend([
+        Rule(response="ordinal-first", ordinal=1),
+        Rule(response="ordinal-second", ordinal=1),
+        Rule(response="hash-first", prompt_hash=digest),
+        Rule(response="hash-second", prompt_hash=digest),
+    ])
+    assert backend.complete(request) == "ordinal-first"
+    assert backend.complete(request) == "hash-first"
+
+
+def test_a_rule_with_ordinal_and_substrings_matches_under_both_classes():
+    backend = ScriptedBackend([
+        Rule(response="both", substrings=("alpha",), ordinal=2),
+    ])
+    assert backend.complete(_req("alpha")) == "both"  # by substring
+    assert backend.complete(_req("beta")) == "both"  # by ordinal
+    with pytest.raises(RuleMiss):
+        backend.complete(_req("beta"))
+
+
+def test_a_rule_without_a_matcher_never_matches():
+    backend = ScriptedBackend([Rule(response="never", name="bare")])
+    for text in ("", "anything", "never"):
+        with pytest.raises(RuleMiss):
+            backend.complete(_req(text))
+    assert backend.calls_made == 3
+
+
+def test_ordinals_count_calls_over_the_backend_lifetime():
+    backend = ScriptedBackend([
+        Rule(response="third", ordinal=3),
+        Rule.on_substrings("default", "x"),
+    ])
+    with pytest.raises(RuleMiss):
+        backend.complete(_req("no match"))  # a miss still counts as a call
+    assert backend.complete(_req("x")) == "default"
+    assert backend.complete(_req("x")) == "third"
+    assert backend.complete(_req("x")) == "default"
+    assert backend.calls_made == 4
+
+
+def test_rule_miss_text_names_the_call_number_and_closest_rule():
+    backend = ScriptedBackend([
+        Rule.on_substrings("a", "alpha", "beta", "gamma", name="one-of-three"),
+        Rule.on_substrings("b", "alpha", "beta", name="two-of-two-needed"),
+        Rule(response="c", ordinal=9, name="ordinal-rule"),
+    ], label="unit")
+    backend.complete(_req("alpha beta"))
+    with pytest.raises(RuleMiss) as exc_info:
+        backend.complete(_req("alpha   gamma\nhere"))
+    assert str(exc_info.value) == (
+        "[unit] no rule matched call #2 (closest: one-of-three); "
+        "prompt starts: 'alpha gamma here'")
+
+
+def _count_request_hashes(monkeypatch) -> list:
+    """Record every request `goalact.backends.request_hash` is called with."""
+    import goalact.backends as backends_module
+
+    calls = []
+    original = backends_module.request_hash
+
+    def counting(request):
+        calls.append(request)
+        return original(request)
+
+    monkeypatch.setattr(backends_module, "request_hash", counting)
+    return calls
+
+
+def test_request_hash_runs_once_per_call_when_a_rule_has_a_prompt_hash(
+        monkeypatch):
+    original = request_hash
+    calls = _count_request_hashes(monkeypatch)
+    hashed = ScriptedBackend([
+        Rule(response="by-hash", prompt_hash=original(_req("hashed"))),
+        Rule.on_substrings("by-substring", "plain"),
+        Rule(response="by-ordinal", ordinal=1),
+    ])
+    assert [hashed.complete(_req(t)) for t in ("plain", "hashed", "plain")] \
+        == ["by-ordinal", "by-hash", "by-substring"]
+    assert len(calls) == 3
+
+
+def test_request_hash_is_skipped_when_no_rule_has_a_prompt_hash(monkeypatch):
+    calls = _count_request_hashes(monkeypatch)
+    unhashed = ScriptedBackend([Rule.on_substrings("by-substring", "plain")])
+    assert unhashed.complete(_req("plain")) == "by-substring"
+    with pytest.raises(RuleMiss):
+        unhashed.complete(_req("other"))
+    assert calls == []
+
+
 def test_request_hash_normalizes_whitespace():
     a = CompletionRequest(messages=(Message("user", "hello   world"),),
                           model="m")
@@ -251,6 +347,45 @@ def test_recorded_run_replays_to_an_identical_trajectory(tmp_path):
     replayed = run_task(task, env, RunConfig(method="GoalAct"), replay)
     assert transport.calls == live_calls  # nothing new went over the wire
     assert encode_trajectory(replayed) == encode_trajectory(recorded)
+
+
+def test_record_mode_logs_the_http_retry_count(tmp_path):
+    from goalact.generator import generate_khop_task
+    from goalact.oracle import oracle_backend
+    from goalact.orchestrator import RunConfig, run_task
+
+    task, env = generate_khop_task(seed=63, k=1)
+    oracle = oracle_backend(task)
+
+    def oracle_transport(outages: int):
+        """A chat endpoint that answers 503 `outages` times, then the oracle."""
+        def transport(url, headers, body, timeout):
+            nonlocal outages
+            if outages > 0:
+                outages -= 1
+                return 503, "busy"
+            doc = json.loads(body.decode("utf-8"))
+            request = CompletionRequest(
+                messages=tuple(Message(m["role"], m["content"])
+                               for m in doc["messages"]),
+                model=doc["model"], temperature=doc["temperature"])
+            return 200, _ok_body(oracle.complete(request))
+        return transport
+
+    def record(outages: int, cassette):
+        live = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
+                               model="m", transport=oracle_transport(outages),
+                               sleeper=lambda s: None)
+        return run_task(task, env, RunConfig(method="GoalAct"),
+                        CassetteRecorder(live, cassette))
+
+    retried = record(1, tmp_path / "retried.jsonl")
+    clean = record(0, tmp_path / "clean.jsonl")
+    assert [call.attempts for call in retried.llm_calls] == \
+        [2] + [1] * (len(retried.llm_calls) - 1)
+    assert all(call.attempts == 1 for call in clean.llm_calls)
+    assert (tmp_path / "retried.jsonl").read_bytes() == \
+        (tmp_path / "clean.jsonl").read_bytes()
 
 
 def test_two_scripted_runs_yield_byte_identical_trajectories():

@@ -434,8 +434,10 @@ PINNED_DIGESTS = {
         "b075c186cfd86784b3239ba6ae7cb9cca51cc4ce508b4da765930f7d8b3de379",
     ('PlanAndExecute', 'oracle'):
         "6bd27a3eeb12e436f844969df18b34139d39be1f4931ee71433edc8d6144c12d",
+    # never_finishing_backend gained Plan-and-Execute, ReAct and CodeAct
+    # rules, so these three cells run to the cap instead of a RuleMiss.
     ('PlanAndExecute', 'never_finishing'):
-        "6e049eed4fb467376498941f5a944c2416c7ead22327d8b25fc99a0e38ef02a3",
+        "75cbedd512a33b13c67963ab1fe1f7f6ac8197655b21d599cec8f495ed66f222",
     ('PlanAndExecute', 'not_json'):
         "2576b97b83675a8d00ff19787532e9cc18b3ea98a02cccaa6545c968472e711e",
     ('PlanAndExecute', 'rule_miss'):
@@ -445,7 +447,7 @@ PINNED_DIGESTS = {
     ('ReAct', 'oracle'):
         "98e373eac92507b07983c427088d3860c3c89a616fc7d6c2869b4cb04a905366",
     ('ReAct', 'never_finishing'):
-        "45937d0bc4da4fa07abae869f8979e76ca42ae61ea26983a3107724def8ad8db",
+        "4a94352615ef921ba0e326abdba36a4aad434035f438f6127884bddf11b9bc00",
     ('ReAct', 'not_json'):
         "a3ca2863861ed0068af72d00bb0eecfe8cc15cca39654ffdb792bb8191e40b79",
     ('ReAct', 'rule_miss'):
@@ -453,7 +455,7 @@ PINNED_DIGESTS = {
     ('CodeAct', 'oracle'):
         "d1edce3e64315198c25aca9e94b67cc5546c55509cc9fda6612e6859f60477c3",
     ('CodeAct', 'never_finishing'):
-        "c2c74f98b308d3bd46970c2d75e1517a3a157b2a6141462d140843f9a99629f4",
+        "9cbff38ec63ac06e362c7a1c925e7714730d7eecb7f0df53221703f5992fc5be",
     ('CodeAct', 'not_json'):
         "8cfd08b50ce55503a58a8f0d0f1488830ee93df99711adaa39a2ae243e96a6c5",
     ('CodeAct', 'rule_miss'):
@@ -489,6 +491,29 @@ def test_trajectory_bytes_are_pinned(cell):
 def test_pinned_table_covers_every_cell():
     cells = {(c, b) for c in _PIN_CONFIGS for b in _PIN_BACKENDS}
     assert set(PINNED_DIGESTS) == cells - _OUTAGE_CELLS
+
+
+@pytest.mark.parametrize("config_name", [
+    "GoalAct", "PlanAndExecute", "ReAct", "CodeAct", "GoalAct-no_global_plan",
+    "GoalAct-no_coding-no_writing"])
+def test_never_finishing_backend_runs_every_method_to_the_cap(config_name):
+    for task, env in _pin_tasks():
+        traj = run_task(task, env,
+                        RunConfig(max_iterations=4, **_PIN_CONFIGS[config_name]),
+                        never_finishing_backend())
+        assert traj.termination_reason == TERMINATION_MAX_ITERATIONS
+        assert traj.step_count == 4
+        assert traj.final_answer.startswith("The iteration budget was exhausted")
+
+
+def test_never_finishing_backend_lets_plan_and_solve_run_its_one_plan():
+    # Plan-and-Solve plans once, so the probe-then-Finish plan ends its run.
+    for task, env in _pin_tasks():
+        traj = _run(METHOD_PLAN_AND_SOLVE, task, env, max_iterations=4,
+                    backend=never_finishing_backend())
+        assert traj.termination_reason == TERMINATION_FINISH
+        assert [c.purpose for c in traj.llm_calls] == [
+            "planning", "skill:Searching", "summarize"]
 
 
 # --- outages in a decision call ----------------------------------------------------------

@@ -1,0 +1,74 @@
+"""Count-based guards on the scripted-oracle path; no timing involved.
+
+A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
+hook sees every file the process opens and a wrapper counts the request
+hashes the scripted backend computes.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import goalact
+from goalact.orchestrator import METHODS
+
+_SUITE_SCRIPT = r"""
+import json, os, sys
+
+PROMPT_FILES = ("global_planning.txt", "exemplars.jsonl")
+opens = {name: 0 for name in PROMPT_FILES}
+
+
+def audit(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        path = os.fsdecode(args[0])
+        for name in PROMPT_FILES:
+            if path.endswith(os.path.join("prompts", name)):
+                opens[name] += 1
+
+
+sys.addaudithook(audit)
+
+from goalact import backends, generator, oracle, orchestrator, suite
+
+hashes = 0
+original_hash = backends.request_hash
+
+
+def counting_hash(request):
+    global hashes
+    hashes += 1
+    return original_hash(request)
+
+
+backends.request_hash = counting_hash
+pairs = [generator.generate_khop_task(seed=5, k=2),
+         generator.generate_aggregation_task(seed=5),
+         generator.generate_writing_task(seed=5)]
+report = suite.run_suite(pairs, orchestrator.METHODS, orchestrator.RunConfig(),
+                         oracle.oracle_backend, out_dir=sys.argv[1])
+print(json.dumps({"opens": opens, "request_hashes": hashes,
+                  "rows": len(report.rows)}))
+"""
+
+
+def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
+        tmp_path):
+    src = str(Path(goalact.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SUITE_SCRIPT,
+                           str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout.strip().splitlines()[-1])
+    assert counts["rows"] == len(METHODS)
+    assert counts["request_hashes"] == 0
+    # Exactly once rather than at most once: GoalAct needs both files, so a
+    # zero would mean the hook missed the reads.
+    assert counts["opens"] == {"global_planning.txt": 1, "exemplars.jsonl": 1}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from goalact.planner import (
     parse_plan_response,
     render_history,
     render_plan_steps,
+    render_step_array,
     update_global_plan,
 )
 from goalact.skills import SkillDescriptor, default_registry, register_skill
@@ -100,6 +102,15 @@ def test_default_exemplars_match_configured_count():
         load_default_exemplars(3)
 
 
+def test_default_exemplars_are_a_new_list_on_every_call():
+    first = load_default_exemplars(2)
+    expected = list(first)
+    first.append("mutated")
+    first[0] = "overwritten"
+    assert load_default_exemplars(2) == expected
+    assert load_default_exemplars(2) is not load_default_exemplars(2)
+
+
 def test_prompt_inputs_enforce_exemplar_count(company_env):
     with pytest.raises(TemplateSlotMissing):
         build_prompt_inputs("q", company_env, History(),
@@ -151,6 +162,37 @@ def test_parse_render_parse_is_idempotent():
     ])
     parsed = parse_plan_response(raw)
     assert parse_plan_response(render_plan_steps(parsed)) == parsed
+
+
+# Characters the JSON string encoder treats specially, plus multi-byte ones.
+_FUZZ_ALPHABET = (['"', "\\", "/", "\n", "\t", "\x7f", "\u2028", "é", "漢",
+                   "字", "\U0001F600", "\U00010348", " ", "a", "Z", "0", "["]
+                  + [chr(c) for c in range(0x20)])
+
+
+def test_step_array_writes_the_bytes_of_json_dumps_with_indent():
+    rng = random.Random(20240)
+
+    def text() -> str:
+        return "".join(rng.choice(_FUZZ_ALPHABET)
+                       for _ in range(rng.randint(0, 12)))
+
+    assert render_step_array([]) == "[]" == json.dumps([], indent=2)
+    for _ in range(20_000):
+        steps = [(text(), text()) for _ in range(rng.randint(0, 5))]
+        expected = json.dumps([{"Thinking": t, "Action": a} for t, a in steps],
+                              ensure_ascii=False, indent=2)
+        assert render_step_array(steps) == expected
+
+
+def test_render_plan_steps_matches_json_dumps():
+    steps = [("find \"it\"\n",
+              SkillAction(SEARCHING, "tables → 漢字 \U0001F600")),
+             ("done", SkillAction(FINISH))]
+    assert render_plan_steps(steps) == json.dumps(
+        [{"Thinking": t, "Action": a.render()} for t, a in steps],
+        ensure_ascii=False, indent=2)
+    assert render_plan_steps([]) == "[]"
 
 
 def _fixture_plan_text() -> str:
