@@ -5,13 +5,18 @@ Two generic read-only tools are exposed over every table:
     get_record(table, field, value)     -> the first row matching field=value
     filter_records(table, field, value) -> every matching row, in table order
 
-Environments are immutable after load and safe to share across runs.
+Environments are immutable after load and safe to share across runs and
+threads.  The one thing a lookup writes is a table's cached text column for
+the field it queries (see `Table`): two threads that miss the cache at once
+both build the same list from the same rows, and storing it is a single
+atomic dict assignment, so neither can see a partial or different column.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -21,15 +26,48 @@ Scalar = Any  # str | int | float | bool
 Row = dict[str, Scalar]
 
 
+# The types a fixture's JSON can hold.  None of them compares equal to a str
+# unless its str() is that very text, which is what lets a lookup by text
+# compare texts only.
+_JSON_TYPES = frozenset({str, int, float, bool, type(None), list, dict})
+
+
 @dataclass(frozen=True)
 class Table:
+    """A named tuple of rows; the fields are the first row's keys.
+
+    `text_column(field)` is `[str(row.get(field)) for row in rows]`, built on
+    the first lookup of that field and kept in `_columns`, or None when the
+    field holds a value of a non-JSON type, whose `==` a text comparison
+    cannot stand in for.  Only queried fields are ever built, so loading
+    pays for none.  The cache is no dataclass state: it takes no part in
+    equality or repr, and `table_to_dict` does not see it.  Threads that
+    build one column at once each build an equal list from the same rows,
+    and storing it is one atomic dict assignment, so every reader sees the
+    same column.  The rows must not change after the first lookup.
+    """
+
     name: str
     key_field: str
     rows: tuple[Row, ...]
+    _columns: dict[str, Optional[list[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def fields(self) -> tuple[str, ...]:
         return tuple(self.rows[0].keys()) if self.rows else (self.key_field,)
+
+    def text_column(self, field_name: str) -> Optional[list[str]]:
+        try:
+            return self._columns[field_name]
+        except KeyError:
+            pass
+        values = [row.get(field_name) for row in self.rows]
+        column = None
+        if all(type(v) in _JSON_TYPES for v in values):
+            column = [str(v) for v in values]
+        self._columns[field_name] = column
+        return column
 
 
 @dataclass(frozen=True)
@@ -70,6 +108,30 @@ class ToolCall:
 def _values_equal(row_value: Scalar, wanted: Scalar) -> bool:
     # Tool arguments arrive as text; compare loosely but deterministically.
     return row_value == wanted or str(row_value) == str(wanted)
+
+
+def _matching_rows(table: Table, field_name: str, value: Scalar,
+                   first_only: bool) -> list[Row]:
+    """The rows whose field loosely equals the value, in table order."""
+    column = table.text_column(field_name) if type(value) is str else None
+    if column is None:
+        matches = [row for row in table.rows
+                   if _values_equal(row.get(field_name), value)]
+        return matches[:1] if first_only else matches
+    # list.index compares in C; with only JSON values in the column, a text
+    # match is exactly what _values_equal accepts for a str value.
+    matches = []
+    start = 0
+    try:
+        while True:
+            start = column.index(value, start)
+            matches.append(table.rows[start])
+            if first_only:
+                break
+            start += 1
+    except ValueError:
+        pass
+    return matches
 
 
 def render_number(value: Any) -> str:
@@ -117,17 +179,26 @@ class ToolEnvironment:
     tables: tuple[Table, ...] = ()
     tools: tuple[ToolSpec, ...] = GENERIC_TOOLS
 
+    # Name -> first table or tool of that name, built on the first lookup.
+    @cached_property
+    def _tables_by_name(self) -> dict[str, Table]:
+        return {t.name: t for t in reversed(self.tables)}
+
+    @cached_property
+    def _tools_by_name(self) -> dict[str, ToolSpec]:
+        return {t.name: t for t in reversed(self.tools)}
+
     def table(self, name: str) -> Table:
-        for table in self.tables:
-            if table.name == name:
-                return table
-        raise UnknownField(f"unknown table '{name}'")
+        table = self._tables_by_name.get(name)
+        if table is None:
+            raise UnknownField(f"unknown table '{name}'")
+        return table
 
     def tool(self, name: str) -> ToolSpec:
-        for spec in self.tools:
-            if spec.name == name:
-                return spec
-        raise UnknownTool(f"unknown tool '{name}'")
+        spec = self._tools_by_name.get(name)
+        if spec is None:
+            raise UnknownTool(f"unknown tool '{name}'")
+        return spec
 
     def invoke_tool(self, call: ToolCall) -> list[Row]:
         """Run one retrieval call; raises UnknownTool / UnknownField / NoMatch."""
@@ -147,14 +218,12 @@ class ToolEnvironment:
                 f"table '{table.name}' has no field '{field_name}' "
                 f"(fields: {', '.join(table.fields)})"
             )
-        matches = [row for row in table.rows
-                   if _values_equal(row.get(field_name), value)]
-        if spec.semantics == "get_record":
-            if not matches:
-                raise NoMatch(
-                    f"no {table.name} record with {field_name} = {value!r}"
-                )
-            return [matches[0]]
+        first_only = spec.semantics == "get_record"
+        matches = _matching_rows(table, field_name, value, first_only)
+        if first_only and not matches:
+            raise NoMatch(
+                f"no {table.name} record with {field_name} = {value!r}"
+            )
         return matches
 
     def render_table_schemas(self) -> str:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .backends import strip_code_fences, user_request
 from .environment import ToolCall, ToolEnvironment, render_number
-from .errors import BackendUnavailable, ToolError
+from .errors import BackendUnavailable, ToolError, UnknownTool
 from .plan import truncate_observation
 from .skills import OutcomeError, SkillAction, SkillContext, SkillOutcome
 
@@ -31,6 +31,14 @@ FAULT_LIMIT = "LimitExceeded"
 # may have.  Both the parser and the evaluator recurse once per level, so the
 # limit keeps either from exhausting the Python stack.
 MAX_NESTING_DEPTH = 64
+
+# Longest string (in characters) and widest integer (in bits) that `+`, `-`
+# or `*` may produce.  Without them `s = s + s` doubles a string and
+# `x = x * x` an integer's width on every step, so memory runs out long
+# before the step budget does.  4,096 bits is about 1,233 decimal digits,
+# well within what `str()` will convert.
+MAX_STRING_CHARS = 1 << 16
+MAX_INT_BITS = 1 << 12
 
 GRAMMAR_REFERENCE = """\
 Script language reference (whitespace and newlines separate statements):
@@ -418,6 +426,16 @@ class _Interpreter:
     def _numeric(value: Any) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
+    @staticmethod
+    def bounded(value: Any) -> Any:
+        if isinstance(value, str) and len(value) > MAX_STRING_CHARS:
+            raise _Fault(FAULT_LIMIT, "string result longer than "
+                                      f"{MAX_STRING_CHARS} characters")
+        if isinstance(value, int) and value.bit_length() > MAX_INT_BITS:
+            raise _Fault(FAULT_LIMIT,
+                         f"integer result wider than {MAX_INT_BITS} bits")
+        return value
+
     def binop(self, op: str, left: Any, right: Any) -> Any:
         if op == "==":
             return left == right
@@ -436,16 +454,16 @@ class _Interpreter:
                     ">": left > right, ">=": left >= right}[op]
         if op == "+":
             if isinstance(left, str) and isinstance(right, str):
-                return left + right
+                return self.bounded(left + right)
             if self._numeric(left) and self._numeric(right):
-                return left + right
+                return self.bounded(left + right)
             raise _Fault(FAULT_RUNTIME, "+ needs two numbers or two strings")
         if not (self._numeric(left) and self._numeric(right)):
             raise _Fault(FAULT_RUNTIME, f"{op} needs numbers")
         if op == "-":
-            return left - right
+            return self.bounded(left - right)
         if op == "*":
-            return left * right
+            return self.bounded(left * right)
         if op == "/":
             if right == 0:
                 raise _Fault(FAULT_RUNTIME, "division by zero")
@@ -466,10 +484,10 @@ class _Interpreter:
         return self.call_tool(name, args)
 
     def call_tool(self, name: str, args: list[Any]) -> Any:
-        specs = {spec.name: spec for spec in self.env.tools}
-        if name not in specs:
+        try:
+            spec = self.env.tool(name)
+        except UnknownTool:
             raise _Fault(FAULT_RUNTIME, f"unknown tool or function {name!r}")
-        spec = specs[name]
         if len(args) != len(spec.parameters):
             raise _Fault(FAULT_RUNTIME,
                          f"{name} takes {len(spec.parameters)} arguments, "
@@ -495,19 +513,63 @@ class _Interpreter:
         return result
 
 
-def render_value(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, int, float)):
-        return render_number(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list):
-        return "[" + ", ".join(render_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        inner = ", ".join(f'"{k}": {render_value(v)}' for k, v in value.items())
-        return "{" + inner + "}"
-    return str(value)
+_DONE = object()
+
+
+def _members(value: list[Any]) -> Iterator[Any]:
+    for i, item in enumerate(value):
+        if i:
+            yield ", "
+        yield item
+    yield "]"
+
+
+def _record_fields(value: dict[Any, Any]) -> Iterator[Any]:
+    for i, (key, item) in enumerate(value.items()):
+        yield f'{", " if i else ""}"{key}": '
+        yield item
+    yield "}"
+
+
+def render_value(value: Any, limit: int) -> str:
+    """Render a sandbox value as observation text, up to about `limit`.
+
+    Lists render as `[a, b]`, records as `{"k": v}`, strings as themselves
+    and None as `null`.  Rendering stops once the text is longer than
+    `limit` characters, so a text returned early is a prefix of the full
+    rendering that is already over a `limit`-byte budget: it truncates to
+    the same bytes, however large the value.  Nested values are walked with
+    an explicit stack, so depth cannot exhaust the Python stack.
+    """
+    parts: list[str] = []
+    size = 0
+    # Each frame yields text pieces (a str value renders as itself) and the
+    # values still to render, in output order.
+    stack: list[Iterator[Any]] = [iter((value,))]
+    while stack:
+        item = next(stack[-1], _DONE)
+        if item is _DONE:
+            stack.pop()
+            continue
+        if item is None:
+            text = "null"
+        elif isinstance(item, (bool, int, float)):
+            text = render_number(item)
+        elif isinstance(item, str):
+            text = item
+        elif isinstance(item, list):
+            text = "["
+            stack.append(_members(item))
+        elif isinstance(item, dict):
+            text = "{"
+            stack.append(_record_fields(item))
+        else:
+            text = str(item)
+        parts.append(text)
+        size += len(text)
+        if size > limit:
+            break
+    return "".join(parts)
 
 
 def eval_script(script: Script | str, env: ToolEnvironment,
@@ -527,7 +589,8 @@ def eval_script(script: Script | str, env: ToolEnvironment,
             value="", trace=interp.trace, steps_used=interp.steps,
             tool_calls_used=interp.tool_calls,
             fault=SandboxFault(fault.kind, fault.message))
-    rendered = truncate_observation(render_value(raw), limits.max_output_bytes)
+    rendered = truncate_observation(
+        render_value(raw, limits.max_output_bytes), limits.max_output_bytes)
     return SandboxResult(value=rendered, trace=interp.trace,
                          steps_used=interp.steps,
                          tool_calls_used=interp.tool_calls, raw_value=raw)

@@ -307,19 +307,28 @@ def test_acceptance_suite_determinism(tmp_path):
              for category in CATEGORY_ORDER for seed in range(2)]
     config = RunConfig(method="GoalAct")
     out_a, out_b = tmp_path / "run-a", tmp_path / "run-b"
-    for out in (out_a, out_b):
+    out_jobs = tmp_path / "run-jobs2"
+    for out, jobs in ((out_a, 1), (out_b, 1), (out_jobs, 2)):
         run_suite(pairs, list(METHODS), config, oracle_backend,
-                  out_dir=out, backend_spec="scripted:oracle")
-    written = sorted(str(p.relative_to(out_a)) for p in out_a.rglob("*")
-                     if p.is_file())
-    assert written == sorted(_SUITE_DIGESTS)
+                  out_dir=out, backend_spec="scripted:oracle", jobs=jobs)
+    for out in (out_a, out_jobs):
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                         if p.is_file())
+        assert written == sorted(_SUITE_DIGESTS)
     for name, digest in _SUITE_DIGESTS.items():
         a, b = (out_a / name).read_bytes(), (out_b / name).read_bytes()
         assert a == b, name
         assert hashlib.sha256(a).hexdigest() == digest, name
+        if name != "manifest.json":
+            assert (out_jobs / name).read_bytes() == a, name
+    # Two worker threads change only the manifest's record of the job count.
+    manifest = json.loads((out_a / "manifest.json").read_text("utf-8"))
+    assert json.loads((out_jobs / "manifest.json").read_text("utf-8")) == \
+        dict(manifest, jobs=2)
     _verdict("determinism",
              "two suite runs with one manifest produced byte-identical "
-             "reports and trajectories, matching the pinned digests")
+             "reports and trajectories, matching the pinned digests, and "
+             "a two-thread run wrote the same bytes but for the job count")
 
 
 # --- criterion 8: optional live-API smoke ---------------------------------------------------

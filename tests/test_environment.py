@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -11,7 +14,7 @@ from goalact.environment import (
     load_environment,
     render_number,
 )
-from goalact.errors import NoMatch, UnknownField, UnknownTool
+from goalact.errors import NoMatch, ToolError, UnknownField, UnknownTool
 from goalact.generator import (
     AGGREGATION_ROWS,
     generate_aggregation_task,
@@ -95,6 +98,136 @@ def test_filter_matches_brute_force_scan_on_random_predicates():
         got = env.invoke_tool(_filter("cases", field_name, str(value)))
         expected = [r for r in rows if str(r[field_name]) == str(value)]
         assert got == expected  # same rows, same stable order
+
+
+def _scan_lookup(env: ToolEnvironment, call: ToolCall) -> list:
+    """invoke_tool as a loose-equality scan over every row: the oracle."""
+    spec = env.tool(call.tool_name)
+    table = env.table(str(call.arguments["table"]))
+    field_name = str(call.arguments["field"])
+    value = call.arguments["value"]
+    if table.rows and field_name not in table.rows[0]:
+        raise UnknownField(
+            f"table '{table.name}' has no field '{field_name}' "
+            f"(fields: {', '.join(table.rows[0])})")
+    matches = [row for row in table.rows
+               if row.get(field_name) == value
+               or str(row.get(field_name)) == str(value)]
+    if spec.semantics == "get_record":
+        if not matches:
+            raise NoMatch(
+                f"no {table.name} record with {field_name} = {value!r}")
+        return matches[:1]
+    return matches
+
+
+def _outcome(env: ToolEnvironment, call: ToolCall, lookup) -> tuple:
+    try:
+        return "rows", [id(row) for row in lookup(env, call)]
+    except ToolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_MIXED_VALUES = ("1", 1, 1.0, True, None, "None", math.nan, "nan", [1],
+                 {"a": 1}, "", "True", "1.0", 0, False, "[1]", "{'a': 1}")
+_TEXT_QUERIES = ("1", "1.0", "True", "None", "nan", "", "[1]", "{'a': 1}",
+                 "0", "False", "absent")
+_OTHER_QUERIES = (1, 1.0, True, None, math.nan, [1], {"a": 1}, 0, False)
+
+
+def _mixed_table(rng: random.Random, name: str, n_rows: int) -> Table:
+    fields = ["id", "a", "b", "c"]
+    rows = []
+    for i in range(n_rows):
+        row = {"id": f"{name}-{i}"}
+        for field_name in fields[1:]:
+            if rng.random() < 0.85:  # some rows lack the field
+                row[field_name] = rng.choice(_MIXED_VALUES)
+        rows.append(row)
+    return Table(name=name, key_field="id", rows=tuple(rows))
+
+
+def test_text_column_lookups_match_the_loose_equality_scan():
+    rng = random.Random(5)
+    answered_from_columns = 0
+    for _ in range(30):
+        env = ToolEnvironment(tables=tuple(
+            _mixed_table(rng, name, rng.randint(0, 40))
+            for name in ("t0", "t1", "t2")))
+        for _ in range(200):
+            value = rng.choice(_TEXT_QUERIES if rng.random() < 0.7
+                               else _OTHER_QUERIES)
+            call = ToolCall(
+                tool_name=rng.choice(("get_record", "filter_records")),
+                arguments={"table": rng.choice(("t0", "t1", "t2")),
+                           "field": rng.choice(("a", "b", "c", "id", "zz")),
+                           "value": value})
+            assert _outcome(env, call, ToolEnvironment.invoke_tool) == \
+                _outcome(env, call, _scan_lookup), call
+            table = env.table(call.arguments["table"])
+            if type(value) is str and table.rows \
+                    and call.arguments["field"] in table.fields:
+                # The lookup was answered from the field's text column.
+                assert isinstance(table._columns[call.arguments["field"]],
+                                  list)
+                answered_from_columns += 1
+    assert answered_from_columns > 2000  # of 6,000 queries
+
+
+def test_a_field_with_a_non_json_value_is_scanned():
+    class AnyText:
+        def __eq__(self, other):
+            return isinstance(other, str)
+
+        __hash__ = object.__hash__
+
+    rows = ({"id": "r0", "v": "x"}, {"id": "r1", "v": AnyText()},
+            {"id": "r2", "v": "y"})
+    env = ToolEnvironment(tables=(Table("t", "id", rows),))
+    for value in ("x", "y", "z"):
+        assert env.invoke_tool(_filter("t", "v", value)) == \
+            _scan_lookup(env, _filter("t", "v", value))
+    assert [row["id"] for row in env.invoke_tool(_filter("t", "v", "z"))] \
+        == ["r1"]
+
+
+def test_threads_sharing_a_fresh_table_get_the_scan_rows():
+    rng = random.Random(11)
+    rows = tuple({"id": f"r{i}", "status": rng.choice(("open", "closed")),
+                  "amount": rng.randint(0, 9)} for i in range(2000))
+    queries = [("status", "open"), ("status", "closed"), ("amount", "7"),
+               ("id", "r1999"), ("amount", "x")]
+    env = ToolEnvironment(tables=(Table("cases", "id", rows),))
+    expected = {q: _scan_lookup(env, _filter("cases", *q)) for q in queries}
+    got: list[tuple] = []
+    lock = threading.Lock()
+
+    start = threading.Barrier(8)
+
+    def worker(offset: int) -> None:
+        start.wait(timeout=60)
+        for i in range(len(queries) * 4):
+            query = queries[(i + offset) % len(queries)]
+            rows_found = env.invoke_tool(_filter("cases", *query))
+            with lock:
+                got.append((query, rows_found))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 * len(queries) * 4
+    for query, rows_found in got:
+        assert [id(r) for r in rows_found] == \
+            [id(r) for r in expected[query]], query
 
 
 # --- generators ----------------------------------------------------------------------

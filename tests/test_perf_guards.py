@@ -2,7 +2,8 @@
 
 A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
 hook sees every file the process opens and a wrapper counts the request
-hashes the scripted backend computes.
+hashes the scripted backend computes.  Table lookups are guarded by counting
+the row reads of a 2,000-row table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import goalact
+from goalact.environment import Table, ToolCall, ToolEnvironment
 from goalact.orchestrator import METHODS
 
 _SUITE_SCRIPT = r"""
@@ -72,3 +74,33 @@ def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
     # Exactly once rather than at most once: GoalAct needs both files, so a
     # zero would mean the hook missed the reads.
     assert counts["opens"] == {"global_planning.txt": 1, "exemplars.jsonl": 1}
+
+
+def test_table_lookups_read_each_row_once_per_field():
+    reads = [0]
+
+    class CountingRow(dict):
+        def get(self, key, default=None):
+            reads[0] += 1
+            return super().get(key, default)
+
+    rows = tuple(CountingRow(id=f"r{i}", status=("open", "closed")[i % 2],
+                             amount=i % 7) for i in range(2000))
+    env = ToolEnvironment(tables=(Table("cases", "id", rows),))
+
+    def reads_of(tool: str, field_name: str, value) -> int:
+        reads[0] = 0
+        env.invoke_tool(ToolCall(tool, {"table": "cases", "field": field_name,
+                                        "value": value}))
+        return reads[0]
+
+    assert reads_of("filter_records", "status", "open") == 2000
+    assert reads_of("filter_records", "status", "closed") == 0
+    assert reads_of("get_record", "status", "open") == 0
+    assert reads_of("get_record", "amount", "3") == 2000
+    for value in ("3", "6", "0"):
+        assert reads_of("get_record", "amount", value) == 0
+        assert reads_of("filter_records", "amount", value) == 0
+    # A value that is not text is compared row by row, as before.
+    assert reads_of("filter_records", "amount", 3) == 2000
+    assert reads_of("filter_records", "amount", 3) == 2000

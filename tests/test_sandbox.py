@@ -1,19 +1,33 @@
 from __future__ import annotations
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import goalact
+
 from goalact.backends import Rule
-from goalact.plan import CODING, History, SkillAction
+from goalact.environment import render_number
+from goalact.plan import CODING, TRUNCATION_MARKER, History, SkillAction, \
+    truncate_observation
 from goalact.sandbox import (
     CODING_MARKER,
     FAULT_LIMIT,
     FAULT_PARSE,
     FAULT_RUNTIME,
+    MAX_INT_BITS,
+    MAX_STRING_CHARS,
     SandboxLimits,
     Script,
     eval_script,
     exec_coding,
     render_sandbox_outcome,
+    render_value,
 )
 from goalact.skills import SkillContext
 
@@ -175,6 +189,127 @@ def test_string_and_list_values_render_plainly(company_env):
 def test_comparisons_and_indexing(company_env):
     script = 'xs = [10, 20, 30]\nif xs[1] >= 20 { return xs[2] } return xs[0]'
     assert eval_script(Script(script), company_env).value == "30"
+
+
+# --- value growth ----------------------------------------------------------------
+
+def _render_in_full(value) -> str:
+    """render_value as one recursive pass over the whole value: the oracle."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, int, float)):
+        return render_number(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(_render_in_full(v) for v in value) + "]"
+    if isinstance(value, dict):
+        inner = ", ".join(f'"{k}": {_render_in_full(v)}'
+                          for k, v in value.items())
+        return "{" + inner + "}"
+    return str(value)
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(8 if depth < 4 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return rng.randint(-10**6, 10**6)
+    if kind == 3:
+        return rng.uniform(-1e4, 1e4)
+    if kind in (4, 5):
+        return "".join(rng.choice("ab, []{}\"é漢😀")
+                       for _ in range(rng.randint(0, 12)))
+    if kind == 6:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+    return {f"k{i}": _random_value(rng, depth + 1)
+            for i in range(rng.randint(0, 4))}
+
+
+def test_bounded_rendering_truncates_to_the_bytes_of_a_full_rendering():
+    rng = random.Random(3)
+    for _ in range(3000):
+        value = _random_value(rng)
+        full = _render_in_full(value)
+        assert render_value(value, len(full)) == full
+        for budget in (1, 5, 11, 12, 40, 200, 4096):
+            assert truncate_observation(render_value(value, budget), budget) \
+                == truncate_observation(full, budget)
+
+
+def test_doubled_list_result_renders_only_the_output_budget():
+    # 2**24 leaves: a full rendering takes minutes, so the script runs in a
+    # subprocess that is killed at the timeout rather than run to the end.
+    script = "s = [1]\n" + "s = [s, s]\n" * 24 + "return s"
+    probe = ("import json, sys\n"
+             "from goalact.environment import ToolEnvironment\n"
+             "from goalact.sandbox import eval_script\n"
+             "r = eval_script(sys.argv[1], ToolEnvironment())\n"
+             "print(json.dumps([r.value, r.fault is None]))\n")
+    src = str(Path(goalact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe, script], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    value, ok = json.loads(done.stdout)
+    assert ok
+    # The full rendering opens with 14 brackets and then the whole rendering
+    # of the 10-doubling subtree, which is already longer than the budget.
+    subtree = [1]
+    for _ in range(10):
+        subtree = [subtree, subtree]
+    budget = SandboxLimits().max_output_bytes
+    assert len(_render_in_full(subtree)) > budget
+    assert value == truncate_observation("[" * 14 + _render_in_full(subtree),
+                                         budget)
+    assert value.endswith(TRUNCATION_MARKER)
+
+
+def test_deeply_nested_result_renders_without_recursion(company_env):
+    script = "s = [1]\ni = 0\nwhile i < 5000 { s = [s]\ni = i + 1 }\nreturn s"
+    result = eval_script(Script(script), company_env,
+                         SandboxLimits(max_eval_steps=100_000))
+    assert result.ok, result.fault
+    budget = SandboxLimits().max_output_bytes
+    assert result.value == truncate_observation("[" * 5001 + "1", budget)
+
+
+@pytest.mark.parametrize("script, message", [
+    ('s = "ab"\ni = 0\nwhile i < 20 { s = s + s\ni = i + 1 }\nreturn len(s)',
+     f"longer than {MAX_STRING_CHARS} characters"),
+    ("x = 3\ni = 0\nwhile i < 20 { x = x * x\ni = i + 1 }\nreturn 1",
+     f"wider than {MAX_INT_BITS} bits"),
+    ("x = 1\ni = 0\nwhile i < 5000 { x = x + x\ni = i + 1 }\nreturn 1",
+     f"wider than {MAX_INT_BITS} bits"),
+    ("x = 1\ni = 0\nwhile i < 5000 { x = x - (0 - x)\ni = i + 1 }\nreturn 1",
+     f"wider than {MAX_INT_BITS} bits"),
+], ids=["string-doubling", "integer-squaring", "integer-doubling",
+        "integer-subtraction"])
+def test_growing_values_fault_at_the_size_limit(company_env, script, message):
+    result = eval_script(Script(script), company_env,
+                         SandboxLimits(max_eval_steps=100_000))
+    assert result.fault is not None
+    assert result.fault.kind == FAULT_LIMIT
+    assert message in result.fault.message
+
+
+def test_values_at_the_size_limit_still_compute(company_env):
+    half = "a" * (MAX_STRING_CHARS // 2)
+    at_limit = eval_script(Script(f'return len("{half}" + "{half}")'),
+                           company_env)
+    assert at_limit.raw_value == MAX_STRING_CHARS
+    over = eval_script(Script(f'return len("{half}" + "{half}" + "a")'),
+                       company_env)
+    assert over.fault is not None and over.fault.kind == FAULT_LIMIT
+    widest = 2 ** MAX_INT_BITS - 1
+    assert eval_script(Script(f"return {widest - 1} + 1"),
+                       company_env).raw_value == widest
+    assert eval_script(Script(f"return {widest} + 1"),
+                       company_env).fault.kind == FAULT_LIMIT
 
 
 def test_limits_must_be_positive():
