@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -179,8 +180,16 @@ class HttpChatBackend:
         self.transport = transport or _urllib_transport
         self.sleeper = sleeper
         self.clock = clock
-        self.last_attempts = 0
+        self._local = threading.local()
         self._recent_calls: list[float] = []
+
+    @property
+    def last_attempts(self) -> int:
+        """Tries made by this thread's last `complete` (0 before any).
+
+        Kept per thread, so one client shared by `--jobs` workers reports
+        each worker its own count."""
+        return getattr(self._local, "attempts", 0)
 
     def _throttle(self) -> None:
         if not self.requests_per_minute:
@@ -208,7 +217,7 @@ class HttpChatBackend:
         url = f"{self.endpoint}/chat/completions"
         last_error = "no attempt made"
         for attempt in range(1, self.max_attempts + 1):
-            self.last_attempts = attempt
+            self._local.attempts = attempt
             self._throttle()
             try:
                 status, text = self.transport(url, headers, body, self.timeout)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .errors import BackendError, FatalError, GoalActError
-from .evaluation import path_coverage, render_report_text
+from .evaluation import aggregate, path_coverage, render_report_text
 from .generator import (
     generate_aggregation_task,
     generate_khop_task,
@@ -23,9 +23,14 @@ from .generator import (
     save_fixture,
 )
 from .orchestrator import RunConfig, normalize_method
-from .plan import Trajectory, read_trajectories, write_trajectories
+from .plan import Trajectory, read_trajectories
 from .sandbox import SandboxLimits
-from .suite import config_hash, resolve_backend_factory, run_suite, score_trajectory
+from .suite import (
+    resolve_backend_factory,
+    run_suite,
+    score_trajectory,
+    write_run_dir,
+)
 
 ENV_BACKEND = "GOALACT_BACKEND"
 ENV_MODEL = "GOALACT_MODEL"
@@ -131,28 +136,9 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"termination={trajectory.termination_reason}")
     print(f"final answer: {trajectory.final_answer}")
     if args.out is not None:
-        from .evaluation import aggregate, render_report_json
-
-        args.out.mkdir(parents=True, exist_ok=True)
-        log = args.out / "trajectories.jsonl"
-        write_trajectories(log, [trajectory])
-        from .planner import PROMPT_VERSION
-
-        manifest = {
-            "config_hash": config_hash(config, [method], backend_spec),
-            "backend": backend_spec,
-            "methods": [method],
-            "prompt_version": PROMPT_VERSION,
-            "task_ids": [task.id],
-        }
-        (args.out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
         report = aggregate([score], {task.id: task.category}, method=method)
-        (args.out / "report.txt").write_text(render_report_text(report),
-                                             encoding="utf-8")
-        (args.out / "report.json").write_text(render_report_json(report),
-                                              encoding="utf-8")
+        write_run_dir(args.out, {"trajectories.jsonl": [trajectory]}, report,
+                      config, [method], backend_spec, [task.id])
     return 0
 
 

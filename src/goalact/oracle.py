@@ -1,10 +1,16 @@
 """Scripted oracle backends: rule sets that solve generated tasks perfectly.
 
-For each task the builder derives, from the generator's construction recipe,
-every completion the loops will request: plan continuations per round, tool
-emissions per objective, sandbox scripts, documents, and summaries.  Rules
-key on prompt-type markers plus values that first appear in the round they
-belong to, so one rule set serves every method deterministically.
+Each task kind has a solver that turns the generator's construction recipe
+into one `Solution` record: the skill rules (tool emissions per objective,
+sandbox scripts, documents), the summary texts, and, for every method, the
+response it must read in each round together with the value that first
+appears in that round's prompt.  Solvers build only the skill rules and
+know no method's marker or rule names.  One assembler, `_assemble`, turns
+a record into rules: it alone knows the method markers, the rule-naming
+scheme and the family order, and one helper, `_rounds`, writes every
+method's round rules.  Rules key on a prompt-type marker plus the round's
+first new value, most specific round first, so one rule set serves every
+method deterministically.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -15,7 +21,7 @@ separations.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .backends import Rule, ScriptedBackend
 from .generator import Task
@@ -34,6 +40,27 @@ from .skills import SEARCHING_MARKER, WRITING_MARKER
 
 DISABLED_TEXT = "currently disabled"
 
+Keys = list[Optional[str]]
+
+
+class Solution(NamedTuple):
+    """What one task answers to every prompt; only skill rules carry markers.
+
+    A `*_keys` list holds, per round, the value that first appears in that
+    round's prompt (None for round 1); the list before it, each round's answer.
+    """
+    skill_rules: list[Rule]
+    summary: tuple[str, str, str]  # (success key, success text, fallback)
+    steps: list[tuple[str, SkillAction]]  # round t executes steps[t-1]
+    round_keys: Keys  # one per step
+    react_turns: list[tuple[str, str]]  # (thought, action text)
+    react_keys: Keys
+    codeact_scripts: list[str]
+    codeact_keys: Keys
+    pe_steps: list[tuple[str, str]]  # (thinking, sub-task or Finish)
+    pe_keys: Keys
+    pe_subtasks: list[tuple[str, str]]  # (sub-task, tool emission)
+
 
 def _tool_json(tool: str, table: str, field: str, value: str) -> str:
     return json.dumps({"tool": tool,
@@ -44,134 +71,81 @@ def _react_json(thought: str, action: str) -> str:
     return json.dumps({"Thought": thought, "Action": action})
 
 
-def _pe_round_rules(steps: list[tuple[str, str]],
-                    round_keys: list[Optional[str]], prefix: str) -> list[Rule]:
-    rules = []
-    for t in range(len(round_keys), 1, -1):
-        rules.append(Rule.on_substrings(
-            render_step_array(steps[t - 1:]), PE_PLAN_MARKER,
-            round_keys[t - 1], name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(render_step_array(steps), PE_PLAN_MARKER,
+# --- assembly ---------------------------------------------------------------------------
+
+def _rounds(marker: str, responses: list[str], round_keys: Keys,
+            prefix: str) -> list[Rule]:
+    """One rule per round, last round first: round t answers responses[t-1]
+    and keys on round_keys[t-1]; the opening round keys on the marker only."""
+    rules = [Rule.on_substrings(responses[t - 1], marker, round_keys[t - 1],
+                                name=f"{prefix}-round{t}")
+             for t in range(len(round_keys), 1, -1)]
+    rules.append(Rule.on_substrings(responses[0], marker,
                                     name=f"{prefix}-round1"))
     return rules
 
 
-def _round_rules(marker: str, steps: list[tuple[str, SkillAction]],
-                 round_keys: list[Optional[str]], prefix: str) -> list[Rule]:
-    """Plan-continuation rules, one per round, most specific first.
-
-    round_keys[t-1] is the value that first appears in round t's prompt
-    (None for the opening round).  The continuation at round t is the step
-    suffix with t-1 steps already executed.
-    """
-    rules = [Rule.on_substrings(render_plan_steps([steps[-1]]), marker,
-                                DISABLED_TEXT, name=f"{prefix}-disabled")]
-    for t in range(len(round_keys), 1, -1):
-        rules.append(Rule.on_substrings(
-            render_plan_steps(steps[t - 1:]), marker, round_keys[t - 1],
-            name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(render_plan_steps(steps), marker,
-                                    name=f"{prefix}-round1"))
-    return rules
-
-
-def _single_step_rules(steps: list[tuple[str, SkillAction]],
-                       round_keys: list[Optional[str]], prefix: str
-                       ) -> list[Rule]:
-    """Array-of-one responses for the plan-less GoalAct ablation."""
-    rules = [Rule.on_substrings(render_plan_steps([steps[-1]]),
-                                NO_PLAN_MARKER, DISABLED_TEXT,
-                                name=f"{prefix}-disabled")]
-    for t in range(len(round_keys), 1, -1):
-        rules.append(Rule.on_substrings(
-            render_plan_steps([steps[t - 1]]), NO_PLAN_MARKER,
-            round_keys[t - 1], name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(render_plan_steps([steps[0]]),
-                                    NO_PLAN_MARKER, name=f"{prefix}-round1"))
-    return rules
-
-
-def _react_rules(turns: list[tuple[str, str]],
-                 round_keys: list[Optional[str]], prefix: str) -> list[Rule]:
-    """turns[t-1] = (thought, action text) for round t."""
-    rules = []
-    for t in range(len(round_keys), 1, -1):
-        rules.append(Rule.on_substrings(
-            _react_json(*turns[t - 1]), REACT_MARKER, round_keys[t - 1],
-            name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(_react_json(*turns[0]), REACT_MARKER,
-                                    name=f"{prefix}-round1"))
-    return rules
-
-
-def _codeact_rules(scripts: list[str], round_keys: list[Optional[str]],
-                   prefix: str) -> list[Rule]:
-    rules = []
-    for t in range(len(round_keys), 1, -1):
-        rules.append(Rule.on_substrings(
-            scripts[t - 1], CODEACT_MARKER, round_keys[t - 1],
-            name=f"{prefix}-round{t}"))
-    rules.append(Rule.on_substrings(scripts[0], CODEACT_MARKER,
-                                    name=f"{prefix}-round1"))
-    return rules
-
-
-def _summary_rules(success_key: str, success_text: str,
-                   fallback_text: str, prefix: str) -> list[Rule]:
-    return [
+def _assemble(s: Solution, prefix: str) -> list[Rule]:
+    """Every method's rules for one solved task, in matching order."""
+    success_key, success_text, fallback_text = s.summary
+    rules = list(s.skill_rules)
+    rules += [
         Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
                            name=f"{prefix}-summary-success"),
         Rule.on_substrings(fallback_text, SUMMARY_MARKER,
                            name=f"{prefix}-summary-fallback"),
     ]
+    # The plan continuation at round t is the step suffix with t-1 steps
+    # executed; the plan-less ablation answers with just step t.  Either
+    # answers a "currently disabled" prompt with its last response.
+    plan = [render_plan_steps(s.steps[t:]) for t in range(len(s.steps))]
+    single = [render_plan_steps([step]) for step in s.steps]
+    for marker, family, responses in ((PLANNING_MARKER, "plan", plan),
+                                      (NO_PLAN_MARKER, "single", single)):
+        rules.append(Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
+                                        name=f"{prefix}-{family}-disabled"))
+        rules += _rounds(marker, responses, s.round_keys, f"{prefix}-{family}")
+    rules += _rounds(REACT_MARKER, [_react_json(*turn) for turn in s.react_turns],
+                     s.react_keys, f"{prefix}-react")
+    rules += _rounds(CODEACT_MARKER, s.codeact_scripts, s.codeact_keys,
+                     f"{prefix}-codeact")
+    rules += _rounds(PE_PLAN_MARKER, [render_step_array(s.pe_steps[t:])
+                                      for t in range(len(s.pe_keys))],
+                     s.pe_keys, f"{prefix}-pe")
+    rules += [Rule.on_substrings(emission, f"{PE_SUBTASK_MARKER} {subtask}",
+                                 name=f"{prefix}-pe-sub{i}")
+              for i, (subtask, emission) in enumerate(s.pe_subtasks, start=1)]
+    return rules
 
 
 # --- k-hop lookup tasks -------------------------------------------------------------
 
-def _khop_rules(task: Task) -> list[Rule]:
+def _khop_solution(task: Task) -> Solution:
     hops = task.recipe["hops"]
     answer = task.recipe["answer"]
     answer_field = task.recipe["answer_field"]
     k = len(hops)
 
-    objectives = [
-        'look up the %s record whose %s is "%s"'
-        % (h["table"], h["lookup_field"], h["lookup_value"]) for h in hops
-    ]
-    steps = [
-        (f"Hop {i}: resolve the {h['table']} record.",
-         SkillAction(kind=SEARCHING, objective=objectives[i - 1]))
-        for i, h in enumerate(hops, start=1)
-    ]
+    lookups = [(h["table"], h["lookup_field"], h["lookup_value"]) for h in hops]
+    objectives = ['look up the %s record whose %s is "%s"' % hop
+                  for hop in lookups]
+    emissions = [_tool_json("get_record", *hop) for hop in lookups]
+    subtasks = ['Fetch the %s record whose %s is "%s"' % hop for hop in lookups]
+    steps = [(f"Hop {i}: resolve the {h['table']} record.",
+              SkillAction(kind=SEARCHING, objective=objectives[i - 1]))
+             for i, h in enumerate(hops, start=1)]
     steps.append(("Every hop is resolved; finish.", SkillAction(kind=FINISH)))
 
     # Round t first sees hop t's key (t >= 2); the last round sees the answer.
-    round_keys: list[Optional[str]] = [None]
+    round_keys: Keys = [None]
     round_keys += [hops[t - 1]["lookup_value"] for t in range(2, k + 1)]
     round_keys.append(answer)
 
-    rules = []
-    for i, h in enumerate(hops):
-        rules.append(Rule.on_substrings(
-            _tool_json("get_record", h["table"], h["lookup_field"],
-                       h["lookup_value"]),
-            f"{SEARCHING_MARKER} {objectives[i]}",
-            name=f"khop-search{i + 1}"))
-    rules += _summary_rules(
-        answer, f"The {answer_field} of the final record is {answer}.",
-        "The requested value could not be determined.", "khop")
-    rules += _round_rules(PLANNING_MARKER, steps, round_keys, "khop-plan")
-    rules += _single_step_rules(steps, round_keys, "khop-single")
-
-    react_turns = [
-        (f"Hop {i}: fetch the {h['table']} record.",
-         "get_record[table=%s, field=%s, value=%s]"
-         % (h["table"], h["lookup_field"], h["lookup_value"]))
-        for i, h in enumerate(hops, start=1)
-    ]
+    react_turns = [(f"Hop {i}: fetch the {h['table']} record.",
+                    "get_record[table=%s, field=%s, value=%s]" % lookups[i - 1])
+                   for i, h in enumerate(hops, start=1)]
     react_turns.append(("The final record is in hand.",
                         f"Finish[The {answer_field} is {answer}]"))
-    rules += _react_rules(react_turns, round_keys, "khop-react")
 
     chain_lines = []
     for i, h in enumerate(hops, start=1):
@@ -180,40 +154,48 @@ def _khop_rules(task: Task) -> list[Rule]:
         chain_lines.append(
             f'r{i} = get_record("{h["table"]}", "{h["lookup_field"]}", {source})')
     chain_lines.append(f"return r{k}.{answer_field}")
-    rules += _codeact_rules(
-        ["\n".join(chain_lines), "Finish[the chain is resolved]"],
-        [None, answer], "khop-codeact")
 
-    subtasks = ['Fetch the %s record whose %s is "%s"'
-                % (h["table"], h["lookup_field"], h["lookup_value"])
-                for h in hops]
-    pe_steps = [(f"Sub-task {i}: one lookup.", subtasks[i - 1])
-                for i in range(1, k + 1)]
+    pe_steps = [(f"Sub-task {i}: one lookup.", subtask)
+                for i, subtask in enumerate(subtasks, start=1)]
     pe_steps.append(("All sub-tasks done.", "Finish"))
-    rules += _pe_round_rules(pe_steps, round_keys, "khop-pe")
-    for i, h in enumerate(hops):
-        rules.append(Rule.on_substrings(
-            _tool_json("get_record", h["table"], h["lookup_field"],
-                       h["lookup_value"]),
-            f"{PE_SUBTASK_MARKER} {subtasks[i]}",
-            name=f"khop-pe-sub{i + 1}"))
-    return rules
+
+    return Solution(
+        skill_rules=[Rule.on_substrings(emission,
+                                        f"{SEARCHING_MARKER} {objective}",
+                                        name=f"khop-search{i}")
+                     for i, (objective, emission)
+                     in enumerate(zip(objectives, emissions), start=1)],
+        summary=(answer, f"The {answer_field} of the final record is {answer}.",
+                 "The requested value could not be determined."),
+        steps=steps, round_keys=round_keys,
+        react_turns=react_turns, react_keys=round_keys,
+        codeact_scripts=["\n".join(chain_lines),
+                         "Finish[the chain is resolved]"],
+        codeact_keys=[None, answer],
+        pe_steps=pe_steps, pe_keys=round_keys,
+        pe_subtasks=list(zip(subtasks, emissions)))
 
 
 # --- writing tasks ------------------------------------------------------------------
 
-def _writing_rules(task: Task) -> list[Rule]:
+def _writing_solution(task: Task) -> Solution:
     r = task.recipe
     plaintiff_id = task.gold_path[0][1]
     doc_marker = r["doc_marker"]
 
-    obj_plaintiff = 'look up the parties record whose legal_name is "%s"' \
-        % r["plaintiff_name"]
-    obj_defendant = 'look up the parties record whose legal_name is "%s"' \
-        % r["defendant_name"]
-    obj_lawyer = 'look up the lawyers record whose lawyer_id is "%s"' \
-        % r["counsel_id"]
-    obj_statutes = 'filter the statutes records whose topic is "%s"' % r["topic"]
+    lookups = [("get_record", "parties", "legal_name", r["plaintiff_name"]),
+               ("get_record", "parties", "legal_name", r["defendant_name"]),
+               ("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
+               ("filter_records", "statutes", "topic", r["topic"])]
+    objectives = ['look up the %s record whose %s is "%s"' % lookup[1:]
+                  for lookup in lookups[:3]]
+    objectives.append('filter the statutes records whose topic is "%s"'
+                      % r["topic"])
+    subtasks = ['Fetch the %s record whose %s is "%s"' % lookup[1:]
+                for lookup in lookups[:3]]
+    subtasks.append('Filter the statutes records whose topic is "%s"'
+                    % r["topic"])
+    emissions = [_tool_json(*lookup) for lookup in lookups]
     obj_write = ("compose the defense brief citing the gathered parties, "
                  "counsel, and statutes")
 
@@ -227,88 +209,60 @@ def _writing_rules(task: Task) -> list[Rule]:
         f"{r['topic']}, and requests dismissal of every claim."
     )
 
-    steps = [
-        ("Gather the plaintiff's registered details.",
-         SkillAction(SEARCHING, obj_plaintiff)),
-        ("Gather the defendant's registered details.",
-         SkillAction(SEARCHING, obj_defendant)),
-        ("Identify the defendant's counsel.", SkillAction(SEARCHING, obj_lawyer)),
-        ("Collect the statutes on the disputed topic.",
-         SkillAction(SEARCHING, obj_statutes)),
-        ("Compose the defense brief from the gathered material.",
-         SkillAction(WRITING, obj_write)),
-        ("The brief is complete; finish.", SkillAction(kind=FINISH)),
-    ]
-    round_keys: list[Optional[str]] = [None, plaintiff_id,
-                                       r["registration_code"], r["bar_number"],
-                                       r["statute_ids"][0], doc_marker]
+    thoughts = ["Gather the plaintiff's registered details.",
+                "Gather the defendant's registered details.",
+                "Identify the defendant's counsel.",
+                "Collect the statutes on the disputed topic."]
+    steps = [(thought, SkillAction(SEARCHING, objective))
+             for thought, objective in zip(thoughts, objectives)]
+    steps += [("Compose the defense brief from the gathered material.",
+               SkillAction(WRITING, obj_write)),
+              ("The brief is complete; finish.", SkillAction(kind=FINISH))]
+    round_keys: Keys = [None, plaintiff_id, r["registration_code"],
+                        r["bar_number"], r["statute_ids"][0], doc_marker]
 
-    emissions = [
-        _tool_json("get_record", "parties", "legal_name", r["plaintiff_name"]),
-        _tool_json("get_record", "parties", "legal_name", r["defendant_name"]),
-        _tool_json("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
-        _tool_json("filter_records", "statutes", "topic", r["topic"]),
-    ]
-    objectives = [obj_plaintiff, obj_defendant, obj_lawyer, obj_statutes]
-
-    rules = []
-    for i, (objective, emission) in enumerate(zip(objectives, emissions)):
-        rules.append(Rule.on_substrings(
-            emission, f"{SEARCHING_MARKER} {objective}",
-            name=f"writing-search{i + 1}"))
-    rules.append(Rule.on_substrings(
+    skill_rules = [Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
+                                      name=f"writing-search{i}")
+                   for i, (objective, emission)
+                   in enumerate(zip(objectives, emissions), start=1)]
+    skill_rules.append(Rule.on_substrings(
         document, f"{WRITING_MARKER} {obj_write}", name="writing-compose"))
-    rules += _summary_rules(
-        doc_marker, document,
-        "A complete defense brief could not be produced. Parties involved: "
-        f"{r['plaintiff_name']} versus {r['defendant_name']}.", "writing")
-    rules += _round_rules(PLANNING_MARKER, steps, round_keys, "writing-plan")
-    rules += _single_step_rules(steps, round_keys, "writing-single")
 
-    react_turns = [
-        ("Start with the plaintiff's record.",
-         "get_record[table=parties, field=legal_name, value=%s]"
-         % r["plaintiff_name"]),
-        ("Now the defendant's record.",
-         "get_record[table=parties, field=legal_name, value=%s]"
-         % r["defendant_name"]),
-        ("Find the defendant's counsel.",
-         "get_record[table=lawyers, field=lawyer_id, value=%s]"
-         % r["counsel_id"]),
-        ("Collect the statutes for the topic.",
-         "filter_records[table=statutes, field=topic, value=%s]" % r["topic"]),
-        ("The facts are gathered.", "Finish[facts gathered]"),
-    ]
-    rules += _react_rules(react_turns, round_keys[:5], "writing-react")
+    react_thoughts = ["Start with the plaintiff's record.",
+                      "Now the defendant's record.",
+                      "Find the defendant's counsel.",
+                      "Collect the statutes for the topic."]
+    react_turns = [(thought, "%s[table=%s, field=%s, value=%s]" % lookup)
+                   for thought, lookup in zip(react_thoughts, lookups)]
+    react_turns.append(("The facts are gathered.", "Finish[facts gathered]"))
 
     codeact_script = "\n".join([
         'd = get_record("parties", "legal_name", "%s")' % r["defendant_name"],
         'l = get_record("lawyers", "lawyer_id", d.counsel_id)',
         "return [d, l]",
     ])
-    rules += _codeact_rules([codeact_script, "Finish[facts gathered]"],
-                            [None, r["bar_number"]], "writing-codeact")
 
-    subtasks = [
-        'Fetch the parties record whose legal_name is "%s"' % r["plaintiff_name"],
-        'Fetch the parties record whose legal_name is "%s"' % r["defendant_name"],
-        'Fetch the lawyers record whose lawyer_id is "%s"' % r["counsel_id"],
-        'Filter the statutes records whose topic is "%s"' % r["topic"],
-    ]
     pe_steps = [(f"Sub-task {i}.", text)
                 for i, text in enumerate(subtasks, start=1)]
     pe_steps.append(("All facts fetched.", "Finish"))
-    rules += _pe_round_rules(pe_steps, round_keys[:5], "writing-pe")
-    for i, (subtask, emission) in enumerate(zip(subtasks, emissions)):
-        rules.append(Rule.on_substrings(
-            emission, f"{PE_SUBTASK_MARKER} {subtask}",
-            name=f"writing-pe-sub{i + 1}"))
-    return rules
+
+    return Solution(
+        skill_rules=skill_rules,
+        summary=(doc_marker, document,
+                 "A complete defense brief could not be produced. Parties "
+                 f"involved: {r['plaintiff_name']} versus "
+                 f"{r['defendant_name']}."),
+        steps=steps, round_keys=round_keys,
+        react_turns=react_turns, react_keys=round_keys[:5],
+        codeact_scripts=[codeact_script, "Finish[facts gathered]"],
+        codeact_keys=[None, r["bar_number"]],
+        pe_steps=pe_steps, pe_keys=round_keys[:5],
+        pe_subtasks=list(zip(subtasks, emissions)))
 
 
 # --- aggregation tasks ----------------------------------------------------------------
 
-def _aggregation_rules(task: Task) -> list[Rule]:
+def _aggregation_solution(task: Task) -> Solution:
     r = task.recipe
     table, field_name = r["table"], r["filter_field"]
     value, sum_field = r["filter_value"], r["sum_field"]
@@ -324,53 +278,50 @@ def _aggregation_rules(task: Task) -> list[Rule]:
         "for r in rows { total = total + r.%s }" % sum_field,
         "return total",
     ])
-
-    steps = [
-        ("Too many rows to fetch one by one; compute the total with a script.",
-         SkillAction(CODING, obj_code)),
-        ("The total is computed; finish.", SkillAction(kind=FINISH)),
-    ]
-    round_keys: list[Optional[str]] = [None, result_key]
-
-    rules = [Rule.on_substrings(script, f"{CODING_MARKER} {obj_code}",
-                                name="agg-script")]
-    rules += _summary_rules(
-        result_key, f"The total amount is {rendered_total}.",
-        "The total could not be computed within the available budget.", "agg")
-    rules += _round_rules(PLANNING_MARKER, steps, round_keys, "agg-plan")
-    rules += _single_step_rules(steps, round_keys, "agg-single")
-
-    react_turns = [
-        ("Pull every matching row first.",
-         f"filter_records[table={table}, field={field_name}, value={value}]"),
-        ("Plain tool calls cannot sum these rows.",
-         "Finish[the rows are listed but the total needs computation]"),
-    ]
-    rules += _react_rules(react_turns, [None, first_gold_id], "agg-react")
-    rules += _codeact_rules([script, "Finish[total computed]"],
-                            [None, result_key], "agg-codeact")
-
     subtask = f"Fetch every {table} row whose {field_name} is {value}"
-    pe_steps = [("List the matching rows.", subtask),
-                ("Nothing more a single call can do.", "Finish")]
-    rules += _pe_round_rules(pe_steps, [None, first_gold_id], "agg-pe")
-    rules.append(Rule.on_substrings(
-        _tool_json("filter_records", table, field_name, value),
-        f"{PE_SUBTASK_MARKER} {subtask}", name="agg-pe-sub"))
-    return rules
+
+    return Solution(
+        skill_rules=[Rule.on_substrings(script, f"{CODING_MARKER} {obj_code}",
+                                        name="agg-script")],
+        summary=(result_key, f"The total amount is {rendered_total}.",
+                 "The total could not be computed within the available "
+                 "budget."),
+        steps=[("Too many rows to fetch one by one; compute the total with a "
+                "script.", SkillAction(CODING, obj_code)),
+               ("The total is computed; finish.", SkillAction(kind=FINISH))],
+        round_keys=[None, result_key],
+        react_turns=[
+            ("Pull every matching row first.",
+             f"filter_records[table={table}, field={field_name}, value={value}]"),
+            ("Plain tool calls cannot sum these rows.",
+             "Finish[the rows are listed but the total needs computation]"),
+        ],
+        react_keys=[None, first_gold_id],
+        codeact_scripts=[script, "Finish[total computed]"],
+        codeact_keys=[None, result_key],
+        pe_steps=[("List the matching rows.", subtask),
+                  ("Nothing more a single call can do.", "Finish")],
+        pe_keys=[None, first_gold_id],
+        pe_subtasks=[(subtask, _tool_json("filter_records", table, field_name,
+                                          value))])
 
 
-# --- assembly ---------------------------------------------------------------------------
+# --- entry points -----------------------------------------------------------------------
+
+# recipe kind -> (rule-name prefix, solver)
+_SOLVERS = {
+    "khop": ("khop", _khop_solution),
+    "writing": ("writing", _writing_solution),
+    "aggregation": ("agg", _aggregation_solution),
+}
+
 
 def build_oracle_rules(task: Task) -> list[Rule]:
     kind = task.recipe.get("kind")
-    if kind == "khop":
-        return _khop_rules(task)
-    if kind == "writing":
-        return _writing_rules(task)
-    if kind == "aggregation":
-        return _aggregation_rules(task)
-    raise ValueError(f"task {task.id} carries no oracle recipe")
+    if kind not in _SOLVERS:
+        raise ValueError(f"task {task.id} carries no oracle recipe")
+    prefix, solve = _SOLVERS[kind]
+    return _assemble(solve(task), prefix)
 
 
 def oracle_backend(task: Task) -> ScriptedBackend:

@@ -11,6 +11,7 @@ as data, never as exceptions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
@@ -286,7 +287,14 @@ class _Parser:
     def primary(self) -> Any:
         kind, text = self.next()
         if kind == "number":
-            return ("lit", float(text) if "." in text else int(text))
+            try:
+                value = float(text) if "." in text else int(text)
+            except ValueError:  # more digits than int() will convert
+                value = math.inf
+            if value == math.inf:
+                raise _Fault(FAULT_PARSE, f"number literal of {len(text)} "
+                                          "characters is too large")
+            return ("lit", value)
         if kind == "string":
             return ("lit", text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
         if kind == "kw" and text in ("true", "false"):
@@ -417,7 +425,11 @@ class _Interpreter:
                              f"index {index} out of range (length {len(target)})")
             return target[index]
         if op == "binop":
-            return self.binop(node[1], self.eval(node[2]), self.eval(node[3]))
+            try:
+                return self.binop(node[1], self.eval(node[2]),
+                                  self.eval(node[3]))
+            except OverflowError:  # an integer too wide to meet a float
+                raise _Fault(FAULT_LIMIT, "number result too large for a float")
         if op == "call":
             return self.call(node[1], [self.eval(arg) for arg in node[2]])
         raise _Fault(FAULT_RUNTIME, f"unknown expression {op}")
@@ -428,6 +440,10 @@ class _Interpreter:
 
     @staticmethod
     def bounded(value: Any) -> Any:
+        if isinstance(value, float):
+            if math.isfinite(value):
+                return value
+            raise _Fault(FAULT_LIMIT, "number result too large for a float")
         if isinstance(value, str) and len(value) > MAX_STRING_CHARS:
             raise _Fault(FAULT_LIMIT, "string result longer than "
                                       f"{MAX_STRING_CHARS} characters")
@@ -467,7 +483,7 @@ class _Interpreter:
         if op == "/":
             if right == 0:
                 raise _Fault(FAULT_RUNTIME, "division by zero")
-            return left / right
+            return self.bounded(left / right)
         raise _Fault(FAULT_RUNTIME, f"unknown operator {op}")
 
     def call(self, name: str, args: list[Any]) -> Any:

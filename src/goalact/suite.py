@@ -145,27 +145,41 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     report = merge_reports(reports)
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
-        for method, trajectories in all_trajectories.items():
-            path = out_dir / "trajectories" / f"{method}.jsonl"
-            path.write_text("", encoding="utf-8")
-            write_trajectories(path, trajectories)
-        from .planner import PROMPT_VERSION
-
-        manifest = {
-            "config_hash": config_hash(config, methods, backend_spec),
-            "backend": backend_spec,
-            "methods": list(methods),
-            "prompt_version": PROMPT_VERSION,
-            "task_ids": sorted(categories),
-            "jobs": jobs,
-        }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        (out_dir / "report.txt").write_text(render_report_text(report),
-                                            encoding="utf-8")
-        (out_dir / "report.json").write_text(render_report_json(report),
-                                             encoding="utf-8")
+        logs = {f"trajectories/{method}.jsonl": trajectories
+                for method, trajectories in all_trajectories.items()}
+        write_run_dir(Path(out_dir), logs, report, config, methods,
+                      backend_spec, sorted(categories), jobs=jobs)
     return report
+
+
+def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
+                  report: SuiteReport, config: RunConfig,
+                  methods: Sequence[str], backend_spec: str,
+                  task_ids: Sequence[str], jobs: Optional[int] = None) -> None:
+    """Write a run directory: each trajectory log under its relative path,
+    written fresh, then `manifest.json`, `report.txt` and `report.json`.
+    The manifest holds a `jobs` key only when `jobs` is given."""
+    from .planner import PROMPT_VERSION
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for relative, trajectories in logs.items():
+        path = out_dir / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("", encoding="utf-8")
+        write_trajectories(path, trajectories)
+    manifest: dict[str, Any] = {
+        "config_hash": config_hash(config, methods, backend_spec),
+        "backend": backend_spec,
+        "methods": list(methods),
+        "prompt_version": PROMPT_VERSION,
+        "task_ids": list(task_ids),
+    }
+    if jobs is not None:
+        manifest["jobs"] = jobs
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    (out_dir / "report.txt").write_text(render_report_text(report),
+                                        encoding="utf-8")
+    (out_dir / "report.json").write_text(render_report_json(report),
+                                         encoding="utf-8")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -268,6 +270,52 @@ def test_http_token_bucket_throttles():
     client.complete(_req("x", model="m"))
     client.complete(_req("y", model="m"))
     assert sleeps and sleeps[0] == pytest.approx(59.0)
+
+
+def test_http_attempt_counts_stay_with_their_thread():
+    """One client shared by `--jobs` workers logs each call's own tries."""
+    from goalact.orchestrator import RecordingBackend
+    from goalact.plan import Trajectory
+
+    tries = threading.local()
+
+    def transport(url, headers, body, timeout):
+        # The prompt names how many tries the request needs to succeed.
+        wanted = int(json.loads(body)["messages"][0]["content"])
+        tries.n = getattr(tries, "n", 0) + 1
+        if tries.n < wanted:
+            return 503, ""
+        tries.n = 0
+        return 200, _ok_body("ok")
+
+    client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
+                             model="m", transport=transport, max_attempts=4,
+                             sleeper=lambda s: None)
+    logs: list[tuple[int, Trajectory]] = []
+
+    def worker(wanted: int) -> None:
+        trajectory = Trajectory(task_id=f"t{wanted}", method="ReAct")
+        recorder = RecordingBackend(client, trajectory)
+        for _ in range(300):
+            recorder.complete(_req(str(wanted), model="m"))
+        logs.append((wanted, trajectory))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i % 4 + 1,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(logs) == 8
+    for wanted, trajectory in logs:
+        assert [call.attempts for call in trajectory.llm_calls] == \
+            [wanted] * 300
 
 
 # --- cassettes ----------------------------------------------------------------------

@@ -42,6 +42,23 @@ def test_run_single_task_with_oracle(tmp_path, capsys):
     assert manifest["methods"] == ["GoalAct"]
 
 
+def test_run_twice_into_one_directory_rewrites_it(tmp_path, capsys):
+    fixtures = _generate(tmp_path, capsys, seed=7, k=2, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    out_dir = tmp_path / "run"
+    argv = ["run", "--task", str(task_file), "--out", str(out_dir)]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert main(argv) == 0
+    capsys.readouterr()
+    second = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert second == first
+    assert sorted(first) == ["manifest.json", "report.json", "report.txt",
+                             "trajectories.jsonl"]
+    assert len(first["trajectories.jsonl"].splitlines()) == 1
+    assert "jobs" not in json.loads(first["manifest.json"])
+
+
 def test_suite_reports_one_row_per_method(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=2)
     out_dir = tmp_path / "suite"

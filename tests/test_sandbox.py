@@ -297,6 +297,29 @@ def test_growing_values_fault_at_the_size_limit(company_env, script, message):
     assert message in result.fault.message
 
 
+_SQUARE_TEN = "x = {}\ni = 0\nwhile i < {} {{ x = x * x\ni = i + 1 }}\n"
+
+
+@pytest.mark.parametrize("script, kind", [
+    ("return " + "9" * 5000, FAULT_PARSE),
+    ("return " + "9" * 400 + ".5", FAULT_PARSE),
+    (_SQUARE_TEN.format(10, 9) + "return x / 3", FAULT_LIMIT),
+    (_SQUARE_TEN.format(10, 9) + "return x * 1.5", FAULT_LIMIT),
+    (_SQUARE_TEN.format("10.0", 10) + "return x", FAULT_LIMIT),
+    (_SQUARE_TEN.format("10.0", 10) + "return x - x", FAULT_LIMIT),
+    ("return 1.5 / " + "0." + "0" * 320 + "1", FAULT_LIMIT),
+], ids=["integer-literal-past-int", "float-literal-to-inf",
+        "division-past-float", "int-times-float-past-float",
+        "float-squaring-to-inf", "float-inf-minus-inf", "division-to-inf"])
+def test_numbers_past_a_float_come_back_as_faults(company_env, script, kind):
+    result = eval_script(Script(script), company_env,
+                         SandboxLimits(max_eval_steps=100_000))
+    assert result.fault is not None
+    assert result.fault.kind == kind
+    assert "too large" in result.fault.message
+    assert "Coding fault" in render_sandbox_outcome(result)
+
+
 def test_values_at_the_size_limit_still_compute(company_env):
     half = "a" * (MAX_STRING_CHARS // 2)
     at_limit = eval_script(Script(f'return len("{half}" + "{half}")'),
