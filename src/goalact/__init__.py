@@ -60,7 +60,6 @@ from .sandbox import SandboxLimits, SandboxResult, Script, eval_script
 from .skills import (
     SkillContext,
     SkillDescriptor,
-    SkillOutcome,
     SkillRegistry,
     default_registry,
     dispatch,

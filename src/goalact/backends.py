@@ -39,19 +39,13 @@ class CompletionRequest:
     messages: tuple[Message, ...]
     model: str = "scripted"
     temperature: float = BENCHMARK_TEMPERATURE
-    max_tokens: Optional[int] = None
 
     def rendered(self) -> str:
         return "\n".join(m.content for m in self.messages)
 
 
-def user_request(content: str, model: str = "scripted",
-                 system: Optional[str] = None) -> CompletionRequest:
-    messages = []
-    if system:
-        messages.append(Message("system", system))
-    messages.append(Message("user", content))
-    return CompletionRequest(messages=tuple(messages), model=model)
+def user_request(content: str, model: str = "scripted") -> CompletionRequest:
+    return CompletionRequest(messages=(Message("user", content),), model=model)
 
 
 def request_hash(request: CompletionRequest) -> str:
@@ -208,7 +202,6 @@ class HttpChatBackend:
             "messages": [{"role": m.role, "content": m.content}
                          for m in request.messages],
             "temperature": request.temperature,
-            **({"max_tokens": request.max_tokens} if request.max_tokens else {}),
         }).encode("utf-8")
         headers = {
             "Content-Type": "application/json",
@@ -284,7 +277,6 @@ class CassetteReplayBackend:
                 if line.strip():
                     doc = json.loads(line)
                     self.entries[doc["key"]] = doc["response"]
-        self.network_calls = 0
 
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)

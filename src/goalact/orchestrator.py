@@ -12,6 +12,8 @@ iteration asks the method's policy for one step:
   CodeAct        - no plan; one sandbox script per iteration.
 
 GoalAct's no_global_plan ablation asks for one next step at a time instead.
+Every model call of a run goes through `RecordingBackend.ask(purpose,
+prompt)`, which logs the exchange; a step or skill sees it as `ask(prompt)`.
 Trouble inside a step (tool errors, malformed emissions, backend outages in a
 skill) degrades to an observation the next iteration can react to.  A backend
 outage in a policy's own decision call, or a plan still unusable after its
@@ -25,13 +27,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
-from .backends import (
-    CompletionRequest,
-    strip_code_fences,
-    user_request,
-)
+from .backends import strip_code_fences, user_request
 from .environment import ToolEnvironment, observe_tool_call, render_rows
 from .errors import (
     AuthFailure,
@@ -67,6 +66,7 @@ from .plan import (
 )
 from .planner import (
     load_default_exemplars,
+    load_exemplars_file,
     parse_action,
     parse_step_texts,
     render_history,
@@ -84,6 +84,7 @@ from .sandbox import (
 from .skills import (
     SkillContext,
     SkillRegistry,
+    SkillResult,
     default_registry,
     dispatch,
     parse_tool_emission,
@@ -162,17 +163,19 @@ def normalize_method(name: str) -> str:
 # --- recording wrappers ------------------------------------------------------------
 
 class RecordingBackend:
-    """Delegates completions and logs every exchange into the trajectory."""
+    """The one place a run calls the model; logs each exchange it makes."""
 
-    def __init__(self, inner: Any, trajectory: Trajectory):
+    def __init__(self, inner: Any, trajectory: Trajectory, model: str):
         self.inner = inner
         self.trajectory = trajectory
-        self.purpose = "unspecified"
+        self.model = model
 
-    def complete(self, request: CompletionRequest) -> str:
+    def ask(self, purpose: str, prompt: str) -> str:
+        """Send `prompt` as one user message; log and return the completion."""
+        request = user_request(prompt, model=self.model)
         response = self.inner.complete(request)
         self.trajectory.record_llm(LlmExchange(
-            purpose=self.purpose,
+            purpose=purpose,
             model=request.model,
             temperature=request.temperature,
             messages=[{"role": m.role, "content": m.content}
@@ -209,8 +212,7 @@ class RecordingEnvironment:
 
 # --- shared pieces -------------------------------------------------------------------
 
-def summarize(question: str, history_text: str, backend: Any,
-              model: str = "scripted",
+def summarize(question: str, history_text: str, ask: Callable[[str], str],
               best_observation: str = "") -> tuple[str, bool]:
     """Terminal summarization; degrades to the best-known observation."""
     prompt = "\n".join([
@@ -221,7 +223,7 @@ def summarize(question: str, history_text: str, backend: Any,
         "Final answer:",
     ])
     try:
-        return backend.complete(user_request(prompt, model=model)), False
+        return ask(prompt), False
     except BackendUnavailable as exc:
         fallback = best_observation or "(no observations gathered)"
         return f"[degraded: {exc}] {fallback}", True
@@ -248,8 +250,6 @@ def _registry_for(config: RunConfig) -> SkillRegistry:
 
 def _exemplars_for(config: RunConfig) -> list[str]:
     if config.exemplars_file:
-        from .planner import load_exemplars_file
-
         return load_exemplars_file(config.exemplars_file,
                                    config.exemplar_count)
     return load_default_exemplars(config.exemplar_count)
@@ -284,14 +284,8 @@ class _Policy:
 
     task: Task
     config: RunConfig
-    trajectory: Trajectory
-    backend: RecordingBackend
+    recorder: RecordingBackend
     env: RecordingEnvironment
-
-    def ask(self, purpose: str, prompt: str) -> str:
-        self.backend.purpose = purpose
-        return self.backend.complete(user_request(prompt,
-                                                  model=self.config.model))
 
     def world_prompt(self, intro: tuple[str, ...], label: str,
                      transcript: str, outro: tuple[str, ...]) -> str:
@@ -309,20 +303,18 @@ class _Policy:
         ])
 
     def run_skill(self, action: SkillAction, history: History,
-                registry: SkillRegistry) -> tuple[str, Optional[dict]]:
+                  registry: SkillRegistry) -> SkillResult:
         """Dispatch one skill action; dispatch-level faults become observations."""
-        self.backend.purpose = f"skill:{action.kind}"
         context = SkillContext(
             question=self.task.query, history=history, env=self.env,
-            backend=self.backend, sandbox_limits=self.config.sandbox_limits,
+            ask=partial(self.recorder.ask, f"skill:{action.kind}"),
+            sandbox_limits=self.config.sandbox_limits,
             observation_bytes=self.config.observation_bytes,
-            writing_budget=self.config.writing_budget, model=self.config.model)
+            writing_budget=self.config.writing_budget)
         try:
-            outcome = dispatch(action, context, registry)
+            return dispatch(action, context, registry)
         except (SkillDisabled, SkillUnknown) as exc:
             return f"Action not executed: {exc}", None
-        payload = dict(outcome.payload) if outcome.payload else None
-        return outcome.observation, payload
 
 
 # --- plan-based policies: GoalAct, Plan-and-Solve, Plan-and-Execute -------------------
@@ -337,9 +329,8 @@ class _PlanPolicy(_Policy):
 
     def step(self) -> bool:
         if self.replans or self.plan is None:
-            self.backend.purpose = self.purpose
-            self.plan = self.revise()
-            self.trajectory.record_plan(self.plan)
+            self.plan = self.revise(partial(self.recorder.ask, self.purpose))
+            self.recorder.trajectory.record_plan(self.plan)
         step = first_pending(self.plan)
         if step is None or step.action.kind == FINISH:
             return True
@@ -361,14 +352,14 @@ class _GoalActPolicy(_PlanPolicy):
         self.registry = _registry_for(self.config)
         self.exemplars = _exemplars_for(self.config)
 
-    def revise(self) -> GlobalPlan:
+    def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
         return update_global_plan(
-            self.task.query, self.env, self.plan, self.backend,
+            self.task.query, self.env, self.plan, ask,
             registry=self.registry, exemplars=self.exemplars,
             exemplar_count=self.config.exemplar_count,
-            max_plan_steps=self.config.max_plan_steps, model=self.config.model)
+            max_plan_steps=self.config.max_plan_steps)
 
-    def execute_step(self, step: PlanStep) -> tuple[str, Optional[dict]]:
+    def execute_step(self, step: PlanStep) -> SkillResult:
         return self.run_skill(step.action, history_of(self.plan), self.registry)
 
 
@@ -396,18 +387,18 @@ class _PlanAndExecutePolicy(_PlanPolicy):
     repair = ("\n\nYour previous reply could not be used. Output a valid "
               "structured array only.")
 
-    def revise(self) -> GlobalPlan:
+    def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
         return revise_plan(
-            self.plan, self.backend,
+            self.plan, ask,
             lambda history: self.world_prompt(
                 self.intro, "Executed so far:", render_history(history),
                 self.outro),
             lambda raw: [(thought, _free_action(text))
                          for thought, text in parse_step_texts(raw)],
             self.repair, "sub-task plan",
-            max_plan_steps=self.config.max_plan_steps, model=self.config.model)
+            max_plan_steps=self.config.max_plan_steps)
 
-    def execute_step(self, step: PlanStep) -> tuple[str, Optional[dict]]:
+    def execute_step(self, step: PlanStep) -> SkillResult:
         prompt = "\n".join([
             "Map the sub-task below to exactly one tool call. Respond with a "
             "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
@@ -417,7 +408,7 @@ class _PlanAndExecutePolicy(_PlanPolicy):
             f"{PE_SUBTASK_MARKER} {step.action.objective}",
         ])
         try:
-            emission = self.ask("subtask", prompt)
+            emission = self.recorder.ask("subtask", prompt)
         except BackendUnavailable as exc:
             return f"Sub-task failed before any tool ran: {exc}", None
         calls, problem = parse_tool_emission(emission)
@@ -436,7 +427,7 @@ class _TranscriptPolicy(_Policy):
     label = "Transcript:"
 
     def step(self) -> bool:
-        return self.take(self.ask(self.purpose, self.world_prompt(
+        return self.take(self.recorder.ask(self.purpose, self.world_prompt(
             self.intro, self.label, self.summary()[0], self.outro)))
 
 
@@ -594,7 +585,8 @@ def run_task(task: Task, env: ToolEnvironment, config: RunConfig,
     policy_class = _NextStepPolicy \
         if ABLATION_NO_GLOBAL_PLAN in config.ablations \
         else _POLICIES[config.method]
-    policy = policy_class(task, config, traj, RecordingBackend(backend, traj),
+    policy = policy_class(task, config,
+                          RecordingBackend(backend, traj, config.model),
                           RecordingEnvironment(env, traj))
     try:
         reason, failure = TERMINATION_MAX_ITERATIONS, ""
@@ -609,9 +601,8 @@ def run_task(task: Task, env: ToolEnvironment, config: RunConfig,
                 failure = f"{policy.purpose} failed: {exc}"
                 break
         history_text, best_observation = policy.summary()
-        policy.backend.purpose = "summarize"
         traj.final_answer, traj.degraded = summarize(
-            task.query, history_text, policy.backend, model=config.model,
+            task.query, history_text, partial(policy.recorder.ask, "summarize"),
             best_observation=failure or best_observation)
         traj.termination_reason = reason
         return traj

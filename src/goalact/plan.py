@@ -307,8 +307,8 @@ def decode_trajectory(line: str) -> Trajectory:
 
 
 def write_trajectories(path: Any, trajectories: Sequence[Trajectory]) -> None:
-    """Append one document per line; `path` is any os.PathLike or str."""
-    with open(path, "a", encoding="utf-8") as handle:
+    """Write `path` (os.PathLike or str) fresh, one document per line."""
+    with open(path, "w", encoding="utf-8") as handle:
         for traj in trajectories:
             handle.write(encode_trajectory(traj) + "\n")
 

@@ -2,7 +2,7 @@
 
 Each planning round renders the question, tool and table descriptions,
 few-shot exemplars, and the executed history into the planning template,
-asks the backend for the *continuation* of the plan, and splices the parsed
+asks the model for the *continuation* of the plan, and splices the parsed
 pending steps onto the immutable executed prefix.
 """
 
@@ -16,7 +16,7 @@ from importlib import resources
 from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .backends import strip_code_fences, user_request
+from .backends import strip_code_fences
 from .environment import ToolEnvironment
 from .errors import (
     EmptyPlan,
@@ -72,6 +72,17 @@ def load_template() -> str:
     """The packaged planning template, read once per process."""
     return resources.files("goalact.prompts").joinpath(
         "global_planning.txt").read_text(encoding="utf-8")
+
+
+@functools.cache
+def _template_parts() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The template's literal texts, and the slot between each pair."""
+    parts = re.split(r"\{(%s)\}" % "|".join(_SLOTS), load_template())
+    texts, slots = tuple(parts[0::2]), tuple(parts[1::2])
+    for slot in _SLOTS:
+        if slot not in slots:
+            raise TemplateSlotMissing(f"template lost its {{{slot}}} marker")
+    return texts, slots
 
 
 @functools.cache
@@ -138,7 +149,8 @@ def render_skill_menu(registry: Optional[Any] = None) -> tuple[int, str]:
 
 def build_planning_prompt(inputs: PlannerPromptInputs,
                           registry: Optional[Any] = None) -> str:
-    """Substitute every template slot; unresolved slots are an error."""
+    """Fill every template slot in one pass, inserting values verbatim: a
+    slot marker inside a value is never filled."""
     skill_count, skill_menu = render_skill_menu(registry)
     values = {
         "question": inputs.question,
@@ -149,15 +161,9 @@ def build_planning_prompt(inputs: PlannerPromptInputs,
         "skill_count": count_word(skill_count),
         "skill_menu": skill_menu,
     }
-    prompt = load_template()
-    for slot in _SLOTS:
-        marker = "{%s}" % slot
-        if marker not in prompt:
-            raise TemplateSlotMissing(f"template lost its {marker} marker")
-        if values[slot] is None:
-            raise TemplateSlotMissing(f"no renderer produced a value for {marker}")
-        prompt = prompt.replace(marker, values[slot])
-    return prompt
+    texts, slots = _template_parts()
+    return texts[0] + "".join(values[slot] + text
+                              for slot, text in zip(slots, texts[1:]))
 
 
 def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
@@ -266,15 +272,14 @@ def build_prompt_inputs(question: str, env: ToolEnvironment, history: History,
     )
 
 
-def revise_plan(plan_prev: Optional[GlobalPlan], backend: Any,
+def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
                 prompt_for: Callable[[History], str],
                 parse: Callable[[str], Sequence[tuple[str, SkillAction]]],
                 repair: str, what: str,
-                max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS,
-                model: str = "scripted") -> GlobalPlan:
+                max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS) -> GlobalPlan:
     """One planning round over the executed prefix of `plan_prev`.
 
-    Renders the prompt from the executed history, calls the backend once, plus
+    Renders the prompt from the executed history, asks the model once, plus
     a single retry with `repair` appended when the reply cannot be parsed or
     validated, and splices the parsed steps onto the executed prefix.  Raises
     PlanningFailed naming `what` when both replies are unusable; backend
@@ -286,7 +291,7 @@ def revise_plan(plan_prev: Optional[GlobalPlan], backend: Any,
     prompt = prompt_for(history)
     failure: Exception | None = None
     for attempt_prompt in (prompt, prompt + repair):
-        raw = backend.complete(user_request(attempt_prompt, model=model))
+        raw = ask(attempt_prompt)
         try:
             return splice_pending(executed, parse(raw), revision,
                                   max_steps=max_plan_steps)
@@ -296,15 +301,15 @@ def revise_plan(plan_prev: Optional[GlobalPlan], backend: Any,
 
 
 def update_global_plan(question: str, env: ToolEnvironment,
-                       plan_prev: Optional[GlobalPlan], backend: Any,
+                       plan_prev: Optional[GlobalPlan],
+                       ask: Callable[[str], str],
                        registry: Optional[Any] = None,
                        exemplars: Optional[Sequence[str]] = None,
                        exemplar_count: int = DEFAULT_EXEMPLAR_COUNT,
-                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS,
-                       model: str = "scripted") -> GlobalPlan:
+                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS) -> GlobalPlan:
     """One planning round: executed prefix preserved, pending suffix rewritten.
 
-    The backend is called once, plus a single repair retry with a corrective
+    The model is asked once, plus a single repair retry with a corrective
     instruction when its output cannot be parsed or validated.  Raises
     PlanningFailed when both attempts are unusable; backend errors propagate.
     """
@@ -320,7 +325,7 @@ def update_global_plan(question: str, env: ToolEnvironment,
                                      exemplar_count=exemplar_count)
         return build_planning_prompt(inputs, registry)
 
-    return revise_plan(plan_prev, backend, prompt_for,
+    return revise_plan(plan_prev, ask, prompt_for,
                        lambda raw: parse_plan_response(raw, kinds),
                        "\n\n" + REPAIR_INSTRUCTION, "plan",
-                       max_plan_steps=max_plan_steps, model=model)
+                       max_plan_steps=max_plan_steps)

@@ -16,11 +16,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from .backends import strip_code_fences, user_request
+from .backends import strip_code_fences
 from .environment import ToolCall, ToolEnvironment, render_number
 from .errors import BackendUnavailable, ToolError, UnknownTool
 from .plan import truncate_observation
-from .skills import OutcomeError, SkillAction, SkillContext, SkillOutcome
+from .skills import SkillAction, SkillContext, SkillResult
 
 CODING_MARKER = "Computation objective:"
 
@@ -452,11 +452,38 @@ class _Interpreter:
                          f"integer result wider than {MAX_INT_BITS} bits")
         return value
 
+    def equal(self, left: Any, right: Any) -> bool:
+        """Python's `left == right`, walked depth first with an explicit stack
+        up to the first mismatch.  Each member pair costs one step; as in
+        Python, a member pair that is one object is equal unexamined."""
+        stack: list[Iterator[tuple[Any, Any]]] = []
+        while True:
+            kind = type(left)
+            if kind in (list, dict) and type(right) is kind:
+                if len(left) != len(right):
+                    return False
+                # A key missing on the right pairs with _DONE, equal to no value.
+                stack.append(zip(left, right) if kind is list else zip(
+                    left.values(), [right.get(key, _DONE) for key in left]))
+            elif left != right:
+                return False
+            while stack:  # find the next member pair that is not one object
+                pair = next(stack[-1], _DONE)
+                if pair is _DONE:
+                    stack.pop()
+                    continue
+                self.tick()
+                left, right = pair
+                if left is not right:
+                    break
+            else:
+                return True
+
     def binop(self, op: str, left: Any, right: Any) -> Any:
         if op == "==":
-            return left == right
+            return self.equal(left, right)
         if op == "!=":
-            return left != right
+            return not self.equal(left, right)
         if op in ("<", "<=", ">", ">="):
             if self._numeric(left) and self._numeric(right):
                 pass
@@ -639,24 +666,13 @@ def render_sandbox_outcome(result: SandboxResult) -> str:
     return f"Result: {result.value} {summary}"
 
 
-def exec_coding(action: SkillAction, context: SkillContext) -> SkillOutcome:
-    """Ask the backend for a script, run it, observe the result or fault."""
+def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
+    """Ask the model for a script, run it, observe the result or fault."""
     try:
-        emission = context.backend.complete(
-            user_request(_coding_prompt(action, context), model=context.model))
+        emission = context.ask(_coding_prompt(action, context))
     except BackendUnavailable as exc:
-        return SkillOutcome(
-            observation=f"Coding failed before any script ran: {exc}",
-            error=OutcomeError(kind=type(exc).__name__, message=str(exc)))
+        return f"Coding failed before any script ran: {exc}", None
     source = strip_code_fences(emission)
     limits = context.sandbox_limits or SandboxLimits()
     result = eval_script(Script(source), context.env, limits)
-    error = None
-    if result.fault is not None:
-        error = OutcomeError(kind=result.fault.kind,
-                             message=result.fault.message)
-    return SkillOutcome(
-        observation=render_sandbox_outcome(result),
-        tool_calls_made=result.tool_calls_used,
-        error=error,
-        payload={"script": source})
+    return render_sandbox_outcome(result), {"script": source}

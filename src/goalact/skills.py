@@ -1,9 +1,11 @@
 """Hierarchical execution layer: the skill registry and its executors.
 
 The planner names a skill and an objective; dispatch routes to the matching
-executor.  In-skill failures never raise: they are rendered into the
-observation so the next planning round can react to them.  Finish is listed
-for prompt rendering but executed by the run loop, not here.
+executor, `run(action, context) -> (observation, payload)`, whose one model
+call is `context.ask(prompt)`; the payload (the tool call or script, or None)
+is recorded with the action.  In-skill failures never raise: they are rendered
+into the observation so the next planning round can react to them.  Finish is
+listed for prompt rendering but executed by the run loop, not here.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Optional
 
-from .backends import strip_code_fences, user_request
+from .backends import strip_code_fences
 from .environment import ToolCall, ToolEnvironment, observe_tool_call
 from .errors import (
     BackendUnavailable,
@@ -41,20 +43,6 @@ _REACT_CALL_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class OutcomeError:
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
-class SkillOutcome:
-    observation: str
-    tool_calls_made: int = 0
-    error: Optional[OutcomeError] = None
-    payload: Optional[Mapping[str, Any]] = None
-
-
 @dataclass
 class SkillContext:
     """Everything an executor may need for one action."""
@@ -62,14 +50,14 @@ class SkillContext:
     question: str
     history: History
     env: ToolEnvironment
-    backend: Any
+    ask: Callable[[str], str]
     sandbox_limits: Any = None
     observation_bytes: int = DEFAULT_OBSERVATION_BYTES
     writing_budget: int = DEFAULT_WRITING_BUDGET
-    model: str = "scripted"
 
 
-Executor = Callable[[SkillAction, SkillContext], SkillOutcome]
+SkillResult = tuple[str, Optional[dict]]
+Executor = Callable[[SkillAction, SkillContext], SkillResult]
 
 
 @dataclass(frozen=True)
@@ -161,8 +149,9 @@ def default_registry() -> SkillRegistry:
 
 
 def dispatch(action: SkillAction, context: SkillContext,
-             registry: Optional[SkillRegistry] = None) -> SkillOutcome:
-    """Route one action to its executor.
+             registry: Optional[SkillRegistry] = None) -> SkillResult:
+    """Route one action to its executor; returns (observation, payload),
+    the observation never empty and truncated to budget.
 
     Raises only for dispatch-level faults (unknown or disabled kinds);
     everything inside a skill comes back as an observation.
@@ -176,10 +165,9 @@ def dispatch(action: SkillAction, context: SkillContext,
     if entry.run is None:
         raise SkillUnknown(f"skill {action.kind!r} has no executor "
                            "(Finish is handled by the run loop)")
-    outcome = entry.run(action, context)
-    observation = outcome.observation or "(empty observation)"
-    observation = truncate_observation(observation, context.observation_bytes)
-    return replace(outcome, observation=observation)
+    observation, payload = entry.run(action, context)
+    return truncate_observation(observation or "(empty observation)",
+                                context.observation_bytes), payload
 
 
 # --- tool-call emission parsing -------------------------------------------------
@@ -270,33 +258,22 @@ def _searching_prompt(action: SkillAction, context: SkillContext) -> str:
     ])
 
 
-def exec_searching(action: SkillAction, context: SkillContext) -> SkillOutcome:
+def exec_searching(action: SkillAction, context: SkillContext) -> SkillResult:
     """One retrieval intent, at most one tool call."""
     try:
-        emission = context.backend.complete(
-            user_request(_searching_prompt(action, context),
-                         model=context.model))
+        emission = context.ask(_searching_prompt(action, context))
     except BackendUnavailable as exc:
-        return SkillOutcome(
-            observation=f"Searching failed before any tool ran: {exc}",
-            error=OutcomeError(kind=type(exc).__name__, message=str(exc)))
+        return f"Searching failed before any tool ran: {exc}", None
     calls, problem = parse_tool_emission(emission)
     if problem is not None:
-        return SkillOutcome(
-            observation=f"Searching emitted no usable tool call ({problem}).",
-            error=OutcomeError(kind="MalformedToolCall", message=problem))
+        return f"Searching emitted no usable tool call ({problem}).", None
     call, discarded = calls[0], len(calls) - 1
     payload = {"tool": call.tool_name, "args": dict(call.arguments)}
     observation, error = observe_tool_call(context.env, call)
-    if error is not None:
-        return SkillOutcome(
-            observation=observation, tool_calls_made=1,
-            error=OutcomeError(kind=type(error).__name__, message=str(error)),
-            payload=payload)
-    note = "" if not discarded else \
-        f" ({discarded} extra emitted call{'s' if discarded > 1 else ''} discarded)"
-    return SkillOutcome(observation=observation + note, tool_calls_made=1,
-                        payload=payload)
+    if error is None and discarded:
+        observation += (f" ({discarded} extra emitted call"
+                        f"{'s' if discarded > 1 else ''} discarded)")
+    return observation, payload
 
 
 def render_source_material(history: History, budget: int) -> str:
@@ -333,13 +310,9 @@ def _writing_prompt(action: SkillAction, context: SkillContext) -> str:
     ])
 
 
-def exec_writing(action: SkillAction, context: SkillContext) -> SkillOutcome:
-    """One backend call; the generated document is the observation."""
+def exec_writing(action: SkillAction, context: SkillContext) -> SkillResult:
+    """One model call; the generated document is the observation."""
     try:
-        document = context.backend.complete(
-            user_request(_writing_prompt(action, context), model=context.model))
+        return context.ask(_writing_prompt(action, context)), None
     except BackendUnavailable as exc:
-        return SkillOutcome(
-            observation=f"Writing failed: {exc}",
-            error=OutcomeError(kind=type(exc).__name__, message=str(exc)))
-    return SkillOutcome(observation=document, tool_calls_made=0)
+        return f"Writing failed: {exc}", None

@@ -165,7 +165,6 @@ def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
     for relative, trajectories in logs.items():
         path = out_dir / relative
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("", encoding="utf-8")
         write_trajectories(path, trajectories)
     manifest: dict[str, Any] = {
         "config_hash": config_hash(config, methods, backend_spec),

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from goalact.backends import Rule, ScriptedBackend
+from goalact.backends import Rule, ScriptedBackend, user_request
 from goalact.environment import Table, ToolEnvironment
 
 
@@ -33,3 +33,8 @@ def company_env() -> ToolEnvironment:
 
 def scripted(*rules: Rule) -> ScriptedBackend:
     return ScriptedBackend(list(rules))
+
+
+def ask_of(backend):
+    """A step's `ask(prompt)`, answered by `backend` as a run would."""
+    return lambda prompt: backend.complete(user_request(prompt))

@@ -33,6 +33,8 @@ from goalact.generator import (
     generate_khop_task,
     generate_task,
     generate_writing_task,
+    load_fixture,
+    save_fixture,
 )
 from goalact.oracle import never_finishing_backend, oracle_backend
 from goalact.orchestrator import METHODS, RunConfig, run_task
@@ -329,6 +331,48 @@ def test_acceptance_suite_determinism(tmp_path):
              "two suite runs with one manifest produced byte-identical "
              "reports and trajectories, matching the pinned digests, and "
              "a two-thread run wrote the same bytes but for the job count")
+
+
+# sha256 of every artifact of the 350-task x 5-method oracle suite: the seven
+# categories x generator seeds 1000-1049, run from saved and reloaded fixtures.
+_WIDE_SUITE_DIGESTS = {
+    "manifest.json":
+        "42f39340654d103ca74483c450d673a2504396d60b6d91e94642102c961cbb17",
+    "report.json":
+        "2a284d7a0ec69b273855fb3447755f9a9d570223a85f3d3c1841e58461dbfcf4",
+    "report.txt":
+        "0d06c7d41cc084a0364217779bd08f53edde4ab7be353133f64df6a0cd3b5988",
+    "trajectories/GoalAct.jsonl":
+        "7efaa2d6c76858515df0721e4236bb486bb489c2a1256471daf68932df926f52",
+    "trajectories/PlanAndSolve.jsonl":
+        "7cebedaa109e14896564119b7402ed6fb9768c04d4d4de91a8307d0a6c2d6aa1",
+    "trajectories/PlanAndExecute.jsonl":
+        "c45497201a952b62c5204943c01ba28da96b1e5a54881bfbaaaecae5c174ac2d",
+    "trajectories/ReAct.jsonl":
+        "0213960f48dfe1f04a8c23fd746ea299bf3c5830dcd64c9cb2d562ee3bd646e4",
+    "trajectories/CodeAct.jsonl":
+        "01dd7e87d01e6a494bbd2f50b926788d5a3fe3d768cdc1ee7ea67ed1b0d5d384",
+}
+
+
+def test_acceptance_350_task_suite_bytes(tmp_path):
+    fixtures, out = tmp_path / "fixtures", tmp_path / "run"
+    for category in CATEGORY_ORDER:
+        for seed in range(1000, 1050):
+            save_fixture(*generate_task(category, seed), fixtures)
+    pairs = [load_fixture(path)
+             for path in sorted((fixtures / "tasks").glob("*.json"))]
+    assert len(pairs) == 350
+    run_suite(pairs, list(METHODS), RunConfig(), oracle_backend, out_dir=out,
+              backend_spec="scripted:oracle")
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                     if p.is_file())
+    assert written == sorted(_WIDE_SUITE_DIGESTS)
+    for name, digest in _WIDE_SUITE_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+    _verdict("350-task-bytes",
+             "the 350-task x 5-method oracle suite wrote its pinned bytes")
 
 
 # --- criterion 8: optional live-API smoke ---------------------------------------------------

@@ -295,9 +295,9 @@ def test_http_attempt_counts_stay_with_their_thread():
 
     def worker(wanted: int) -> None:
         trajectory = Trajectory(task_id=f"t{wanted}", method="ReAct")
-        recorder = RecordingBackend(client, trajectory)
+        recorder = RecordingBackend(client, trajectory, "m")
         for _ in range(300):
-            recorder.complete(_req(str(wanted), model="m"))
+            recorder.ask("planning", str(wanted))
         logs.append((wanted, trajectory))
 
     old_interval = sys.getswitchinterval()

@@ -33,7 +33,7 @@ from goalact.plan import (
     plan_from_dict,
 )
 
-from conftest import scripted
+from conftest import ask_of, scripted
 
 
 def _run(method: str, task, env, backend=None, **config_kwargs):
@@ -270,7 +270,8 @@ def test_summarize_echoes_history_content():
     backend = scripted(Rule.on_substrings("the key is K-9", SUMMARY_MARKER,
                                           "K-9 was observed"))
     answer, degraded = summarize("what is the key?",
-                                 "Observation: K-9 was observed", backend)
+                                 "Observation: K-9 was observed",
+                                 ask_of(backend))
     assert answer == "the key is K-9"
     assert degraded is False
 
@@ -278,7 +279,7 @@ def test_summarize_echoes_history_content():
 def test_summarize_from_question_alone():
     backend = scripted(Rule.on_substrings("no steps were taken",
                                           SUMMARY_MARKER))
-    answer, degraded = summarize("anything?", "", backend)
+    answer, degraded = summarize("anything?", "", ask_of(backend))
     assert answer == "no steps were taken"
     assert degraded is False
 
@@ -314,7 +315,6 @@ def test_config_loads_exemplars_from_file(tmp_path):
 def test_trajectory_records_retry_attempts():
     from goalact.orchestrator import RecordingBackend
     from goalact.plan import Trajectory
-    from goalact.backends import user_request
 
     class _RetryingStub:
         last_attempts = 3
@@ -323,20 +323,18 @@ def test_trajectory_records_retry_attempts():
             return "fine"
 
     traj = Trajectory(task_id="t", method="GoalAct")
-    recorder = RecordingBackend(_RetryingStub(), traj)
-    recorder.purpose = "planning"
-    recorder.complete(user_request("hello"))
-    assert traj.llm_calls[0].attempts == 3
+    recorder = RecordingBackend(_RetryingStub(), traj, "m")
+    assert recorder.ask("planning", "hello") == "fine"
+    [call] = traj.llm_calls
+    assert (call.purpose, call.model, call.attempts) == ("planning", "m", 3)
+    assert call.messages == [{"role": "user", "content": "hello"}]
 
 
 def test_summarize_degrades_when_the_backend_is_down():
-    class _Down:
-        def complete(self, request):
-            from goalact.errors import BackendUnavailable
+    def down(prompt):
+        raise BackendUnavailable("gave up")
 
-            raise BackendUnavailable("gave up")
-
-    answer, degraded = summarize("q", "history", _Down(),
+    answer, degraded = summarize("q", "history", down,
                                  best_observation="best known fact")
     assert degraded is True
     assert "best known fact" in answer

@@ -24,8 +24,10 @@ from goalact.plan import (
     first_pending,
     history_of,
     make_plan,
+    read_trajectories,
     truncate_observation,
     validate_plan,
+    write_trajectories,
 )
 
 
@@ -170,6 +172,16 @@ def test_trajectory_round_trip_survives_unicode_payloads():
     encoded = encode_trajectory(traj)
     assert decode_trajectory(encoded).final_answer == traj.final_answer
     assert encode_trajectory(decode_trajectory(encoded)) == encoded
+
+
+def test_trajectory_log_is_written_fresh(tmp_path):
+    path = tmp_path / "GoalAct.jsonl"
+    trajectories = [_sample_trajectory(), _sample_trajectory()]
+    write_trajectories(path, trajectories)
+    write_trajectories(path, trajectories[:1])
+    assert path.read_text("utf-8") == encode_trajectory(trajectories[0]) + "\n"
+    assert [encode_trajectory(t) for t in read_trajectories(path)] == \
+        [encode_trajectory(trajectories[0])]
 
 
 def test_make_plan_numbers_from_one():

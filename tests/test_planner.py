@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
+from goalact import planner
 from goalact.backends import Rule
 from goalact.environment import ToolEnvironment
 from goalact.errors import (
@@ -21,16 +23,18 @@ from goalact.planner import (
     PlannerPromptInputs,
     build_planning_prompt,
     build_prompt_inputs,
+    count_word,
     load_default_exemplars,
     parse_plan_response,
     render_history,
     render_plan_steps,
+    render_skill_menu,
     render_step_array,
     update_global_plan,
 )
 from goalact.skills import SkillDescriptor, default_registry, register_skill
 
-from conftest import scripted
+from conftest import ask_of, scripted
 
 
 def _inputs(env: ToolEnvironment, scratchpad: str = "",
@@ -94,6 +98,36 @@ def test_disabled_skill_vanishes_from_prompt(company_env):
     registry = default_registry().disable("Coding")
     prompt = build_planning_prompt(_inputs(company_env), registry)
     assert "Coding" not in prompt
+
+
+def test_values_holding_slot_markers_are_inserted_verbatim():
+    markers = " ".join("{%s}" % slot for slot in (
+        "question", "table_used_prompt", "tool_prompt", "memory",
+        "scratchpad", "skill_count", "skill_menu"))
+    inputs = PlannerPromptInputs(question=markers, tool_prompt=markers,
+                                 table_prompt=markers, memory=(markers,),
+                                 scratchpad=markers)
+    count, menu = render_skill_menu()
+    values = {"question": markers, "table_used_prompt": markers,
+              "tool_prompt": markers, "memory": markers,
+              "scratchpad": markers, "skill_count": count_word(count),
+              "skill_menu": menu}
+    expected = re.sub(r"\{(\w+)\}", lambda m: values[m.group(1)],
+                      planner.load_template())
+    prompt = build_planning_prompt(inputs)
+    assert prompt == expected
+    assert prompt.count(markers) == 6 and prompt.count(menu) == 1
+
+
+def test_template_without_a_slot_is_an_error(company_env, monkeypatch):
+    template = planner.load_template().replace("{memory}", "")
+    monkeypatch.setattr(planner, "load_template", lambda: template)
+    planner._template_parts.cache_clear()
+    try:
+        with pytest.raises(TemplateSlotMissing, match=r"\{memory\}"):
+            build_planning_prompt(_inputs(company_env))
+    finally:
+        planner._template_parts.cache_clear()
 
 
 def test_default_exemplars_match_configured_count():
@@ -206,7 +240,7 @@ def _fixture_plan_text() -> str:
 def test_update_builds_revision_one_from_fixture(company_env):
     backend = scripted(Rule.on_substrings(_fixture_plan_text(),
                                           PLANNING_MARKER))
-    plan = update_global_plan("q", company_env, None, backend)
+    plan = update_global_plan("q", company_env, None, ask_of(backend))
     assert plan.revision == 1
     assert [s.action.kind for s in plan.steps] == [SEARCHING, SEARCHING, FINISH]
     assert all(not s.executed for s in plan.steps)
@@ -215,7 +249,7 @@ def test_update_builds_revision_one_from_fixture(company_env):
 def test_update_preserves_the_executed_prefix_verbatim(company_env):
     backend = scripted(Rule.on_substrings(_fixture_plan_text(),
                                           PLANNING_MARKER))
-    plan = update_global_plan("q", company_env, None, backend)
+    plan = update_global_plan("q", company_env, None, ask_of(backend))
     executed = plan.steps[0].mark_executed("saw the record")
     plan = type(plan)(steps=(executed,) + plan.steps[1:], revision=plan.revision)
 
@@ -224,7 +258,7 @@ def test_update_preserves_the_executed_prefix_verbatim(company_env):
         ("answer", SkillAction(FINISH)),
     ])
     backend2 = scripted(Rule.on_substrings(continuation, PLANNING_MARKER))
-    updated = update_global_plan("q", company_env, plan, backend2)
+    updated = update_global_plan("q", company_env, plan, ask_of(backend2))
     assert updated.revision == 2
     assert updated.steps[0] == executed
     assert len(updated.steps) == 3
@@ -237,7 +271,7 @@ def test_update_fails_after_two_finishless_attempts(company_env):
     ])
     backend = scripted(Rule.on_substrings(no_finish, PLANNING_MARKER))
     with pytest.raises(PlanningFailed):
-        update_global_plan("q", company_env, None, backend)
+        update_global_plan("q", company_env, None, ask_of(backend))
     assert backend.calls_made == 2
 
 
@@ -247,7 +281,7 @@ def test_update_repairs_once_then_succeeds(company_env):
                            "Output a valid structured array only"),
         Rule.on_substrings("not json at all", PLANNING_MARKER),
     )
-    plan = update_global_plan("q", company_env, None, backend)
+    plan = update_global_plan("q", company_env, None, ask_of(backend))
     assert plan.revision == 1
     assert backend.calls_made == 2
 
@@ -272,7 +306,7 @@ def test_update_never_returns_an_invalid_plan_under_fuzzing(company_env):
         ])
         backend = scripted(Rule.on_substrings(text, PLANNING_MARKER))
         try:
-            plan = update_global_plan("q", company_env, None, backend)
+            plan = update_global_plan("q", company_env, None, ask_of(backend))
         except PlanningFailed:
             errored += 1
             continue

@@ -12,7 +12,8 @@ import pytest
 import goalact
 
 from goalact.backends import Rule
-from goalact.environment import render_number
+from goalact.environment import Table, ToolEnvironment, render_number
+from goalact.errors import BackendUnavailable
 from goalact.plan import CODING, TRUNCATION_MARKER, History, SkillAction, \
     truncate_observation
 from goalact.sandbox import (
@@ -31,7 +32,7 @@ from goalact.sandbox import (
 )
 from goalact.skills import SkillContext
 
-from conftest import scripted
+from conftest import ask_of, scripted
 
 
 def test_arithmetic_identity(company_env):
@@ -240,23 +241,31 @@ def test_bounded_rendering_truncates_to_the_bytes_of_a_full_rendering():
                 == truncate_observation(full, budget)
 
 
-def test_doubled_list_result_renders_only_the_output_budget():
-    # 2**24 leaves: a full rendering takes minutes, so the script runs in a
-    # subprocess that is killed at the timeout rather than run to the end.
-    script = "s = [1]\n" + "s = [s, s]\n" * 24 + "return s"
-    probe = ("import json, sys\n"
+def _eval_in_subprocess(script: str) -> tuple[str, str | None, float]:
+    """eval_script's (value, fault kind, seconds) for `script`, run in a
+    fresh interpreter that is killed after 30 seconds."""
+    probe = ("import json, sys, time\n"
              "from goalact.environment import ToolEnvironment\n"
              "from goalact.sandbox import eval_script\n"
+             "start = time.perf_counter()\n"
              "r = eval_script(sys.argv[1], ToolEnvironment())\n"
-             "print(json.dumps([r.value, r.fault is None]))\n")
+             "print(json.dumps([r.value, r.fault and r.fault.kind,\n"
+             "                  time.perf_counter() - start]))\n")
     src = str(Path(goalact.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", probe, script], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    value, ok = json.loads(done.stdout)
-    assert ok
+    return tuple(json.loads(done.stdout))
+
+
+def test_doubled_list_result_renders_only_the_output_budget():
+    # 2**24 leaves: a full rendering takes minutes, so the script runs in a
+    # subprocess that is killed at the timeout rather than run to the end.
+    script = "s = [1]\n" + "s = [s, s]\n" * 24 + "return s"
+    value, fault, _ = _eval_in_subprocess(script)
+    assert fault is None
     # The full rendering opens with 14 brackets and then the whole rendering
     # of the 10-doubling subtree, which is already longer than the budget.
     subtree = [1]
@@ -276,6 +285,82 @@ def test_deeply_nested_result_renders_without_recursion(company_env):
     assert result.ok, result.fault
     budget = SandboxLimits().max_output_bytes
     assert result.value == truncate_observation("[" * 5001 + "1", budget)
+
+
+# --- equality ------------------------------------------------------------------
+
+_DOUBLED_PAIR = ("s = [1]\nt = [1]\ni = 0\n"
+                 "while i < {} {{ s = [s, s]  t = [t, t]  i = i + 1 }}\n"
+                 "return s == t")
+
+
+def test_comparing_shared_structure_is_bounded_by_the_step_budget():
+    # 2**40 leaf pairs: Python's own == would not finish, so the script runs
+    # in a subprocess that is killed at the timeout.
+    value, fault, seconds = _eval_in_subprocess(_DOUBLED_PAIR.format(40))
+    assert fault == FAULT_LIMIT
+    assert seconds < 1.0
+
+
+def test_comparison_charges_one_step_per_member_pair(company_env):
+    steps = [eval_script(Script(_DOUBLED_PAIR.format(n)), company_env)
+             for n in (2, 3)]
+    assert [r.raw_value for r in steps] == [True, True]
+    # A round of the loop costs 16 steps.  After n rounds, s == t compares
+    # 2 + 4 + ... + 2**n list pairs and then 2**n leaf pairs: 10 at n = 2
+    # and 22 at n = 3.
+    assert steps[1].steps_used - steps[0].steps_used == 16 + 22 - 10
+
+
+def test_comparing_deep_lists_does_not_recurse(company_env):
+    script = ("s = [1]\nt = [1]\ni = 0\n"
+              "while i < 5000 { s = [s]  t = [t]  i = i + 1 }\n"
+              "return [s == t, s != t, s == [t]]")
+    result = eval_script(Script(script), company_env,
+                         SandboxLimits(max_eval_steps=100_000))
+    assert result.ok, result.fault
+    assert result.raw_value == [True, False, False]
+
+
+_EQUALITY_ENV = ToolEnvironment(tables=(Table("r", "id", (
+    {"id": "p", "n": 1, "xs": [1, 2]},
+    {"id": "q", "n": 1.0, "xs": [1, 2.0]},
+    {"id": "s", "n": True, "ys": [1, 2]},
+    {"id": "u", "n": 2, "xs": [[1], {"a": 1}]},
+)),))
+_EQUALITY_ATOMS = ("0", "1", "1.0", "2", "true", "false", '"1"', '"a"', '""',
+                   *(f'get_record("r", "id", "{key}")' for key in "pqsu"))
+
+
+def _random_expression(rng: random.Random, names: list[str],
+                       depth: int = 0) -> str:
+    roll = rng.random()
+    if names and roll < 0.3:
+        return rng.choice(names)
+    if depth < 3 and roll < 0.6:
+        items = [_random_expression(rng, names, depth + 1)
+                 for _ in range(rng.randint(0, 3))]
+        return "[" + ", ".join(items) + "]"
+    return rng.choice(_EQUALITY_ATOMS)
+
+
+def test_equality_matches_python_on_random_values():
+    rng = random.Random(11)
+    for _ in range(200):
+        names: list[str] = []
+        lines = []
+        for i in range(8):
+            lines.append(f"v{i} = {_random_expression(rng, names)}")
+            names.append(f"v{i}")
+        pairs = [(rng.randrange(8), rng.randrange(8), rng.choice(["==", "!="]))
+                 for _ in range(12)]
+        lines.append("return [[" + ", ".join(names) + "], [" + ", ".join(
+            f"v{i} {op} v{j}" for i, j, op in pairs) + "]]")
+        result = eval_script(Script("\n".join(lines)), _EQUALITY_ENV)
+        assert result.ok, result.fault
+        values, verdicts = result.raw_value
+        assert verdicts == [(values[i] == values[j]) == (op == "==")
+                            for i, j, op in pairs], lines
 
 
 @pytest.mark.parametrize("script, message", [
@@ -350,25 +435,34 @@ def test_exec_coding_round_trip(company_env):
     backend = scripted(Rule.on_substrings(f"```\n{script}\n```",
                                           CODING_MARKER))
     context = SkillContext(question="total open amount?", history=History(),
-                           env=company_env, backend=backend,
+                           env=company_env, ask=ask_of(backend),
                            sandbox_limits=SandboxLimits())
-    outcome = exec_coding(SkillAction(CODING, "sum open case amounts"), context)
+    observation, payload = exec_coding(
+        SkillAction(CODING, "sum open case amounts"), context)
     expected = sum(row["amount"] for row in company_env.table("cases").rows
                    if row["status"] == "open")
-    assert f"Result: {expected}" in outcome.observation
-    assert outcome.error is None
-    assert outcome.payload == {"script": script}
+    assert observation.startswith(f"Result: {expected} [")
+    assert payload == {"script": script}
 
 
 def test_exec_coding_surfaces_faults_as_observations(company_env):
     backend = scripted(Rule.on_substrings('return teleport("x")',
                                           CODING_MARKER))
     context = SkillContext(question="q", history=History(), env=company_env,
-                           backend=backend, sandbox_limits=SandboxLimits())
-    outcome = exec_coding(SkillAction(CODING, "do something odd"), context)
-    assert outcome.error is not None
-    assert outcome.error.kind == FAULT_RUNTIME
-    assert "Coding fault" in outcome.observation
+                           ask=ask_of(backend), sandbox_limits=SandboxLimits())
+    observation, _ = exec_coding(SkillAction(CODING, "do something odd"),
+                                 context)
+    assert observation.startswith(f"Coding fault ({FAULT_RUNTIME}): ")
+
+
+def test_exec_coding_degrades_on_backend_outage(company_env):
+    def down(prompt):
+        raise BackendUnavailable("gave up")
+
+    context = SkillContext(question="q", history=History(), env=company_env,
+                           ask=down)
+    assert exec_coding(SkillAction(CODING, "sum"), context) == \
+        ("Coding failed before any script ran: gave up", None)
 
 
 def test_outcome_rendering_mentions_budgets(company_env):

@@ -12,13 +12,21 @@ from goalact.errors import (
     SkillDisabled,
     SkillUnknown,
 )
-from goalact.plan import CODING, FINISH, SEARCHING, WRITING, History, SkillAction
+from goalact.orchestrator import RecordingEnvironment
+from goalact.plan import (
+    CODING,
+    FINISH,
+    SEARCHING,
+    WRITING,
+    History,
+    SkillAction,
+    Trajectory,
+)
 from goalact.skills import (
     SEARCHING_MARKER,
     WRITING_MARKER,
     SkillContext,
     SkillDescriptor,
-    SkillOutcome,
     default_registry,
     dispatch,
     exec_searching,
@@ -28,17 +36,25 @@ from goalact.skills import (
     render_source_material,
 )
 
-from conftest import scripted
+from conftest import ask_of, scripted
+
+_OUTAGE = "gave up after 4 attempts (timeout)"
 
 
 def _context(env, backend, history: History = History()) -> SkillContext:
     return SkillContext(question="Which city hosts AlphaCorp?",
-                        history=history, env=env, backend=backend)
+                        history=history, env=env, ask=ask_of(backend))
+
+
+def _logged(env) -> tuple[RecordingEnvironment, Trajectory]:
+    """`env` with every tool call it answers logged into a trajectory."""
+    trajectory = Trajectory(task_id="t", method="GoalAct")
+    return RecordingEnvironment(env, trajectory), trajectory
 
 
 class _FailingBackend:
     def complete(self, request):
-        raise BackendUnavailable("gave up after 4 attempts (timeout)")
+        raise BackendUnavailable(_OUTAGE)
 
 
 # --- registry -----------------------------------------------------------------
@@ -80,10 +96,11 @@ def test_dispatch_routes_searching(company_env):
                     "args": {"table": "companies", "field": "name",
                              "value": "AlphaCorp"}}),
         SEARCHING_MARKER))
-    outcome = dispatch(SkillAction(SEARCHING, "companies by name"),
-                       _context(company_env, backend))
-    assert "Port Meridell" in outcome.observation
-    assert outcome.tool_calls_made == 1
+    env, trajectory = _logged(company_env)
+    observation, _ = dispatch(SkillAction(SEARCHING, "companies by name"),
+                              _context(env, backend))
+    assert "Port Meridell" in observation
+    assert len(trajectory.tool_calls) == 1
 
 
 def test_dispatch_rejects_disabled_kind(company_env):
@@ -102,31 +119,39 @@ def test_dispatch_rejects_unknown_and_finish(company_env):
 
 def test_dispatch_routes_writing(company_env):
     backend = scripted(Rule.on_substrings("A short document.", WRITING_MARKER))
-    outcome = dispatch(SkillAction(WRITING, "draft something"),
-                       _context(company_env, backend))
-    assert outcome.observation == "A short document."
-    assert outcome.tool_calls_made == 0
+    env, trajectory = _logged(company_env)
+    observation, payload = dispatch(SkillAction(WRITING, "draft something"),
+                                    _context(env, backend))
+    assert (observation, payload) == ("A short document.", None)
+    assert trajectory.tool_calls == []
 
 
 def test_dispatch_truncates_observations(company_env):
     backend = scripted(Rule.on_substrings("x" * 9000, WRITING_MARKER))
     context = _context(company_env, backend)
     context.observation_bytes = 256
-    outcome = dispatch(SkillAction(WRITING, "draft"), context)
-    assert outcome.observation.endswith("[truncated]")
-    assert len(outcome.observation.encode("utf-8")) <= 256
+    observation, _ = dispatch(SkillAction(WRITING, "draft"), context)
+    assert observation.endswith("[truncated]")
+    assert len(observation.encode("utf-8")) <= 256
+
+
+def test_dispatch_reports_an_empty_observation(company_env):
+    backend = scripted(Rule.on_substrings("", WRITING_MARKER))
+    observation, _ = dispatch(SkillAction(WRITING, "draft"),
+                              _context(company_env, backend))
+    assert observation == "(empty observation)"
 
 
 def test_custom_skill_executor_runs():
     def run(action, context):
-        return SkillOutcome(observation=f"thought about {action.objective}")
+        return f"thought about {action.objective}", {"depth": 1}
 
     registry = register_skill(default_registry(), "Reasoning",
                               SkillDescriptor(name="Reasoning",
                                               description="Derive.", run=run))
-    outcome = dispatch(SkillAction("Reasoning", "the gap"),
-                       _context(None, scripted()), registry)
-    assert outcome.observation == "thought about the gap"
+    assert dispatch(SkillAction("Reasoning", "the gap"),
+                    _context(None, scripted()), registry) == \
+        ("thought about the gap", {"depth": 1})
 
 
 # --- searching -----------------------------------------------------------------
@@ -136,24 +161,26 @@ def test_searching_matches_direct_lookup(company_env):
                                            "field": "name",
                                            "value": "AlphaCorp"}}
     backend = scripted(Rule.on_substrings(json.dumps(call), SEARCHING_MARKER))
-    outcome = exec_searching(SkillAction(SEARCHING, "companies by name"),
-                             _context(company_env, backend))
+    env, trajectory = _logged(company_env)
+    observation, payload = exec_searching(
+        SkillAction(SEARCHING, "companies by name"), _context(env, backend))
     expected = company_env.invoke_tool(
         parse_tool_emission(json.dumps(call))[0][0])[0]
     for field_name, value in expected.items():
-        assert str(value) in outcome.observation
-    assert outcome.error is None
-    assert outcome.payload == {"tool": "get_record", "args": call["args"]}
+        assert str(value) in observation
+    assert [record.ok for record in trajectory.tool_calls] == [True]
+    assert payload == {"tool": "get_record", "args": call["args"]}
 
 
 def test_searching_reports_unknown_tool(company_env):
     backend = scripted(Rule.on_substrings(
         json.dumps({"tool": "teleport", "args": {}}), SEARCHING_MARKER))
-    outcome = exec_searching(SkillAction(SEARCHING, "go somewhere"),
-                             _context(company_env, backend))
-    assert outcome.error is not None
-    assert outcome.error.kind == "UnknownTool"
-    assert "teleport" in outcome.observation
+    env, trajectory = _logged(company_env)
+    observation, payload = exec_searching(SkillAction(SEARCHING, "go somewhere"),
+                                          _context(env, backend))
+    assert observation == "Tool call teleport failed: unknown tool 'teleport'"
+    assert [record.ok for record in trajectory.tool_calls] == [False]
+    assert payload == {"tool": "teleport", "args": {}}
 
 
 def test_searching_executes_only_the_first_of_two_calls(company_env):
@@ -166,21 +193,22 @@ def test_searching_executes_only_the_first_of_two_calls(company_env):
                              "value": "BetaWorks"}}),
     ])
     backend = scripted(Rule.on_substrings(two, SEARCHING_MARKER))
-    outcome = exec_searching(SkillAction(SEARCHING, "both companies"),
-                             _context(company_env, backend))
-    assert outcome.tool_calls_made == 1
-    assert "AlphaCorp" in outcome.observation
-    assert "BetaWorks" not in outcome.observation.split("(")[0]
-    assert "discarded" in outcome.observation
+    env, trajectory = _logged(company_env)
+    observation, _ = exec_searching(SkillAction(SEARCHING, "both companies"),
+                                    _context(env, backend))
+    assert len(trajectory.tool_calls) == 1
+    assert "AlphaCorp" in observation
+    assert "BetaWorks" not in observation.split("(")[0]
+    assert observation.endswith(" (1 extra emitted call discarded)")
 
 
 def test_searching_accepts_react_style_calls(company_env):
     backend = scripted(Rule.on_substrings(
         "get_record[table=companies, field=name, value=AlphaCorp]",
         SEARCHING_MARKER))
-    outcome = exec_searching(SkillAction(SEARCHING, "companies by name"),
-                             _context(company_env, backend))
-    assert "Port Meridell" in outcome.observation
+    observation, _ = exec_searching(SkillAction(SEARCHING, "companies by name"),
+                                    _context(company_env, backend))
+    assert "Port Meridell" in observation
 
 
 def test_searching_never_makes_two_tool_calls_randomized(company_env):
@@ -195,18 +223,27 @@ def test_searching_never_makes_two_tool_calls_randomized(company_env):
                  for _ in range(n_calls)]
         body = "\n".join(lines) if lines else "nothing useful"
         backend = scripted(Rule.on_substrings(body, SEARCHING_MARKER))
-        outcome = exec_searching(SkillAction(SEARCHING, "anything"),
-                                 _context(company_env, backend))
-        assert outcome.tool_calls_made in (0, 1)
-        assert outcome.observation  # never empty
+        env, trajectory = _logged(company_env)
+        observation, _ = exec_searching(SkillAction(SEARCHING, "anything"),
+                                        _context(env, backend))
+        assert len(trajectory.tool_calls) == min(n_calls, 1)
+        assert observation  # never empty
 
 
 def test_searching_degrades_on_backend_outage(company_env):
-    outcome = exec_searching(SkillAction(SEARCHING, "companies by name"),
-                             _context(company_env, _FailingBackend()))
-    assert outcome.error is not None
-    assert outcome.error.kind == "BackendUnavailable"
-    assert outcome.observation
+    env, trajectory = _logged(company_env)
+    assert exec_searching(SkillAction(SEARCHING, "companies by name"),
+                          _context(env, _FailingBackend())) == \
+        (f"Searching failed before any tool ran: {_OUTAGE}", None)
+    assert trajectory.tool_calls == []
+
+
+def test_searching_reports_an_emission_with_no_tool_call(company_env):
+    backend = scripted(Rule.on_substrings("nothing useful", SEARCHING_MARKER))
+    assert exec_searching(SkillAction(SEARCHING, "anything"),
+                          _context(company_env, backend)) == \
+        ("Searching emitted no usable tool call "
+         "(no tool call found in the emission).", None)
 
 
 # --- writing -------------------------------------------------------------------
@@ -220,26 +257,26 @@ def test_writing_echoes_gathered_keywords(company_env):
     backend = scripted(Rule.on_substrings(
         "Drafted around fact alpha, fact beta, fact gamma.",
         WRITING_MARKER, "fact alpha", "fact gamma"))
-    outcome = exec_writing(SkillAction(WRITING, "draft the defense"),
-                           _context(company_env, backend, history))
+    observation, _ = exec_writing(SkillAction(WRITING, "draft the defense"),
+                                  _context(company_env, backend, history))
     for keyword in ("fact alpha", "fact beta", "fact gamma"):
-        assert keyword in outcome.observation
+        assert keyword in observation
 
 
 def test_writing_works_from_question_alone(company_env):
     backend = scripted(Rule.on_substrings("Document from the question only.",
                                           WRITING_MARKER))
-    outcome = exec_writing(SkillAction(WRITING, "draft"),
-                           _context(company_env, backend, History()))
-    assert outcome.observation == "Document from the question only."
-    assert outcome.tool_calls_made == 0
+    env, trajectory = _logged(company_env)
+    observation, _ = exec_writing(SkillAction(WRITING, "draft"),
+                                  _context(env, backend, History()))
+    assert observation == "Document from the question only."
+    assert trajectory.tool_calls == []
 
 
 def test_writing_degrades_on_backend_outage(company_env):
-    outcome = exec_writing(SkillAction(WRITING, "draft"),
-                           _context(company_env, _FailingBackend()))
-    assert outcome.error is not None
-    assert outcome.error.kind == "BackendUnavailable"
+    assert exec_writing(SkillAction(WRITING, "draft"),
+                        _context(company_env, _FailingBackend())) == \
+        (f"Writing failed: {_OUTAGE}", None)
 
 
 def test_source_material_drops_oldest_first():
