@@ -78,20 +78,61 @@ class Rule:
         return Rule(response=response, substrings=tuple(keys), name=name)
 
 
+# A rule family: a prompt-type marker and the function that builds the rules
+# keyed on it.
+RuleFamily = tuple[str, Callable[[], Sequence[Rule]]]
+
+
 class ScriptedBackend:
     """Deterministic rule-driven stand-in for an LLM.
 
     Matcher precedence: ordinal > prompt-hash > substring; within one class
     the first listed match wins.  An unmatched prompt raises RuleMiss naming
-    the closest rule - never a silent default.  The rules are indexed once,
-    here, so `rules` must not be mutated after construction; a request is
-    hashed only when some rule carries a `prompt_hash`.
+    the closest rule - never a silent default.  The rules are indexed once
+    they are all built, so `rules` must not be mutated; a request is hashed
+    only when some rule carries a `prompt_hash`.
+
+    A backend made by `from_families` builds each rule family on first use.
+    A prompt that holds exactly one family marker is matched only within
+    that family; any other prompt, or a miss there, builds every family and
+    scans all their rules in order as above.  Both give the same answer as
+    long as every family rule is a substring rule with its family's marker
+    inside one of its substrings, since no such rule can match a prompt that
+    lacks the marker.  `rules` lists the rules built so far, in family
+    order, and reading it builds nothing.
     """
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
         self.rules = list(rules)
         self.label = label
         self.calls_made = 0
+        self._families: dict[str, Callable[[], Sequence[Rule]]] = {}
+        self._built: dict[str, list[Rule]] = {}
+        self._matchers: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        self._index()
+
+    @classmethod
+    def from_families(cls, families: Sequence[RuleFamily],
+                      label: str = "scripted") -> "ScriptedBackend":
+        """A backend over (marker, build) families, in matching order."""
+        backend = cls((), label)
+        backend._families = dict(families)
+        return backend
+
+    def _family_matchers(self, marker: str
+                         ) -> list[tuple[tuple[str, ...], str]]:
+        matchers = self._matchers.get(marker)
+        if matchers is None:
+            built = self._built[marker] = list(self._families[marker]())
+            self.rules = [rule for name in self._families
+                          for rule in self._built.get(name, ())]
+            matchers = self._matchers[marker] = [
+                (rule.substrings, rule.response)
+                for rule in built if rule.substrings]
+            self._index_stale = True
+        return matchers
+
+    def _index(self) -> None:
         self._by_ordinal: dict[int, str] = {}
         self._by_hash: dict[str, str] = {}
         for rule in self.rules:
@@ -101,9 +142,21 @@ class ScriptedBackend:
                 self._by_hash.setdefault(rule.prompt_hash, rule.response)
         self._by_substrings = [(rule.substrings, rule.response)
                                for rule in self.rules if rule.substrings]
+        self._index_stale = False
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls_made += 1
+        if self._families:
+            prompt = request.rendered()
+            found = [marker for marker in self._families if marker in prompt]
+            if len(found) == 1:
+                for keys, response in self._family_matchers(found[0]):
+                    if all(key in prompt for key in keys):
+                        return response
+            for marker in self._families:
+                self._family_matchers(marker)
+        if self._index_stale:
+            self._index()
         digest = request_hash(request) if self._by_hash else None
         response = self._by_ordinal.get(self.calls_made)
         if response is None and digest is not None:
@@ -176,6 +229,7 @@ class HttpChatBackend:
         self.clock = clock
         self._local = threading.local()
         self._recent_calls: list[float] = []
+        self._bucket_lock = threading.Lock()
 
     @property
     def last_attempts(self) -> int:
@@ -188,13 +242,17 @@ class HttpChatBackend:
     def _throttle(self) -> None:
         if not self.requests_per_minute:
             return
-        now = self.clock()
-        self._recent_calls = [t for t in self._recent_calls if now - t < 60.0]
-        if len(self._recent_calls) >= self.requests_per_minute:
-            wait = 60.0 - (now - self._recent_calls[0])
-            if wait > 0:
-                self.sleeper(wait)
-        self._recent_calls.append(self.clock())
+        # Held across the wait, so concurrent callers queue for the bucket
+        # instead of each seeing the same free slot.
+        with self._bucket_lock:
+            now = self.clock()
+            self._recent_calls = [t for t in self._recent_calls
+                                  if now - t < 60.0]
+            if len(self._recent_calls) >= self.requests_per_minute:
+                wait = 60.0 - (now - self._recent_calls[0])
+                if wait > 0:
+                    self.sleeper(wait)
+            self._recent_calls.append(self.clock())
 
     def complete(self, request: CompletionRequest) -> str:
         body = json.dumps({
@@ -231,7 +289,7 @@ class HttpChatBackend:
     @staticmethod
     def _extract_content(text: str, status: int) -> str:
         try:
-            doc = json.loads(text)
+            doc = decode_json(text)
             return doc["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(
@@ -247,6 +305,7 @@ class CassetteRecorder:
         self.inner = inner
         self.path = Path(path)
         self.entries: dict[str, str] = {}
+        self._lock = threading.Lock()
 
     @property
     def last_attempts(self) -> int:
@@ -256,13 +315,15 @@ class CassetteRecorder:
     def complete(self, request: CompletionRequest) -> str:
         response = self.inner.complete(request)
         key = request_hash(request)
-        if key not in self.entries:
-            self.entries[key] = response
-            preview = " ".join(request.rendered().split())[:80]
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(
-                    {"key": key, "response": response, "prompt_preview": preview},
-                    ensure_ascii=False) + "\n")
+        with self._lock:
+            if key not in self.entries:
+                self.entries[key] = response
+                preview = " ".join(request.rendered().split())[:80]
+                with open(self.path, "a", encoding="utf-8") as handle:
+                    handle.write(json.dumps(
+                        {"key": key, "response": response,
+                         "prompt_preview": preview},
+                        ensure_ascii=False) + "\n")
         return response
 
 
@@ -321,6 +382,15 @@ def save_rules_file(rules: Sequence[Rule], path: Path) -> None:
             if rule.name:
                 doc["name"] = rule.name
             handle.write(json.dumps(doc, ensure_ascii=False) + "\n")
+
+
+def decode_json(text: str) -> Any:
+    """`json.loads` for model output: a document nested too deeply for the
+    decoder raises `json.JSONDecodeError` like any other malformed one."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nests too deeply", text, 0)
 
 
 def strip_code_fences(text: str) -> str:

@@ -4,13 +4,18 @@ Each task kind has a solver that turns the generator's construction recipe
 into one `Solution` record: the skill rules (tool emissions per objective,
 sandbox scripts, documents), the summary texts, and, for every method, the
 response it must read in each round together with the value that first
-appears in that round's prompt.  Solvers build only the skill rules and
-know no method's marker or rule names.  One assembler, `_assemble`, turns
-a record into rules: it alone knows the method markers, the rule-naming
-scheme and the family order, and one helper, `_rounds`, writes every
-method's round rules.  Rules key on a prompt-type marker plus the round's
-first new value, most specific round first, so one rule set serves every
-method deterministically.
+appears in that round's prompt.  Solvers build only the skill rules, keyed
+by skill marker, and know no method's marker or rule names.  One
+assembler, `_assemble`, turns a record into ten per-marker rule families:
+it alone knows the method markers, the rule-naming scheme and the family
+order, and one helper, `_rounds`, writes every method's round family.  Rules
+key on a prompt-type marker plus the round's first new value, most specific
+round first, so one rule set serves every method deterministically.
+
+`build_oracle_rules` does only the solve; each family is a closure that
+renders its rules when first called, so a backend built from the families
+renders only the prompt types a run sends (a CodeAct run never renders a
+plan).  Every rule holds its family's marker in one of its substrings.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -21,9 +26,9 @@ separations.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .backends import Rule, ScriptedBackend
+from .backends import Rule, RuleFamily, ScriptedBackend
 from .generator import Task
 from .orchestrator import (
     CODEACT_MARKER,
@@ -44,12 +49,13 @@ Keys = list[Optional[str]]
 
 
 class Solution(NamedTuple):
-    """What one task answers to every prompt; only skill rules carry markers.
+    """What one task answers to every prompt; only skill rules carry markers,
+    and they come keyed by that marker.
 
     A `*_keys` list holds, per round, the value that first appears in that
     round's prompt (None for round 1); the list before it, each round's answer.
     """
-    skill_rules: list[Rule]
+    skill_rules: dict[str, list[Rule]]  # skill marker -> its rules
     summary: tuple[str, str, str]  # (success key, success text, fallback)
     steps: list[tuple[str, SkillAction]]  # round t executes steps[t-1]
     round_keys: Keys  # one per step
@@ -73,49 +79,71 @@ def _react_json(thought: str, action: str) -> str:
 
 # --- assembly ---------------------------------------------------------------------------
 
-def _rounds(marker: str, responses: list[str], round_keys: Keys,
-            prefix: str) -> list[Rule]:
-    """One rule per round, last round first: round t answers responses[t-1]
-    and keys on round_keys[t-1]; the opening round keys on the marker only."""
-    rules = [Rule.on_substrings(responses[t - 1], marker, round_keys[t - 1],
-                                name=f"{prefix}-round{t}")
-             for t in range(len(round_keys), 1, -1)]
-    rules.append(Rule.on_substrings(responses[0], marker,
-                                    name=f"{prefix}-round1"))
-    return rules
+def _rounds(marker: str, render: Callable[[], list[str]], round_keys: Keys,
+            prefix: str, disabled: bool = False) -> RuleFamily:
+    """A family of one rule per round, last round first, rendered on first
+    use: round t answers render()[t-1] and keys on round_keys[t-1]; the
+    opening round keys on the marker only.  With `disabled`, a first rule
+    answers a "currently disabled" prompt with the last response."""
+    def build() -> list[Rule]:
+        responses = render()
+        rules = [Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
+                                    name=f"{prefix}-disabled")
+                 ] if disabled else []
+        rules += [Rule.on_substrings(responses[t - 1], marker,
+                                     round_keys[t - 1], name=f"{prefix}-round{t}")
+                  for t in range(len(round_keys), 1, -1)]
+        rules.append(Rule.on_substrings(responses[0], marker,
+                                        name=f"{prefix}-round1"))
+        return rules
+    return marker, build
 
 
-def _assemble(s: Solution, prefix: str) -> list[Rule]:
-    """Every method's rules for one solved task, in matching order."""
+def _assemble(s: Solution, prefix: str) -> list[RuleFamily]:
+    """Every method's rule families for one solved task, in matching order.
+
+    Each family is a prompt-type marker and a closure that builds only the
+    rules keyed on it; every one of those rules holds the marker in one of
+    its substrings, which is what lets a backend match a prompt within the
+    family of the one marker it holds.
+    """
     success_key, success_text, fallback_text = s.summary
-    rules = list(s.skill_rules)
-    rules += [
-        Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
-                           name=f"{prefix}-summary-success"),
-        Rule.on_substrings(fallback_text, SUMMARY_MARKER,
-                           name=f"{prefix}-summary-fallback"),
-    ]
+
+    def skill(marker: str) -> RuleFamily:
+        return marker, lambda: s.skill_rules.get(marker, [])
+
+    def summary() -> list[Rule]:
+        return [Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
+                                   name=f"{prefix}-summary-success"),
+                Rule.on_substrings(fallback_text, SUMMARY_MARKER,
+                                   name=f"{prefix}-summary-fallback")]
+
+    def pe_subtasks() -> list[Rule]:
+        return [Rule.on_substrings(emission, f"{PE_SUBTASK_MARKER} {subtask}",
+                                   name=f"{prefix}-pe-sub{i}")
+                for i, (subtask, emission) in enumerate(s.pe_subtasks, start=1)]
+
     # The plan continuation at round t is the step suffix with t-1 steps
-    # executed; the plan-less ablation answers with just step t.  Either
-    # answers a "currently disabled" prompt with its last response.
-    plan = [render_plan_steps(s.steps[t:]) for t in range(len(s.steps))]
-    single = [render_plan_steps([step]) for step in s.steps]
-    for marker, family, responses in ((PLANNING_MARKER, "plan", plan),
-                                      (NO_PLAN_MARKER, "single", single)):
-        rules.append(Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
-                                        name=f"{prefix}-{family}-disabled"))
-        rules += _rounds(marker, responses, s.round_keys, f"{prefix}-{family}")
-    rules += _rounds(REACT_MARKER, [_react_json(*turn) for turn in s.react_turns],
-                     s.react_keys, f"{prefix}-react")
-    rules += _rounds(CODEACT_MARKER, s.codeact_scripts, s.codeact_keys,
-                     f"{prefix}-codeact")
-    rules += _rounds(PE_PLAN_MARKER, [render_step_array(s.pe_steps[t:])
-                                      for t in range(len(s.pe_keys))],
-                     s.pe_keys, f"{prefix}-pe")
-    rules += [Rule.on_substrings(emission, f"{PE_SUBTASK_MARKER} {subtask}",
-                                 name=f"{prefix}-pe-sub{i}")
-              for i, (subtask, emission) in enumerate(s.pe_subtasks, start=1)]
-    return rules
+    # executed; the plan-less ablation answers with just step t.
+    return [
+        skill(SEARCHING_MARKER), skill(WRITING_MARKER), skill(CODING_MARKER),
+        (SUMMARY_MARKER, summary),
+        _rounds(PLANNING_MARKER, lambda: [render_plan_steps(s.steps[t:])
+                                          for t in range(len(s.steps))],
+                s.round_keys, f"{prefix}-plan", disabled=True),
+        _rounds(NO_PLAN_MARKER,
+                lambda: [render_plan_steps([step]) for step in s.steps],
+                s.round_keys, f"{prefix}-single", disabled=True),
+        _rounds(REACT_MARKER,
+                lambda: [_react_json(*turn) for turn in s.react_turns],
+                s.react_keys, f"{prefix}-react"),
+        _rounds(CODEACT_MARKER, lambda: s.codeact_scripts, s.codeact_keys,
+                f"{prefix}-codeact"),
+        _rounds(PE_PLAN_MARKER, lambda: [render_step_array(s.pe_steps[t:])
+                                         for t in range(len(s.pe_keys))],
+                s.pe_keys, f"{prefix}-pe"),
+        (PE_SUBTASK_MARKER, pe_subtasks),
+    ]
 
 
 # --- k-hop lookup tasks -------------------------------------------------------------
@@ -160,11 +188,11 @@ def _khop_solution(task: Task) -> Solution:
     pe_steps.append(("All sub-tasks done.", "Finish"))
 
     return Solution(
-        skill_rules=[Rule.on_substrings(emission,
-                                        f"{SEARCHING_MARKER} {objective}",
-                                        name=f"khop-search{i}")
-                     for i, (objective, emission)
-                     in enumerate(zip(objectives, emissions), start=1)],
+        skill_rules={SEARCHING_MARKER: [
+            Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
+                               name=f"khop-search{i}")
+            for i, (objective, emission)
+            in enumerate(zip(objectives, emissions), start=1)]},
         summary=(answer, f"The {answer_field} of the final record is {answer}.",
                  "The requested value could not be determined."),
         steps=steps, round_keys=round_keys,
@@ -221,12 +249,15 @@ def _writing_solution(task: Task) -> Solution:
     round_keys: Keys = [None, plaintiff_id, r["registration_code"],
                         r["bar_number"], r["statute_ids"][0], doc_marker]
 
-    skill_rules = [Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
-                                      name=f"writing-search{i}")
-                   for i, (objective, emission)
-                   in enumerate(zip(objectives, emissions), start=1)]
-    skill_rules.append(Rule.on_substrings(
-        document, f"{WRITING_MARKER} {obj_write}", name="writing-compose"))
+    skill_rules = {
+        SEARCHING_MARKER: [
+            Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
+                               name=f"writing-search{i}")
+            for i, (objective, emission)
+            in enumerate(zip(objectives, emissions), start=1)],
+        WRITING_MARKER: [Rule.on_substrings(
+            document, f"{WRITING_MARKER} {obj_write}", name="writing-compose")],
+    }
 
     react_thoughts = ["Start with the plaintiff's record.",
                       "Now the defendant's record.",
@@ -281,8 +312,8 @@ def _aggregation_solution(task: Task) -> Solution:
     subtask = f"Fetch every {table} row whose {field_name} is {value}"
 
     return Solution(
-        skill_rules=[Rule.on_substrings(script, f"{CODING_MARKER} {obj_code}",
-                                        name="agg-script")],
+        skill_rules={CODING_MARKER: [Rule.on_substrings(
+            script, f"{CODING_MARKER} {obj_code}", name="agg-script")]},
         summary=(result_key, f"The total amount is {rendered_total}.",
                  "The total could not be computed within the available "
                  "budget."),
@@ -316,7 +347,9 @@ _SOLVERS = {
 }
 
 
-def build_oracle_rules(task: Task) -> list[Rule]:
+def build_oracle_rules(task: Task) -> list[RuleFamily]:
+    """Solve `task` and return its rules as lazy per-marker families, in
+    matching order; flattened, they are the task's full rule list."""
     kind = task.recipe.get("kind")
     if kind not in _SOLVERS:
         raise ValueError(f"task {task.id} carries no oracle recipe")
@@ -326,7 +359,8 @@ def build_oracle_rules(task: Task) -> list[Rule]:
 
 def oracle_backend(task: Task) -> ScriptedBackend:
     """A fresh rule-driven backend that solves this task under any method."""
-    return ScriptedBackend(build_oracle_rules(task), label=f"oracle:{task.id}")
+    return ScriptedBackend.from_families(build_oracle_rules(task),
+                                         label=f"oracle:{task.id}")
 
 
 def never_finishing_backend() -> ScriptedBackend:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional
 
-from .backends import strip_code_fences, user_request
+from .backends import decode_json, strip_code_fences, user_request
 from .environment import ToolEnvironment, observe_tool_call, render_rows
 from .errors import (
     AuthFailure,
@@ -450,13 +450,13 @@ class _LinePolicy(_TranscriptPolicy):
 def _parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
     body = strip_code_fences(raw)
     try:
-        doc = json.loads(body)
+        doc = decode_json(body)
     except json.JSONDecodeError:
         start, end = body.find("{"), body.rfind("}")
         if start < 0 or end <= start:
             return None
         try:
-            doc = json.loads(body[start:end + 1])
+            doc = decode_json(body[start:end + 1])
         except json.JSONDecodeError:
             return None
     if isinstance(doc, list) and doc:

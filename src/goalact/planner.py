@@ -16,7 +16,7 @@ from importlib import resources
 from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .backends import strip_code_fences
+from .backends import decode_json, strip_code_fences
 from .environment import ToolEnvironment
 from .errors import (
     EmptyPlan,
@@ -190,13 +190,13 @@ def parse_step_texts(raw: str) -> list[tuple[str, str]]:
     """
     text = strip_code_fences(raw)
     try:
-        doc = json.loads(text)
+        doc = decode_json(text)
     except json.JSONDecodeError:
         start, end = text.find("["), text.rfind("]")
         if start < 0 or end <= start:
             raise MalformedDocument("completion holds no parseable array")
         try:
-            doc = json.loads(text[start:end + 1])
+            doc = decode_json(text[start:end + 1])
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"array does not parse: {exc}") from exc
     if not isinstance(doc, list):

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .backends import strip_code_fences
+from .backends import decode_json, strip_code_fences
 from .environment import ToolCall, ToolEnvironment, observe_tool_call
 from .errors import (
     BackendUnavailable,
@@ -190,7 +190,7 @@ def parse_tool_emission(text: str) -> tuple[list[ToolCall], Optional[str]]:
     """
     body = strip_code_fences(text)
     try:
-        doc = json.loads(body)
+        doc = decode_json(body)
     except json.JSONDecodeError:
         doc = None
     if doc is not None:
@@ -210,7 +210,7 @@ def parse_tool_emission(text: str) -> tuple[list[ToolCall], Optional[str]]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = decode_json(line)
         except json.JSONDecodeError:
             obj = None
         call = _call_from_obj(obj) if obj is not None else None

@@ -18,6 +18,7 @@ import pytest
 
 from goalact.errors import (
     EmptyPlan,
+    GoalActError,
     MalformedDocument,
     MissingFinish,
     MissingKeys,
@@ -44,8 +45,9 @@ from goalact.plan import (
     TERMINATION_MAX_ITERATIONS,
     plan_from_dict,
 )
-from goalact.planner import parse_plan_response, splice_pending
+from goalact.planner import parse_plan_response, parse_step_texts, splice_pending
 from goalact.sandbox import SandboxLimits, Script, eval_script
+from goalact.skills import parse_tool_emission
 from goalact.suite import run_suite
 
 
@@ -118,6 +120,79 @@ def test_acceptance_plan_invariants_fuzz():
     _verdict("plan-invariants",
              f"10000 fuzzed outputs, {accepted} accepted / {rejected} "
              f"rejected correctly in {elapsed:.1f}s")
+
+
+_SOUP_TOKENS = ['[', ']', '{', '}', '(', ')', '"', "'", ':', ',', '\\', ' ',
+                '\n', '```', '```json\n', '"Thinking"', '"Action"', '"tool"',
+                '"args"', '"Thought"', 'Finish[]', 'Searching[', 'Coding[x]',
+                'get_record', 'filter_records', 'return', 'for', 'in', 'if',
+                'while', '==', '+', '/', '=', '.', '1', '9' * 40, '1e999',
+                '-0.5', 'true', 'null', 'NaN', '\u00e9', '\ud800', 'x', 'rows']
+_OPENERS = [("[", "]"), ('{"a":', "}"), ("(", ")"), ('[{"Thinking":', "}]"),
+            ('{"tool": "get_record", "args": {"value":', "}}")]
+_WELL_FORMED = [
+    json.dumps([{"Thinking": "t", "Action": "Searching[find the record]"},
+                {"Thinking": "d", "Action": "Finish[]"}]),
+    json.dumps({"tool": "get_record",
+                "args": {"table": "companies", "field": "name",
+                         "value": "AlphaCorp"}}),
+    json.dumps({"Thought": "look", "Action": "get_record[table=companies]"}),
+    'rows = filter_records("cases", "status", "open")\nreturn rows',
+]
+
+
+def _hostile_completion(rng: random.Random) -> str:
+    """A random token soup, a random bracket/brace nesting, or a truncated
+    well-formed completion."""
+    case = rng.randrange(3)
+    if case == 0:
+        return "".join(rng.choice(_SOUP_TOKENS)
+                       for _ in range(rng.randrange(200)))
+    if case == 1:
+        opener, closer = rng.choice(_OPENERS)
+        # One nesting in 25 is 100,000 deep: the sandbox tokenizes all of
+        # it before its depth cap rejects it, about 0.3 s a case.
+        depth = 100_000 if rng.randrange(25) == 0 else \
+            rng.choice([rng.randrange(1, 64), rng.randrange(64, 3000)])
+        closed = rng.choice([depth, rng.randrange(depth + 1), 0])
+        return opener * depth + "0" + closer * closed
+    text = rng.choice(_WELL_FORMED)
+    return text[:rng.randrange(len(text) + 1)]
+
+
+def test_acceptance_hostile_completion_fuzz():
+    """Whatever a model emits, the parsers raise only package errors and the
+    sandbox returns a result, each within a time bound."""
+    env = generate_khop_task(seed=1, k=2)[1]
+    # Each returns whether it rejected the text without raising.
+    parsers = {
+        "parse_step_texts": lambda text: not parse_step_texts(text),
+        "parse_plan_response": lambda text: not parse_plan_response(text),
+        "parse_tool_emission":
+            lambda text: parse_tool_emission(text)[1] is not None,
+        "eval_script": lambda text: eval_script(text, env).fault is not None,
+    }
+    rng = random.Random(20261018)
+    started = time.monotonic()
+    slowest = 0.0
+    rejected = 0
+    for _ in range(1_000):
+        text = _hostile_completion(rng)
+        for name, parse in parsers.items():
+            began = time.monotonic()
+            try:
+                rejected += parse(text)
+            except GoalActError:
+                rejected += 1
+            case_time = time.monotonic() - began
+            slowest = max(slowest, case_time)
+            assert case_time < 1.0, (name, text[:80], case_time)
+    elapsed = time.monotonic() - started
+    assert elapsed < 10.0, f"fuzzing took {elapsed:.1f}s (budget 10s)"
+    _verdict("hostile-completions",
+             f"1000 fuzzed completions x 4 parsers, {rejected} rejected as "
+             f"data, slowest case {slowest * 1000:.0f} ms, {elapsed:.1f}s in "
+             "all")
 
 
 # --- criterion 2: prefix preservation over 500 runs ----------------------------------

@@ -129,6 +129,63 @@ def test_rule_miss_text_names_the_call_number_and_closest_rule():
         "prompt starts: 'alpha gamma here'")
 
 
+def _families(built: list[str]):
+    """Three families whose build functions log their marker when run."""
+    def family(marker, *rules):
+        def build():
+            built.append(marker)
+            return list(rules)
+        return marker, build
+    return [
+        family("[A]", Rule.on_substrings("a-x", "[A]", "x", name="a-x"),
+               Rule.on_substrings("a-z", "[A]", "z", name="a-z")),
+        family("[B]", Rule.on_substrings("b-x", "[B] x", name="b-x")),
+        family("[C]", Rule.on_substrings("c", "[C]", "y", "w", name="c")),
+    ]
+
+
+def test_a_one_marker_prompt_builds_and_scans_only_its_family():
+    built: list[str] = []
+    backend = ScriptedBackend.from_families(_families(built))
+    assert backend.rules == [] and built == []
+    assert backend.complete(_req("[B] x")) == "b-x"
+    assert backend.complete(_req("[B] x again")) == "b-x"
+    assert backend.complete(_req("[A] x")) == "a-x"
+    assert built == ["[B]", "[A]"]  # each family built once, on first use
+    # `rules` holds the built families in family order, and reading it
+    # builds nothing.
+    assert [rule.name for rule in backend.rules] == ["a-x", "a-z", "b-x"]
+    assert built == ["[B]", "[A]"]
+    assert backend.calls_made == 3
+
+
+def test_other_prompts_build_every_family_and_scan_in_order():
+    built: list[str] = []
+    backend = ScriptedBackend.from_families(_families(built))
+    assert backend.complete(_req("[C] y and [A] x")) == "a-x"  # two markers
+    assert built == ["[A]", "[B]", "[C]"]
+    backend = ScriptedBackend.from_families(_families([]), label="lazy")
+    with pytest.raises(RuleMiss) as miss:
+        backend.complete(_req("no marker at all, just y w"))
+    assert str(miss.value) == (
+        "[lazy] no rule matched call #1 (closest: c); "
+        "prompt starts: 'no marker at all, just y w'")
+    assert len(backend.rules) == 4
+
+
+def test_a_miss_within_the_one_family_reports_the_closest_of_all_rules():
+    backend = ScriptedBackend.from_families(_families([]), label="lazy")
+    flat = ScriptedBackend([rule for _, build in _families([])
+                            for rule in build()], label="lazy")
+    for scripted_backend in (backend, flat):
+        with pytest.raises(RuleMiss) as miss:
+            scripted_backend.complete(_req("[A] y w"))
+        assert str(miss.value) == (
+            "[lazy] no rule matched call #1 (closest: c); "
+            "prompt starts: '[A] y w'")
+    assert backend.calls_made == 1
+
+
 def _count_request_hashes(monkeypatch) -> list:
     """Record every request `goalact.backends.request_hash` is called with."""
     import goalact.backends as backends_module
@@ -318,6 +375,54 @@ def test_http_attempt_counts_stay_with_their_thread():
             [wanted] * 300
 
 
+def _race(worker, threads: int = 8) -> None:
+    """Run `worker(i)` on 8 threads released together at a 1 us switch
+    interval; every thread must finish within a minute."""
+    start = threading.Barrier(threads)
+
+    def run(i: int) -> None:
+        start.wait()
+        worker(i)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in pool)
+
+
+def test_http_token_bucket_loses_no_call_under_threads():
+    """With the clock stopped, every call past the bucket's size must wait;
+    a timestamp lost between threads lets a call through unthrottled."""
+    sleeps: list[float] = []
+    client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
+                             model="m",
+                             transport=lambda *args: (200, _ok_body("ok")),
+                             requests_per_minute=1200, sleeper=sleeps.append,
+                             clock=lambda: 0.0)
+
+    def worker(i: int) -> None:
+        for _ in range(300):
+            client.complete(_req("x", model="m"))
+
+    _race(worker)
+    assert len(sleeps) == 8 * 300 - 1200
+
+
+def test_http_unparseable_completion_bodies_are_backend_faults():
+    for body in ("not json", "[" * 100000 + "]" * 100000,
+                 '{"a":' * 100000, json.dumps({"choices": []})):
+        client = _client(_SequenceTransport([(200, body)]))
+        with pytest.raises(BackendUnavailable, match="unparseable completion"):
+            client.complete(_req("x", model="m"))
+
+
 # --- cassettes ----------------------------------------------------------------------
 
 def test_record_then_replay_without_network(tmp_path):
@@ -354,6 +459,27 @@ def test_empty_cassette_misses_immediately(tmp_path):
     replay = CassetteReplayBackend(tmp_path / "missing.jsonl")
     with pytest.raises(CassetteMiss):
         replay.complete(_req("anything"))
+
+
+def test_recorder_writes_each_request_once_under_threads(tmp_path):
+    cassette = tmp_path / "shared.jsonl"
+
+    class Echo:
+        def complete(self, request):
+            return request.rendered().upper()
+
+    recorder = CassetteRecorder(Echo(), cassette)
+
+    def worker(i: int) -> None:
+        for n in range(400):
+            recorder.complete(_req(f"request {n}"))
+
+    _race(worker)
+    keys = [json.loads(line)["key"]
+            for line in cassette.read_text(encoding="utf-8").splitlines()]
+    assert len(keys) == len(set(keys)) == 400
+    replay = CassetteReplayBackend(cassette)
+    assert replay.complete(_req("request 7")) == "REQUEST 7"
 
 
 def test_recorded_run_replays_to_an_identical_trajectory(tmp_path):

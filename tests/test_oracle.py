@@ -1,8 +1,10 @@
 """Pins the scripted oracle's rules, byte for byte, and its miss text.
 
 Any change to how the oracle assembles rules - their order, responses,
-substrings or names - moves the digest; a rule build that is made lazy must
-keep both pins.
+substrings or names - moves the digest.  The rules come as lazily built
+per-marker families; flattened in order they must keep the pin, and a
+backend that matches within one family must answer and miss exactly as one
+that scans the flat list.
 """
 
 from __future__ import annotations
@@ -12,24 +14,32 @@ import json
 
 import pytest
 
-from goalact.backends import user_request
+from goalact.backends import ScriptedBackend, user_request
 from goalact.errors import RuleMiss
 from goalact.generator import CATEGORY_ORDER, generate_task
 from goalact.oracle import build_oracle_rules, oracle_backend
+from goalact.orchestrator import CODEACT_MARKER, SUMMARY_MARKER
+from goalact.skills import SEARCHING_MARKER
 
 RULES_DIGEST = "d0e2c23d8dc1cf6e58d553024824253bcf794f1d33e3256f6f25edf22bb4bdee"
+
+TASKS = [(category, seed) for category in CATEGORY_ORDER
+         for seed in range(1, 21)]
+
+
+def flat_rules(task):
+    return [rule for _, build in build_oracle_rules(task) for rule in build()]
 
 
 def test_oracle_rules_are_pinned():
     digest = hashlib.sha256()
     count = 0
-    for category in CATEGORY_ORDER:
-        for seed in range(1, 21):
-            for rule in build_oracle_rules(generate_task(category, seed)[0]):
-                digest.update(json.dumps(
-                    [rule.name, rule.response, list(rule.substrings),
-                     rule.prompt_hash, rule.ordinal]).encode("utf-8"))
-                count += 1
+    for category, seed in TASKS:
+        for rule in flat_rules(generate_task(category, seed)[0]):
+            digest.update(json.dumps(
+                [rule.name, rule.response, list(rule.substrings),
+                 rule.prompt_hash, rule.ordinal]).encode("utf-8"))
+            count += 1
     assert count == 3860
     assert digest.hexdigest() == RULES_DIGEST
 
@@ -47,3 +57,63 @@ def test_a_prompt_without_a_marker_misses_naming_the_first_rule(
     assert str(miss.value) == (
         f"[oracle:{task_id}] no rule matched call #1 (closest: {closest}); "
         "prompt starts: 'Say something helpful.'")
+
+
+def test_every_oracle_rule_holds_its_family_marker():
+    """The invariant that makes matching within one family exact."""
+    for category, seed in TASKS:
+        families = build_oracle_rules(generate_task(category, seed)[0])
+        assert len({marker for marker, _ in families}) == len(families) == 10
+        for marker, build in families:
+            for rule in build():
+                assert rule.ordinal is None and rule.prompt_hash is None
+                assert any(marker in key for key in rule.substrings), \
+                    (category, seed, rule.name)
+
+
+def _answer(backend, prompt):
+    try:
+        return backend.complete(user_request(prompt))
+    except RuleMiss as miss:
+        return f"RuleMiss: {miss}"
+
+
+@pytest.mark.parametrize("category", CATEGORY_ORDER)
+def test_family_matching_answers_as_the_full_ordered_scan(category):
+    """Each rule's own keys make a one-marker prompt; with another marker
+    added they make a two-marker prompt.  Either way the lazy backend gives
+    the answer of a backend scanning the flat rule list, shadowed rules
+    included."""
+    for seed in (1, 2, 3):
+        task = generate_task(category, seed)[0]
+        rules = flat_rules(task)
+        for rule in rules:
+            own = "\n".join(rule.substrings)
+            other = CODEACT_MARKER if SUMMARY_MARKER in own else SUMMARY_MARKER
+            for prompt in (own, f"{own}\n{other}", f"{other}\n{own}"):
+                flat = ScriptedBackend(rules, label=f"oracle:{task.id}")
+                assert _answer(oracle_backend(task), prompt) == \
+                    _answer(flat, prompt), (rule.name, prompt)
+
+
+@pytest.mark.parametrize("category, closest", [
+    ("2hop", "khop-plan-disabled"),
+    ("writing", "writing-plan-disabled"),
+    ("aggregation", "agg-plan-disabled"),
+])
+def test_a_miss_within_the_one_family_names_the_closest_of_all_rules(
+        category, closest):
+    task = generate_task(category, 3)[0]
+    prompt = f"{SEARCHING_MARKER} nothing to look up.\ncurrently disabled"
+    backend = oracle_backend(task)
+    with pytest.raises(RuleMiss) as miss:
+        backend.complete(user_request(prompt))
+    flat = ScriptedBackend(flat_rules(task), label=f"oracle:{task.id}")
+    with pytest.raises(RuleMiss) as flat_miss:
+        flat.complete(user_request(prompt))
+    assert str(miss.value) == str(flat_miss.value)
+    assert f"no rule matched call #1 (closest: {closest});" in str(miss.value)
+    assert backend.calls_made == 1
+    assert [rule.name for rule in backend.rules] == \
+        [rule.name for rule in flat.rules]
+

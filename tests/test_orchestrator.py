@@ -12,13 +12,20 @@ from goalact.generator import (
     generate_writing_task,
 )
 from goalact.evaluation import success_rate
-from goalact.oracle import never_finishing_backend, oracle_backend
+from goalact.oracle import (
+    build_oracle_rules,
+    never_finishing_backend,
+    oracle_backend,
+)
 from goalact.orchestrator import (
     METHOD_CODEACT,
     METHOD_GOALACT,
     METHOD_PLAN_AND_EXECUTE,
     METHOD_PLAN_AND_SOLVE,
     METHOD_REACT,
+    PE_PLAN_MARKER,
+    PE_SUBTASK_MARKER,
+    REACT_MARKER,
     SUMMARY_MARKER,
     RunConfig,
     normalize_method,
@@ -32,6 +39,8 @@ from goalact.plan import (
     encode_trajectory,
     plan_from_dict,
 )
+from goalact.planner import PLANNING_MARKER
+from goalact.skills import SEARCHING_MARKER
 
 from conftest import ask_of, scripted
 
@@ -178,7 +187,7 @@ def test_plan_and_solve_plans_exactly_once():
 
 def test_plan_and_solve_executes_later_steps_after_an_error():
     task, env = generate_khop_task(seed=42, k=2)
-    rules = [r for r in oracle_backend(task).rules]
+    rules = [rule for _, build in build_oracle_rules(task) for rule in build()]
     # Sabotage the first hop's emission so its tool call misses.
     sabotaged = []
     for rule in rules:
@@ -535,3 +544,41 @@ def test_decision_call_outage_ends_the_run_as_fatal(config_name, good_calls,
     assert traj.step_count == steps
     assert traj.final_answer.startswith("[degraded: backend went down]")
     assert traj.final_answer.endswith(" failed: backend went down")
+
+
+# --- hostile completions -----------------------------------------------------------------
+
+class _Answers:
+    """Answers every prompt holding `marker` with `text`; the rest go to
+    `inner`."""
+
+    def __init__(self, inner, marker: str, text: str):
+        self.inner, self.marker, self.text = inner, marker, text
+
+    def complete(self, request):
+        if self.marker in request.rendered():
+            return self.text
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("document", [
+    "[" * 100000 + "]" * 100000,
+    '{"a":' * 100000,
+], ids=["brackets", "objects"])
+@pytest.mark.parametrize("method, marker, reason", [
+    (METHOD_GOALACT, PLANNING_MARKER, TERMINATION_FATAL),
+    (METHOD_GOALACT, SEARCHING_MARKER, TERMINATION_MAX_ITERATIONS),
+    (METHOD_PLAN_AND_SOLVE, PLANNING_MARKER, TERMINATION_FATAL),
+    (METHOD_PLAN_AND_SOLVE, SEARCHING_MARKER, TERMINATION_FINISH),
+    (METHOD_PLAN_AND_EXECUTE, PE_PLAN_MARKER, TERMINATION_FATAL),
+    (METHOD_PLAN_AND_EXECUTE, PE_SUBTASK_MARKER, TERMINATION_MAX_ITERATIONS),
+    (METHOD_REACT, REACT_MARKER, TERMINATION_MAX_ITERATIONS),
+])
+def test_deeply_nested_json_completion_is_a_fault_not_a_crash(
+        method, marker, reason, document):
+    task, env = generate_khop_task(seed=7, k=2)
+    traj = _run(method, task, env,
+                backend=_Answers(oracle_backend(task), marker, document))
+    assert traj.termination_reason == reason
+    assert traj.final_answer == "The requested value could not be determined."
+    encode_trajectory(traj)

@@ -2,8 +2,9 @@
 
 A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
 hook sees every file the process opens and a wrapper counts the request
-hashes the scripted backend computes.  Table lookups are guarded by counting
-the row reads of a 2,000-row table.
+hashes the scripted backend computes.  The lazy oracle is guarded by
+counting the plan renderings and rule families a single run builds.  Table
+lookups are guarded by counting the row reads of a 2,000-row table.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import sys
 from pathlib import Path
 
 import goalact
+from goalact import oracle
 from goalact.environment import Table, ToolCall, ToolEnvironment
-from goalact.orchestrator import METHODS
+from goalact.generator import generate_khop_task, generate_writing_task
+from goalact.orchestrator import METHODS, RunConfig, run_task
 
 _SUITE_SCRIPT = r"""
 import json, os, sys
@@ -74,6 +77,42 @@ def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
     # Exactly once rather than at most once: GoalAct needs both files, so a
     # zero would mean the hook missed the reads.
     assert counts["opens"] == {"global_planning.txt": 1, "exemplars.jsonl": 1}
+
+
+def _count_renders(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the oracle's calls to each named rendering function."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(oracle, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(oracle, name, counting)
+    return counts
+
+
+def test_a_codeact_run_renders_no_plan(monkeypatch):
+    counts = _count_renders(monkeypatch, "render_plan_steps",
+                            "render_step_array")
+    task, env = generate_khop_task(seed=5, k=3)
+    backend = oracle.oracle_backend(task)
+    traj = run_task(task, env, RunConfig(method="CodeAct"), backend)
+    assert traj.termination_reason == "finish"
+    assert counts == {"render_plan_steps": 0, "render_step_array": 0}
+    assert {rule.name.split("-")[1] for rule in backend.rules} == \
+        {"codeact", "summary"}
+
+
+def test_a_goalact_run_builds_no_react_or_plan_and_execute_family(
+        monkeypatch):
+    counts = _count_renders(monkeypatch, "_react_json", "render_step_array")
+    task, env = generate_writing_task(seed=5)
+    backend = oracle.oracle_backend(task)
+    traj = run_task(task, env, RunConfig(method="GoalAct"), backend)
+    assert traj.termination_reason == "finish"
+    assert counts == {"_react_json": 0, "render_step_array": 0}
+    assert {rule.name.split("-")[1] for rule in backend.rules} == \
+        {"search1", "search2", "search3", "search4", "compose", "summary",
+         "plan"}
 
 
 def test_table_lookups_read_each_row_once_per_field():
