@@ -93,9 +93,10 @@ class ScriptedBackend:
     only when some rule carries a `prompt_hash`.
 
     A backend made by `from_families` builds each rule family on first use.
-    A prompt that holds exactly one family marker is matched only within
-    that family; any other prompt, or a miss there, builds every family and
-    scans all their rules in order as above.  Both give the same answer as
+    It walks the families in order and tries the rules of each family whose
+    marker the prompt holds; the first hit wins.  Only a miss builds every
+    family and scans all their rules in order as above, so its RuleMiss
+    names the closest of all rules.  This gives the flat scan's answer as
     long as every family rule is a substring rule with its family's marker
     inside one of its substrings, since no such rule can match a prompt that
     lacks the marker.  `rules` lists the rules built so far, in family
@@ -148,11 +149,11 @@ class ScriptedBackend:
         self.calls_made += 1
         if self._families:
             prompt = request.rendered()
-            found = [marker for marker in self._families if marker in prompt]
-            if len(found) == 1:
-                for keys, response in self._family_matchers(found[0]):
-                    if all(key in prompt for key in keys):
-                        return response
+            for marker in self._families:
+                if marker in prompt:
+                    for keys, response in self._family_matchers(marker):
+                        if all(key in prompt for key in keys):
+                            return response
             for marker in self._families:
                 self._family_matchers(marker)
         if self._index_stale:

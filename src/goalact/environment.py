@@ -6,10 +6,12 @@ Two generic read-only tools are exposed over every table:
     filter_records(table, field, value) -> every matching row, in table order
 
 Environments are immutable after load and safe to share across runs and
-threads.  The one thing a lookup writes is a table's cached text column for
-the field it queries (see `Table`): two threads that miss the cache at once
-both build the same list from the same rows, and storing it is a single
-atomic dict assignment, so neither can see a partial or different column.
+threads.  What they write are caches of derived text, each filled on first
+use: a table's text column for a queried field and the JSON text of each
+row a call returns (see `Table`), and an environment's tool-list and
+table-schema text.  Two threads that miss a cache at once both build equal
+values from the same immutable inputs, and storing one is a single atomic
+assignment, so neither can see a partial or different value.
 """
 
 from __future__ import annotations
@@ -45,12 +47,21 @@ class Table:
     build one column at once each build an equal list from the same rows,
     and storing it is one atomic dict assignment, so every reader sees the
     same column.  The rows must not change after the first lookup.
+
+    `row_text(row)` is `render_row(row)`, rendered the first time a call
+    returns that row and kept in `_row_texts` under the row's id, next to
+    the row itself: only that very object gets the kept text, so a copied
+    table's cache, whose ids name other objects, is never misread.  It is
+    cached like the columns, and concurrent first renders store equal
+    strings with one dict assignment.
     """
 
     name: str
     key_field: str
     rows: tuple[Row, ...]
     _columns: dict[str, Optional[list[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _row_texts: dict[int, tuple[Row, str]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -68,6 +79,14 @@ class Table:
             column = [str(v) for v in values]
         self._columns[field_name] = column
         return column
+
+    def row_text(self, row: Row) -> str:
+        kept = self._row_texts.get(id(row))
+        if kept is not None and kept[0] is row:
+            return kept[1]
+        text = render_row(row)
+        self._row_texts[id(row)] = row, text
+        return text
 
 
 @dataclass(frozen=True)
@@ -157,21 +176,28 @@ def render_rows(rows: Sequence[Row]) -> str:
     return "[" + ", ".join(render_row(r) for r in rows) + "]"
 
 
+def list_text(row_texts: Sequence[str]) -> str:
+    """`render_rows` of the rows whose texts these are."""
+    return "[" + ", ".join(row_texts) + "]"
+
+
 def observe_tool_call(env: Any, call: "ToolCall"
                       ) -> tuple[str, Optional[ToolError]]:
     """Invoke one tool call and render the result as observation text.
 
     A get_record result renders as its one row, a filter_records result as
-    the list of rows.  A failing call renders as `Tool call <name> failed:
-    <error>` and its error is returned alongside; no text is truncated.
+    the list of rows, from the table's cached row texts.  A failing call
+    renders as `Tool call <name> failed: <error>` and its error is returned
+    alongside; no text is truncated.
     """
     try:
         rows = env.invoke_tool(call)
     except ToolError as exc:
         return f"Tool call {call.tool_name} failed: {exc}", exc
+    texts = env.row_texts(call, rows)
     if env.tool(call.tool_name).semantics == "get_record":
-        return render_row(rows[0]), None
-    return render_rows(rows), None
+        return texts[0], None
+    return list_text(texts), None
 
 
 @dataclass(frozen=True)
@@ -200,6 +226,9 @@ class ToolEnvironment:
             raise UnknownTool(f"unknown tool '{name}'")
         return spec
 
+    def _table_for(self, spec: ToolSpec, call: ToolCall) -> Table:
+        return self.table(str(call.arguments.get("table", spec.table or "")))
+
     def invoke_tool(self, call: ToolCall) -> list[Row]:
         """Run one retrieval call; raises UnknownTool / UnknownField / NoMatch."""
         spec = self.tool(call.tool_name)
@@ -209,10 +238,9 @@ class ToolEnvironment:
             raise UnknownField(
                 f"{spec.name} takes ({', '.join(sorted(allowed))}); "
                 f"unexpected argument(s): {', '.join(sorted(unexpected))}")
-        table_name = str(call.arguments.get("table", spec.table or ""))
         field_name = str(call.arguments.get("field", ""))
         value = call.arguments.get("value", "")
-        table = self.table(table_name)
+        table = self._table_for(spec, call)
         if table.rows and field_name not in table.fields:
             raise UnknownField(
                 f"table '{table.name}' has no field '{field_name}' "
@@ -226,19 +254,33 @@ class ToolEnvironment:
             )
         return matches
 
+    def row_texts(self, call: ToolCall, rows: Sequence[Row]) -> list[str]:
+        """The JSON text of each row `invoke_tool(call)` returned, each row
+        rendered once per table (`Table.row_text`)."""
+        table = self._table_for(self.tool(call.tool_name), call)
+        return [table.row_text(row) for row in rows]
+
+    # The prompt texts below are rendered on first use and kept.
+
+    @cached_property
+    def _table_schemas(self) -> str:
+        return "\n".join(
+            f"- {table.name} (key: {table.key_field}; "
+            f"fields: {', '.join(table.fields)}; {len(table.rows)} rows)"
+            for table in self.tables)
+
+    @cached_property
+    def _tool_descriptions(self) -> str:
+        return "\n".join(f"- {t.signature()}: {t.description}"
+                         for t in self.tools)
+
     def render_table_schemas(self) -> str:
         """The {table_used_prompt} slot: one line per table."""
-        lines = []
-        for table in self.tables:
-            lines.append(
-                f"- {table.name} (key: {table.key_field}; "
-                f"fields: {', '.join(table.fields)}; {len(table.rows)} rows)"
-            )
-        return "\n".join(lines)
+        return self._table_schemas
 
     def render_tool_descriptions(self) -> str:
         """The {tool_prompt} slot: one line per tool."""
-        return "\n".join(f"- {t.signature()}: {t.description}" for t in self.tools)
+        return self._tool_descriptions
 
 
 # --- fixture files -------------------------------------------------------------

@@ -27,11 +27,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences, user_request
-from .environment import ToolEnvironment, observe_tool_call, render_rows
+from .environment import ToolEnvironment, list_text, observe_tool_call
 from .errors import (
     AuthFailure,
     BackendUnavailable,
@@ -65,10 +65,12 @@ from .plan import (
     truncate_observation,
 )
 from .planner import (
+    build_prompt_inputs,
     load_default_exemplars,
     load_exemplars_file,
     parse_action,
     parse_step_texts,
+    planning_frame,
     render_history,
     render_skill_menu,
     revise_plan,
@@ -187,7 +189,11 @@ class RecordingBackend:
 
 
 class RecordingEnvironment:
-    """Delegates tool calls and logs each one into the trajectory."""
+    """Delegates tool calls and logs each one into the trajectory.
+
+    A successful call's logged result is the list of its rows' texts,
+    which the observation of a filter_records call is too.
+    """
 
     def __init__(self, inner: ToolEnvironment, trajectory: Trajectory):
         self.inner = inner
@@ -206,7 +212,7 @@ class RecordingEnvironment:
             raise
         self.trajectory.record_tool(ToolCallRecord(
             tool=call.tool_name, arguments=dict(call.arguments),
-            result=render_rows(rows), ok=True))
+            result=list_text(self.inner.row_texts(call, rows)), ok=True))
         return rows
 
 
@@ -279,7 +285,8 @@ class _Policy:
     method has finished, and summary(), the (history text, best observation)
     pair to summarize from at any point.  A PlanningFailed or
     BackendUnavailable out of step() comes from the policy's own decision
-    call, the one made for `purpose`.
+    call, the one made for `purpose`.  A policy that sends world prompts
+    names their `intro`, `label` and `outro` lines.
     """
 
     task: Task
@@ -287,20 +294,27 @@ class _Policy:
     recorder: RecordingBackend
     env: RecordingEnvironment
 
-    def world_prompt(self, intro: tuple[str, ...], label: str,
-                     transcript: str, outro: tuple[str, ...]) -> str:
-        """`intro`, the tools, tables and question, `transcript`, `outro`."""
-        return "\n".join([
-            *intro,
+    @cached_property
+    def _world_frame(self) -> tuple[str, str]:
+        """The text of every world prompt before and after its transcript,
+        built once per run."""
+        head = "\n".join([
+            *self.intro,
             "Available tools:",
             self.env.render_tool_descriptions(),
             "Data tables:",
             self.env.render_table_schemas(),
             f"Question: {self.task.query}",
-            label,
-            transcript,
-            *outro,
+            self.label,
+            "",
         ])
+        return head, "".join("\n" + line for line in self.outro)
+
+    def world_prompt(self, transcript: str) -> str:
+        """The intro, the tools, tables and question, the label, `transcript`
+        and the outro, one per line."""
+        head, tail = self._world_frame
+        return head + transcript + tail
 
     def run_skill(self, action: SkillAction, history: History,
                   registry: SkillRegistry) -> SkillResult:
@@ -352,12 +366,22 @@ class _GoalActPolicy(_PlanPolicy):
         self.registry = _registry_for(self.config)
         self.exemplars = _exemplars_for(self.config)
 
+    @cached_property
+    def _planning_frame(self) -> tuple[str, ...]:
+        """The planning template filled but for its history, once per run."""
+        return planning_frame(
+            build_prompt_inputs(self.task.query, self.env, History(),
+                                exemplars=self.exemplars,
+                                exemplar_count=self.config.exemplar_count),
+            self.registry)
+
     def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
         return update_global_plan(
             self.task.query, self.env, self.plan, ask,
             registry=self.registry, exemplars=self.exemplars,
             exemplar_count=self.config.exemplar_count,
-            max_plan_steps=self.config.max_plan_steps)
+            max_plan_steps=self.config.max_plan_steps,
+            frame=self._planning_frame)
 
     def execute_step(self, step: PlanStep) -> SkillResult:
         return self.run_skill(step.action, history_of(self.plan), self.registry)
@@ -381,6 +405,7 @@ class _PlanAndExecutePolicy(_PlanPolicy):
 
     intro = ("You direct an agent that can run exactly one retrieval tool call "
              "per sub-task. Describe each remaining sub-task in plain language.",)
+    label = "Executed so far:"
     outro = (PE_PLAN_MARKER,
              'Respond with a JSON array of {"Thinking": "...", "Action": "..."} '
              'objects; the final Action must be "Finish".')
@@ -390,9 +415,7 @@ class _PlanAndExecutePolicy(_PlanPolicy):
     def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
         return revise_plan(
             self.plan, ask,
-            lambda history: self.world_prompt(
-                self.intro, "Executed so far:", render_history(history),
-                self.outro),
+            lambda history: self.world_prompt(render_history(history)),
             lambda raw: [(thought, _free_action(text))
                          for thought, text in parse_step_texts(raw)],
             self.repair, "sub-task plan",
@@ -427,8 +450,8 @@ class _TranscriptPolicy(_Policy):
     label = "Transcript:"
 
     def step(self) -> bool:
-        return self.take(self.recorder.ask(self.purpose, self.world_prompt(
-            self.intro, self.label, self.summary()[0], self.outro)))
+        return self.take(self.recorder.ask(
+            self.purpose, self.world_prompt(self.summary()[0])))
 
 
 @dataclass

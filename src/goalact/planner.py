@@ -1,9 +1,10 @@
 """Global-plan maintenance: prompt assembly, response parsing, plan splicing.
 
-Each planning round renders the question, tool and table descriptions,
-few-shot exemplars, and the executed history into the planning template,
-asks the model for the *continuation* of the plan, and splices the parsed
-pending steps onto the immutable executed prefix.
+Each planning round renders the executed history into the planning
+template, whose other slots (the question, tool and table descriptions,
+few-shot exemplars and skill menu) a run fills once, asks the model for the
+*continuation* of the plan, and splices the parsed pending steps onto the
+immutable executed prefix.
 """
 
 from __future__ import annotations
@@ -147,23 +148,39 @@ def render_skill_menu(registry: Optional[Any] = None) -> tuple[int, str]:
     return len(entries), "\n".join(lines)
 
 
-def build_planning_prompt(inputs: PlannerPromptInputs,
-                          registry: Optional[Any] = None) -> str:
-    """Fill every template slot in one pass, inserting values verbatim: a
-    slot marker inside a value is never filled."""
+def planning_frame(inputs: PlannerPromptInputs,
+                   registry: Optional[Any] = None) -> tuple[str, ...]:
+    """The template with every slot but {scratchpad} filled: the texts
+    between its {scratchpad} slots, for a round to join with its rendered
+    history.  Values are inserted verbatim, so a slot marker inside a value
+    is never filled; `inputs.scratchpad` is not read."""
     skill_count, skill_menu = render_skill_menu(registry)
     values = {
         "question": inputs.question,
         "table_used_prompt": inputs.table_prompt,
         "tool_prompt": inputs.tool_prompt,
         "memory": "\n\n".join(inputs.memory),
-        "scratchpad": inputs.scratchpad,
         "skill_count": count_word(skill_count),
         "skill_menu": skill_menu,
     }
     texts, slots = _template_parts()
-    return texts[0] + "".join(values[slot] + text
-                              for slot, text in zip(slots, texts[1:]))
+    pieces, piece = [], [texts[0]]
+    for slot, text in zip(slots, texts[1:]):
+        if slot == "scratchpad":
+            pieces.append("".join(piece))
+            piece = []
+        else:
+            piece.append(values[slot])
+        piece.append(text)
+    pieces.append("".join(piece))
+    return tuple(pieces)
+
+
+def build_planning_prompt(inputs: PlannerPromptInputs,
+                          registry: Optional[Any] = None) -> str:
+    """Fill every template slot, inserting values verbatim: a slot marker
+    inside a value is never filled."""
+    return inputs.scratchpad.join(planning_frame(inputs, registry))
 
 
 def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
@@ -306,24 +323,28 @@ def update_global_plan(question: str, env: ToolEnvironment,
                        registry: Optional[Any] = None,
                        exemplars: Optional[Sequence[str]] = None,
                        exemplar_count: int = DEFAULT_EXEMPLAR_COUNT,
-                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS) -> GlobalPlan:
+                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS,
+                       frame: Optional[Sequence[str]] = None) -> GlobalPlan:
     """One planning round: executed prefix preserved, pending suffix rewritten.
 
-    The model is asked once, plus a single repair retry with a corrective
-    instruction when its output cannot be parsed or validated.  Raises
-    PlanningFailed when both attempts are unusable; backend errors propagate.
+    `frame` is the run's `planning_frame` of these inputs, which a run that
+    plans more than once builds once; None builds it here.  The model is
+    asked once, plus a single repair retry with a corrective instruction
+    when its output cannot be parsed or validated.  Raises PlanningFailed
+    when both attempts are unusable; backend errors propagate.
     """
     if registry is None:
         from .skills import default_registry
 
         registry = default_registry()
     kinds = registry.kinds()
+    if frame is None:
+        frame = planning_frame(
+            build_prompt_inputs(question, env, History(), exemplars=exemplars,
+                                exemplar_count=exemplar_count), registry)
 
     def prompt_for(history: History) -> str:
-        inputs = build_prompt_inputs(question, env, history,
-                                     exemplars=exemplars,
-                                     exemplar_count=exemplar_count)
-        return build_planning_prompt(inputs, registry)
+        return render_history(history).join(frame)
 
     return revise_plan(plan_prev, ask, prompt_for,
                        lambda raw: parse_plan_response(raw, kinds),

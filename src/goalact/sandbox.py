@@ -123,8 +123,12 @@ class _Return(Exception):
         self.value = value
 
 
-def _tokenize(source: str) -> list[tuple[str, str]]:
-    tokens = []
+class _TooDeep(_Fault):
+    """The nesting cap's ParseError."""
+
+
+def _tokenize(source: str) -> Iterator[tuple[str, str]]:
+    """The script's tokens, lexed as they are asked for, then `eof` forever."""
     pos = 0
     while pos < len(source):
         match = _TOKEN_RE.match(source, pos)
@@ -137,27 +141,45 @@ def _tokenize(source: str) -> list[tuple[str, str]]:
             continue
         text = match.group()
         if kind == "name" and text in _KEYWORDS:
-            tokens.append(("kw", text))
+            yield "kw", text
         else:
-            tokens.append((kind, text))
-    tokens.append(("eof", ""))
-    return tokens
+            yield kind, text
+    while True:
+        yield "eof", ""
 
 
 # --- parser ----------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
+    """Parses a script while lexing it, one token ahead.
+
+    `parse()` reports a fault other than the nesting cap only after lexing
+    the rest of the script, so a bad character anywhere is reported first.
+    The cap is reported at once: no more of an over-deep script is read.
+    """
+
+    def __init__(self, source: str):
+        self.tokens = _tokenize(source)
+        self.token = next(self.tokens)
         self.depth = 0
 
+    def parse(self) -> list[Any]:
+        try:
+            return self.program()
+        except _TooDeep:
+            raise
+        except _Fault:
+            for kind, _ in self.tokens:
+                if kind == "eof":
+                    break
+            raise
+
     def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
+        return self.token
 
     def next(self) -> tuple[str, str]:
-        token = self.tokens[self.pos]
-        self.pos += 1
+        token = self.token
+        self.token = next(self.tokens)
         return token
 
     def expect(self, kind: str, text: Optional[str] = None) -> str:
@@ -171,8 +193,8 @@ class _Parser:
     def deeper(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            raise _Fault(FAULT_PARSE, "script nesting is deeper than "
-                                      f"{MAX_NESTING_DEPTH} levels")
+            raise _TooDeep(FAULT_PARSE, "script nesting is deeper than "
+                                        f"{MAX_NESTING_DEPTH} levels")
 
     def program(self) -> list[Any]:
         statements = []
@@ -621,7 +643,7 @@ def eval_script(script: Script | str, env: ToolEnvironment,
     source = script.source if isinstance(script, Script) else script
     interp = _Interpreter(env, limits)
     try:
-        statements = _Parser(_tokenize(source)).program()
+        statements = _Parser(source).parse()
     except _Fault as fault:
         return SandboxResult(value="", fault=SandboxFault(fault.kind,
                                                           fault.message))

@@ -3,6 +3,14 @@
 Everything written into a run directory is free of timestamps and absolute
 paths, so re-running with the same manifest against a scripted or cassette
 backend reproduces every artifact byte for byte.
+
+A run that raises a backend fault does not throw the suite's work away.  A
+RuleMiss or CassetteMiss ends only its own task; an AuthFailure, which every
+later call would repeat, stops the suite at its task.  The run directory
+then holds every finished and partial trajectory, a report over the tasks
+that finished under every method run, and a manifest that lists the
+failures, and the first failure is raised.  Which runs are kept depends only
+on task order, never on `jobs`.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -23,7 +32,7 @@ from .backends import (
     load_rules_file,
 )
 from .environment import ToolEnvironment
-from .errors import FatalError
+from .errors import AuthFailure, BackendError, CassetteMiss, FatalError, RuleMiss
 from .evaluation import (
     SuiteReport,
     TaskScore,
@@ -43,6 +52,21 @@ BackendFactory = Callable[[Task], Any]
 ENV_ENDPOINT = "GOALACT_API_BASE"
 ENV_API_KEY = "GOALACT_API_KEY"
 ENV_MODEL = "GOALACT_MODEL"
+
+# Faults of one task's run that leave the suite's other tasks to run.
+TASK_LOCAL_FAULTS = (RuleMiss, CassetteMiss)
+
+
+@dataclass(frozen=True)
+class TaskFailure:
+    """A run that raised; `error.trajectory` is its partial trajectory."""
+
+    method: str
+    task_id: str
+    error: BackendError
+
+    def stops_suite(self) -> bool:
+        return not isinstance(self.error, TASK_LOCAL_FAULTS)
 
 
 def resolve_backend_factory(spec: str) -> BackendFactory:
@@ -105,25 +129,44 @@ def run_method_over_tasks(method: str,
                           jobs_input: Sequence[tuple[Task, ToolEnvironment]],
                           config: RunConfig, backend_factory: BackendFactory,
                           jobs: int = 1
-                          ) -> tuple[list[Trajectory], list[TaskScore]]:
-    """Run one method over every task, ordered deterministically by task id."""
+                          ) -> tuple[list[Trajectory], list[TaskScore],
+                                     list[TaskFailure]]:
+    """Run one method over every task, ordered deterministically by task id.
+
+    Returns the trajectories in task order, a failed run's partial one
+    included, the scores of the finished runs, and the failures.  A failure
+    that stops the suite is the last task kept: at `jobs` > 1 no task not
+    yet started runs, and no later task's run is kept.
+    """
     ordered = sorted(jobs_input, key=lambda pair: pair[0].id)
     method_config = dataclasses.replace(
         config, method=method,
         ablations=config.ablations if method == METHOD_GOALACT else frozenset())
 
-    def one(pair: tuple[Task, ToolEnvironment]) -> Trajectory:
+    def one(pair: tuple[Task, ToolEnvironment]) -> Trajectory | BackendError:
         task, env = pair
-        return run_task(task, env, method_config, backend_factory(task))
+        try:
+            return run_task(task, env, method_config, backend_factory(task))
+        except (AuthFailure, *TASK_LOCAL_FAULTS) as exc:
+            return exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(one, ordered))
-    else:
-        trajectories = [one(pair) for pair in ordered]
-    scores = [score_trajectory(task, traj)
-              for (task, _), traj in zip(ordered, trajectories)]
-    return trajectories, scores
+    trajectories, scores, failures = [], [], []
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        outcomes = pool.map(one, ordered) if pool else map(one, ordered)
+        for (task, _), outcome in zip(ordered, outcomes):
+            if isinstance(outcome, Trajectory):
+                trajectories.append(outcome)
+                scores.append(score_trajectory(task, outcome))
+                continue
+            trajectories.append(outcome.trajectory)
+            failures.append(TaskFailure(method, task.id, outcome))
+            if failures[-1].stops_suite():
+                break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return trajectories, scores, failures
 
 
 def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
@@ -131,34 +174,53 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
               backend_factory: BackendFactory, out_dir: Optional[Path] = None,
               backend_spec: str = "scripted:oracle",
               jobs: int = 1) -> SuiteReport:
-    """Run every method over every task; optionally persist run artifacts."""
+    """Run every method over every task; optionally persist run artifacts.
+
+    Raises the first failure, after writing the run directory, when a run
+    raised a backend fault (see the module docstring).
+    """
     if not tasks_with_envs:
         raise FatalError("the suite has no tasks to run")
+    if not methods:
+        raise FatalError("the suite has no methods to run")
     categories = {task.id: task.category for task, _ in tasks_with_envs}
-    reports = []
-    all_trajectories: dict[str, list[Trajectory]] = {}
+    runs: dict[str, tuple[list[Trajectory], list[TaskScore]]] = {}
+    failures: list[TaskFailure] = []
     for method in methods:
-        trajectories, scores = run_method_over_tasks(
+        trajectories, scores, method_failures = run_method_over_tasks(
             method, tasks_with_envs, config, backend_factory, jobs=jobs)
-        all_trajectories[method] = trajectories
-        reports.append(aggregate(scores, categories, method=method))
-    report = merge_reports(reports)
+        runs[method] = trajectories, scores
+        failures += method_failures
+        if failures and failures[-1].stops_suite():
+            break
+    finished = set.intersection(*({score.task_id for score in scores}
+                                  for _, scores in runs.values()))
+    report = merge_reports([
+        aggregate([s for s in scores if s.task_id in finished], categories,
+                  method=method)
+        for method, (_, scores) in runs.items()]) if finished else None
 
     if out_dir is not None:
         logs = {f"trajectories/{method}.jsonl": trajectories
-                for method, trajectories in all_trajectories.items()}
+                for method, (trajectories, _) in runs.items()}
         write_run_dir(Path(out_dir), logs, report, config, methods,
-                      backend_spec, sorted(categories), jobs=jobs)
+                      backend_spec, sorted(categories), jobs=jobs,
+                      failures=failures)
+    if failures:
+        raise failures[0].error
     return report
 
 
 def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
-                  report: SuiteReport, config: RunConfig,
+                  report: Optional[SuiteReport], config: RunConfig,
                   methods: Sequence[str], backend_spec: str,
-                  task_ids: Sequence[str], jobs: Optional[int] = None) -> None:
+                  task_ids: Sequence[str], jobs: Optional[int] = None,
+                  failures: Sequence[TaskFailure] = ()) -> None:
     """Write a run directory: each trajectory log under its relative path,
     written fresh, then `manifest.json`, `report.txt` and `report.json`.
-    The manifest holds a `jobs` key only when `jobs` is given."""
+    The manifest holds a `jobs` key only when `jobs` is given, and a
+    `failures` list (task id, method, error kind) only when there are
+    failures.  With no report, no report file is left in the directory."""
     from .planner import PROMPT_VERSION
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,10 +237,17 @@ def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
     }
     if jobs is not None:
         manifest["jobs"] = jobs
+    if failures:
+        manifest["failures"] = [
+            {"task_id": f.task_id, "method": f.method,
+             "error": type(f.error).__name__} for f in failures]
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    (out_dir / "report.txt").write_text(render_report_text(report),
-                                        encoding="utf-8")
-    (out_dir / "report.json").write_text(render_report_json(report),
-                                         encoding="utf-8")
+    reports = {"report.txt": render_report_text,
+               "report.json": render_report_json}
+    for name, render in reports.items():
+        if report is None:
+            (out_dir / name).unlink(missing_ok=True)
+        else:
+            (out_dir / name).write_text(render(report), encoding="utf-8")

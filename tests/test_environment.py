@@ -12,7 +12,10 @@ from goalact.environment import (
     ToolCall,
     ToolEnvironment,
     load_environment,
+    observe_tool_call,
     render_number,
+    render_row,
+    render_rows,
 )
 from goalact.errors import NoMatch, ToolError, UnknownField, UnknownTool
 from goalact.generator import (
@@ -26,6 +29,8 @@ from goalact.generator import (
     task_from_dict,
     task_to_dict,
 )
+from goalact.orchestrator import RecordingEnvironment
+from goalact.plan import Trajectory
 
 
 def _get(table: str, field_name: str, value) -> ToolCall:
@@ -202,21 +207,34 @@ def test_threads_sharing_a_fresh_table_get_the_scan_rows():
     got: list[tuple] = []
     lock = threading.Lock()
 
-    start = threading.Barrier(8)
-
     def worker(offset: int) -> None:
-        start.wait(timeout=60)
         for i in range(len(queries) * 4):
             query = queries[(i + offset) % len(queries)]
             rows_found = env.invoke_tool(_filter("cases", *query))
             with lock:
                 got.append((query, rows_found))
 
+    _run_threads(worker)
+    assert len(got) == 8 * len(queries) * 4
+    for query, rows_found in got:
+        assert [id(r) for r in rows_found] == \
+            [id(r) for r in expected[query]], query
+
+
+def _run_threads(worker, count: int = 8) -> None:
+    """Run worker(i) for i < count in threads started together, switching
+    every microsecond, and check that every thread finished."""
+    start = threading.Barrier(count)
+
+    def run(offset: int) -> None:
+        start.wait(timeout=60)
+        worker(offset)
+
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(8)]
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(count)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -224,10 +242,78 @@ def test_threads_sharing_a_fresh_table_get_the_scan_rows():
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(got) == 8 * len(queries) * 4
-    for query, rows_found in got:
-        assert [id(r) for r in rows_found] == \
-            [id(r) for r in expected[query]], query
+
+
+# --- result text -----------------------------------------------------------------
+
+def _texts(env: ToolEnvironment, call: ToolCall) -> tuple:
+    """(observation, logged result) of one call, as a run records them."""
+    trajectory = Trajectory(task_id="t", method="m")
+    observation, error = observe_tool_call(
+        RecordingEnvironment(env, trajectory), call)
+    record = trajectory.tool_calls[-1]
+    return observation, record.result, error is None, record.ok
+
+
+def _reference_texts(env: ToolEnvironment, call: ToolCall) -> tuple:
+    """The same texts from the scan and `render_row`/`render_rows`."""
+    try:
+        rows = _scan_lookup(env, call)
+    except ToolError as exc:
+        return (f"Tool call {call.tool_name} failed: {exc}", str(exc),
+                False, False)
+    observation = render_row(rows[0]) \
+        if call.tool_name == "get_record" else render_rows(rows)
+    return observation, render_rows(rows), True, True
+
+
+def test_result_texts_match_rendering_every_row_afresh():
+    rng = random.Random(5)
+    ok_calls = 0
+    for _ in range(30):
+        env = ToolEnvironment(tables=tuple(
+            _mixed_table(rng, name, rng.randint(0, 40))
+            for name in ("t0", "t1", "t2")))
+        for _ in range(200):
+            value = rng.choice(_TEXT_QUERIES if rng.random() < 0.7
+                               else _OTHER_QUERIES)
+            call = ToolCall(
+                tool_name=rng.choice(("get_record", "filter_records")),
+                arguments={"table": rng.choice(("t0", "t1", "t2")),
+                           "field": rng.choice(("a", "b", "c", "id", "zz")),
+                           "value": value})
+            texts = _texts(env, call)
+            assert texts == _reference_texts(env, call), call
+            ok_calls += texts[2]
+    assert ok_calls > 2000  # of 6,000 calls
+
+
+def test_threads_rendering_a_fresh_table_get_the_reference_texts():
+    rng = random.Random(11)
+    rows = tuple({"id": f"r{i}", "status": rng.choice(("open", "closed")),
+                  "amount": rng.randint(0, 9), "note": f"n\u00e9{i % 13}"}
+                 for i in range(2000))
+    calls = [_filter("cases", "status", "open"), _get("cases", "amount", "7"),
+             _filter("cases", "amount", "3"), _get("cases", "id", "r1999"),
+             _filter("cases", "note", "n\u00e93")]
+    env = ToolEnvironment(tables=(Table("cases", "id", rows),))
+    # The scan and render_rows fill none of the table's caches.
+    expected = {i: _reference_texts(env, call)
+                for i, call in enumerate(calls)}
+    got: list[tuple] = []
+    lock = threading.Lock()
+
+    def worker(offset: int) -> None:
+        for i in range(len(calls) * 4):
+            index = (i + offset) % len(calls)
+            texts = _texts(env, calls[index])
+            with lock:
+                got.append((index, texts))
+
+    _run_threads(worker)
+    assert len(got) == 8 * len(calls) * 4
+    for index, texts in got:
+        assert texts == expected[index], calls[index]
 
 
 # --- generators ----------------------------------------------------------------------

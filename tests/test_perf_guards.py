@@ -1,10 +1,12 @@
 """Count-based guards on the scripted-oracle path; no timing involved.
 
 A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
-hook sees every file the process opens and a wrapper counts the request
-hashes the scripted backend computes.  The lazy oracle is guarded by
-counting the plan renderings and rule families a single run builds.  Table
-lookups are guarded by counting the row reads of a 2,000-row table.
+hook sees every file the process opens and wrappers count the request
+hashes the scripted backend computes, the rows rendered to JSON and the
+rows returned, the tool-list and table-schema renders, and the planning
+frames filled.  The lazy oracle is guarded by counting the plan renderings
+and rule families a single run builds.  Table lookups are guarded by
+counting the row reads of a 2,000-row table.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import goalact
 from goalact import oracle
@@ -38,45 +42,101 @@ def audit(event, args):
 
 sys.addaudithook(audit)
 
-from goalact import backends, generator, oracle, orchestrator, suite
+from goalact import (backends, environment, generator, oracle, orchestrator,
+                     planner, suite)
 
-hashes = 0
-original_hash = backends.request_hash
-
-
-def counting_hash(request):
-    global hashes
-    hashes += 1
-    return original_hash(request)
+counts = dict.fromkeys(("request_hashes", "row_dumps", "tool_lists",
+                        "table_schemas", "frames", "rounds"), 0)
 
 
-backends.request_hash = counting_hash
+def counting(name, original):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    return counted
+
+
+backends.request_hash = counting("request_hashes", backends.request_hash)
+for prop, name in (("_tool_descriptions", "tool_lists"),
+                   ("_table_schemas", "table_schemas")):
+    cached = environment.ToolEnvironment.__dict__[prop]
+    cached.func = counting(name, cached.func)
+planner.planning_frame = orchestrator.planning_frame = counting(
+    "frames", planner.planning_frame)
+orchestrator.update_global_plan = counting("rounds",
+                                           planner.update_global_plan)
+
 pairs = [generator.generate_khop_task(seed=5, k=2),
          generator.generate_aggregation_task(seed=5),
          generator.generate_writing_task(seed=5)]
+row_ids = {id(row) for _, env in pairs for table in env.tables
+           for row in table.rows}
+returned = set()
+original_invoke = environment.ToolEnvironment.invoke_tool
+
+
+def invoke_tool(self, call):
+    rows = original_invoke(self, call)
+    returned.update(id(row) for row in rows)
+    return rows
+
+
+environment.ToolEnvironment.invoke_tool = invoke_tool
+original_dumps = json.dumps
+
+
+def dumps(obj, *args, **kwargs):
+    counts["row_dumps"] += id(obj) in row_ids
+    return original_dumps(obj, *args, **kwargs)
+
+
+json.dumps = dumps
 report = suite.run_suite(pairs, orchestrator.METHODS, orchestrator.RunConfig(),
                          oracle.oracle_backend, out_dir=sys.argv[1])
-print(json.dumps({"opens": opens, "request_hashes": hashes,
-                  "rows": len(report.rows)}))
+json.dumps = original_dumps
+print(json.dumps({"opens": opens, "rows": len(report.rows),
+                  "environments": len(pairs), "rows_returned": len(returned),
+                  **counts}))
 """
 
 
-def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
-        tmp_path):
+@pytest.fixture(scope="module")
+def suite_counts(tmp_path_factory) -> dict:
+    """The counts of one 3-task x 5-method suite in a fresh interpreter."""
     src = str(Path(goalact.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _SUITE_SCRIPT,
-                           str(tmp_path / "run")],
+                           str(tmp_path_factory.mktemp("suite") / "run")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stdout.strip().splitlines()[-1])
     assert counts["rows"] == len(METHODS)
-    assert counts["request_hashes"] == 0
+    return counts
+
+
+def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
+        suite_counts):
+    assert suite_counts["request_hashes"] == 0
     # Exactly once rather than at most once: GoalAct needs both files, so a
     # zero would mean the hook missed the reads.
-    assert counts["opens"] == {"global_planning.txt": 1, "exemplars.jsonl": 1}
+    assert suite_counts["opens"] == {"global_planning.txt": 1,
+                                     "exemplars.jsonl": 1}
+
+
+def test_oracle_suite_renders_each_run_constant_once(suite_counts):
+    # Each row a call returned is rendered to JSON once, however many runs
+    # return it; zero would mean the wrapper missed the renders.
+    assert suite_counts["rows_returned"] > 0
+    assert suite_counts["row_dumps"] == suite_counts["rows_returned"]
+    # One tool list and one schema text per environment.
+    assert suite_counts["tool_lists"] == suite_counts["environments"]
+    assert suite_counts["table_schemas"] == suite_counts["environments"]
+    # One planning frame per GoalAct and Plan-and-Solve run, shared by all
+    # of GoalAct's planning rounds.
+    assert suite_counts["frames"] == 2 * suite_counts["environments"]
+    assert suite_counts["rounds"] > suite_counts["environments"]
 
 
 def _count_renders(monkeypatch, *names: str) -> dict[str, int]:

@@ -11,6 +11,7 @@ import pytest
 
 import goalact
 
+from goalact import sandbox
 from goalact.backends import Rule
 from goalact.environment import Table, ToolEnvironment, render_number
 from goalact.errors import BackendUnavailable
@@ -141,6 +142,36 @@ def test_moderate_nesting_still_runs(company_env):
     result = eval_script(Script(script), company_env)
     assert result.ok, result.fault
     assert result.value == "2"
+
+
+def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
+        company_env, monkeypatch):
+    matches = [0]
+    token_re = sandbox._TOKEN_RE
+
+    class CountingPattern:
+        def match(self, source, pos):
+            matches[0] += 1
+            return token_re.match(source, pos)
+
+    monkeypatch.setattr(sandbox, "_TOKEN_RE", CountingPattern())
+    script = "return " + "[" * 100000 + "0" + "]" * 100000
+    result = eval_script(Script(script), company_env)
+    assert result.fault is not None and "nesting" in result.fault.message
+    assert matches[0] <= 300
+
+
+@pytest.mark.parametrize("script", [
+    "return (1 + ) $",
+    "return 1 + \n x = = 2 @",
+    "if true { return 1 ~",
+    "return " + "9" * 5000 + " #",
+])
+def test_a_bad_character_after_a_parse_fault_is_reported_first(company_env,
+                                                               script):
+    result = eval_script(Script(script), company_env)
+    assert result.fault is not None
+    assert result.fault.message.startswith("unexpected character")
 
 
 def test_runtime_faults_cover_common_misuse(company_env):

@@ -1,0 +1,165 @@
+"""A suite keeps its work when a task's run raises a backend fault."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from goalact.backends import ScriptedBackend
+from goalact.cli import main
+from goalact.errors import AuthFailure, CassetteMiss, RuleMiss
+from goalact.generator import (
+    generate_aggregation_task,
+    generate_khop_task,
+    generate_writing_task,
+    save_fixture,
+)
+from goalact.oracle import oracle_backend
+from goalact.orchestrator import (
+    METHOD_GOALACT,
+    METHOD_REACT,
+    RunConfig,
+)
+from goalact.suite import run_suite
+
+METHODS = [METHOD_GOALACT, METHOD_REACT]
+
+
+def _pairs():
+    return [generate_khop_task(seed=5, k=2), generate_aggregation_task(seed=5),
+            generate_writing_task(seed=5)]
+
+
+class _Raising:
+    """A backend whose every call raises a fresh `error_class`."""
+
+    def __init__(self, error_class):
+        self.error_class = error_class
+
+    def complete(self, request):
+        raise self.error_class("scripted fault")
+
+
+def _factory_failing(task_id: str, error_class):
+    def factory(task):
+        if task.id != task_id:
+            return oracle_backend(task)
+        if error_class is RuleMiss:
+            return ScriptedBackend([])
+        return _Raising(error_class)
+    return factory
+
+
+def _run(tmp_path, name, factory, jobs):
+    out = tmp_path / name
+    with pytest.raises((RuleMiss, CassetteMiss, AuthFailure)) as raised:
+        run_suite(_pairs(), METHODS, RunConfig(), factory, out_dir=out,
+                  jobs=jobs)
+    return out, raised.value
+
+
+def _lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _run_dir_bytes(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _assert_same_but_jobs(serial_out, parallel_out):
+    """Both run directories hold the same bytes but for the manifest's jobs."""
+    serial, parallel = (_run_dir_bytes(out)
+                        for out in (serial_out, parallel_out))
+    serial_manifest = json.loads(serial.pop("manifest.json"))
+    parallel_manifest = json.loads(parallel.pop("manifest.json"))
+    assert serial == parallel
+    assert {**serial_manifest, "jobs": 2} == parallel_manifest
+
+
+@pytest.mark.parametrize("error_class", [RuleMiss, CassetteMiss])
+def test_a_task_local_miss_keeps_every_other_task(tmp_path, error_class):
+    ids = sorted(task.id for task, _ in _pairs())
+    failing = ids[1]
+    outs = []
+    for jobs in (1, 2):
+        out, error = _run(tmp_path, f"jobs{jobs}",
+                          _factory_failing(failing, error_class), jobs)
+        assert isinstance(error, error_class)
+        outs.append(out)
+        for method in METHODS:
+            runs = _lines(out / "trajectories" / f"{method}.jsonl")
+            assert [run["task_id"] for run in runs] == ids
+            by_id = {run["task_id"]: run for run in runs}
+            # The failing task's partial trajectory is kept.
+            assert by_id[failing]["termination_reason"] == "fatal_error"
+            assert by_id[failing]["final_answer"] is None
+            assert all(by_id[i]["termination_reason"] == "finish"
+                       for i in ids if i != failing)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            {"error": error_class.__name__, "method": method,
+             "task_id": failing} for method in METHODS]
+        # The report is that of a clean suite over the other tasks.
+        clean = tmp_path / f"clean{jobs}"
+        run_suite([pair for pair in _pairs() if pair[0].id != failing],
+                  METHODS, RunConfig(), oracle_backend, out_dir=clean)
+        assert (out / "report.json").read_bytes() == \
+            (clean / "report.json").read_bytes()
+    _assert_same_but_jobs(*outs)
+
+
+def test_an_auth_failure_stops_the_suite_at_its_task(tmp_path):
+    ids = sorted(task.id for task, _ in _pairs())
+    outs = []
+    for jobs in (1, 2):
+        out, error = _run(tmp_path, f"jobs{jobs}",
+                          _factory_failing(ids[1], AuthFailure), jobs)
+        assert isinstance(error, AuthFailure)
+        outs.append(out)
+        runs = _lines(out / "trajectories" / f"{METHOD_GOALACT}.jsonl")
+        # The task before it finished, its own run is partial, and no later
+        # task or method is kept.
+        assert [run["task_id"] for run in runs] == ids[:2]
+        assert [run["termination_reason"] for run in runs] == \
+            ["finish", "fatal_error"]
+        assert not (out / "trajectories" / f"{METHOD_REACT}.jsonl").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [
+            {"error": "AuthFailure", "method": METHOD_GOALACT,
+             "task_id": ids[1]}]
+        report = json.loads((out / "report.json").read_text())
+        assert report["task_count"] == 1
+        assert [row["method"] for row in report["rows"]] == [METHOD_GOALACT]
+    _assert_same_but_jobs(*outs)
+
+
+def test_a_clean_suite_writes_no_failure_list(tmp_path):
+    run_suite(_pairs(), METHODS, RunConfig(), oracle_backend,
+              out_dir=tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert "failures" not in manifest
+
+
+def test_a_suite_with_no_finished_task_exits_three_with_its_runs(
+        tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    for task, env in _pairs():
+        save_fixture(task, env, fixtures)
+    rules = tmp_path / "rules.jsonl"
+    rules.write_text(json.dumps({"response": "x",
+                                 "substrings": ["never-present-key"]}) + "\n")
+    out = tmp_path / "run"
+    code = main(["suite", "--fixtures", str(fixtures), "--methods",
+                 "goalact,react", "--backend", f"scripted:{rules}",
+                 "--out", str(out)])
+    assert code == 3
+    assert "backend fault" in capsys.readouterr().err
+    for method in METHODS:
+        assert len(_lines(out / "trajectories" / f"{method}.jsonl")) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["failures"]) == 6
+    # No task finished, so there is nothing to report.
+    assert not (out / "report.json").exists()
+    assert not (out / "report.txt").exists()
