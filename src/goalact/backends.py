@@ -1,14 +1,7 @@
-"""Pluggable completion providers.
-
-Three interchangeable backends sit behind one `complete(request) -> str` call:
-
-  * ScriptedBackend  - deterministic matcher->response rules; the normative
-                       substrate for tests and oracle runs.
-  * HttpChatBackend  - chat-completions-style HTTP client with exponential
-                       backoff on transient failures.
-  * Cassette record/replay wrappers keyed by a whitespace-normalized hash of
-    (model, rendered messages).
-"""
+"""Completion providers behind one `complete(request) -> str` call: the
+scripted rule walk of tests and oracle runs (it never hashes a request), an
+HTTP chat-completions client with backoff on transient failures, and cassette
+record/replay wrappers keyed by a whitespace-normalized request hash."""
 
 from __future__ import annotations
 
@@ -19,11 +12,12 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .errors import AuthFailure, BackendUnavailable, CassetteMiss, RuleMiss
+from .errors import (AuthFailure, BackendUnavailable, CassetteMiss, FatalError,
+                     RuleMiss)
 
 BENCHMARK_TEMPERATURE = 0.0
 
@@ -61,16 +55,10 @@ def request_hash(request: CompletionRequest) -> str:
 
 @dataclass
 class Rule:
-    """One matcher->response pair.
-
-    Exactly one matcher field should be set.  `substrings` holds one or more
-    strings that must all appear in the rendered prompt.
-    """
+    """A response and the substrings that must all occur in the prompt."""
 
     response: str
     substrings: tuple[str, ...] = ()
-    prompt_hash: Optional[str] = None
-    ordinal: Optional[int] = None
     name: str = ""
 
     @staticmethod
@@ -78,39 +66,31 @@ class Rule:
         return Rule(response=response, substrings=tuple(keys), name=name)
 
 
-# A rule family: a prompt-type marker and the function that builds the rules
-# keyed on it.
+# A rule family: a prompt-type marker and the build of the rules keyed on it.
 RuleFamily = tuple[str, Callable[[], Sequence[Rule]]]
+# A built family's (substrings, response) pairs, in rule order.
+Matchers = list[tuple[tuple[str, ...], str]]
 
 
 class ScriptedBackend:
     """Deterministic rule-driven stand-in for an LLM.
 
-    Matcher precedence: ordinal > prompt-hash > substring; within one class
-    the first listed match wins.  An unmatched prompt raises RuleMiss naming
-    the closest rule - never a silent default.  The rules are indexed once
-    they are all built, so `rules` must not be mutated; a request is hashed
-    only when some rule carries a `prompt_hash`.
-
-    A backend made by `from_families` builds each rule family on first use.
-    It walks the families in order and tries the rules of each family whose
-    marker the prompt holds; the first hit wins.  Only a miss builds every
-    family and scans all their rules in order as above, so its RuleMiss
-    names the closest of all rules.  This gives the flat scan's answer as
-    long as every family rule is a substring rule with its family's marker
-    inside one of its substrings, since no such rule can match a prompt that
-    lacks the marker.  `rules` lists the rules built so far, in family
-    order, and reading it builds nothing.
-    """
+    Rules come as (marker, build) families, each built on first use;
+    `ScriptedBackend(rules)` is the one family with marker "", built at once.
+    A prompt tries the rules of each family whose marker it holds, in family
+    order, then rule order; the first rule whose substrings all occur wins.
+    A build refuses (ValueError) a rule with no substring holding its marker,
+    so the walk answers as an in-order scan of all rules would.  A miss builds
+    every family and raises RuleMiss naming the closest rule.  `rules` lists
+    the rules built so far, in family order; reading it builds nothing."""
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
-        self.rules = list(rules)
         self.label = label
         self.calls_made = 0
-        self._families: dict[str, Callable[[], Sequence[Rule]]] = {}
+        self._families: dict[str, Callable] = {"": lambda: rules}
         self._built: dict[str, list[Rule]] = {}
-        self._matchers: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        self._index()
+        self._matchers: dict[str, Matchers] = {}
+        self._family_matchers("")
 
     @classmethod
     def from_families(cls, families: Sequence[RuleFamily],
@@ -118,63 +98,42 @@ class ScriptedBackend:
         """A backend over (marker, build) families, in matching order."""
         backend = cls((), label)
         backend._families = dict(families)
+        backend._built, backend._matchers = {}, {}
         return backend
 
-    def _family_matchers(self, marker: str
-                         ) -> list[tuple[tuple[str, ...], str]]:
+    def _family_matchers(self, marker: str) -> Matchers:
         matchers = self._matchers.get(marker)
         if matchers is None:
-            built = self._built[marker] = list(self._families[marker]())
+            built = list(self._families[marker]())
+            for i, rule in enumerate(built):
+                for key in rule.substrings:
+                    if marker in key:
+                        break
+                else:
+                    raise ValueError(f"[{self.label}] rule {rule.name or i!r} "
+                                     f"holds no {marker!r} in its substrings")
+            self._built[marker] = built
             self.rules = [rule for name in self._families
                           for rule in self._built.get(name, ())]
             matchers = self._matchers[marker] = [
-                (rule.substrings, rule.response)
-                for rule in built if rule.substrings]
-            self._index_stale = True
+                (rule.substrings, rule.response) for rule in built]
         return matchers
-
-    def _index(self) -> None:
-        self._by_ordinal: dict[int, str] = {}
-        self._by_hash: dict[str, str] = {}
-        for rule in self.rules:
-            if rule.ordinal is not None:
-                self._by_ordinal.setdefault(rule.ordinal, rule.response)
-            if rule.prompt_hash is not None:
-                self._by_hash.setdefault(rule.prompt_hash, rule.response)
-        self._by_substrings = [(rule.substrings, rule.response)
-                               for rule in self.rules if rule.substrings]
-        self._index_stale = False
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls_made += 1
-        if self._families:
-            prompt = request.rendered()
-            for marker in self._families:
-                if marker in prompt:
-                    for keys, response in self._family_matchers(marker):
-                        if all(key in prompt for key in keys):
-                            return response
-            for marker in self._families:
-                self._family_matchers(marker)
-        if self._index_stale:
-            self._index()
-        digest = request_hash(request) if self._by_hash else None
-        response = self._by_ordinal.get(self.calls_made)
-        if response is None and digest is not None:
-            response = self._by_hash.get(digest)
-        if response is not None:
-            return response
         prompt = request.rendered()
-        for keys, response in self._by_substrings:
-            if all(key in prompt for key in keys):
-                return response
+        for marker in self._families:
+            if marker in prompt:
+                for keys, response in self._family_matchers(marker):
+                    if all(key in prompt for key in keys):
+                        return response
+        for marker in self._families:
+            self._family_matchers(marker)
         raise RuleMiss(self._miss_message(prompt))
 
     def _miss_message(self, prompt: str) -> str:
         best_name, best_score = "<none>", -1.0
         for i, rule in enumerate(self.rules):
-            if not rule.substrings:
-                continue
             hits = sum(1 for key in rule.substrings if key in prompt)
             score = hits / len(rule.substrings)
             if score > best_score:
@@ -334,11 +293,12 @@ class CassetteReplayBackend:
     def __init__(self, path: Path):
         self.path = Path(path)
         self.entries: dict[str, str] = {}
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    doc = json.loads(line)
-                    self.entries[doc["key"]] = doc["response"]
+        for where, doc in _json_lines(self.path) if self.path.exists() else ():
+            try:
+                self.entries[doc["key"]] = doc["response"]
+            except (KeyError, TypeError) as exc:
+                raise FatalError(f"{where}: a cassette entry needs a key and "
+                                 f"a response ({exc!r})") from exc
 
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)
@@ -350,39 +310,41 @@ class CassetteReplayBackend:
         return self.entries[key]
 
 
+def _json_lines(path: Path) -> Iterator[tuple[str, Any]]:
+    """(file:line, document) per non-blank line; FatalError if not JSON."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                doc = decode_json(line)
+            except ValueError as exc:
+                raise FatalError(f"{path}:{number}: not JSON ({exc})") from exc
+            yield f"{path}:{number}", doc
+
+
 def load_rules_file(path: Path) -> list[Rule]:
-    """Scripted-backend fixture format: one rule document per line."""
+    """Scripted-backend fixture format: one rule per line, a JSON object
+    holding a `response`, a non-empty `substrings` list and an optional
+    `name`.  Any other line raises FatalError naming the file and line."""
     rules = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        substrings = doc.get("substrings")
-        if substrings is None and "substring" in doc:
-            substrings = [doc["substring"]]
-        rules.append(Rule(
-            response=doc["response"],
-            substrings=tuple(substrings or ()),
-            prompt_hash=doc.get("prompt_hash"),
-            ordinal=doc.get("ordinal"),
-            name=doc.get("name", ""),
-        ))
+    for where, doc in _json_lines(path):
+        keys = doc.get("substrings") if isinstance(doc, dict) else None
+        if not (isinstance(keys, list) and keys
+                and doc.keys() <= {"response", "substrings", "name"}
+                and all(isinstance(text, str) for text in
+                        [*keys, doc.get("response"), doc.get("name", "")])):
+            raise FatalError(
+                f"{where}: a rule is a JSON object of a string response, a "
+                f"non-empty list of string substrings and maybe a string "
+                f"name; ordinal, prompt_hash and substring are gone")
+        rules.append(Rule(doc["response"], tuple(keys), doc.get("name", "")))
     return rules
 
 
 def save_rules_file(rules: Sequence[Rule], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for rule in rules:
-            doc: dict[str, Any] = {"response": rule.response}
-            if rule.substrings:
-                doc["substrings"] = list(rule.substrings)
-            if rule.prompt_hash is not None:
-                doc["prompt_hash"] = rule.prompt_hash
-            if rule.ordinal is not None:
-                doc["ordinal"] = rule.ordinal
-            if rule.name:
-                doc["name"] = rule.name
-            handle.write(json.dumps(doc, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(asdict(rule), ensure_ascii=False) + "\n")
 
 
 def decode_json(text: str) -> Any:

@@ -80,26 +80,35 @@ def load_run_config(config_path: Optional[Path], method: str,
     """Assemble config with precedence: flags > environment > config file."""
     doc: dict[str, Any] = {}
     if config_path is not None:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise FatalError(f"{config_path}: not JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise FatalError(f"{config_path}: a run config is a JSON object")
     backend_spec = backend_flag or os.environ.get(ENV_BACKEND) \
         or doc.get("backend") or "scripted:oracle"
     model = os.environ.get(ENV_MODEL) or doc.get("model") or "scripted"
-    limits = SandboxLimits(**doc.get("sandbox_limits", {}))
-    config = RunConfig(
-        method=method,
-        max_iterations=doc.get("max_iterations", 10),
-        ablations=frozenset(doc.get("ablations", [])),
-        exemplar_count=doc.get("exemplar_count", 2),
-        exemplars_file=doc.get("exemplars_file"),
-        max_plan_steps=doc.get("max_plan_steps", 12),
-        sandbox_limits=limits,
-        observation_bytes=doc.get("observation_bytes", 4096),
-        writing_budget=doc.get("writing_budget", 12000),
-        model=model,
-        custom_skills=tuple(
-            (entry["name"], entry.get("description", ""))
-            for entry in doc.get("custom_skills", [])),
-    )
+    try:
+        limits = SandboxLimits(**doc.get("sandbox_limits", {}))
+        config = RunConfig(
+            method=method,
+            max_iterations=doc.get("max_iterations", 10),
+            ablations=frozenset(doc.get("ablations", [])),
+            exemplar_count=doc.get("exemplar_count", 2),
+            exemplars_file=doc.get("exemplars_file"),
+            max_plan_steps=doc.get("max_plan_steps", 12),
+            sandbox_limits=limits,
+            observation_bytes=doc.get("observation_bytes", 4096),
+            writing_budget=doc.get("writing_budget", 12000),
+            model=model,
+            custom_skills=tuple(
+                (entry["name"], entry.get("description", ""))
+                for entry in doc.get("custom_skills", [])),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FatalError(f"{config_path}: malformed run config "
+                         f"({exc!r})") from exc
     return config, backend_spec
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .errors import NoMatch, ToolError, UnknownField, UnknownTool
+from .errors import FatalError, NoMatch, ToolError, UnknownField, UnknownTool
 
 Scalar = Any  # str | int | float | bool
 Row = dict[str, Scalar]
@@ -301,7 +301,10 @@ def save_table(table: Table, path: Path) -> None:
 
 
 def load_table(path: Path) -> Table:
-    return table_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return table_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FatalError(f"{path}: not a table ({exc!r})") from exc
 
 
 def load_environment(table_paths: Iterable[Path]) -> ToolEnvironment:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .environment import Table, ToolEnvironment, render_number, save_table
+from .errors import FatalError
 
 DISTRACTOR_CHAINS = 3
 AGGREGATION_ROWS = 20
@@ -428,11 +429,16 @@ def save_fixture(task: Task, env: ToolEnvironment, out_dir: Path) -> Path:
 
 
 def load_fixture(task_path: Path) -> tuple[Task, ToolEnvironment]:
-    doc = json.loads(Path(task_path).read_text(encoding="utf-8"))
-    task = task_from_dict(doc)
+    """A task and its tables as `save_fixture` wrote them; a task or table
+    document that is malformed raises FatalError naming its file."""
+    try:
+        doc = json.loads(Path(task_path).read_text(encoding="utf-8"))
+        task = task_from_dict(doc)
+        table_files = [str(name) for name in doc.get("table_files", [])]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FatalError(f"{task_path}: not a task fixture ({exc!r})") from exc
     tables_dir = Path(task_path).parent.parent / "tables"
     from .environment import load_table
 
-    tables = tuple(load_table(tables_dir / name)
-                   for name in doc.get("table_files", []))
+    tables = tuple(load_table(tables_dir / name) for name in table_files)
     return task, ToolEnvironment(tables=tables)

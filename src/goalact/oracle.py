@@ -15,7 +15,9 @@ round first, so one rule set serves every method deterministically.
 `build_oracle_rules` does only the solve; each family is a closure that
 renders its rules when first called, so a backend built from the families
 renders only the prompt types a run sends (a CodeAct run never renders a
-plan).  Every rule holds its family's marker in one of its substrings.
+plan).  Every rule holds its family's marker in one of its substrings;
+`ScriptedBackend` checks this when it builds a family and refuses a rule
+that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got

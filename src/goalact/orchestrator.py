@@ -268,11 +268,10 @@ def _history_summary(history: History) -> tuple[str, str]:
 
 
 def _observe_call(call: Any, env: Any, config: RunConfig) -> str:
-    """A tool call's observation; a successful result is truncated."""
-    observation, error = observe_tool_call(env, call)
-    if error is not None:
-        return observation
-    return truncate_observation(observation, config.observation_bytes)
+    """A tool call's observation, truncated whether or not the call failed:
+    a tool error may echo an argument of any length."""
+    return truncate_observation(observe_tool_call(env, call)[0],
+                                config.observation_bytes)
 
 
 # --- policies ------------------------------------------------------------------------
@@ -376,12 +375,9 @@ class _GoalActPolicy(_PlanPolicy):
             self.registry)
 
     def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
-        return update_global_plan(
-            self.task.query, self.env, self.plan, ask,
-            registry=self.registry, exemplars=self.exemplars,
-            exemplar_count=self.config.exemplar_count,
-            max_plan_steps=self.config.max_plan_steps,
-            frame=self._planning_frame)
+        return update_global_plan(self.plan, ask, self.registry,
+                                  self._planning_frame,
+                                  max_plan_steps=self.config.max_plan_steps)
 
     def execute_step(self, step: PlanStep) -> SkillResult:
         return self.run_skill(step.action, history_of(self.plan), self.registry)

@@ -317,31 +317,20 @@ def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
     raise PlanningFailed(f"no valid {what} after repair retry: {failure}")
 
 
-def update_global_plan(question: str, env: ToolEnvironment,
-                       plan_prev: Optional[GlobalPlan],
-                       ask: Callable[[str], str],
-                       registry: Optional[Any] = None,
-                       exemplars: Optional[Sequence[str]] = None,
-                       exemplar_count: int = DEFAULT_EXEMPLAR_COUNT,
-                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS,
-                       frame: Optional[Sequence[str]] = None) -> GlobalPlan:
+def update_global_plan(plan_prev: Optional[GlobalPlan],
+                       ask: Callable[[str], str], registry: Any,
+                       frame: Sequence[str],
+                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS
+                       ) -> GlobalPlan:
     """One planning round: executed prefix preserved, pending suffix rewritten.
 
-    `frame` is the run's `planning_frame` of these inputs, which a run that
-    plans more than once builds once; None builds it here.  The model is
-    asked once, plus a single repair retry with a corrective instruction
-    when its output cannot be parsed or validated.  Raises PlanningFailed
+    `frame` is the run's `planning_frame`, built once per run; a round joins
+    it with its rendered history.  The model is asked once, plus a single
+    repair retry with a corrective instruction when its output cannot be
+    parsed or validated against `registry`'s kinds.  Raises PlanningFailed
     when both attempts are unusable; backend errors propagate.
     """
-    if registry is None:
-        from .skills import default_registry
-
-        registry = default_registry()
     kinds = registry.kinds()
-    if frame is None:
-        frame = planning_frame(
-            build_prompt_inputs(question, env, History(), exemplars=exemplars,
-                                exemplar_count=exemplar_count), registry)
 
     def prompt_for(history: History) -> str:
         return render_history(history).join(frame)

@@ -21,7 +21,13 @@ from goalact.backends import (
     strip_code_fences,
     user_request,
 )
-from goalact.errors import AuthFailure, BackendUnavailable, CassetteMiss, RuleMiss
+from goalact.errors import (
+    AuthFailure,
+    BackendUnavailable,
+    CassetteMiss,
+    FatalError,
+    RuleMiss,
+)
 
 
 def _req(text: str, model: str = "scripted") -> CompletionRequest:
@@ -48,20 +54,6 @@ def test_first_matching_rule_wins_in_listing_order():
     assert backend.complete(_req("just a needle")) == "generic"
 
 
-def test_matcher_precedence_ordinal_hash_substring():
-    request = _req("the quick brown fox")
-    backend = ScriptedBackend([
-        Rule(response="by-substring", substrings=("quick",)),
-        Rule(response="by-hash", prompt_hash=request_hash(request)),
-        Rule(response="by-ordinal", ordinal=1),
-    ])
-    assert backend.complete(request) == "by-ordinal"
-    # second call: no ordinal match, hash wins over substring
-    assert backend.complete(request) == "by-hash"
-    other = _req("quick but different")
-    assert backend.complete(other) == "by-substring"
-
-
 def test_rule_miss_is_a_hard_error_naming_the_closest_rule():
     backend = ScriptedBackend([
         Rule.on_substrings("a", "alpha", "beta", name="pair-rule"),
@@ -71,55 +63,16 @@ def test_rule_miss_is_a_hard_error_naming_the_closest_rule():
     assert "pair-rule" in str(exc_info.value)
 
 
-def test_first_listed_duplicate_ordinal_or_hash_wins():
-    request = _req("needle")
-    digest = request_hash(request)
-    backend = ScriptedBackend([
-        Rule(response="ordinal-first", ordinal=1),
-        Rule(response="ordinal-second", ordinal=1),
-        Rule(response="hash-first", prompt_hash=digest),
-        Rule(response="hash-second", prompt_hash=digest),
-    ])
-    assert backend.complete(request) == "ordinal-first"
-    assert backend.complete(request) == "hash-first"
-
-
-def test_a_rule_with_ordinal_and_substrings_matches_under_both_classes():
-    backend = ScriptedBackend([
-        Rule(response="both", substrings=("alpha",), ordinal=2),
-    ])
-    assert backend.complete(_req("alpha")) == "both"  # by substring
-    assert backend.complete(_req("beta")) == "both"  # by ordinal
-    with pytest.raises(RuleMiss):
-        backend.complete(_req("beta"))
-
-
 def test_a_rule_without_a_matcher_never_matches():
-    backend = ScriptedBackend([Rule(response="never", name="bare")])
-    for text in ("", "anything", "never"):
-        with pytest.raises(RuleMiss):
-            backend.complete(_req(text))
-    assert backend.calls_made == 3
-
-
-def test_ordinals_count_calls_over_the_backend_lifetime():
-    backend = ScriptedBackend([
-        Rule(response="third", ordinal=3),
-        Rule.on_substrings("default", "x"),
-    ])
-    with pytest.raises(RuleMiss):
-        backend.complete(_req("no match"))  # a miss still counts as a call
-    assert backend.complete(_req("x")) == "default"
-    assert backend.complete(_req("x")) == "third"
-    assert backend.complete(_req("x")) == "default"
-    assert backend.calls_made == 4
+    with pytest.raises(ValueError,
+                       match="rule 'bare' holds no '' in its substrings"):
+        ScriptedBackend([Rule(response="never", name="bare")])
 
 
 def test_rule_miss_text_names_the_call_number_and_closest_rule():
     backend = ScriptedBackend([
         Rule.on_substrings("a", "alpha", "beta", "gamma", name="one-of-three"),
         Rule.on_substrings("b", "alpha", "beta", name="two-of-two-needed"),
-        Rule(response="c", ordinal=9, name="ordinal-rule"),
     ], label="unit")
     backend.complete(_req("alpha beta"))
     with pytest.raises(RuleMiss) as exc_info:
@@ -188,6 +141,19 @@ def test_a_miss_within_the_one_family_reports_the_closest_of_all_rules():
     assert backend.calls_made == 1
 
 
+def test_a_family_rule_without_its_marker_is_refused_when_built():
+    built: list[str] = []
+    families = _families(built) + [
+        ("[D]", lambda: [Rule.on_substrings("d", "[D]"),
+                         Rule.on_substrings("stray", "y", name="stray")])]
+    backend = ScriptedBackend.from_families(families, label="unit")
+    assert backend.complete(_req("[A] x")) == "a-x"  # [D] is not built
+    with pytest.raises(ValueError) as refused:
+        backend.complete(_req("[D] y"))
+    assert str(refused.value) == (
+        "[unit] rule 'stray' holds no '[D]' in its substrings")
+
+
 def _count_request_hashes(monkeypatch) -> list:
     """Record every request `goalact.backends.request_hash` is called with."""
     import goalact.backends as backends_module
@@ -201,20 +167,6 @@ def _count_request_hashes(monkeypatch) -> list:
 
     monkeypatch.setattr(backends_module, "request_hash", counting)
     return calls
-
-
-def test_request_hash_runs_once_per_call_when_a_rule_has_a_prompt_hash(
-        monkeypatch):
-    original = request_hash
-    calls = _count_request_hashes(monkeypatch)
-    hashed = ScriptedBackend([
-        Rule(response="by-hash", prompt_hash=original(_req("hashed"))),
-        Rule.on_substrings("by-substring", "plain"),
-        Rule(response="by-ordinal", ordinal=1),
-    ])
-    assert [hashed.complete(_req(t)) for t in ("plain", "hashed", "plain")] \
-        == ["by-ordinal", "by-hash", "by-substring"]
-    assert len(calls) == 3
 
 
 def test_request_hash_is_skipped_when_no_rule_has_a_prompt_hash(monkeypatch):
@@ -583,12 +535,38 @@ def test_two_scripted_runs_yield_byte_identical_trajectories():
 def test_rules_file_round_trip(tmp_path):
     rules = [
         Rule.on_substrings("r1", "alpha", "beta", name="pair"),
-        Rule(response="r2", ordinal=3, name="third-call"),
-        Rule(response="r3", prompt_hash="ab" * 32),
+        Rule.on_substrings("r2", "gamma"),
     ]
     path = tmp_path / "rules.jsonl"
     save_rules_file(rules, path)
     assert load_rules_file(path) == rules
+
+
+@pytest.mark.parametrize("line", [
+    '{"response": "r", "ordinal": 1}',
+    '{"response": "r", "prompt_hash": "ab"}',
+    '{"response": "r", "substring": "alpha"}',
+    '{"response": "r", "substrings": ["alpha"], "ordinal": 1}',
+    '["r", ["alpha"]]',
+    '"r"',
+    'not json',
+    '[' * 100000,
+    '{"substrings": ["alpha"]}',
+    '{"response": "r"}',
+    '{"response": "r", "substrings": []}',
+    '{"response": "r", "substrings": "alpha"}',
+    '{"response": "r", "substrings": [1]}',
+    '{"response": 1, "substrings": ["alpha"]}',
+    '{"response": "r", "substrings": ["alpha"], "name": 1}',
+])
+def test_rules_file_loader_refuses_old_keys_and_malformed_lines(tmp_path,
+                                                               line):
+    path = tmp_path / "rules.jsonl"
+    path.write_text('{"response": "ok", "substrings": ["a"]}\n\n'
+                    + line + "\n", encoding="utf-8")
+    with pytest.raises(FatalError) as refused:
+        load_rules_file(path)
+    assert str(refused.value).startswith(f"{path}:3: ")
 
 
 def test_strip_code_fences_variants():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from goalact.cli import main
 
 
@@ -119,6 +121,43 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
                  "--methods", "goalact", "--out", str(tmp_path / "x")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("config", "[1]"),
+    ("config", '{"sandbox_limits": {"bogus": 1}}'),
+    ("config", '{"custom_skills": [{"description": "x"}]}'),
+    ("config", '{"max_iterations": "ten"}'),
+    ("cassette", '{"response": "x"}'),
+    ("rules", '{"substrings": ["x"]}'),
+    ("rules", '["x", ["y"]]'),
+    ("rules", '{"response": "x", "ordinal": 1}'),
+    ("task", None),
+    ("table", '{"name": "companies"}'),
+])
+def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
+                                                        kind, text):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    args = ["run", "--task", str(task_file)]
+    bad = {"config": tmp_path / "config.json",
+           "cassette": tmp_path / "cassette.jsonl",
+           "rules": tmp_path / "rules.jsonl",
+           "task": task_file,
+           "table": next((fixtures / "tables").glob("*.json"))}[kind]
+    if kind == "task":
+        doc = json.loads(task_file.read_text(encoding="utf-8"))
+        del doc["query"]
+        text = json.dumps(doc)
+    bad.write_text(text + "\n", encoding="utf-8")
+    args += {"config": ["--config", str(bad)],
+             "cassette": ["--backend", f"replay:{bad}"],
+             "rules": ["--backend", f"scripted:{bad}"]}.get(kind, [])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration fault: ")
+    line_delimited = kind in ("cassette", "rules")
+    assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
 
 
 def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -240,6 +241,56 @@ def test_react_caps_at_ten():
     traj = _run(METHOD_REACT, task, env, backend=backend)
     assert traj.step_count == 10
     assert traj.termination_reason == TERMINATION_MAX_ITERATIONS
+
+
+HOSTILE_VALUE = "Z" * 100_000
+
+
+def _observation_sizes(lines: list[str]) -> list[int]:
+    return [len(line.encode("utf-8")) for line in lines]
+
+
+def test_react_bounds_the_observation_of_a_failing_tool_call():
+    task, env = generate_khop_task(seed=45, k=1)
+    table = env.tables[0]
+    backend = ScriptedBackend([
+        Rule.on_substrings(json.dumps({
+            "Thought": "look it up",
+            "Action": f"get_record[table={table.name}, "
+                      f"field={table.key_field}, value={HOSTILE_VALUE}]"}),
+            REACT_MARKER),
+        Rule.on_substrings("never got there", SUMMARY_MARKER),
+    ])
+    traj = _run(METHOD_REACT, task, env, backend=backend, max_iterations=2)
+    assert "no " + table.name + " record" in traj.tool_calls[0].result
+    second_prompt = traj.llm_calls[1].messages[-1]["content"]
+    observations = [line for line in second_prompt.splitlines()
+                    if line.startswith("Observation: ")]
+    assert len(observations) == 1
+    assert max(_observation_sizes(observations)) <= \
+        len("Observation: ") + 4096
+
+
+def test_plan_and_execute_bounds_the_observation_of_a_failing_tool_call():
+    task, env = generate_khop_task(seed=46, k=1)
+    table = env.tables[0]
+    backend = ScriptedBackend([
+        Rule.on_substrings(json.dumps([
+            {"Thinking": "look it up", "Action": "Fetch the company"},
+            {"Thinking": "done", "Action": "Finish"}]), PE_PLAN_MARKER),
+        Rule.on_substrings(json.dumps({
+            "tool": "get_record",
+            "args": {"table": table.name, "field": table.key_field,
+                     "value": HOSTILE_VALUE}}), PE_SUBTASK_MARKER),
+        Rule.on_substrings("never got there", SUMMARY_MARKER),
+    ])
+    traj = _run(METHOD_PLAN_AND_EXECUTE, task, env, backend=backend,
+                max_iterations=2)
+    assert "no " + table.name + " record" in traj.tool_calls[0].result
+    observations = [step["observation"] for revision in traj.revisions
+                    for step in revision["steps"] if step["observation"]]
+    assert observations
+    assert max(_observation_sizes(observations)) <= 4096
 
 
 def test_plan_and_execute_replans_and_solves():

@@ -26,6 +26,7 @@ from goalact.planner import (
     count_word,
     load_default_exemplars,
     parse_plan_response,
+    planning_frame,
     render_history,
     render_plan_steps,
     render_skill_menu,
@@ -237,10 +238,17 @@ def _fixture_plan_text() -> str:
     ])
 
 
+def _update(env, plan_prev, ask):
+    """One planning round over the frame a run builds for question "q"."""
+    registry = default_registry()
+    frame = planning_frame(build_prompt_inputs("q", env, History()), registry)
+    return update_global_plan(plan_prev, ask, registry, frame)
+
+
 def test_update_builds_revision_one_from_fixture(company_env):
     backend = scripted(Rule.on_substrings(_fixture_plan_text(),
                                           PLANNING_MARKER))
-    plan = update_global_plan("q", company_env, None, ask_of(backend))
+    plan = _update(company_env, None, ask_of(backend))
     assert plan.revision == 1
     assert [s.action.kind for s in plan.steps] == [SEARCHING, SEARCHING, FINISH]
     assert all(not s.executed for s in plan.steps)
@@ -249,7 +257,7 @@ def test_update_builds_revision_one_from_fixture(company_env):
 def test_update_preserves_the_executed_prefix_verbatim(company_env):
     backend = scripted(Rule.on_substrings(_fixture_plan_text(),
                                           PLANNING_MARKER))
-    plan = update_global_plan("q", company_env, None, ask_of(backend))
+    plan = _update(company_env, None, ask_of(backend))
     executed = plan.steps[0].mark_executed("saw the record")
     plan = type(plan)(steps=(executed,) + plan.steps[1:], revision=plan.revision)
 
@@ -258,7 +266,7 @@ def test_update_preserves_the_executed_prefix_verbatim(company_env):
         ("answer", SkillAction(FINISH)),
     ])
     backend2 = scripted(Rule.on_substrings(continuation, PLANNING_MARKER))
-    updated = update_global_plan("q", company_env, plan, ask_of(backend2))
+    updated = _update(company_env, plan, ask_of(backend2))
     assert updated.revision == 2
     assert updated.steps[0] == executed
     assert len(updated.steps) == 3
@@ -271,7 +279,7 @@ def test_update_fails_after_two_finishless_attempts(company_env):
     ])
     backend = scripted(Rule.on_substrings(no_finish, PLANNING_MARKER))
     with pytest.raises(PlanningFailed):
-        update_global_plan("q", company_env, None, ask_of(backend))
+        _update(company_env, None, ask_of(backend))
     assert backend.calls_made == 2
 
 
@@ -281,7 +289,7 @@ def test_update_repairs_once_then_succeeds(company_env):
                            "Output a valid structured array only"),
         Rule.on_substrings("not json at all", PLANNING_MARKER),
     )
-    plan = update_global_plan("q", company_env, None, ask_of(backend))
+    plan = _update(company_env, None, ask_of(backend))
     assert plan.revision == 1
     assert backend.calls_made == 2
 
@@ -306,7 +314,7 @@ def test_update_never_returns_an_invalid_plan_under_fuzzing(company_env):
         ])
         backend = scripted(Rule.on_substrings(text, PLANNING_MARKER))
         try:
-            plan = update_global_plan("q", company_env, None, ask_of(backend))
+            plan = _update(company_env, None, ask_of(backend))
         except PlanningFailed:
             errored += 1
             continue
