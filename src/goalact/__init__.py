@@ -51,7 +51,6 @@ from .plan import (
     validate_plan,
 )
 from .planner import (
-    PlannerPromptInputs,
     build_planning_prompt,
     parse_plan_response,
     update_global_plan,

@@ -12,7 +12,7 @@ import json
 import math
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyKeywordSet,
@@ -185,14 +185,28 @@ def report_to_dict(report: SuiteReport) -> dict:
     }
 
 
+def _checked(value: Any, kind: Any, name: str) -> Any:
+    """`value` if it is a `kind` (a bool is no number), else a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} has the wrong type: {value!r}")
+    return value
+
+
 def report_from_dict(doc: Mapping) -> SuiteReport:
-    """The report `report_to_dict` wrote; its rows hold no task ids."""
-    rows = tuple(MethodRow(method=row["method"],
-                           per_category=dict(row["per_category"]),
-                           overall=row["overall"], task_ids=frozenset())
-                 for row in doc["rows"])
-    return SuiteReport(rows=rows, categories=tuple(doc["categories"]),
-                       task_count=doc["task_count"])
+    """The report `report_to_dict` wrote; its rows hold no task ids.  A
+    value not of its type raises a TypeError."""
+    number = (int, float)
+    rows = tuple(MethodRow(
+        method=_checked(row["method"], str, "method"),
+        per_category={c: _checked(s, number, f"the score of {c}") for c, s in
+                      _checked(row["per_category"], dict, "per_category").items()},
+        overall=_checked(row["overall"], number, "overall"),
+        task_ids=frozenset()) for row in _checked(doc["rows"], list, "rows"))
+    categories = _checked(doc["categories"], list, "categories")
+    return SuiteReport(
+        rows=rows, categories=tuple(_checked(c, str, "a category")
+                                    for c in categories),
+        task_count=_checked(doc["task_count"], int, "task_count"))
 
 
 def render_report_json(report: SuiteReport) -> str:

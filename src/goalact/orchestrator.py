@@ -12,6 +12,8 @@ iteration asks the method's policy for one step:
   CodeAct        - no plan; one sandbox script per iteration.
 
 GoalAct's no_global_plan ablation asks for one next step at a time instead.
+A `RunConfig` builds its skill registry and exemplars when it is made, so a
+bad setting fails before any run, and every run of that config shares them.
 Every model call of a run goes through `RecordingBackend.ask(purpose,
 prompt)`, which logs the exchange; a step or skill sees it as `ask(prompt)`.
 Trouble inside a step (tool errors, malformed emissions, backend outages in a
@@ -37,6 +39,7 @@ from .errors import (
     BackendUnavailable,
     CassetteMiss,
     FatalError,
+    GoalActError,
     PlanningFailed,
     PlanParseError,
     RuleMiss,
@@ -47,7 +50,6 @@ from .errors import (
 from .generator import Task
 from .plan import (
     CODING,
-    DEFAULT_OBSERVATION_BYTES,
     FINISH,
     SEARCHING,
     TERMINATION_FATAL,
@@ -66,9 +68,7 @@ from .plan import (
     truncate_observation,
 )
 from .planner import (
-    build_prompt_inputs,
-    load_default_exemplars,
-    load_exemplars_file,
+    load_exemplars,
     parse_action,
     parse_step_texts,
     planning_frame,
@@ -87,11 +87,13 @@ from .sandbox import (
 )
 from .skills import (
     SkillContext,
+    SkillDescriptor,
     SkillRegistry,
     SkillResult,
     default_registry,
     dispatch,
     parse_tool_emission,
+    register_skill,
 )
 
 METHOD_GOALACT = "GoalAct"
@@ -140,13 +142,42 @@ class RunConfig:
         if self.method not in METHODS:
             raise FatalError(f"unknown method {self.method!r}; "
                              f"expected one of {', '.join(METHODS)}")
-        if self.max_iterations < 1:
-            raise FatalError("max_iterations must be at least 1")
+        for name in ("max_iterations", "max_plan_steps", "observation_bytes",
+                     "writing_budget"):
+            if getattr(self, name) < 1:
+                raise FatalError(f"{name} must be at least 1")
         unknown = set(self.ablations) - set(ABLATIONS)
         if unknown:
             raise FatalError(f"unknown ablation flags: {sorted(unknown)}")
         if self.ablations and self.method != METHOD_GOALACT:
             raise FatalError("ablation switches only apply to GoalAct")
+        try:  # build both now, so that a bad setting fails here
+            self.registry, self.exemplars
+        except (GoalActError, OSError) as exc:
+            raise FatalError(str(exc)) from exc
+
+    # Built in __post_init__; not fields, so `config_hash` does not see them.
+    @cached_property
+    def registry(self) -> SkillRegistry:
+        """The default skills plus the custom ones, less the ablated."""
+        registry = default_registry()
+        for name, description in self.custom_skills:
+            registry = register_skill(registry, name, SkillDescriptor(
+                name=name, description=description))
+        for ablation, kind in ((ABLATION_NO_SEARCHING, SEARCHING),
+                               (ABLATION_NO_CODING, CODING),
+                               (ABLATION_NO_WRITING, WRITING)):
+            if ablation in self.ablations:
+                registry = registry.disable(kind)
+        if len(registry.enabled_entries()) < 2:
+            raise FatalError(
+                "a run needs at least one enabled skill besides Finish")
+        return registry
+
+    @cached_property
+    def exemplars(self) -> tuple[str, ...]:
+        """The few-shot transcripts of the planning prompt."""
+        return load_exemplars(self.exemplars_file or None, self.exemplar_count)
 
 
 def normalize_method(name: str) -> str:
@@ -201,7 +232,7 @@ class RecordingEnvironment:
     """
 
     def __init__(self, inner: ToolEnvironment, trajectory: Trajectory,
-                 observation_bytes: int = DEFAULT_OBSERVATION_BYTES):
+                 observation_bytes: int):
         self.inner = inner
         self.trajectory = trajectory
         self.observation_bytes = observation_bytes
@@ -241,32 +272,6 @@ def summarize(question: str, history_text: str, ask: Callable[[str], str],
     except BackendUnavailable as exc:
         fallback = best_observation or "(no observations gathered)"
         return f"[degraded: {exc}] {fallback}", True
-
-
-def _registry_for(config: RunConfig) -> SkillRegistry:
-    from .skills import SkillDescriptor, register_skill
-
-    registry = default_registry()
-    for name, description in config.custom_skills:
-        registry = register_skill(registry, name,
-                                  SkillDescriptor(name=name,
-                                                  description=description))
-    if ABLATION_NO_SEARCHING in config.ablations:
-        registry = registry.disable(SEARCHING)
-    if ABLATION_NO_CODING in config.ablations:
-        registry = registry.disable(CODING)
-    if ABLATION_NO_WRITING in config.ablations:
-        registry = registry.disable(WRITING)
-    if len(registry.enabled_entries()) < 2:
-        raise FatalError("a run needs at least one enabled skill besides Finish")
-    return registry
-
-
-def _exemplars_for(config: RunConfig) -> list[str]:
-    if config.exemplars_file:
-        return load_exemplars_file(config.exemplars_file,
-                                   config.exemplar_count)
-    return load_default_exemplars(config.exemplar_count)
 
 
 def _history_summary(history: History) -> tuple[str, str]:
@@ -323,8 +328,7 @@ class _Policy:
         head, tail = self._world_frame
         return head + transcript + tail
 
-    def run_skill(self, action: SkillAction, history: History,
-                  registry: SkillRegistry) -> SkillResult:
+    def run_skill(self, action: SkillAction, history: History) -> SkillResult:
         """Dispatch one skill action; dispatch-level faults become observations."""
         context = SkillContext(
             question=self.task.query, history=history, env=self.env,
@@ -333,7 +337,7 @@ class _Policy:
             observation_bytes=self.config.observation_bytes,
             writing_budget=self.config.writing_budget)
         try:
-            return dispatch(action, context, registry)
+            return dispatch(action, context, self.config.registry)
         except (SkillDisabled, SkillUnknown) as exc:
             return f"Action not executed: {exc}", None
 
@@ -365,30 +369,22 @@ class _PlanPolicy(_Policy):
         return _history_summary(history_of(self.plan))
 
 
-@dataclass
 class _GoalActPolicy(_PlanPolicy):
     """Re-plan the global plan, then dispatch one step through the skills."""
-
-    def __post_init__(self) -> None:
-        self.registry = _registry_for(self.config)
-        self.exemplars = _exemplars_for(self.config)
 
     @cached_property
     def _planning_frame(self) -> tuple[str, ...]:
         """The planning template filled but for its history, once per run."""
-        return planning_frame(
-            build_prompt_inputs(self.task.query, self.env, History(),
-                                exemplars=self.exemplars,
-                                exemplar_count=self.config.exemplar_count),
-            self.registry)
+        return planning_frame(self.task.query, self.env, self.config.exemplars,
+                              self.config.registry)
 
     def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
-        return update_global_plan(self.plan, ask, self.registry,
+        return update_global_plan(self.plan, ask, self.config.registry,
                                   self._planning_frame,
                                   max_plan_steps=self.config.max_plan_steps)
 
     def execute_step(self, step: PlanStep) -> SkillResult:
-        return self.run_skill(step.action, history_of(self.plan), self.registry)
+        return self.run_skill(step.action, history_of(self.plan))
 
 
 class _PlanAndSolvePolicy(_GoalActPolicy):
@@ -565,9 +561,9 @@ class _NextStepPolicy(_TranscriptPolicy):
     triples: list[tuple[str, SkillAction, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.registry = _registry_for(self.config)
         self.intro = ("You act step by step with the skills below; no plan is "
-                      "kept.", "Skills:\n" + render_skill_menu(self.registry)[1])
+                      "kept.",
+                      "Skills:\n" + render_skill_menu(self.config.registry)[1])
 
     def history(self) -> History:
         return History(triples=tuple(self.triples))
@@ -578,7 +574,7 @@ class _NextStepPolicy(_TranscriptPolicy):
     def take(self, emission: str) -> bool:
         try:
             thought, text = parse_step_texts(emission)[0]
-            action = parse_action(text, self.registry.kinds())
+            action = parse_action(text, self.config.registry.kinds())
         except PlanParseError:
             self.triples.append(("(unparseable step)",
                                  SkillAction(kind=SEARCHING, objective="none"),
@@ -586,8 +582,7 @@ class _NextStepPolicy(_TranscriptPolicy):
             return False
         if action.kind == FINISH:
             return True
-        observation, payload = self.run_skill(action, self.history(),
-                                              self.registry)
+        observation, payload = self.run_skill(action, self.history())
         if payload:
             action = SkillAction(kind=action.kind, objective=action.objective,
                                  payload=payload)

@@ -34,12 +34,10 @@ BUILTIN_KINDS = (SEARCHING, CODING, WRITING, FINISH)
 PENDING = "pending"
 EXECUTED = "executed"
 
-DEFAULT_OBSERVATION_BYTES = 4096
-DEFAULT_MAX_PLAN_STEPS = 12
 TRUNCATION_MARKER = "[truncated]"
 
 
-def truncate_observation(text: str, byte_budget: int = DEFAULT_OBSERVATION_BYTES) -> str:
+def truncate_observation(text: str, byte_budget: int) -> str:
     """Clamp an observation to a UTF-8 byte budget, marking the cut."""
     raw = text.encode("utf-8")
     if len(raw) <= byte_budget:

@@ -1,10 +1,11 @@
 """Global-plan maintenance: prompt assembly, response parsing, plan splicing.
 
 Each planning round renders the executed history into the planning
-template, whose other slots (the question, tool and table descriptions,
-few-shot exemplars and skill menu) a run fills once, asks the model for the
-*continuation* of the plan, and splices the parsed pending steps onto the
-immutable executed prefix.
+template, asks the model for the *continuation* of the plan, and splices the
+parsed pending steps onto the immutable executed prefix.  The template's
+other slots are filled once per run by `planning_frame`: the question, tool
+and table descriptions from the run's task, and the few-shot exemplars
+(`load_exemplars`) and skill menu that its run config builds once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .plan import (
     BUILTIN_KINDS,
-    DEFAULT_MAX_PLAN_STEPS,
     FINISH,
     GlobalPlan,
     History,
@@ -43,7 +42,6 @@ from .plan import (
 from .records import read_lines
 
 PROMPT_VERSION = 1
-DEFAULT_EXEMPLAR_COUNT = 2
 
 # Section header the template places above the rendered history; scripted
 # fixtures key on it to recognize planning prompts.
@@ -99,32 +97,16 @@ def _packaged_exemplars() -> tuple[str, ...]:
         "exemplars.jsonl"), _transcript))
 
 
-def load_default_exemplars(count: int = DEFAULT_EXEMPLAR_COUNT) -> list[str]:
-    """The packaged few-shot transcripts (parsed once per process), as a
-    new list on every call."""
-    transcripts = _packaged_exemplars()
-    if count > len(transcripts):
-        raise TemplateSlotMissing(
-            f"{count} exemplars requested but only {len(transcripts)} shipped")
-    return list(transcripts[:count])
-
-
-def load_exemplars_file(path: Any, count: int) -> list[str]:
-    """Exemplars from a line-delimited log file with a `transcript` field."""
-    transcripts = read_lines(path, _transcript)
-    if count > len(transcripts):
-        raise TemplateSlotMissing(
-            f"{count} exemplars requested but file holds {len(transcripts)}")
-    return transcripts[:count]
-
-
-@dataclass(frozen=True)
-class PlannerPromptInputs:
-    question: str
-    tool_prompt: str
-    table_prompt: str
-    memory: tuple[str, ...]
-    scratchpad: str
+def load_exemplars(path: Optional[Any], count: int) -> tuple[str, ...]:
+    """The first `count` transcripts of the line-delimited exemplar log at
+    `path`, each line an object with a `transcript` field, or of the packaged
+    exemplars (parsed once per process) when `path` is None."""
+    transcripts = _packaged_exemplars() if path is None \
+        else read_lines(path, _transcript)
+    if not 0 <= count <= len(transcripts):
+        raise TemplateSlotMissing(f"{count} exemplars requested but "
+                                  f"{path or 'the package'} holds {len(transcripts)}")
+    return tuple(transcripts[:count])
 
 
 def render_history(history: History) -> str:
@@ -137,30 +119,26 @@ def render_history(history: History) -> str:
     return "\n".join(lines)
 
 
-def render_skill_menu(registry: Optional[Any] = None) -> tuple[int, str]:
+def render_skill_menu(registry: Any) -> tuple[int, str]:
     """Numbered action-type list from the enabled registry entries."""
-    if registry is None:
-        from .skills import default_registry
-
-        registry = default_registry()
     entries = registry.enabled_entries()
     lines = [f"{i}. {name}: {description}"
              for i, (name, description) in enumerate(entries, start=1)]
     return len(entries), "\n".join(lines)
 
 
-def planning_frame(inputs: PlannerPromptInputs,
-                   registry: Optional[Any] = None) -> tuple[str, ...]:
+def planning_frame(question: str, env: ToolEnvironment,
+                   exemplars: Sequence[str], registry: Any) -> tuple[str, ...]:
     """The template with every slot but {scratchpad} filled: the texts
     between its {scratchpad} slots, for a round to join with its rendered
     history.  Values are inserted verbatim, so a slot marker inside a value
-    is never filled; `inputs.scratchpad` is not read."""
+    is never filled."""
     skill_count, skill_menu = render_skill_menu(registry)
     values = {
-        "question": inputs.question,
-        "table_used_prompt": inputs.table_prompt,
-        "tool_prompt": inputs.tool_prompt,
-        "memory": "\n\n".join(inputs.memory),
+        "question": question,
+        "table_used_prompt": env.render_table_schemas(),
+        "tool_prompt": env.render_tool_descriptions(),
+        "memory": "\n\n".join(exemplars),
         "skill_count": count_word(skill_count),
         "skill_menu": skill_menu,
     }
@@ -177,11 +155,13 @@ def planning_frame(inputs: PlannerPromptInputs,
     return tuple(pieces)
 
 
-def build_planning_prompt(inputs: PlannerPromptInputs,
-                          registry: Optional[Any] = None) -> str:
-    """Fill every template slot, inserting values verbatim: a slot marker
-    inside a value is never filled."""
-    return inputs.scratchpad.join(planning_frame(inputs, registry))
+def build_planning_prompt(question: str, env: ToolEnvironment,
+                          history: History, exemplars: Sequence[str],
+                          registry: Any) -> str:
+    """The whole planning prompt of one round: `planning_frame` joined with
+    the rendered `history`."""
+    return render_history(history).join(
+        planning_frame(question, env, exemplars, registry))
 
 
 def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
@@ -272,29 +252,10 @@ def render_plan_steps(steps: Sequence[tuple[str, SkillAction]]) -> str:
                              for thought, action in steps)
 
 
-def build_prompt_inputs(question: str, env: ToolEnvironment, history: History,
-                        exemplars: Optional[Sequence[str]] = None,
-                        exemplar_count: int = DEFAULT_EXEMPLAR_COUNT
-                        ) -> PlannerPromptInputs:
-    memory = tuple(exemplars) if exemplars is not None \
-        else tuple(load_default_exemplars(exemplar_count))
-    if len(memory) != exemplar_count:
-        raise TemplateSlotMissing(
-            f"memory holds {len(memory)} exemplars, configured for {exemplar_count}")
-    return PlannerPromptInputs(
-        question=question,
-        tool_prompt=env.render_tool_descriptions(),
-        table_prompt=env.render_table_schemas(),
-        memory=memory,
-        scratchpad=render_history(history),
-    )
-
-
 def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
                 prompt_for: Callable[[History], str],
                 parse: Callable[[str], Sequence[tuple[str, SkillAction]]],
-                repair: str, what: str,
-                max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS) -> GlobalPlan:
+                repair: str, what: str, max_plan_steps: int) -> GlobalPlan:
     """One planning round over the executed prefix of `plan_prev`.
 
     Renders the prompt from the executed history, asks the model once, plus
@@ -320,8 +281,7 @@ def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
 
 def update_global_plan(plan_prev: Optional[GlobalPlan],
                        ask: Callable[[str], str], registry: Any,
-                       frame: Sequence[str],
-                       max_plan_steps: int = DEFAULT_MAX_PLAN_STEPS
+                       frame: Sequence[str], max_plan_steps: int
                        ) -> GlobalPlan:
     """One planning round: executed prefix preserved, pending suffix rewritten.
 

@@ -697,6 +697,5 @@ def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
     except BackendUnavailable as exc:
         return f"Coding failed before any script ran: {exc}", None
     source = strip_code_fences(emission)
-    limits = context.sandbox_limits or SandboxLimits()
-    result = eval_script(Script(source), context.env, limits)
+    result = eval_script(Script(source), context.env, context.sandbox_limits)
     return render_sandbox_outcome(result), {"script": source}

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .plan import (
     CODING,
-    DEFAULT_OBSERVATION_BYTES,
     FINISH,
     SEARCHING,
     WRITING,
@@ -37,7 +36,6 @@ from .plan import (
 
 SEARCHING_MARKER = "Retrieval objective:"
 WRITING_MARKER = "Writing objective:"
-DEFAULT_WRITING_BUDGET = 12000
 
 _REACT_CALL_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$", re.DOTALL)
@@ -51,9 +49,9 @@ class SkillContext:
     history: History
     env: ToolEnvironment
     ask: Callable[[str], str]
-    sandbox_limits: Any = None
-    observation_bytes: int = DEFAULT_OBSERVATION_BYTES
-    writing_budget: int = DEFAULT_WRITING_BUDGET
+    sandbox_limits: Any  # a sandbox.SandboxLimits
+    observation_bytes: int
+    writing_budget: int
 
 
 SkillResult = tuple[str, Optional[dict]]
@@ -149,14 +147,13 @@ def default_registry() -> SkillRegistry:
 
 
 def dispatch(action: SkillAction, context: SkillContext,
-             registry: Optional[SkillRegistry] = None) -> SkillResult:
+             registry: SkillRegistry) -> SkillResult:
     """Route one action to its executor; returns (observation, payload),
     the observation never empty and truncated to budget.
 
     Raises only for dispatch-level faults (unknown or disabled kinds);
     everything inside a skill comes back as an observation.
     """
-    registry = registry or default_registry()
     entry = registry.get(action.kind)
     if entry is None:
         raise SkillUnknown(f"no skill registered for kind {action.kind!r}")

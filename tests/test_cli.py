@@ -135,6 +135,13 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("config", '{"writing_budget": null}'),
     ("config", '{"max_iterations": true}'),
     ("config", '{"bogus": 1}'),
+    ("config", '{"exemplar_count": -1}'),
+    ("config", '{"exemplar_count": 3}'),
+    ("config", '{"custom_skills": [{"name": "Searching"}]}'),
+    ("config", '{"ablations": ["no_searching", "no_coding", "no_writing"]}'),
+    ("config", '{"max_plan_steps": 0}'),
+    ("config", '{"observation_bytes": -5}'),
+    ("config", '{"writing_budget": -1}'),
     ("cassette", '{"response": "x"}'),
     ("rules", '{"substrings": ["x"]}'),
     ("rules", '["x", ["y"]]'),
@@ -146,6 +153,8 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("trajectory", json.dumps(trajectory_to_dict(Trajectory(
         "t", "GoalAct", revisions=[{"revision": 1}])))),
     ("report", '{"rows": [{}]}'),
+    ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
+        {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": "x"}]})),
     ("exemplars", '{"nope": 1}'),
 ])
 def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,

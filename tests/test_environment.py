@@ -250,7 +250,7 @@ def _texts(env: ToolEnvironment, call: ToolCall) -> tuple:
     """(observation, logged result) of one call, as a run records them."""
     trajectory = Trajectory(task_id="t", method="m")
     observation, error = observe_tool_call(
-        RecordingEnvironment(env, trajectory), call)
+        RecordingEnvironment(env, trajectory, 4096), call)
     record = trajectory.tool_calls[-1]
     return observation, record.result, error is None, record.ok
 

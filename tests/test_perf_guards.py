@@ -4,7 +4,8 @@ A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
 hook sees every file the process opens and wrappers count the request
 hashes the scripted backend computes, the rows rendered to JSON and the
 rows returned, the tool-list and table-schema renders, and the planning
-frames filled.  The lazy oracle is guarded by counting the plan renderings
+frames filled.  Given an exemplar file, the same script runs GoalAct and
+Plan-and-Solve with it instead, to count its reads.  The lazy oracle is guarded by counting the plan renderings
 and rule families a single run builds.  Table lookups are guarded by
 counting the row reads of a 2,000-row table.
 """
@@ -29,12 +30,14 @@ _SUITE_SCRIPT = r"""
 import json, os, sys
 
 PROMPT_FILES = ("global_planning.txt", "exemplars.jsonl")
-opens = {name: 0 for name in PROMPT_FILES}
+EXEMPLARS_FILE = sys.argv[2] if len(sys.argv) > 2 else None
+opens = {name: 0 for name in PROMPT_FILES + ("exemplars_file",)}
 
 
 def audit(event, args):
     if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
         path = os.fsdecode(args[0])
+        opens["exemplars_file"] += path == EXEMPLARS_FILE
         for name in PROMPT_FILES:
             if path.endswith(os.path.join("prompts", name)):
                 opens[name] += 1
@@ -91,8 +94,13 @@ def dumps(obj, *args, **kwargs):
 
 
 json.dumps = dumps
-report = suite.run_suite(pairs, orchestrator.METHODS, orchestrator.RunConfig(),
-                         oracle.oracle_backend, out_dir=sys.argv[1])
+if EXEMPLARS_FILE is None:
+    methods, config = orchestrator.METHODS, orchestrator.RunConfig()
+else:
+    methods = (orchestrator.METHOD_GOALACT, orchestrator.METHOD_PLAN_AND_SOLVE)
+    config = orchestrator.RunConfig(exemplars_file=EXEMPLARS_FILE)
+report = suite.run_suite(pairs, methods, config, oracle.oracle_backend,
+                         out_dir=sys.argv[1])
 json.dumps = original_dumps
 print(json.dumps({"opens": opens, "rows": len(report.rows),
                   "environments": len(pairs), "rows_returned": len(returned),
@@ -100,18 +108,23 @@ print(json.dumps({"opens": opens, "rows": len(report.rows),
 """
 
 
-@pytest.fixture(scope="module")
-def suite_counts(tmp_path_factory) -> dict:
-    """The counts of one 3-task x 5-method suite in a fresh interpreter."""
+def _count_suite(*args: Path) -> dict:
+    """The counts of one suite script run in a fresh interpreter."""
     src = str(Path(goalact.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", _SUITE_SCRIPT,
-                           str(tmp_path_factory.mktemp("suite") / "run")],
+                           *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    counts = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def suite_counts(tmp_path_factory) -> dict:
+    """The counts of one 3-task x 5-method suite."""
+    counts = _count_suite(tmp_path_factory.mktemp("suite") / "run")
     assert counts["rows"] == len(METHODS)
     return counts
 
@@ -122,7 +135,21 @@ def test_oracle_suite_hashes_no_request_and_reads_prompt_assets_once(
     # Exactly once rather than at most once: GoalAct needs both files, so a
     # zero would mean the hook missed the reads.
     assert suite_counts["opens"] == {"global_planning.txt": 1,
-                                     "exemplars.jsonl": 1}
+                                     "exemplars.jsonl": 1,
+                                     "exemplars_file": 0}
+
+
+def test_a_suite_reads_its_exemplars_file_once_per_method(tmp_path):
+    exemplars = tmp_path / "custom.jsonl"
+    exemplars.write_text("".join(
+        json.dumps({"transcript": f"exemplar {i}"}) + "\n" for i in range(2)),
+        encoding="utf-8")
+    counts = _count_suite(tmp_path / "run", exemplars)
+    assert counts["rows"] == 2
+    # Once when the suite's config is made, then once for each method's
+    # config, which all of that method's runs share.
+    assert counts["opens"] == {"global_planning.txt": 1,
+                               "exemplars.jsonl": 0, "exemplars_file": 3}
 
 
 def test_oracle_suite_renders_each_run_constant_once(suite_counts):

@@ -20,11 +20,9 @@ from goalact.errors import (
 from goalact.plan import FINISH, SEARCHING, History, SkillAction, history_of
 from goalact.planner import (
     PLANNING_MARKER,
-    PlannerPromptInputs,
     build_planning_prompt,
-    build_prompt_inputs,
     count_word,
-    load_default_exemplars,
+    load_exemplars,
     parse_plan_response,
     planning_frame,
     render_history,
@@ -38,20 +36,15 @@ from goalact.skills import SkillDescriptor, default_registry, register_skill
 from conftest import ask_of, scripted
 
 
-def _inputs(env: ToolEnvironment, scratchpad: str = "",
-            memory: tuple[str, ...] = ("example one", "example two")
-            ) -> PlannerPromptInputs:
-    return PlannerPromptInputs(
-        question="Which city hosts AlphaCorp?",
-        tool_prompt=env.render_tool_descriptions(),
-        table_prompt=env.render_table_schemas(),
-        memory=memory,
-        scratchpad=scratchpad,
-    )
+def _prompt(env: ToolEnvironment, history: History = History(),
+            registry=None) -> str:
+    return build_planning_prompt("Which city hosts AlphaCorp?", env, history,
+                                 ("example one", "example two"),
+                                 registry or default_registry())
 
 
 def test_prompt_contains_tools_and_empty_chain(company_env):
-    prompt = build_planning_prompt(_inputs(company_env))
+    prompt = _prompt(company_env)
     assert "get_record(" in prompt
     assert f"{PLANNING_MARKER}\n\n" in prompt  # empty scratchpad section
     assert "Please continue to think and execute based on the existing " \
@@ -59,7 +52,7 @@ def test_prompt_contains_tools_and_empty_chain(company_env):
 
 
 def test_prompt_places_both_exemplars_between_markers(company_env):
-    prompt = build_planning_prompt(_inputs(company_env))
+    prompt = _prompt(company_env)
     start = prompt.index("Here are some reference examples:")
     end = prompt.index("Reference examples end.")
     assert start < prompt.index("example one") < end
@@ -71,8 +64,8 @@ def test_prompt_renders_history_lines_in_order(company_env):
         ("need the record", SkillAction(SEARCHING, "companies by name"),
          '{"name": "AlphaCorp"}'),
     ))
-    scratchpad = render_history(history)
-    prompt = build_planning_prompt(_inputs(company_env, scratchpad=scratchpad))
+    prompt = _prompt(company_env, history)
+    assert render_history(history) in prompt
     thought_at = prompt.index("Thought: need the record")
     action_at = prompt.index("Action: Searching[companies by name]")
     observation_at = prompt.index('Observation: {"name": "AlphaCorp"}')
@@ -80,7 +73,7 @@ def test_prompt_renders_history_lines_in_order(company_env):
 
 
 def test_prompt_lists_four_builtin_action_types(company_env):
-    prompt = build_planning_prompt(_inputs(company_env))
+    prompt = _prompt(company_env)
     assert "one of the following four types" in prompt
     for kind in ("Searching", "Coding", "Writing", "Finish"):
         assert f"{kind}:" in prompt
@@ -90,14 +83,14 @@ def test_registered_kind_appears_as_fifth_action_type(company_env):
     registry = register_skill(default_registry(), "Reasoning",
                               SkillDescriptor(name="Reasoning",
                                               description="Think it through."))
-    prompt = build_planning_prompt(_inputs(company_env), registry)
+    prompt = _prompt(company_env, registry=registry)
     assert "one of the following five types" in prompt
     assert "Reasoning: Think it through." in prompt
 
 
 def test_disabled_skill_vanishes_from_prompt(company_env):
     registry = default_registry().disable("Coding")
-    prompt = build_planning_prompt(_inputs(company_env), registry)
+    prompt = _prompt(company_env, registry=registry)
     assert "Coding" not in prompt
 
 
@@ -105,17 +98,25 @@ def test_values_holding_slot_markers_are_inserted_verbatim():
     markers = " ".join("{%s}" % slot for slot in (
         "question", "table_used_prompt", "tool_prompt", "memory",
         "scratchpad", "skill_count", "skill_menu"))
-    inputs = PlannerPromptInputs(question=markers, tool_prompt=markers,
-                                 table_prompt=markers, memory=(markers,),
-                                 scratchpad=markers)
-    count, menu = render_skill_menu()
+
+    class MarkerEnv:
+        def render_tool_descriptions(self):
+            return markers
+
+        def render_table_schemas(self):
+            return markers
+
+    registry = default_registry()
+    count, menu = render_skill_menu(registry)
     values = {"question": markers, "table_used_prompt": markers,
               "tool_prompt": markers, "memory": markers,
               "scratchpad": markers, "skill_count": count_word(count),
               "skill_menu": menu}
     expected = re.sub(r"\{(\w+)\}", lambda m: values[m.group(1)],
                       planner.load_template())
-    prompt = build_planning_prompt(inputs)
+    # The scratchpad is joined in as a round joins its rendered history.
+    prompt = markers.join(planning_frame(markers, MarkerEnv(), (markers,),
+                                         registry))
     assert prompt == expected
     assert prompt.count(markers) == 6 and prompt.count(menu) == 1
 
@@ -126,30 +127,36 @@ def test_template_without_a_slot_is_an_error(company_env, monkeypatch):
     planner._template_parts.cache_clear()
     try:
         with pytest.raises(TemplateSlotMissing, match=r"\{memory\}"):
-            build_planning_prompt(_inputs(company_env))
+            _prompt(company_env)
     finally:
         planner._template_parts.cache_clear()
 
 
 def test_default_exemplars_match_configured_count():
-    assert len(load_default_exemplars(2)) == 2
+    assert len(load_exemplars(None, 2)) == 2
     with pytest.raises(TemplateSlotMissing):
-        load_default_exemplars(3)
+        load_exemplars(None, 3)
 
 
-def test_default_exemplars_are_a_new_list_on_every_call():
-    first = load_default_exemplars(2)
-    expected = list(first)
-    first.append("mutated")
-    first[0] = "overwritten"
-    assert load_default_exemplars(2) == expected
-    assert load_default_exemplars(2) is not load_default_exemplars(2)
+def test_default_exemplars_are_equal_tuples_on_every_call():
+    first = load_exemplars(None, 2)
+    assert isinstance(first, tuple)
+    assert load_exemplars(None, 2) == first
+    assert load_exemplars(None, 1) == first[:1]
 
 
-def test_prompt_inputs_enforce_exemplar_count(company_env):
-    with pytest.raises(TemplateSlotMissing):
-        build_prompt_inputs("q", company_env, History(),
-                            exemplars=("only one",), exemplar_count=2)
+@pytest.mark.parametrize("one_line_file", [False, True])
+def test_load_exemplars_enforces_the_count(tmp_path, one_line_file):
+    path = None
+    if one_line_file:
+        path = tmp_path / "exemplars.jsonl"
+        path.write_text(json.dumps({"transcript": "only one"}) + "\n",
+                        encoding="utf-8")
+    held = len(load_exemplars(path, 1 if one_line_file else 2))
+    assert held == (1 if one_line_file else 2)
+    for count in (held + 1, -1):
+        with pytest.raises(TemplateSlotMissing):
+            load_exemplars(path, count)
 
 
 def test_parse_round_trips_the_documented_format():
@@ -241,8 +248,8 @@ def _fixture_plan_text() -> str:
 def _update(env, plan_prev, ask):
     """One planning round over the frame a run builds for question "q"."""
     registry = default_registry()
-    frame = planning_frame(build_prompt_inputs("q", env, History()), registry)
-    return update_global_plan(plan_prev, ask, registry, frame)
+    frame = planning_frame("q", env, load_exemplars(None, 2), registry)
+    return update_global_plan(plan_prev, ask, registry, frame, 12)
 
 
 def test_update_builds_revision_one_from_fixture(company_env):

@@ -467,7 +467,8 @@ def test_exec_coding_round_trip(company_env):
                                           CODING_MARKER))
     context = SkillContext(question="total open amount?", history=History(),
                            env=company_env, ask=ask_of(backend),
-                           sandbox_limits=SandboxLimits())
+                           sandbox_limits=SandboxLimits(),
+                           observation_bytes=4096, writing_budget=12000)
     observation, payload = exec_coding(
         SkillAction(CODING, "sum open case amounts"), context)
     expected = sum(row["amount"] for row in company_env.table("cases").rows
@@ -480,7 +481,8 @@ def test_exec_coding_surfaces_faults_as_observations(company_env):
     backend = scripted(Rule.on_substrings('return teleport("x")',
                                           CODING_MARKER))
     context = SkillContext(question="q", history=History(), env=company_env,
-                           ask=ask_of(backend), sandbox_limits=SandboxLimits())
+                           ask=ask_of(backend), sandbox_limits=SandboxLimits(),
+                           observation_bytes=4096, writing_budget=12000)
     observation, _ = exec_coding(SkillAction(CODING, "do something odd"),
                                  context)
     assert observation.startswith(f"Coding fault ({FAULT_RUNTIME}): ")
@@ -491,7 +493,8 @@ def test_exec_coding_degrades_on_backend_outage(company_env):
         raise BackendUnavailable("gave up")
 
     context = SkillContext(question="q", history=History(), env=company_env,
-                           ask=down)
+                           ask=down, sandbox_limits=SandboxLimits(),
+                           observation_bytes=4096, writing_budget=12000)
     assert exec_coding(SkillAction(CODING, "sum"), context) == \
         ("Coding failed before any script ran: gave up", None)
 

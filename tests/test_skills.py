@@ -12,7 +12,7 @@ from goalact.errors import (
     SkillDisabled,
     SkillUnknown,
 )
-from goalact.orchestrator import RecordingEnvironment
+from goalact.orchestrator import RecordingEnvironment, RunConfig
 from goalact.plan import (
     CODING,
     FINISH,
@@ -39,17 +39,22 @@ from goalact.skills import (
 from conftest import ask_of, scripted
 
 _OUTAGE = "gave up after 4 attempts (timeout)"
+_CONFIG = RunConfig()
 
 
 def _context(env, backend, history: History = History()) -> SkillContext:
     return SkillContext(question="Which city hosts AlphaCorp?",
-                        history=history, env=env, ask=ask_of(backend))
+                        history=history, env=env, ask=ask_of(backend),
+                        sandbox_limits=_CONFIG.sandbox_limits,
+                        observation_bytes=_CONFIG.observation_bytes,
+                        writing_budget=_CONFIG.writing_budget)
 
 
 def _logged(env) -> tuple[RecordingEnvironment, Trajectory]:
     """`env` with every tool call it answers logged into a trajectory."""
     trajectory = Trajectory(task_id="t", method="GoalAct")
-    return RecordingEnvironment(env, trajectory), trajectory
+    return RecordingEnvironment(env, trajectory,
+                                _CONFIG.observation_bytes), trajectory
 
 
 class _FailingBackend:
@@ -98,7 +103,7 @@ def test_dispatch_routes_searching(company_env):
         SEARCHING_MARKER))
     env, trajectory = _logged(company_env)
     observation, _ = dispatch(SkillAction(SEARCHING, "companies by name"),
-                              _context(env, backend))
+                              _context(env, backend), default_registry())
     assert "Port Meridell" in observation
     assert len(trajectory.tool_calls) == 1
 
@@ -112,16 +117,18 @@ def test_dispatch_rejects_disabled_kind(company_env):
 
 def test_dispatch_rejects_unknown_and_finish(company_env):
     with pytest.raises(SkillUnknown):
-        dispatch(SkillAction("Fly", "away"), _context(company_env, scripted()))
+        dispatch(SkillAction("Fly", "away"), _context(company_env, scripted()),
+                 default_registry())
     with pytest.raises(SkillUnknown):
-        dispatch(SkillAction(FINISH), _context(company_env, scripted()))
+        dispatch(SkillAction(FINISH), _context(company_env, scripted()),
+                 default_registry())
 
 
 def test_dispatch_routes_writing(company_env):
     backend = scripted(Rule.on_substrings("A short document.", WRITING_MARKER))
     env, trajectory = _logged(company_env)
     observation, payload = dispatch(SkillAction(WRITING, "draft something"),
-                                    _context(env, backend))
+                                    _context(env, backend), default_registry())
     assert (observation, payload) == ("A short document.", None)
     assert trajectory.tool_calls == []
 
@@ -130,7 +137,8 @@ def test_dispatch_truncates_observations(company_env):
     backend = scripted(Rule.on_substrings("x" * 9000, WRITING_MARKER))
     context = _context(company_env, backend)
     context.observation_bytes = 256
-    observation, _ = dispatch(SkillAction(WRITING, "draft"), context)
+    observation, _ = dispatch(SkillAction(WRITING, "draft"), context,
+                              default_registry())
     assert observation.endswith("[truncated]")
     assert len(observation.encode("utf-8")) <= 256
 
@@ -138,7 +146,8 @@ def test_dispatch_truncates_observations(company_env):
 def test_dispatch_reports_an_empty_observation(company_env):
     backend = scripted(Rule.on_substrings("", WRITING_MARKER))
     observation, _ = dispatch(SkillAction(WRITING, "draft"),
-                              _context(company_env, backend))
+                              _context(company_env, backend),
+                              default_registry())
     assert observation == "(empty observation)"
 
 
