@@ -15,7 +15,7 @@ from goalact.plan import (
     make_plan,
     validate_plan,
 )
-from goalact.errors import MissingFinish
+from goalact.errors import PlanError
 
 # A plan is an ordered list of (thought, action) steps; the last action is
 # always Finish. validate_plan enforces that shape.
@@ -30,7 +30,7 @@ print("valid plan with", len(plan), "steps, revision", plan.revision)
 # Plans without a terminal Finish are rejected outright.
 try:
     validate_plan(make_plan([("look around", SkillAction(SEARCHING, "x"))]))
-except MissingFinish as exc:
+except PlanError as exc:
     print("rejected:", exc)
 
 # Steps are executed by producing new values; the original stays pending.

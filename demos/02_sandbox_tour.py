@@ -3,6 +3,8 @@
 # tool built-ins, run under strict step / tool-call / output budgets.
 
 from goalact.environment import Table, ToolEnvironment
+from goalact.orchestrator import RecordingEnvironment
+from goalact.plan import Trajectory
 from goalact.sandbox import SandboxLimits, Script, eval_script
 
 env = ToolEnvironment(tables=(
@@ -37,7 +39,10 @@ print("runaway loop ->", runaway.fault.kind, "at", runaway.steps_used, "steps")
 broken = eval_script(Script('return launch_rockets("now")'), env)
 print("bad tool ->", broken.fault.kind, "-", broken.fault.message)
 
-# Evaluation is deterministic, trace included.
-again = eval_script(Script(script), env)
-assert again.value == result.value and again.trace == result.trace
-print("re-evaluation is identical, trace:", result.trace)
+# Evaluation is deterministic. A run logs the script's tool calls into its
+# trajectory through the environment it hands the sandbox.
+trajectory = Trajectory(task_id="demo", method="CodeAct")
+again = eval_script(Script(script), RecordingEnvironment(env, trajectory, 4096))
+assert (again.value, again.steps_used) == (result.value, result.steps_used)
+print("re-evaluation is identical; logged tool calls:",
+      [(call.tool, call.arguments) for call in trajectory.tool_calls])

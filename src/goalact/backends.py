@@ -168,28 +168,22 @@ class HttpChatBackend:
     """Chat-completions client with bounded exponential backoff.
 
     Retries timeouts, 429, and 5xx up to `max_attempts` total tries; 401/403
-    fail immediately.  An optional token bucket caps requests per minute.
+    fail immediately.
     """
 
     def __init__(self, endpoint: str, api_key: str, model: str,
                  max_attempts: int = 4, backoff_base: float = 0.5,
-                 timeout: float = 60.0, requests_per_minute: Optional[int] = None,
-                 transport: Optional[Transport] = None,
-                 sleeper: Callable[[float], None] = time.sleep,
-                 clock: Callable[[], float] = time.monotonic):
+                 timeout: float = 60.0, transport: Optional[Transport] = None,
+                 sleeper: Callable[[float], None] = time.sleep):
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
         self.model = model
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self.requests_per_minute = requests_per_minute
         self.transport = transport or _urllib_transport
         self.sleeper = sleeper
-        self.clock = clock
         self._local = threading.local()
-        self._recent_calls: list[float] = []
-        self._bucket_lock = threading.Lock()
 
     @property
     def last_attempts(self) -> int:
@@ -198,21 +192,6 @@ class HttpChatBackend:
         Kept per thread, so one client shared by `--jobs` workers reports
         each worker its own count."""
         return getattr(self._local, "attempts", 0)
-
-    def _throttle(self) -> None:
-        if not self.requests_per_minute:
-            return
-        # Held across the wait, so concurrent callers queue for the bucket
-        # instead of each seeing the same free slot.
-        with self._bucket_lock:
-            now = self.clock()
-            self._recent_calls = [t for t in self._recent_calls
-                                  if now - t < 60.0]
-            if len(self._recent_calls) >= self.requests_per_minute:
-                wait = 60.0 - (now - self._recent_calls[0])
-                if wait > 0:
-                    self.sleeper(wait)
-            self._recent_calls.append(self.clock())
 
     def complete(self, request: CompletionRequest) -> str:
         body = json.dumps({
@@ -229,7 +208,6 @@ class HttpChatBackend:
         last_error = "no attempt made"
         for attempt in range(1, self.max_attempts + 1):
             self._local.attempts = attempt
-            self._throttle()
             try:
                 status, text = self.transport(url, headers, body, self.timeout)
             except ConnectionError as exc:

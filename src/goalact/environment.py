@@ -22,7 +22,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .errors import NoMatch, ToolError, UnknownField, UnknownTool
+from .errors import ToolError
 from .records import read_document
 
 Scalar = Any  # str | int | float | bool
@@ -218,39 +218,40 @@ class ToolEnvironment:
     def table(self, name: str) -> Table:
         table = self._tables_by_name.get(name)
         if table is None:
-            raise UnknownField(f"unknown table '{name}'")
+            raise ToolError(f"unknown table '{name}'")
         return table
 
     def tool(self, name: str) -> ToolSpec:
         spec = self._tools_by_name.get(name)
         if spec is None:
-            raise UnknownTool(f"unknown tool '{name}'")
+            raise ToolError(f"unknown tool '{name}'")
         return spec
 
     def _table_for(self, spec: ToolSpec, call: ToolCall) -> Table:
         return self.table(str(call.arguments.get("table", spec.table or "")))
 
     def invoke_tool(self, call: ToolCall) -> list[Row]:
-        """Run one retrieval call; raises UnknownTool / UnknownField / NoMatch."""
+        """Run one retrieval call; a ToolError names an unknown tool, table or
+        field, or a get_record call that matches no row."""
         spec = self.tool(call.tool_name)
         allowed = {pname for pname, _ in spec.parameters}
         unexpected = set(call.arguments) - allowed
         if unexpected:
-            raise UnknownField(
+            raise ToolError(
                 f"{spec.name} takes ({', '.join(sorted(allowed))}); "
                 f"unexpected argument(s): {', '.join(sorted(unexpected))}")
         field_name = str(call.arguments.get("field", ""))
         value = call.arguments.get("value", "")
         table = self._table_for(spec, call)
         if table.rows and field_name not in table.fields:
-            raise UnknownField(
+            raise ToolError(
                 f"table '{table.name}' has no field '{field_name}' "
                 f"(fields: {', '.join(table.fields)})"
             )
         first_only = spec.semantics == "get_record"
         matches = _matching_rows(table, field_name, value, first_only)
         if first_only and not matches:
-            raise NoMatch(
+            raise ToolError(
                 f"no {table.name} record with {field_name} = {value!r}"
             )
         return matches

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Skill-internal failures (tool misses, backend timeouts inside a skill) are
-rendered into observations rather than raised; the classes below cover the
-faults that *do* cross module boundaries.
+A fault has its own type only where some handler catches it by name; the
+message says which check failed.  Everything else raises `GoalActError` (a
+run that cannot finish) or `FatalError` (a configuration fault).  A fault
+inside a skill never leaves `skills.dispatch`: it becomes an observation the
+next planning round can react to.
 """
 
 
@@ -10,81 +12,17 @@ class GoalActError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- plan validation ---------------------------------------------------------
-
-class PlanValidationError(GoalActError):
-    """A constructed or parsed plan violates a structural invariant."""
+class FatalError(GoalActError):
+    """A configuration fault that makes the run impossible."""
 
 
-class MissingFinish(PlanValidationError):
-    """The plan has no terminal Finish step."""
-
-
-class PrematureFinish(PlanValidationError):
-    """A Finish step appears before the last position."""
-
-
-class NonContiguousIndices(PlanValidationError):
-    """Step indices are not 1..n in order."""
-
-
-class BrokenExecutionPrefix(PlanValidationError):
-    """A pending step precedes an executed step."""
-
-
-class PlanTooLong(PlanValidationError):
-    """The plan exceeds the configured maximum step count."""
-
-
-# --- planner ------------------------------------------------------------------
-
-class TemplateSlotMissing(GoalActError):
-    """A prompt template slot could not be rendered."""
-
-
-class PlanParseError(GoalActError):
-    """Base class for failures while parsing a planner completion."""
-
-
-class MalformedDocument(PlanParseError):
-    """The completion is not a parseable array of step objects."""
-
-
-class MissingKeys(PlanParseError):
-    """A step object does not have exactly the Thinking and Action keys."""
-
-
-class UnknownSkill(PlanParseError):
-    """An action names a skill kind that is not registered."""
-
-
-class EmptyPlan(PlanParseError):
-    """The completion parsed to an empty step array."""
+class PlanError(GoalActError):
+    """A planner completion does not parse, or its plan breaks an invariant."""
 
 
 class PlanningFailed(GoalActError):
     """The planner could not produce a valid plan within its retry budget."""
 
-
-# --- skill registry -----------------------------------------------------------
-
-class SkillUnknown(GoalActError):
-    """Dispatch was asked for a kind with no registered executor."""
-
-
-class SkillDisabled(GoalActError):
-    """Dispatch was asked for a kind that is registered but disabled."""
-
-
-class DuplicateSkill(GoalActError):
-    """register_skill was called for an already-registered kind."""
-
-
-class ReservedKind(GoalActError):
-    """The Finish kind cannot be registered, disabled, or removed."""
-
-
-# --- backends -----------------------------------------------------------------
 
 class BackendError(GoalActError):
     """Base class for completion-backend failures."""
@@ -106,43 +44,5 @@ class CassetteMiss(BackendError):
     """Replay mode received a request absent from the cassette."""
 
 
-# --- tool environment ---------------------------------------------------------
-
 class ToolError(GoalActError):
-    """Base class for tool invocation failures."""
-
-
-class UnknownTool(ToolError):
-    """The call names a tool that is not registered."""
-
-
-class UnknownField(ToolError):
-    """The call names a field absent from the table schema."""
-
-
-class NoMatch(ToolError):
-    """get_record found no row for the given field/value."""
-
-
-# --- evaluation ---------------------------------------------------------------
-
-class EmptyKeywordSet(GoalActError):
-    """success_rate requires at least one keyword."""
-
-
-class EmptyScoreSet(GoalActError):
-    """aggregate requires at least one task score."""
-
-
-class MissingCategory(GoalActError):
-    """A scored task has no category assignment."""
-
-
-class TaskSetMismatch(GoalActError):
-    """compare_methods was given reports over different task sets."""
-
-
-# --- orchestration ------------------------------------------------------------
-
-class FatalError(GoalActError):
-    """A configuration fault that makes the run impossible."""
+    """A tool call names an unknown tool or field, or matches no row."""

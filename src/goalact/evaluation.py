@@ -14,12 +14,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import (
-    EmptyKeywordSet,
-    EmptyScoreSet,
-    MissingCategory,
-    TaskSetMismatch,
-)
+from .errors import GoalActError
 from .generator import CATEGORY_ORDER
 
 
@@ -55,7 +50,7 @@ def success_rate(key_answers: Iterable[str], output: str,
     """Fraction of keywords appearing as exact substrings of the output."""
     keywords = set(key_answers)
     if not keywords:
-        raise EmptyKeywordSet("success_rate needs at least one keyword")
+        raise GoalActError("success_rate needs at least one keyword")
     normalized = _nfc(output)
     matched = frozenset(k for k in keywords if _nfc(k) in normalized)
     missing = frozenset(keywords - matched)
@@ -86,10 +81,10 @@ def aggregate(scores: Sequence[TaskScore], categories: Mapping[str, str],
               method: str = "method") -> SuiteReport:
     """Unweighted per-category means plus the overall ALL mean."""
     if not scores:
-        raise EmptyScoreSet("cannot aggregate an empty score list")
+        raise GoalActError("cannot aggregate an empty score list")
     for score in scores:
         if score.task_id not in categories:
-            raise MissingCategory(f"task {score.task_id!r} has no category")
+            raise GoalActError(f"task {score.task_id!r} has no category")
     buckets: dict[str, list[float]] = {}
     for score in scores:
         buckets.setdefault(categories[score.task_id], []).append(score.s)
@@ -105,11 +100,11 @@ def aggregate(scores: Sequence[TaskScore], categories: Mapping[str, str],
 def merge_reports(reports: Sequence[SuiteReport]) -> SuiteReport:
     """One multi-method report from single-method reports over one task set."""
     if not reports:
-        raise EmptyScoreSet("no reports to merge")
+        raise GoalActError("no reports to merge")
     base = reports[0].rows[0].task_ids
     for report in reports[1:]:
         if report.rows[0].task_ids != base:
-            raise TaskSetMismatch("reports cover different task sets")
+            raise GoalActError("reports cover different task sets")
     categories = _ordered_categories(
         c for report in reports for c in report.categories)
     rows = tuple(row for report in reports for row in report.rows)
@@ -127,10 +122,10 @@ def compare_methods(reports: SuiteReport | Sequence[SuiteReport]
     if isinstance(reports, SuiteReport):
         merged = reports
         if len(merged.rows) < 2:
-            raise TaskSetMismatch("compare_methods needs at least two methods")
+            raise GoalActError("compare_methods needs at least two methods")
     else:
         if len(reports) < 2:
-            raise TaskSetMismatch("compare_methods needs at least two reports")
+            raise GoalActError("compare_methods needs at least two reports")
         merged = merge_reports(reports)
     deltas: dict[str, dict[str, float]] = {}
     for row in merged.rows:

@@ -16,12 +16,13 @@ A `RunConfig` builds its skill registry and exemplars when it is made, so a
 bad setting fails before any run, and every run of that config shares them.
 Every model call of a run goes through `RecordingBackend.ask(purpose,
 prompt)`, which logs the exchange; a step or skill sees it as `ask(prompt)`.
-Trouble inside a step (tool errors, malformed emissions, backend outages in a
-skill) degrades to an observation the next iteration can react to.  A backend
-outage in a policy's own decision call, or a plan still unusable after its
-repair retry, ends the run as fatal_error with a summary of what it has.  Only
-configuration faults and scripted-fixture or cassette misses abort a run; the
-exception carries the partial trajectory.
+Trouble inside a step (tool errors, malformed emissions, and any skill fault,
+which `skills.dispatch` renders) degrades to an observation the next
+iteration can react to.  A backend outage in a policy's own decision call, or
+a plan still unusable after its repair retry, ends the run as fatal_error
+with a summary of what it has.  Only configuration faults, auth failures and
+scripted-fixture or cassette misses abort a run; the exception carries the
+partial trajectory.
 """
 
 from __future__ import annotations
@@ -39,12 +40,9 @@ from .errors import (
     BackendUnavailable,
     CassetteMiss,
     FatalError,
-    GoalActError,
+    PlanError,
     PlanningFailed,
-    PlanParseError,
     RuleMiss,
-    SkillDisabled,
-    SkillUnknown,
     ToolError,
 )
 from .generator import Task
@@ -153,7 +151,7 @@ class RunConfig:
             raise FatalError("ablation switches only apply to GoalAct")
         try:  # build both now, so that a bad setting fails here
             self.registry, self.exemplars
-        except (GoalActError, OSError) as exc:
+        except OSError as exc:
             raise FatalError(str(exc)) from exc
 
     # Built in __post_init__; not fields, so `config_hash` does not see them.
@@ -329,17 +327,14 @@ class _Policy:
         return head + transcript + tail
 
     def run_skill(self, action: SkillAction, history: History) -> SkillResult:
-        """Dispatch one skill action; dispatch-level faults become observations."""
+        """Dispatch one skill action through the run's registry."""
         context = SkillContext(
             question=self.task.query, history=history, env=self.env,
             ask=partial(self.recorder.ask, f"skill:{action.kind}"),
             sandbox_limits=self.config.sandbox_limits,
             observation_bytes=self.config.observation_bytes,
             writing_budget=self.config.writing_budget)
-        try:
-            return dispatch(action, context, self.config.registry)
-        except (SkillDisabled, SkillUnknown) as exc:
-            return f"Action not executed: {exc}", None
+        return dispatch(action, context, self.config.registry)
 
 
 # --- plan-based policies: GoalAct, Plan-and-Solve, Plan-and-Execute -------------------
@@ -575,7 +570,7 @@ class _NextStepPolicy(_TranscriptPolicy):
         try:
             thought, text = parse_step_texts(emission)[0]
             action = parse_action(text, self.config.registry.kinds())
-        except PlanParseError:
+        except PlanError:
             self.triples.append(("(unparseable step)",
                                  SkillAction(kind=SEARCHING, objective="none"),
                                  "The step could not be parsed; try again."))

@@ -15,13 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    BrokenExecutionPrefix,
-    MissingFinish,
-    NonContiguousIndices,
-    PlanTooLong,
-    PrematureFinish,
-)
+from .errors import PlanError
 from .records import read_lines, record_from_dict, record_to_dict
 
 # Built-in skill kinds.  Custom kinds are plain strings registered at runtime.
@@ -113,29 +107,30 @@ def make_plan(steps: Iterable[tuple[str, SkillAction]], revision: int = 1) -> Gl
 def validate_plan(plan: GlobalPlan, max_steps: Optional[int] = None) -> GlobalPlan:
     """Return the plan unchanged iff every structural invariant holds.
 
-    Raises MissingFinish, PrematureFinish, NonContiguousIndices,
-    BrokenExecutionPrefix, or PlanTooLong (when a cap is given).
+    Raises PlanError naming the first that fails: a terminal Finish and no
+    other, indices 1..n, executed steps before pending ones, and at most
+    `max_steps` steps (when a cap is given).
     """
     if not plan.steps or plan.steps[-1].action.kind != FINISH:
-        raise MissingFinish("a plan must end with a Finish step")
+        raise PlanError("a plan must end with a Finish step")
     for step in plan.steps[:-1]:
         if step.action.kind == FINISH:
-            raise PrematureFinish(f"Finish at step {step.index} is not terminal")
+            raise PlanError(f"Finish at step {step.index} is not terminal")
     for position, step in enumerate(plan.steps, start=1):
         if step.index != position:
-            raise NonContiguousIndices(
+            raise PlanError(
                 f"step at position {position} carries index {step.index}"
             )
     seen_pending = False
     for step in plan.steps:
         if step.executed and seen_pending:
-            raise BrokenExecutionPrefix(
+            raise PlanError(
                 f"executed step {step.index} follows a pending step"
             )
         if not step.executed:
             seen_pending = True
     if max_steps is not None and len(plan.steps) > max_steps:
-        raise PlanTooLong(f"{len(plan.steps)} steps exceed the cap of {max_steps}")
+        raise PlanError(f"{len(plan.steps)} steps exceed the cap of {max_steps}")
     return plan
 
 

@@ -19,16 +19,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .backends import decode_json, strip_code_fences
 from .environment import ToolEnvironment
-from .errors import (
-    EmptyPlan,
-    MalformedDocument,
-    MissingKeys,
-    PlanningFailed,
-    PlanParseError,
-    PlanValidationError,
-    TemplateSlotMissing,
-    UnknownSkill,
-)
+from .errors import FatalError, GoalActError, PlanError, PlanningFailed
 from .plan import (
     BUILTIN_KINDS,
     FINISH,
@@ -81,7 +72,7 @@ def _template_parts() -> tuple[tuple[str, ...], tuple[str, ...]]:
     texts, slots = tuple(parts[0::2]), tuple(parts[1::2])
     for slot in _SLOTS:
         if slot not in slots:
-            raise TemplateSlotMissing(f"template lost its {{{slot}}} marker")
+            raise GoalActError(f"template lost its {{{slot}}} marker")
     return texts, slots
 
 
@@ -104,8 +95,8 @@ def load_exemplars(path: Optional[Any], count: int) -> tuple[str, ...]:
     transcripts = _packaged_exemplars() if path is None \
         else read_lines(path, _transcript)
     if not 0 <= count <= len(transcripts):
-        raise TemplateSlotMissing(f"{count} exemplars requested but "
-                                  f"{path or 'the package'} holds {len(transcripts)}")
+        raise FatalError(f"{count} exemplars requested but "
+                         f"{path or 'the package'} holds {len(transcripts)}")
     return tuple(transcripts[:count])
 
 
@@ -168,14 +159,14 @@ def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
     """Split 'Kind[objective]' into a SkillAction; kind match is case-insensitive."""
     match = _ACTION_RE.match(text)
     if not match:
-        raise MalformedDocument(f"unparseable action string: {text!r}")
+        raise PlanError(f"unparseable action string: {text!r}")
     word, objective = match.group(1), match.group(2) or ""
     canonical = {kind.lower(): kind for kind in kinds}
     kind = canonical.get(word.lower())
     if kind is None:
-        raise UnknownSkill(f"action kind {word!r} is not a registered skill")
+        raise PlanError(f"action kind {word!r} is not a registered skill")
     if kind != FINISH and not objective.strip():
-        raise MalformedDocument(
+        raise PlanError(
             f"{kind} action is missing its bracketed objective: {text!r}")
     return SkillAction(kind=kind, objective=objective.strip())
 
@@ -192,21 +183,21 @@ def parse_step_texts(raw: str) -> list[tuple[str, str]]:
     except json.JSONDecodeError:
         start, end = text.find("["), text.rfind("]")
         if start < 0 or end <= start:
-            raise MalformedDocument("completion holds no parseable array")
+            raise PlanError("completion holds no parseable array")
         try:
             doc = decode_json(text[start:end + 1])
         except json.JSONDecodeError as exc:
-            raise MalformedDocument(f"array does not parse: {exc}") from exc
+            raise PlanError(f"array does not parse: {exc}") from exc
     if not isinstance(doc, list):
-        raise MalformedDocument(f"expected an array, got {type(doc).__name__}")
+        raise PlanError(f"expected an array, got {type(doc).__name__}")
     if not doc:
-        raise EmptyPlan("the parsed plan has no steps")
+        raise PlanError("the parsed plan has no steps")
     pairs = []
     for i, item in enumerate(doc, start=1):
         if not isinstance(item, dict):
-            raise MalformedDocument(f"step {i} is not an object")
+            raise PlanError(f"step {i} is not an object")
         if set(item.keys()) != {"Thinking", "Action"}:
-            raise MissingKeys(
+            raise PlanError(
                 f"step {i} must have exactly the keys Thinking and Action, "
                 f"got {sorted(item.keys())}")
         pairs.append((str(item["Thinking"]), str(item["Action"])))
@@ -274,7 +265,7 @@ def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
         try:
             return splice_pending(executed, parse(raw), revision,
                                   max_steps=max_plan_steps)
-        except (PlanParseError, PlanValidationError) as exc:
+        except PlanError as exc:
             failure = exc
     raise PlanningFailed(f"no valid {what} after repair retry: {failure}")
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from .backends import strip_code_fences
 from .environment import ToolCall, ToolEnvironment, render_number
-from .errors import BackendUnavailable, ToolError, UnknownTool
+from .errors import ToolError
 from .plan import truncate_observation
 from .records import check_types
 from .skills import SkillAction, SkillContext, SkillResult
@@ -88,7 +88,6 @@ class SandboxFault:
 @dataclass
 class SandboxResult:
     value: str
-    trace: list[dict[str, Any]] = field(default_factory=list)
     steps_used: int = 0
     tool_calls_used: int = 0
     fault: Optional[SandboxFault] = None
@@ -125,10 +124,6 @@ class _Return(Exception):
         self.value = value
 
 
-class _TooDeep(_Fault):
-    """The nesting cap's ParseError."""
-
-
 def _tokenize(source: str) -> Iterator[tuple[str, str]]:
     """The script's tokens, lexed as they are asked for, then `eof` forever."""
     pos = 0
@@ -155,26 +150,14 @@ def _tokenize(source: str) -> Iterator[tuple[str, str]]:
 class _Parser:
     """Parses a script while lexing it, one token ahead.
 
-    `parse()` reports a fault other than the nesting cap only after lexing
-    the rest of the script, so a bad character anywhere is reported first.
-    The cap is reported at once: no more of an over-deep script is read.
+    The first fault in parse order, a bad character among them, ends the
+    parse: no more of the script is lexed.
     """
 
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.token = next(self.tokens)
         self.depth = 0
-
-    def parse(self) -> list[Any]:
-        try:
-            return self.program()
-        except _TooDeep:
-            raise
-        except _Fault:
-            for kind, _ in self.tokens:
-                if kind == "eof":
-                    break
-            raise
 
     def peek(self) -> tuple[str, str]:
         return self.token
@@ -195,8 +178,8 @@ class _Parser:
     def deeper(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            raise _TooDeep(FAULT_PARSE, "script nesting is deeper than "
-                                        f"{MAX_NESTING_DEPTH} levels")
+            raise _Fault(FAULT_PARSE, "script nesting is deeper than "
+                                      f"{MAX_NESTING_DEPTH} levels")
 
     def program(self) -> list[Any]:
         statements = []
@@ -360,7 +343,6 @@ class _Interpreter:
         self.vars: dict[str, Any] = {}
         self.steps = 0
         self.tool_calls = 0
-        self.trace: list[dict[str, Any]] = []
 
     def tick(self) -> None:
         if self.steps >= self.limits.max_eval_steps:
@@ -553,7 +535,7 @@ class _Interpreter:
     def call_tool(self, name: str, args: list[Any]) -> Any:
         try:
             spec = self.env.tool(name)
-        except UnknownTool:
+        except ToolError:
             raise _Fault(FAULT_RUNTIME, f"unknown tool or function {name!r}")
         if len(args) != len(spec.parameters):
             raise _Fault(FAULT_RUNTIME,
@@ -570,14 +552,9 @@ class _Interpreter:
         try:
             rows = self.env.invoke_tool(call)
         except ToolError as exc:
-            self.trace.append({"tool": name, "args": arguments,
-                               "error": str(exc)})
             raise _Fault(FAULT_RUNTIME, f"tool {name} failed: {exc}")
-        result: Any = dict(rows[0]) if spec.semantics == "get_record" \
+        return dict(rows[0]) if spec.semantics == "get_record" \
             else [dict(r) for r in rows]
-        self.trace.append({"tool": name, "args": arguments,
-                           "rows": len(rows)})
-        return result
 
 
 _DONE = object()
@@ -645,7 +622,7 @@ def eval_script(script: Script | str, env: ToolEnvironment,
     source = script.source if isinstance(script, Script) else script
     interp = _Interpreter(env, limits)
     try:
-        statements = _Parser(source).parse()
+        statements = _Parser(source).program()
     except _Fault as fault:
         return SandboxResult(value="", fault=SandboxFault(fault.kind,
                                                           fault.message))
@@ -653,13 +630,12 @@ def eval_script(script: Script | str, env: ToolEnvironment,
         raw = interp.run(statements)
     except _Fault as fault:
         return SandboxResult(
-            value="", trace=interp.trace, steps_used=interp.steps,
+            value="", steps_used=interp.steps,
             tool_calls_used=interp.tool_calls,
             fault=SandboxFault(fault.kind, fault.message))
     rendered = truncate_observation(
         render_value(raw, limits.max_output_bytes), limits.max_output_bytes)
-    return SandboxResult(value=rendered, trace=interp.trace,
-                         steps_used=interp.steps,
+    return SandboxResult(value=rendered, steps_used=interp.steps,
                          tool_calls_used=interp.tool_calls, raw_value=raw)
 
 
@@ -692,10 +668,7 @@ def render_sandbox_outcome(result: SandboxResult) -> str:
 
 def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
     """Ask the model for a script, run it, observe the result or fault."""
-    try:
-        emission = context.ask(_coding_prompt(action, context))
-    except BackendUnavailable as exc:
-        return f"Coding failed before any script ran: {exc}", None
+    emission = context.ask(_coding_prompt(action, context))
     source = strip_code_fences(emission)
     result = eval_script(Script(source), context.env, context.sandbox_limits)
     return render_sandbox_outcome(result), {"script": source}

@@ -1,11 +1,13 @@
 """Hierarchical execution layer: the skill registry and its executors.
 
-The planner names a skill and an objective; dispatch routes to the matching
-executor, `run(action, context) -> (observation, payload)`, whose one model
-call is `context.ask(prompt)`; the payload (the tool call or script, or None)
-is recorded with the action.  In-skill failures never raise: they are rendered
-into the observation so the next planning round can react to them.  Finish is
-listed for prompt rendering but executed by the run loop, not here.
+The planner names a skill and an objective; `dispatch` routes to the
+matching executor, `run(action, context) -> (observation, payload)`, whose
+one model call is `context.ask(prompt)`; the payload (the tool call or
+script, or None) is recorded with the action.  `dispatch` is the one place a
+skill fault becomes an observation the next planning round can react to: a
+kind it cannot run, and a backend outage inside the executor.  Executors
+render their own tool and script faults.  Finish is listed for prompt
+rendering but executed by the run loop, not here.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences
 from .environment import ToolCall, ToolEnvironment, observe_tool_call
-from .errors import (
-    BackendUnavailable,
-    DuplicateSkill,
-    ReservedKind,
-    SkillDisabled,
-    SkillUnknown,
-)
+from .errors import BackendUnavailable, FatalError
 from .plan import (
     CODING,
     FINISH,
@@ -89,10 +85,10 @@ class SkillRegistry:
 
     def disable(self, kind: str) -> "SkillRegistry":
         if kind == FINISH:
-            raise ReservedKind("Finish cannot be disabled")
+            raise FatalError("Finish cannot be disabled")
         entry = self.get(kind)
         if entry is None:
-            raise SkillUnknown(f"cannot disable unregistered kind {kind!r}")
+            raise FatalError(f"cannot disable unregistered kind {kind!r}")
         entries = tuple(replace(e, enabled=False) if e.name == kind else e
                         for e in self.entries)
         return SkillRegistry(entries=entries)
@@ -102,11 +98,11 @@ def register_skill(registry: SkillRegistry, kind: str,
                    descriptor: SkillDescriptor) -> SkillRegistry:
     """Add a custom kind; identifiers are case-sensitive and must be fresh."""
     if not kind:
-        raise SkillUnknown("skill kind identifiers must be non-empty")
+        raise FatalError("skill kind identifiers must be non-empty")
     if kind == FINISH:
-        raise ReservedKind("Finish is built in and cannot be re-registered")
+        raise FatalError("Finish is built in and cannot be re-registered")
     if registry.get(kind) is not None:
-        raise DuplicateSkill(f"skill kind {kind!r} is already registered")
+        raise FatalError(f"skill kind {kind!r} is already registered")
     entries = registry.entries[:-1] + (replace(descriptor, name=kind),
                                        registry.entries[-1])
     return SkillRegistry(entries=entries)
@@ -151,18 +147,26 @@ def dispatch(action: SkillAction, context: SkillContext,
     """Route one action to its executor; returns (observation, payload),
     the observation never empty and truncated to budget.
 
-    Raises only for dispatch-level faults (unknown or disabled kinds);
-    everything inside a skill comes back as an observation.
+    Every skill fault comes back as an observation with no payload: a kind
+    that is unknown, disabled or has no executor as `Action not executed:
+    <why>`, a backend outage in the executor as `<Kind> failed: <outage>`.
+    Other backend faults (auth, rule and cassette misses) propagate.
     """
-    entry = registry.get(action.kind)
+    kind, payload = action.kind, None
+    entry = registry.get(kind)
     if entry is None:
-        raise SkillUnknown(f"no skill registered for kind {action.kind!r}")
-    if not entry.enabled:
-        raise SkillDisabled(f"skill {action.kind!r} is currently disabled")
-    if entry.run is None:
-        raise SkillUnknown(f"skill {action.kind!r} has no executor "
-                           "(Finish is handled by the run loop)")
-    observation, payload = entry.run(action, context)
+        observation = ("Action not executed: "
+                       f"no skill registered for kind {kind!r}")
+    elif not entry.enabled:
+        observation = f"Action not executed: skill {kind!r} is currently disabled"
+    elif entry.run is None:
+        observation = (f"Action not executed: skill {kind!r} has no executor "
+                       "(Finish is handled by the run loop)")
+    else:
+        try:
+            observation, payload = entry.run(action, context)
+        except BackendUnavailable as exc:
+            observation = f"{kind} failed: {exc}"
     return truncate_observation(observation or "(empty observation)",
                                 context.observation_bytes), payload
 
@@ -257,10 +261,7 @@ def _searching_prompt(action: SkillAction, context: SkillContext) -> str:
 
 def exec_searching(action: SkillAction, context: SkillContext) -> SkillResult:
     """One retrieval intent, at most one tool call."""
-    try:
-        emission = context.ask(_searching_prompt(action, context))
-    except BackendUnavailable as exc:
-        return f"Searching failed before any tool ran: {exc}", None
+    emission = context.ask(_searching_prompt(action, context))
     calls, problem = parse_tool_emission(emission)
     if problem is not None:
         return f"Searching emitted no usable tool call ({problem}).", None
@@ -309,7 +310,4 @@ def _writing_prompt(action: SkillAction, context: SkillContext) -> str:
 
 def exec_writing(action: SkillAction, context: SkillContext) -> SkillResult:
     """One model call; the generated document is the observation."""
-    try:
-        return context.ask(_writing_prompt(action, context)), None
-    except BackendUnavailable as exc:
-        return f"Writing failed: {exc}", None
+    return context.ask(_writing_prompt(action, context)), None

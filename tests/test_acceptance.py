@@ -11,22 +11,13 @@ import hashlib
 import json
 import os
 import random
+import re
 import time
 import unicodedata
 
 import pytest
 
-from goalact.errors import (
-    EmptyPlan,
-    GoalActError,
-    MalformedDocument,
-    MissingFinish,
-    MissingKeys,
-    PlanParseError,
-    PlanValidationError,
-    PrematureFinish,
-    UnknownSkill,
-)
+from goalact.errors import GoalActError, PlanError
 from goalact.evaluation import success_rate
 from goalact.generator import (
     CATEGORY_ORDER,
@@ -60,8 +51,9 @@ def _verdict(name: str, detail: str) -> None:
 _FUZZ_KINDS = ["Searching", "Coding", "Writing"]
 
 
-def _fuzz_case(rng: random.Random) -> tuple[str, type | None]:
-    """One fuzzed planner completion plus the error class it must trigger."""
+def _fuzz_case(rng: random.Random) -> tuple[str, str | None]:
+    """One fuzzed planner completion plus a pattern of the PlanError message
+    it must trigger."""
     def step(kind: str, objective: str = "obj") -> dict:
         return {"Thinking": f"th{rng.randrange(100)}",
                 "Action": f"{kind}[{objective}]"}
@@ -76,23 +68,24 @@ def _fuzz_case(rng: random.Random) -> tuple[str, type | None]:
         return text, None
     if case == 1:  # no terminal Finish
         doc = body + [step(rng.choice(_FUZZ_KINDS))]
-        return json.dumps(doc), MissingFinish
+        return json.dumps(doc), "must end with a Finish step"
     if case == 2:  # Finish before the last step (terminal Finish present)
         doc = (body + [{"Thinking": "early", "Action": "Finish[]"}]
                + [step(rng.choice(_FUZZ_KINDS))]
                + [{"Thinking": "done", "Action": "Finish[]"}])
-        return json.dumps(doc), PrematureFinish
+        return json.dumps(doc), r"Finish at step \d+ is not terminal"
     if case == 3:  # unknown skill kind
         doc = body + [step("Teleport"), {"Thinking": "d", "Action": "Finish[]"}]
-        return json.dumps(doc), UnknownSkill
+        return json.dumps(doc), "kind 'Teleport' is not a registered skill"
     if case == 4:  # empty array
-        return "[]", EmptyPlan
+        return "[]", "the parsed plan has no steps"
     if case == 5:  # not an array at all
         return rng.choice(["prose with no array", '{"Thinking": "x"}',
-                           "[{broken json"]), MalformedDocument
+                           "[{broken json"]), \
+        "holds no parseable array|expected an array, got dict"
     # wrong keys
     doc = body + [{"Thinking": "x", "Act": "Finish[]"}]
-    return json.dumps(doc), MissingKeys
+    return json.dumps(doc), "must have exactly the keys Thinking and Action"
 
 
 def test_acceptance_plan_invariants_fuzz():
@@ -104,13 +97,13 @@ def test_acceptance_plan_invariants_fuzz():
         try:
             parsed = parse_plan_response(text)
             plan = splice_pending((), parsed, revision=1)
-        except (PlanParseError, PlanValidationError) as exc:
+        except PlanError as exc:
             assert expected is not None, f"valid plan rejected: {exc}"
-            assert isinstance(exc, expected), \
-                f"expected {expected.__name__}, got {type(exc).__name__}"
+            assert re.search(expected, str(exc)), \
+                f"expected {expected!r}, got {exc}"
             rejected += 1
             continue
-        assert expected is None, f"{expected.__name__} case passed validation"
+        assert expected is None, f"{expected!r} case passed validation"
         finishes = [s for s in plan.steps if s.action.kind == FINISH]
         assert len(finishes) == 1
         assert finishes[0].index == len(plan.steps)

@@ -270,19 +270,6 @@ def test_http_retries_connection_errors():
     assert client.complete(_req("x", model="m")) == "back"
 
 
-def test_http_token_bucket_throttles():
-    transport = _SequenceTransport([(200, _ok_body("a")), (200, _ok_body("b"))])
-    sleeps: list[float] = []
-    clock = iter([0.0, 0.0, 1.0, 1.0, 1.0, 1.0]).__next__
-    client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
-                             model="m", transport=transport,
-                             requests_per_minute=1, sleeper=sleeps.append,
-                             clock=clock)
-    client.complete(_req("x", model="m"))
-    client.complete(_req("y", model="m"))
-    assert sleeps and sleeps[0] == pytest.approx(59.0)
-
-
 def test_http_attempt_counts_stay_with_their_thread():
     """One client shared by `--jobs` workers logs each call's own tries."""
     from goalact.orchestrator import RecordingBackend
@@ -349,24 +336,6 @@ def _race(worker, threads: int = 8) -> None:
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in pool)
-
-
-def test_http_token_bucket_loses_no_call_under_threads():
-    """With the clock stopped, every call past the bucket's size must wait;
-    a timestamp lost between threads lets a call through unthrottled."""
-    sleeps: list[float] = []
-    client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
-                             model="m",
-                             transport=lambda *args: (200, _ok_body("ok")),
-                             requests_per_minute=1200, sleeper=sleeps.append,
-                             clock=lambda: 0.0)
-
-    def worker(i: int) -> None:
-        for _ in range(300):
-            client.complete(_req("x", model="m"))
-
-    _race(worker)
-    assert len(sleeps) == 8 * 300 - 1200
 
 
 def test_http_unparseable_completion_bodies_are_backend_faults():

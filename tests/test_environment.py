@@ -17,7 +17,7 @@ from goalact.environment import (
     render_row,
     render_rows,
 )
-from goalact.errors import NoMatch, ToolError, UnknownField, UnknownTool
+from goalact.errors import ToolError
 from goalact.generator import (
     AGGREGATION_ROWS,
     generate_aggregation_task,
@@ -58,22 +58,23 @@ def test_filter_with_no_matches_returns_empty_list(company_env):
 
 
 def test_unknown_field_is_reported(company_env):
-    with pytest.raises(UnknownField):
+    with pytest.raises(ToolError, match="table 'companies' has no field 'nme'"):
         company_env.invoke_tool(_get("companies", "nme", "x"))
 
 
 def test_get_record_miss_raises_nomatch(company_env):
-    with pytest.raises(NoMatch):
+    with pytest.raises(ToolError,
+                       match="no companies record with name = 'GammaCo'"):
         company_env.invoke_tool(_get("companies", "name", "GammaCo"))
 
 
 def test_unknown_tool_is_reported(company_env):
-    with pytest.raises(UnknownTool):
+    with pytest.raises(ToolError, match="unknown tool 'teleport'"):
         company_env.invoke_tool(ToolCall(tool_name="teleport", arguments={}))
 
 
 def test_unexpected_argument_names_are_rejected(company_env):
-    with pytest.raises(UnknownField):
+    with pytest.raises(ToolError, match=r"unexpected argument\(s\): fields"):
         company_env.invoke_tool(ToolCall(
             tool_name="get_record",
             arguments={"table": "companies", "fields": "name",
@@ -112,7 +113,7 @@ def _scan_lookup(env: ToolEnvironment, call: ToolCall) -> list:
     field_name = str(call.arguments["field"])
     value = call.arguments["value"]
     if table.rows and field_name not in table.rows[0]:
-        raise UnknownField(
+        raise ToolError(
             f"table '{table.name}' has no field '{field_name}' "
             f"(fields: {', '.join(table.rows[0])})")
     matches = [row for row in table.rows
@@ -120,7 +121,7 @@ def _scan_lookup(env: ToolEnvironment, call: ToolCall) -> list:
                or str(row.get(field_name)) == str(value)]
     if spec.semantics == "get_record":
         if not matches:
-            raise NoMatch(
+            raise ToolError(
                 f"no {table.name} record with {field_name} = {value!r}")
         return matches[:1]
     return matches

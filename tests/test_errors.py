@@ -1,0 +1,55 @@
+"""The fault model: a fault type exists only where a handler names it."""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import goalact
+from goalact import errors
+
+SOURCE = Path(goalact.__file__).resolve().parent
+
+
+def _caught_names(tree: ast.AST) -> dict[str, list[str]]:
+    """Each name an `except` clause catches -> the functions it is caught in."""
+    caught: dict[str, list[str]] = {}
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for part in ast.walk(node.type):
+                if isinstance(part, ast.Name):
+                    caught.setdefault(part.id, []).append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return caught
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_fault_type_is_caught_by_name_somewhere():
+    defined = [name for name, value in vars(errors).items()
+               if inspect.isclass(value) and issubclass(value, Exception)
+               and value.__module__ == errors.__name__]
+    assert sorted(defined) == sorted([
+        "GoalActError", "FatalError", "PlanError", "PlanningFailed",
+        "BackendError", "BackendUnavailable", "AuthFailure", "RuleMiss",
+        "CassetteMiss", "ToolError"])
+    caught: set[str] = set()
+    for path in SOURCE.glob("*.py"):
+        caught |= set(_caught_names(_parse(path)))
+    assert [name for name in defined if name not in caught] == []
+
+
+def test_only_dispatch_turns_a_skill_outage_into_an_observation():
+    skills = _caught_names(_parse(SOURCE / "skills.py"))
+    sandbox = _caught_names(_parse(SOURCE / "sandbox.py"))
+    assert skills.get("BackendUnavailable") == ["dispatch"]
+    assert "BackendUnavailable" not in sandbox

@@ -5,12 +5,7 @@ import unicodedata
 
 import pytest
 
-from goalact.errors import (
-    EmptyKeywordSet,
-    EmptyScoreSet,
-    MissingCategory,
-    TaskSetMismatch,
-)
+from goalact.errors import GoalActError
 from goalact.evaluation import (
     TaskScore,
     aggregate,
@@ -42,7 +37,7 @@ def test_empty_output_scores_zero():
 
 
 def test_empty_keyword_set_is_an_error():
-    with pytest.raises(EmptyKeywordSet):
+    with pytest.raises(GoalActError, match="at least one keyword"):
         success_rate(set(), "anything")
 
 
@@ -110,9 +105,11 @@ def test_aggregate_overall_is_unweighted_over_tasks():
 
 
 def test_aggregate_rejects_empty_and_uncategorized():
-    with pytest.raises(EmptyScoreSet):
+    with pytest.raises(GoalActError, match="empty score list"):
         aggregate([], {})
-    with pytest.raises(MissingCategory):
+    with pytest.raises(GoalActError, match="no reports to merge"):
+        merge_reports([])
+    with pytest.raises(GoalActError, match="task 'a' has no category"):
         aggregate([_score("a", 1.0)], {"b": "1hop"})
 
 
@@ -152,16 +149,16 @@ def test_compare_methods_accepts_a_merged_report():
     ])
     deltas = compare_methods(merged)
     assert deltas["GoalAct"]["ALL"] == pytest.approx(0.6)
-    with pytest.raises(TaskSetMismatch):
+    with pytest.raises(GoalActError, match="at least two methods"):
         compare_methods(aggregate([_score("a", 1.0)], categories, method="X"))
 
 
 def test_compare_methods_rejects_mismatched_task_sets():
     one = aggregate([_score("a", 1.0)], {"a": "1hop"}, method="A")
     other = aggregate([_score("b", 1.0)], {"b": "1hop"}, method="B")
-    with pytest.raises(TaskSetMismatch):
+    with pytest.raises(GoalActError, match="cover different task sets"):
         compare_methods([one, other])
-    with pytest.raises(TaskSetMismatch):
+    with pytest.raises(GoalActError, match="at least two reports"):
         compare_methods([one])
 
 

@@ -6,13 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from goalact.errors import (
-    BrokenExecutionPrefix,
-    MissingFinish,
-    NonContiguousIndices,
-    PlanTooLong,
-    PrematureFinish,
-)
+from goalact.errors import PlanError
 from goalact.plan import (
     EXECUTED,
     FINISH,
@@ -53,12 +47,12 @@ def test_validate_accepts_terminal_finish():
 
 
 def test_validate_rejects_missing_finish():
-    with pytest.raises(MissingFinish):
+    with pytest.raises(PlanError, match="must end with a Finish step"):
         validate_plan(_plan([SEARCHING]))
 
 
 def test_validate_rejects_premature_finish():
-    with pytest.raises(PrematureFinish):
+    with pytest.raises(PlanError, match="Finish at step 1 is not terminal"):
         validate_plan(_plan([FINISH, SEARCHING, FINISH]))
 
 
@@ -68,7 +62,7 @@ def test_validate_rejects_non_contiguous_indices():
                                PlanStep(index=5, thought="t",
                                         action=SkillAction(kind=FINISH))),
                         revision=1)
-    with pytest.raises(NonContiguousIndices):
+    with pytest.raises(PlanError, match="position 2 carries index 5"):
         validate_plan(broken)
 
 
@@ -76,14 +70,15 @@ def test_validate_rejects_pending_before_executed():
     plan = _plan([SEARCHING, SEARCHING, FINISH])
     steps = list(plan.steps)
     steps[1] = steps[1].mark_executed("obs")
-    with pytest.raises(BrokenExecutionPrefix):
+    with pytest.raises(PlanError,
+                       match="executed step 2 follows a pending step"):
         validate_plan(GlobalPlan(steps=tuple(steps), revision=1))
 
 
 def test_validate_enforces_optional_cap():
     plan = _plan([SEARCHING, SEARCHING, FINISH])
     assert validate_plan(plan, max_steps=3) is plan
-    with pytest.raises(PlanTooLong):
+    with pytest.raises(PlanError, match="3 steps exceed the cap of 2"):
         validate_plan(plan, max_steps=2)
 
 

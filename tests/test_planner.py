@@ -9,14 +9,7 @@ import pytest
 from goalact import planner
 from goalact.backends import Rule
 from goalact.environment import ToolEnvironment
-from goalact.errors import (
-    EmptyPlan,
-    MalformedDocument,
-    MissingKeys,
-    PlanningFailed,
-    TemplateSlotMissing,
-    UnknownSkill,
-)
+from goalact.errors import FatalError, GoalActError, PlanError, PlanningFailed
 from goalact.plan import FINISH, SEARCHING, History, SkillAction, history_of
 from goalact.planner import (
     PLANNING_MARKER,
@@ -126,7 +119,8 @@ def test_template_without_a_slot_is_an_error(company_env, monkeypatch):
     monkeypatch.setattr(planner, "load_template", lambda: template)
     planner._template_parts.cache_clear()
     try:
-        with pytest.raises(TemplateSlotMissing, match=r"\{memory\}"):
+        with pytest.raises(GoalActError,
+                           match=r"template lost its \{memory\} marker"):
             _prompt(company_env)
     finally:
         planner._template_parts.cache_clear()
@@ -134,7 +128,8 @@ def test_template_without_a_slot_is_an_error(company_env, monkeypatch):
 
 def test_default_exemplars_match_configured_count():
     assert len(load_exemplars(None, 2)) == 2
-    with pytest.raises(TemplateSlotMissing):
+    with pytest.raises(FatalError,
+                       match="3 exemplars requested but the package holds 2"):
         load_exemplars(None, 3)
 
 
@@ -155,7 +150,8 @@ def test_load_exemplars_enforces_the_count(tmp_path, one_line_file):
     held = len(load_exemplars(path, 1 if one_line_file else 2))
     assert held == (1 if one_line_file else 2)
     for count in (held + 1, -1):
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(FatalError, match=f"^{count} exemplars requested "
+                                             f"but .* holds {held}$"):
             load_exemplars(path, count)
 
 
@@ -176,18 +172,18 @@ def test_parse_strips_code_fences():
 
 
 def test_parse_rejects_unknown_kind():
-    with pytest.raises(UnknownSkill):
+    with pytest.raises(PlanError, match="kind 'Fly' is not a registered skill"):
         parse_plan_response('[{"Thinking":"done","Action":"Fly[away]"}]')
 
 
 def test_parse_rejects_malformed_missing_and_empty():
-    with pytest.raises(MalformedDocument):
+    with pytest.raises(PlanError, match="holds no parseable array"):
         parse_plan_response("no array here at all")
-    with pytest.raises(MissingKeys):
+    with pytest.raises(PlanError, match="exactly the keys Thinking and Action"):
         parse_plan_response('[{"Thinking":"t"}]')
-    with pytest.raises(MissingKeys):
+    with pytest.raises(PlanError, match="exactly the keys Thinking and Action"):
         parse_plan_response('[{"Thinking":"t","Action":"Finish[]","Extra":1}]')
-    with pytest.raises(EmptyPlan):
+    with pytest.raises(PlanError, match="the parsed plan has no steps"):
         parse_plan_response("[]")
 
 
@@ -304,7 +300,6 @@ def test_update_repairs_once_then_succeeds(company_env):
 def test_update_never_returns_an_invalid_plan_under_fuzzing(company_env):
     import random
 
-    from goalact.errors import PlanParseError, PlanValidationError
     from goalact.plan import validate_plan
 
     rng = random.Random(808)

@@ -15,8 +15,9 @@ from goalact import sandbox
 from goalact.backends import Rule
 from goalact.environment import Table, ToolEnvironment, render_number
 from goalact.errors import BackendUnavailable
+from goalact.orchestrator import RecordingEnvironment
 from goalact.plan import CODING, TRUNCATION_MARKER, History, SkillAction, \
-    truncate_observation
+    Trajectory, truncate_observation
 from goalact.sandbox import (
     CODING_MARKER,
     FAULT_LIMIT,
@@ -144,8 +145,8 @@ def test_moderate_nesting_still_runs(company_env):
     assert result.value == "2"
 
 
-def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
-        company_env, monkeypatch):
+def _count_token_matches(monkeypatch) -> list[int]:
+    """A one-item list counting the lexer's token matches from now on."""
     matches = [0]
     token_re = sandbox._TOKEN_RE
 
@@ -155,6 +156,12 @@ def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
             return token_re.match(source, pos)
 
     monkeypatch.setattr(sandbox, "_TOKEN_RE", CountingPattern())
+    return matches
+
+
+def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
+        company_env, monkeypatch):
+    matches = _count_token_matches(monkeypatch)
     script = "return " + "[" * 100000 + "0" + "]" * 100000
     result = eval_script(Script(script), company_env)
     assert result.fault is not None and "nesting" in result.fault.message
@@ -162,16 +169,20 @@ def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
 
 
 @pytest.mark.parametrize("script", [
+    "[" * 100000 + "0" + "]" * 100000,
     "return (1 + ) $",
     "return 1 + \n x = = 2 @",
     "if true { return 1 ~",
     "return " + "9" * 5000 + " #",
-])
-def test_a_bad_character_after_a_parse_fault_is_reported_first(company_env,
-                                                               script):
+], ids=["over-deep-statement", "empty-operand", "double-equals",
+        "unterminated-block", "huge-literal"])
+def test_the_first_parse_fault_ends_lexing(company_env, monkeypatch, script):
+    """The first fault in parse order is reported, a bad character among
+    them, and no more of the script is lexed."""
+    matches = _count_token_matches(monkeypatch)
     result = eval_script(Script(script), company_env)
-    assert result.fault is not None
-    assert result.fault.message.startswith("unexpected character")
+    assert result.fault is not None and result.fault.kind == FAULT_PARSE
+    assert matches[0] <= 300
 
 
 def test_runtime_faults_cover_common_misuse(company_env):
@@ -198,11 +209,22 @@ def test_determinism_including_trace_order(company_env):
         "for r in a { total = total + r.amount }",
         "return [total, b.city, len(a)]",
     ])
-    first = eval_script(Script(script), company_env)
-    second = eval_script(Script(script), company_env)
-    assert first.value == second.value
-    assert first.trace == second.trace
+    runs = []
+    for _ in range(2):
+        trajectory = Trajectory(task_id="t", method="CodeAct")
+        env = RecordingEnvironment(company_env, trajectory, 4096)
+        runs.append((eval_script(Script(script), env), trajectory.tool_calls))
+    (first, first_calls), (second, second_calls) = runs
+    assert first.ok and first.value == second.value
     assert first.steps_used == second.steps_used
+    assert first.tool_calls_used == second.tool_calls_used == 2
+    assert [(c.tool, c.arguments) for c in first_calls] == [
+        ("filter_records", {"table": "cases", "field": "status",
+                            "value": "open"}),
+        ("get_record", {"table": "companies", "field": "name",
+                        "value": "AlphaCorp"}),
+    ]
+    assert first_calls == second_calls
 
 
 def test_float_rendering_uses_six_significant_digits(company_env):
@@ -489,14 +511,15 @@ def test_exec_coding_surfaces_faults_as_observations(company_env):
 
 
 def test_exec_coding_degrades_on_backend_outage(company_env):
+    """The executor leaves its outage to `dispatch`, which renders it."""
     def down(prompt):
         raise BackendUnavailable("gave up")
 
     context = SkillContext(question="q", history=History(), env=company_env,
                            ask=down, sandbox_limits=SandboxLimits(),
                            observation_bytes=4096, writing_budget=12000)
-    assert exec_coding(SkillAction(CODING, "sum"), context) == \
-        ("Coding failed before any script ran: gave up", None)
+    with pytest.raises(BackendUnavailable, match="gave up"):
+        exec_coding(SkillAction(CODING, "sum"), context)
 
 
 def test_outcome_rendering_mentions_budgets(company_env):

@@ -1,17 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from goalact.backends import Rule
-from goalact.errors import (
-    BackendUnavailable,
-    DuplicateSkill,
-    ReservedKind,
-    SkillDisabled,
-    SkillUnknown,
-)
+from goalact.errors import BackendUnavailable, FatalError
 from goalact.orchestrator import RecordingEnvironment, RunConfig
 from goalact.plan import (
     CODING,
@@ -80,17 +75,21 @@ def test_register_skill_appears_before_finish():
 
 def test_register_rejects_duplicates_and_finish():
     registry = default_registry()
-    with pytest.raises(DuplicateSkill):
+    with pytest.raises(FatalError, match="'Searching' is already registered"):
         register_skill(registry, SEARCHING,
                        SkillDescriptor(name=SEARCHING, description="again"))
-    with pytest.raises(ReservedKind):
+    with pytest.raises(FatalError, match="Finish is built in"):
         register_skill(registry, FINISH,
                        SkillDescriptor(name=FINISH, description="no"))
+    with pytest.raises(FatalError, match="must be non-empty"):
+        register_skill(registry, "", SkillDescriptor(name="", description=""))
 
 
 def test_finish_cannot_be_disabled():
-    with pytest.raises(ReservedKind):
+    with pytest.raises(FatalError, match="Finish cannot be disabled"):
         default_registry().disable(FINISH)
+    with pytest.raises(FatalError, match="cannot disable unregistered kind"):
+        default_registry().disable("Fly")
 
 
 # --- dispatch -----------------------------------------------------------------
@@ -110,18 +109,28 @@ def test_dispatch_routes_searching(company_env):
 
 def test_dispatch_rejects_disabled_kind(company_env):
     registry = default_registry().disable(CODING)
-    with pytest.raises(SkillDisabled):
-        dispatch(SkillAction(CODING, "sum things"),
-                 _context(company_env, scripted()), registry)
+    assert dispatch(SkillAction(CODING, "sum things"),
+                    _context(company_env, scripted()), registry) == \
+        ("Action not executed: skill 'Coding' is currently disabled", None)
 
 
 def test_dispatch_rejects_unknown_and_finish(company_env):
-    with pytest.raises(SkillUnknown):
-        dispatch(SkillAction("Fly", "away"), _context(company_env, scripted()),
-                 default_registry())
-    with pytest.raises(SkillUnknown):
-        dispatch(SkillAction(FINISH), _context(company_env, scripted()),
-                 default_registry())
+    assert dispatch(SkillAction("Fly", "away"),
+                    _context(company_env, scripted()), default_registry()) == \
+        ("Action not executed: no skill registered for kind 'Fly'", None)
+    assert dispatch(SkillAction(FINISH), _context(company_env, scripted()),
+                    default_registry()) == \
+        ("Action not executed: skill 'Finish' has no executor "
+         "(Finish is handled by the run loop)", None)
+
+
+@pytest.mark.parametrize("kind", [SEARCHING, CODING, WRITING])
+def test_dispatch_turns_a_skill_outage_into_an_observation(company_env, kind):
+    env, trajectory = _logged(company_env)
+    assert dispatch(SkillAction(kind, "anything"),
+                    _context(env, _FailingBackend()), default_registry()) == \
+        (f"{kind} failed: {_OUTAGE}", None)
+    assert trajectory.tool_calls == []
 
 
 def test_dispatch_routes_writing(company_env):
@@ -133,12 +142,14 @@ def test_dispatch_routes_writing(company_env):
     assert trajectory.tool_calls == []
 
 
-def test_dispatch_truncates_observations(company_env):
+@pytest.mark.parametrize("action", [SkillAction(WRITING, "draft"),
+                                    SkillAction("Fly" * 100, "away")],
+                         ids=["writing", "not-executed"])
+def test_dispatch_truncates_observations(company_env, action):
     backend = scripted(Rule.on_substrings("x" * 9000, WRITING_MARKER))
     context = _context(company_env, backend)
     context.observation_bytes = 256
-    observation, _ = dispatch(SkillAction(WRITING, "draft"), context,
-                              default_registry())
+    observation, _ = dispatch(action, context, default_registry())
     assert observation.endswith("[truncated]")
     assert len(observation.encode("utf-8")) <= 256
 
@@ -240,10 +251,11 @@ def test_searching_never_makes_two_tool_calls_randomized(company_env):
 
 
 def test_searching_degrades_on_backend_outage(company_env):
+    """The executor leaves its outage to `dispatch`, which renders it."""
     env, trajectory = _logged(company_env)
-    assert exec_searching(SkillAction(SEARCHING, "companies by name"),
-                          _context(env, _FailingBackend())) == \
-        (f"Searching failed before any tool ran: {_OUTAGE}", None)
+    with pytest.raises(BackendUnavailable, match=re.escape(_OUTAGE)):
+        exec_searching(SkillAction(SEARCHING, "companies by name"),
+                       _context(env, _FailingBackend()))
     assert trajectory.tool_calls == []
 
 
@@ -283,9 +295,10 @@ def test_writing_works_from_question_alone(company_env):
 
 
 def test_writing_degrades_on_backend_outage(company_env):
-    assert exec_writing(SkillAction(WRITING, "draft"),
-                        _context(company_env, _FailingBackend())) == \
-        (f"Writing failed: {_OUTAGE}", None)
+    """The executor leaves its outage to `dispatch`, which renders it."""
+    with pytest.raises(BackendUnavailable, match=re.escape(_OUTAGE)):
+        exec_writing(SkillAction(WRITING, "draft"),
+                     _context(company_env, _FailingBackend()))
 
 
 def test_source_material_drops_oldest_first():
