@@ -55,7 +55,7 @@ from .planner import (
     parse_plan_response,
     update_global_plan,
 )
-from .sandbox import SandboxLimits, SandboxResult, Script, eval_script
+from .sandbox import SandboxLimits, SandboxResult, eval_script
 from .skills import (
     SkillContext,
     SkillDescriptor,

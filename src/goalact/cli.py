@@ -24,13 +24,7 @@ from .evaluation import (
     render_report_text,
     report_from_dict,
 )
-from .generator import (
-    generate_aggregation_task,
-    generate_khop_task,
-    generate_writing_task,
-    load_fixture,
-    save_fixture,
-)
+from .generator import generate_task, load_fixture, save_fixture
 from .orchestrator import RunConfig, normalize_method
 from .plan import Trajectory, read_trajectories
 from .records import read_document
@@ -125,13 +119,9 @@ def load_run_config(config_path: Optional[Path], method: str,
 def cmd_generate(args: argparse.Namespace) -> int:
     written = []
     for i in range(args.count):
-        seed = args.seed + i
-        if args.category == "khop":
-            task, env = generate_khop_task(seed, args.k)
-        elif args.category == "writing":
-            task, env = generate_writing_task(seed)
-        else:
-            task, env = generate_aggregation_task(seed)
+        task, env = generate_task(
+            f"{args.k}hop" if args.category == "khop" else args.category,
+            args.seed + i)
         written.append(save_fixture(task, env, args.out))
     print(f"wrote {len(written)} task fixture(s) under {args.out}")
     return 0
@@ -155,7 +145,7 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"termination={trajectory.termination_reason}")
     print(f"final answer: {trajectory.final_answer}")
     if args.out is not None:
-        report = aggregate([score], {task.id: task.category}, method=method)
+        report = aggregate({method: [score]}, {task.id: task.category})
         write_run_dir(args.out, {"trajectories.jsonl": [trajectory]}, report,
                       config, [method], backend_spec, [task.id])
     return 0

@@ -5,6 +5,10 @@ Two generic read-only tools are exposed over every table:
     get_record(table, field, value)     -> the first row matching field=value
     filter_records(table, field, value) -> every matching row, in table order
 
+`ToolEnvironment.invoke_tool` runs a call and `row_texts` gives the text of
+each row it returned; `skills.observe_emission` is the one place a model's
+call is run and its result or ToolError rendered as an observation.
+
 Environments are immutable after load and safe to share across runs and
 threads.  What they write are caches of derived text, each filled on first
 use: a table's text column for a queried field and the JSON text of each
@@ -180,25 +184,6 @@ def render_rows(rows: Sequence[Row]) -> str:
 def list_text(row_texts: Sequence[str]) -> str:
     """`render_rows` of the rows whose texts these are."""
     return "[" + ", ".join(row_texts) + "]"
-
-
-def observe_tool_call(env: Any, call: "ToolCall"
-                      ) -> tuple[str, Optional[ToolError]]:
-    """Invoke one tool call and render the result as observation text.
-
-    A get_record result renders as its one row, a filter_records result as
-    the list of rows, from the table's cached row texts.  A failing call
-    renders as `Tool call <name> failed: <error>` and its error is returned
-    alongside; no text is truncated.
-    """
-    try:
-        rows = env.invoke_tool(call)
-    except ToolError as exc:
-        return f"Tool call {call.tool_name} failed: {exc}", exc
-    texts = env.row_texts(call, rows)
-    if env.tool(call.tool_name).semantics == "get_record":
-        return texts[0], None
-    return list_text(texts), None
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 A task's score is the fraction of its gold keywords that occur as exact
 substrings of the final output, after NFC normalization of both sides; no
-case folding, no fuzzy credit.  Suites aggregate unweighted means per
-category plus an overall ALL column.
+case folding, no fuzzy credit.  `aggregate` builds a suite's whole report
+at once, one row per method of unweighted means per category plus an
+overall ALL column, and checks there that every method was scored over the
+same tasks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class MethodRow:
     method: str
     per_category: Mapping[str, float]
     overall: float
-    task_ids: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -77,61 +78,44 @@ def _ordered_categories(categories: Iterable[str]) -> tuple[str, ...]:
     return tuple(ordered)
 
 
-def aggregate(scores: Sequence[TaskScore], categories: Mapping[str, str],
-              method: str = "method") -> SuiteReport:
-    """Unweighted per-category means plus the overall ALL mean."""
-    if not scores:
+def aggregate(scores_by_method: Mapping[str, Sequence[TaskScore]],
+              categories: Mapping[str, str]) -> SuiteReport:
+    """One row per method, in mapping order: unweighted per-category means
+    plus the overall ALL mean.  Every method must be scored over the same
+    tasks, and every task must have a category."""
+    if not scores_by_method or not all(scores_by_method.values()):
         raise GoalActError("cannot aggregate an empty score list")
-    for score in scores:
+    if len({frozenset(s.task_id for s in scores)
+            for scores in scores_by_method.values()}) > 1:
+        raise GoalActError("the methods were scored over different task sets")
+    first = next(iter(scores_by_method.values()))
+    for score in first:
         if score.task_id not in categories:
             raise GoalActError(f"task {score.task_id!r} has no category")
-    buckets: dict[str, list[float]] = {}
-    for score in scores:
-        buckets.setdefault(categories[score.task_id], []).append(score.s)
-    ordered = _ordered_categories(buckets)
-    # fsum is exactly rounded, so the means do not depend on score order.
-    per_category = {c: math.fsum(buckets[c]) / len(buckets[c]) for c in ordered}
-    overall = math.fsum(s.s for s in scores) / len(scores)
-    row = MethodRow(method=method, per_category=per_category, overall=overall,
-                    task_ids=frozenset(s.task_id for s in scores))
-    return SuiteReport(rows=(row,), categories=ordered, task_count=len(scores))
+    ordered = _ordered_categories(categories[s.task_id] for s in first)
+    rows = []
+    for method, scores in scores_by_method.items():
+        buckets: dict[str, list[float]] = {c: [] for c in ordered}
+        for score in scores:
+            buckets[categories[score.task_id]].append(score.s)
+        # fsum is exactly rounded, so the means do not depend on score order.
+        rows.append(MethodRow(
+            method=method,
+            per_category={c: math.fsum(v) / len(v) for c, v in buckets.items()},
+            overall=math.fsum(s.s for s in scores) / len(scores)))
+    return SuiteReport(rows=tuple(rows), categories=ordered,
+                       task_count=len(first))
 
 
-def merge_reports(reports: Sequence[SuiteReport]) -> SuiteReport:
-    """One multi-method report from single-method reports over one task set."""
-    if not reports:
-        raise GoalActError("no reports to merge")
-    base = reports[0].rows[0].task_ids
-    for report in reports[1:]:
-        if report.rows[0].task_ids != base:
-            raise GoalActError("reports cover different task sets")
-    categories = _ordered_categories(
-        c for report in reports for c in report.categories)
-    rows = tuple(row for report in reports for row in report.rows)
-    return SuiteReport(rows=rows, categories=categories,
-                       task_count=reports[0].task_count)
-
-
-def compare_methods(reports: SuiteReport | Sequence[SuiteReport]
-                    ) -> dict[str, dict[str, float]]:
-    """Per-category and overall deltas of each method against the best rival.
-
-    Accepts either one merged multi-method report or a sequence of
-    single-method reports over the same task set.
-    """
-    if isinstance(reports, SuiteReport):
-        merged = reports
-        if len(merged.rows) < 2:
-            raise GoalActError("compare_methods needs at least two methods")
-    else:
-        if len(reports) < 2:
-            raise GoalActError("compare_methods needs at least two reports")
-        merged = merge_reports(reports)
+def compare_methods(report: SuiteReport) -> dict[str, dict[str, float]]:
+    """Per-category and overall deltas of each method against the best rival."""
+    if len(report.rows) < 2:
+        raise GoalActError("compare_methods needs at least two methods")
     deltas: dict[str, dict[str, float]] = {}
-    for row in merged.rows:
-        rivals = [r for r in merged.rows if r.method != row.method]
+    for row in report.rows:
+        rivals = [r for r in report.rows if r.method != row.method]
         entry: dict[str, float] = {}
-        for category in merged.categories:
+        for category in report.categories:
             mine = row.per_category.get(category)
             others = [r.per_category[category] for r in rivals
                       if category in r.per_category]
@@ -188,15 +172,15 @@ def _checked(value: Any, kind: Any, name: str) -> Any:
 
 
 def report_from_dict(doc: Mapping) -> SuiteReport:
-    """The report `report_to_dict` wrote; its rows hold no task ids.  A
-    value not of its type raises a TypeError."""
+    """The report `report_to_dict` wrote.  A value not of its type raises a
+    TypeError."""
     number = (int, float)
     rows = tuple(MethodRow(
         method=_checked(row["method"], str, "method"),
         per_category={c: _checked(s, number, f"the score of {c}") for c, s in
                       _checked(row["per_category"], dict, "per_category").items()},
-        overall=_checked(row["overall"], number, "overall"),
-        task_ids=frozenset()) for row in _checked(doc["rows"], list, "rows"))
+        overall=_checked(row["overall"], number, "overall"))
+        for row in _checked(doc["rows"], list, "rows"))
     categories = _checked(doc["categories"], list, "categories")
     return SuiteReport(
         rows=rows, categories=tuple(_checked(c, str, "a category")

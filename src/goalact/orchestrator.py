@@ -7,7 +7,8 @@ iteration asks the method's policy for one step:
   GoalAct        - re-plans the global plan, then dispatches the first
                    pending step through the skill registry.
   PlanAndSolve   - one plan up front, executed without revision.
-  PlanAndExecute - re-planned free-text sub-tasks, each mapped to one tool call.
+  PlanAndExecute - re-planned free-text sub-tasks, each dispatched as the
+                   one-call Subtask skill.
   ReAct          - no plan; one thought plus one tool call per iteration.
   CodeAct        - no plan; one sandbox script per iteration.
 
@@ -16,11 +17,12 @@ A `RunConfig` builds its skill registry and exemplars when it is made, so a
 bad setting fails before any run, and every run of that config shares them.
 Every model call of a run goes through `RecordingBackend.ask(purpose,
 prompt)`, which logs the exchange; a step or skill sees it as `ask(prompt)`.
-Trouble inside a step (tool errors, malformed emissions, and any skill fault,
-which `skills.dispatch` renders) degrades to an observation the next
-iteration can react to.  A backend outage in a policy's own decision call, or
-a plan still unusable after its repair retry, ends the run as fatal_error
-with a summary of what it has.  Only configuration faults, auth failures and
+Trouble inside a step degrades to an observation the next iteration can
+react to: `skills.observe_emission` runs and renders every tool call a model
+emits, a malformed or failing one included, and `skills.dispatch` renders
+every skill fault.  A backend outage in a policy's own decision call, or a
+plan still unusable after its repair retry, ends the run as fatal_error with
+a summary of what it has.  Only configuration faults, auth failures and
 scripted-fixture or cassette misses abort a run; the exception carries the
 partial trajectory.
 """
@@ -34,7 +36,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences, user_request
-from .environment import ToolEnvironment, list_text, observe_tool_call
+from .environment import ToolEnvironment, list_text
 from .errors import (
     AuthFailure,
     BackendUnavailable,
@@ -79,7 +81,6 @@ from .records import check_types
 from .sandbox import (
     GRAMMAR_REFERENCE,
     SandboxLimits,
-    Script,
     eval_script,
     render_sandbox_outcome,
 )
@@ -90,7 +91,7 @@ from .skills import (
     SkillResult,
     default_registry,
     dispatch,
-    parse_tool_emission,
+    observe_emission,
     register_skill,
 )
 
@@ -278,13 +279,6 @@ def _history_summary(history: History) -> tuple[str, str]:
     return render_history(history), last
 
 
-def _observe_call(call: Any, env: Any, config: RunConfig) -> str:
-    """A tool call's observation, truncated whether or not the call failed:
-    a tool error may echo an argument of any length."""
-    return truncate_observation(observe_tool_call(env, call)[0],
-                                config.observation_bytes)
-
-
 # --- policies ------------------------------------------------------------------------
 
 @dataclass
@@ -326,15 +320,15 @@ class _Policy:
         head, tail = self._world_frame
         return head + transcript + tail
 
-    def run_skill(self, action: SkillAction, history: History) -> SkillResult:
-        """Dispatch one skill action through the run's registry."""
-        context = SkillContext(
+    def skill_context(self, purpose: str, history: History) -> SkillContext:
+        """What `dispatch` hands an executor; its model calls are logged
+        under `purpose`."""
+        return SkillContext(
             question=self.task.query, history=history, env=self.env,
-            ask=partial(self.recorder.ask, f"skill:{action.kind}"),
+            ask=partial(self.recorder.ask, purpose),
             sandbox_limits=self.config.sandbox_limits,
             observation_bytes=self.config.observation_bytes,
             writing_budget=self.config.writing_budget)
-        return dispatch(action, context, self.config.registry)
 
 
 # --- plan-based policies: GoalAct, Plan-and-Solve, Plan-and-Execute -------------------
@@ -379,7 +373,9 @@ class _GoalActPolicy(_PlanPolicy):
                                   max_plan_steps=self.config.max_plan_steps)
 
     def execute_step(self, step: PlanStep) -> SkillResult:
-        return self.run_skill(step.action, history_of(self.plan))
+        return dispatch(step.action, self.skill_context(
+            f"skill:{step.action.kind}", history_of(self.plan)),
+            self.config.registry)
 
 
 class _PlanAndSolvePolicy(_GoalActPolicy):
@@ -395,8 +391,26 @@ def _free_action(text: str) -> SkillAction:
     return SkillAction(kind=PE_SUBTASK_KIND, objective=text.strip())
 
 
+def _exec_subtask(action: SkillAction, context: SkillContext) -> SkillResult:
+    """One free-text sub-task mapped to one tool call."""
+    prompt = "\n".join([
+        "Map the sub-task below to exactly one tool call. Respond with a "
+        "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
+        "Available tools:",
+        context.env.render_tool_descriptions(),
+        f"Question: {context.question}",
+        f"{PE_SUBTASK_MARKER} {action.objective}",
+    ])
+    return observe_emission(context.ask(prompt), context.env, "Sub-task")
+
+
+_SUBTASK_SKILLS = SkillRegistry(entries=(SkillDescriptor(
+    name=PE_SUBTASK_KIND, description="One free-text sub-task.",
+    run=_exec_subtask),))
+
+
 class _PlanAndExecutePolicy(_PlanPolicy):
-    """Re-planned free-text sub-tasks run by the generic one-call executor."""
+    """Re-planned free-text sub-tasks, each dispatched to `_exec_subtask`."""
 
     intro = ("You direct an agent that can run exactly one retrieval tool call "
              "per sub-task. Describe each remaining sub-task in plain language.",)
@@ -417,24 +431,8 @@ class _PlanAndExecutePolicy(_PlanPolicy):
             max_plan_steps=self.config.max_plan_steps)
 
     def execute_step(self, step: PlanStep) -> SkillResult:
-        prompt = "\n".join([
-            "Map the sub-task below to exactly one tool call. Respond with a "
-            "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
-            "Available tools:",
-            self.env.render_tool_descriptions(),
-            f"Question: {self.task.query}",
-            f"{PE_SUBTASK_MARKER} {step.action.objective}",
-        ])
-        try:
-            emission = self.recorder.ask("subtask", prompt)
-        except BackendUnavailable as exc:
-            return f"Sub-task failed before any tool ran: {exc}", None
-        calls, problem = parse_tool_emission(emission)
-        if problem is not None:
-            return f"Sub-task emitted no usable tool call ({problem}).", None
-        call = calls[0]
-        payload = {"tool": call.tool_name, "args": dict(call.arguments)}
-        return _observe_call(call, self.env, self.config), payload
+        return dispatch(step.action, self.skill_context(
+            "subtask", history_of(self.plan)), _SUBTASK_SKILLS)
 
 
 # --- transcript-based policies: ReAct, CodeAct, GoalAct without a plan --------------
@@ -512,11 +510,10 @@ class _ReActPolicy(_LinePolicy):
                 line, self.config.observation_bytes))
         if _FINISH_TEXT_RE.match(action_text):
             return True
-        calls, problem = parse_tool_emission(action_text)
-        if problem is not None:
-            self.observe(f"No usable tool call found ({problem}).")
-        else:
-            self.observe(_observe_call(calls[0], self.env, self.config))
+        # A tool error may echo an argument of any length: truncate it too.
+        self.observe(truncate_observation(
+            observe_emission(action_text, self.env, "Action")[0],
+            self.config.observation_bytes))
         return False
 
 
@@ -534,7 +531,7 @@ class _CodeActPolicy(_LinePolicy):
         if _FINISH_TEXT_RE.match(body):
             self.lines.append(f"Action: {body.strip()}")
             return True
-        result = eval_script(Script(body), self.env, self.config.sandbox_limits)
+        result = eval_script(body, self.env, self.config.sandbox_limits)
         self.lines.append("Action: script")
         self.observe(truncate_observation(render_sandbox_outcome(result),
                                           self.config.observation_bytes))
@@ -577,7 +574,8 @@ class _NextStepPolicy(_TranscriptPolicy):
             return False
         if action.kind == FINISH:
             return True
-        observation, payload = self.run_skill(action, self.history())
+        observation, payload = dispatch(action, self.skill_context(
+            f"skill:{action.kind}", self.history()), self.config.registry)
         if payload:
             action = SkillAction(kind=action.kind, objective=action.objective,
                                  payload=payload)

@@ -62,11 +62,6 @@ Return the final value explicitly with `return`."""
 
 
 @dataclass(frozen=True)
-class Script:
-    source: str
-
-
-@dataclass(frozen=True)
 class SandboxLimits:
     max_eval_steps: int = 10000
     max_tool_calls: int = 50
@@ -616,10 +611,9 @@ def render_value(value: Any, limit: int) -> str:
     return "".join(parts)
 
 
-def eval_script(script: Script | str, env: ToolEnvironment,
+def eval_script(source: str, env: ToolEnvironment,
                 limits: SandboxLimits = SandboxLimits()) -> SandboxResult:
     """Run one script to completion; faults come back inside the result."""
-    source = script.source if isinstance(script, Script) else script
     interp = _Interpreter(env, limits)
     try:
         statements = _Parser(source).program()
@@ -670,5 +664,5 @@ def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
     """Ask the model for a script, run it, observe the result or fault."""
     emission = context.ask(_coding_prompt(action, context))
     source = strip_code_fences(emission)
-    result = eval_script(Script(source), context.env, context.sandbox_limits)
+    result = eval_script(source, context.env, context.sandbox_limits)
     return render_sandbox_outcome(result), {"script": source}

@@ -5,9 +5,11 @@ matching executor, `run(action, context) -> (observation, payload)`, whose
 one model call is `context.ask(prompt)`; the payload (the tool call or
 script, or None) is recorded with the action.  `dispatch` is the one place a
 skill fault becomes an observation the next planning round can react to: a
-kind it cannot run, and a backend outage inside the executor.  Executors
-render their own tool and script faults.  Finish is listed for prompt
-rendering but executed by the run loop, not here.
+kind it cannot run, and a backend outage inside the executor.
+`observe_emission` is the one path from a model's tool-call emission to an
+observation, a tool fault included; Searching, a Plan-and-Execute sub-task
+and a ReAct action all run their emission through it.  Finish is listed for
+prompt rendering but executed by the run loop, not here.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences
-from .environment import ToolCall, ToolEnvironment, observe_tool_call
-from .errors import BackendUnavailable, FatalError
+from .environment import ToolCall, ToolEnvironment, list_text
+from .errors import BackendUnavailable, FatalError, ToolError
 from .plan import (
     CODING,
     FINISH,
@@ -259,19 +261,38 @@ def _searching_prompt(action: SkillAction, context: SkillContext) -> str:
     ])
 
 
-def exec_searching(action: SkillAction, context: SkillContext) -> SkillResult:
-    """One retrieval intent, at most one tool call."""
-    emission = context.ask(_searching_prompt(action, context))
+def observe_emission(emission: str, env: Any, who: str) -> SkillResult:
+    """Run the first tool call of a model emission; (observation, payload).
+
+    The payload is the call as `{"tool", "args"}`.  A get_record result
+    renders as its one row, a filter_records result as the list of rows,
+    and a failing call as `Tool call <name> failed: <error>`; calls after
+    the first are discarded and counted.  An emission with no usable call
+    renders as `<who> emitted no usable tool call (<problem>).` with no
+    payload.  No text is truncated.
+    """
     calls, problem = parse_tool_emission(emission)
     if problem is not None:
-        return f"Searching emitted no usable tool call ({problem}).", None
+        return f"{who} emitted no usable tool call ({problem}).", None
     call, discarded = calls[0], len(calls) - 1
     payload = {"tool": call.tool_name, "args": dict(call.arguments)}
-    observation, error = observe_tool_call(context.env, call)
-    if error is None and discarded:
+    try:
+        rows = env.invoke_tool(call)
+    except ToolError as exc:
+        return f"Tool call {call.tool_name} failed: {exc}", payload
+    texts = env.row_texts(call, rows)
+    one_row = env.tool(call.tool_name).semantics == "get_record"
+    observation = texts[0] if one_row else list_text(texts)
+    if discarded:
         observation += (f" ({discarded} extra emitted call"
                         f"{'s' if discarded > 1 else ''} discarded)")
     return observation, payload
+
+
+def exec_searching(action: SkillAction, context: SkillContext) -> SkillResult:
+    """One retrieval intent, at most one tool call."""
+    return observe_emission(context.ask(_searching_prompt(action, context)),
+                            context.env, SEARCHING)
 
 
 def render_source_material(history: History, budget: int) -> str:

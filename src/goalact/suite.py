@@ -37,7 +37,6 @@ from .evaluation import (
     SuiteReport,
     TaskScore,
     aggregate,
-    merge_reports,
     render_report_json,
     render_report_text,
     success_rate,
@@ -195,10 +194,10 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
             break
     finished = set.intersection(*({score.task_id for score in scores}
                                   for _, scores in runs.values()))
-    report = merge_reports([
-        aggregate([s for s in scores if s.task_id in finished], categories,
-                  method=method)
-        for method, (_, scores) in runs.items()]) if finished else None
+    report = aggregate({
+        method: [s for s in scores if s.task_id in finished]
+        for method, (_, scores) in runs.items()}, categories) \
+        if finished else None
 
     if out_dir is not None:
         logs = {f"trajectories/{method}.jsonl": trajectories

@@ -37,7 +37,7 @@ from goalact.plan import (
     plan_from_dict,
 )
 from goalact.planner import parse_plan_response, parse_step_texts, splice_pending
-from goalact.sandbox import SandboxLimits, Script, eval_script
+from goalact.sandbox import SandboxLimits, eval_script
 from goalact.skills import parse_tool_emission
 from goalact.suite import run_suite
 
@@ -268,7 +268,7 @@ def test_acceptance_sandbox_oracle_equivalence():
             task, env = generate_aggregation_task(
                 seed=seed, decimal_amounts=decimal_amounts)
             recipe = task.recipe
-            result = eval_script(Script(_aggregation_script(recipe)), env,
+            result = eval_script(_aggregation_script(recipe), env,
                                  SandboxLimits())
             assert result.fault is None, (task.id, result.fault)
             table = env.table(recipe["table"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -12,7 +13,6 @@ from goalact.environment import (
     ToolCall,
     ToolEnvironment,
     load_environment,
-    observe_tool_call,
     render_number,
     render_row,
     render_rows,
@@ -31,6 +31,7 @@ from goalact.generator import (
 )
 from goalact.orchestrator import RecordingEnvironment
 from goalact.plan import Trajectory
+from goalact.skills import observe_emission
 
 
 def _get(table: str, field_name: str, value) -> ToolCall:
@@ -250,10 +251,13 @@ def _run_threads(worker, count: int = 8) -> None:
 def _texts(env: ToolEnvironment, call: ToolCall) -> tuple:
     """(observation, logged result) of one call, as a run records them."""
     trajectory = Trajectory(task_id="t", method="m")
-    observation, error = observe_tool_call(
-        RecordingEnvironment(env, trajectory, 4096), call)
+    emission = json.dumps({"tool": call.tool_name,
+                           "args": dict(call.arguments)})
+    observation, _ = observe_emission(
+        emission, RecordingEnvironment(env, trajectory, 4096), "Searching")
     record = trajectory.tool_calls[-1]
-    return observation, record.result, error is None, record.ok
+    failed = observation.startswith(f"Tool call {call.tool_name} failed: ")
+    return observation, record.result, not failed, record.ok
 
 
 def _reference_texts(env: ToolEnvironment, call: ToolCall) -> tuple:

@@ -13,12 +13,16 @@ SOURCE = Path(goalact.__file__).resolve().parent
 
 
 def _caught_names(tree: ast.AST) -> dict[str, list[str]]:
-    """Each name an `except` clause catches -> the functions it is caught in."""
+    """Each name an `except` clause catches -> the functions it is caught
+    in, each named with its enclosing classes and functions
+    (`RecordingEnvironment.invoke_tool`)."""
     caught: dict[str, list[str]] = {}
 
     def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            function = node.name if function == "<module>" \
+                else f"{function}.{node.name}"
         if isinstance(node, ast.ExceptHandler) and node.type is not None:
             for part in ast.walk(node.type):
                 if isinstance(part, ast.Name):
@@ -48,8 +52,21 @@ def test_every_fault_type_is_caught_by_name_somewhere():
     assert [name for name in defined if name not in caught] == []
 
 
+def _catchers(name: str) -> set[str]:
+    """`<module>.<function>` of every handler under src/goalact/ that
+    catches `name`."""
+    return {f"{path.stem}.{function}" for path in SOURCE.glob("*.py")
+            for function in _caught_names(_parse(path)).get(name, [])}
+
+
 def test_only_dispatch_turns_a_skill_outage_into_an_observation():
-    skills = _caught_names(_parse(SOURCE / "skills.py"))
-    sandbox = _caught_names(_parse(SOURCE / "sandbox.py"))
-    assert skills.get("BackendUnavailable") == ["dispatch"]
-    assert "BackendUnavailable" not in sandbox
+    """A decision-call outage ends the run and a summary outage degrades
+    it; every other outage is a skill's, which `dispatch` renders."""
+    assert _catchers("BackendUnavailable") == {
+        "skills.dispatch", "orchestrator.summarize", "orchestrator.run_task"}
+
+
+def test_a_tool_error_is_caught_in_three_places_only():
+    assert _catchers("ToolError") == {
+        "orchestrator.RecordingEnvironment.invoke_tool",
+        "skills.observe_emission", "sandbox._Interpreter.call_tool"}

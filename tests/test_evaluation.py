@@ -10,7 +10,6 @@ from goalact.evaluation import (
     TaskScore,
     aggregate,
     compare_methods,
-    merge_reports,
     path_coverage,
     render_report_json,
     render_report_text,
@@ -91,14 +90,14 @@ def _score(task_id: str, s: float) -> TaskScore:
 
 
 def test_aggregate_means_per_category():
-    report = aggregate([_score("a", 1.0), _score("b", 0.5)],
-                       {"a": "1hop", "b": "1hop"}, method="GoalAct")
+    report = aggregate({"GoalAct": [_score("a", 1.0), _score("b", 0.5)]},
+                       {"a": "1hop", "b": "1hop"})
     assert report.rows[0].per_category["1hop"] == 0.75
     assert report.rows[0].overall == 0.75
 
 
 def test_aggregate_overall_is_unweighted_over_tasks():
-    report = aggregate([_score("a", 1.0), _score("b", 0.0)],
+    report = aggregate({"method": [_score("a", 1.0), _score("b", 0.0)]},
                        {"a": "1hop", "b": "writing"})
     assert report.rows[0].overall == 0.5
     assert report.categories == ("1hop", "writing")
@@ -106,11 +105,36 @@ def test_aggregate_overall_is_unweighted_over_tasks():
 
 def test_aggregate_rejects_empty_and_uncategorized():
     with pytest.raises(GoalActError, match="empty score list"):
-        aggregate([], {})
-    with pytest.raises(GoalActError, match="no reports to merge"):
-        merge_reports([])
+        aggregate({}, {})
+    with pytest.raises(GoalActError, match="empty score list"):
+        aggregate({"m": [_score("a", 1.0)], "n": []}, {"a": "1hop"})
     with pytest.raises(GoalActError, match="task 'a' has no category"):
-        aggregate([_score("a", 1.0)], {"b": "1hop"})
+        aggregate({"m": [_score("a", 1.0)]}, {"b": "1hop"})
+
+
+def test_aggregate_builds_one_row_per_method_in_order():
+    categories = {"a": "writing", "b": "1hop", "c": "1hop"}
+    report = aggregate({
+        "ReAct": [_score("c", 0.0), _score("a", 0.5), _score("b", 1.0)],
+        "GoalAct": [_score("a", 1.0), _score("b", 1.0), _score("c", 0.5)],
+    }, categories)
+    assert [row.method for row in report.rows] == ["ReAct", "GoalAct"]
+    assert report.categories == ("1hop", "writing")
+    assert report.task_count == 3
+    assert report.rows[0].per_category == {"1hop": 0.5, "writing": 0.5}
+    assert report.rows[0].overall == 0.5
+    assert report.rows[1].per_category == {"1hop": 0.75, "writing": 1.0}
+    assert report.rows[1].overall == pytest.approx(2.5 / 3)
+
+
+def test_aggregate_rejects_methods_scored_over_different_task_sets():
+    categories = {"a": "1hop", "b": "1hop"}
+    with pytest.raises(GoalActError, match="different task sets"):
+        aggregate({"A": [_score("a", 1.0)], "B": [_score("b", 1.0)]},
+                  categories)
+    with pytest.raises(GoalActError, match="different task sets"):
+        aggregate({"A": [_score("a", 1.0)],
+                   "B": [_score("a", 1.0), _score("b", 1.0)]}, categories)
 
 
 def test_aggregate_is_permutation_invariant():
@@ -118,24 +142,23 @@ def test_aggregate_is_permutation_invariant():
     scores = [_score(f"t{i}", rng.random()) for i in range(30)]
     categories = {f"t{i}": rng.choice(["1hop", "2hop", "writing"])
                   for i in range(30)}
-    baseline = aggregate(scores, categories, method="m")
+    baseline = aggregate({"m": scores}, categories)
     for _ in range(10):
         shuffled = scores[:]
         rng.shuffle(shuffled)
-        again = aggregate(shuffled, categories, method="m")
+        again = aggregate({"m": shuffled}, categories)
         assert again.rows[0].per_category == baseline.rows[0].per_category
         assert again.rows[0].overall == baseline.rows[0].overall
 
 
 def test_compare_methods_deltas_against_the_best_rival():
     categories = {"a": "1hop", "b": "writing"}
-    goalact = aggregate([_score("a", 1.0), _score("b", 0.8)], categories,
-                        method="GoalAct")
-    react = aggregate([_score("a", 0.9), _score("b", 0.2)], categories,
-                      method="ReAct")
-    codeact = aggregate([_score("a", 0.8), _score("b", 0.1)], categories,
-                        method="CodeAct")
-    deltas = compare_methods([goalact, react, codeact])
+    report = aggregate({
+        "GoalAct": [_score("a", 1.0), _score("b", 0.8)],
+        "ReAct": [_score("a", 0.9), _score("b", 0.2)],
+        "CodeAct": [_score("a", 0.8), _score("b", 0.1)],
+    }, categories)
+    deltas = compare_methods(report)
     assert deltas["GoalAct"]["ALL"] == pytest.approx(0.9 - 0.55)
     assert deltas["GoalAct"]["1hop"] == pytest.approx(0.1)
     assert deltas["ReAct"]["1hop"] == pytest.approx(-0.1)
@@ -143,33 +166,20 @@ def test_compare_methods_deltas_against_the_best_rival():
 
 def test_compare_methods_accepts_a_merged_report():
     categories = {"a": "1hop"}
-    merged = merge_reports([
-        aggregate([_score("a", 1.0)], categories, method="GoalAct"),
-        aggregate([_score("a", 0.4)], categories, method="ReAct"),
-    ])
+    merged = aggregate({"GoalAct": [_score("a", 1.0)],
+                        "ReAct": [_score("a", 0.4)]}, categories)
     deltas = compare_methods(merged)
     assert deltas["GoalAct"]["ALL"] == pytest.approx(0.6)
     with pytest.raises(GoalActError, match="at least two methods"):
-        compare_methods(aggregate([_score("a", 1.0)], categories, method="X"))
-
-
-def test_compare_methods_rejects_mismatched_task_sets():
-    one = aggregate([_score("a", 1.0)], {"a": "1hop"}, method="A")
-    other = aggregate([_score("b", 1.0)], {"b": "1hop"}, method="B")
-    with pytest.raises(GoalActError, match="cover different task sets"):
-        compare_methods([one, other])
-    with pytest.raises(GoalActError, match="at least two reports"):
-        compare_methods([one])
+        compare_methods(aggregate({"X": [_score("a", 1.0)]}, categories))
 
 
 def test_report_rendering_lists_methods_and_all_column():
     categories = {"a": "1hop", "b": "writing"}
-    merged = merge_reports([
-        aggregate([_score("a", 1.0), _score("b", 0.5)], categories,
-                  method="GoalAct"),
-        aggregate([_score("a", 0.5), _score("b", 0.5)], categories,
-                  method="ReAct"),
-    ])
+    merged = aggregate({
+        "GoalAct": [_score("a", 1.0), _score("b", 0.5)],
+        "ReAct": [_score("a", 0.5), _score("b", 0.5)],
+    }, categories)
     text = render_report_text(merged)
     lines = text.splitlines()
     assert lines[0].split() == ["Method", "1hop", "writing", "ALL"]

@@ -8,6 +8,7 @@ import pytest
 from goalact.backends import Rule, ScriptedBackend
 from goalact.errors import BackendUnavailable, FatalError, RuleMiss
 from goalact.generator import (
+    Task,
     generate_aggregation_task,
     generate_khop_task,
     generate_writing_task,
@@ -34,14 +35,22 @@ from goalact.orchestrator import (
     summarize,
 )
 from goalact.plan import (
+    SEARCHING,
     TERMINATION_FATAL,
     TERMINATION_FINISH,
     TERMINATION_MAX_ITERATIONS,
+    History,
+    SkillAction,
     encode_trajectory,
     plan_from_dict,
 )
 from goalact.planner import PLANNING_MARKER
-from goalact.skills import SEARCHING_MARKER
+from goalact.skills import (
+    SEARCHING_MARKER,
+    SkillContext,
+    dispatch,
+    observe_emission,
+)
 
 from conftest import ask_of, scripted
 
@@ -327,6 +336,72 @@ def test_plan_and_execute_replans_and_solves():
     assert any(call.purpose == "subtask" for call in traj.llm_calls)
     assert all(not call.purpose.startswith("skill:")
                for call in traj.llm_calls)
+
+
+# --- one path from a tool-call emission to an observation ---------------------------
+
+def _call(tool: str, **args) -> str:
+    return json.dumps({"tool": tool, "args": args})
+
+
+_EMISSIONS = {
+    "no-call": "nothing useful",
+    "two-calls": "\n".join([
+        _call("get_record", table="companies", field="name", value="AlphaCorp"),
+        _call("get_record", table="companies", field="name",
+              value="BetaWorks")]),
+    "unknown-tool": _call("teleport"),
+    "unknown-field": _call("get_record", table="companies", field="zip",
+                           value="1"),
+    "get-record-miss": _call("get_record", table="companies", field="name",
+                             value="Nobody"),
+    "filter-records-hit": _call("filter_records", table="cases",
+                                field="status", value="open"),
+    "react-form": "get_record[table=companies, field=name, value=AlphaCorp]",
+}
+
+
+def _last_observation(traj) -> str:
+    """The one Observation line of the run's summarize prompt."""
+    prompt = traj.llm_calls[-1].messages[-1]["content"]
+    [observation] = [line[len("Observation: "):]
+                     for line in prompt.splitlines()
+                     if line.startswith("Observation: ")]
+    return observation
+
+
+@pytest.mark.parametrize("emission", list(_EMISSIONS.values()),
+                         ids=list(_EMISSIONS))
+def test_every_caller_observes_an_emission_the_same_way(company_env,
+                                                        emission):
+    task = Task(id="t", category="1hop", query="Which city hosts AlphaCorp?",
+                key_answers=("Port Meridell",), key_middles=(), gold_path=())
+    config = RunConfig()
+    searching, _ = dispatch(SkillAction(SEARCHING, "anything"), SkillContext(
+        question=task.query, history=History(), env=company_env,
+        ask=lambda prompt: emission, sandbox_limits=config.sandbox_limits,
+        observation_bytes=config.observation_bytes,
+        writing_budget=config.writing_budget), config.registry)
+    subtask = _last_observation(_run(
+        METHOD_PLAN_AND_EXECUTE, task, company_env, max_iterations=1,
+        backend=ScriptedBackend([
+            Rule.on_substrings(json.dumps([
+                {"Thinking": "look it up", "Action": "Fetch the company"},
+                {"Thinking": "done", "Action": "Finish"}]), PE_PLAN_MARKER),
+            Rule.on_substrings(emission, PE_SUBTASK_MARKER),
+            Rule.on_substrings("done", SUMMARY_MARKER)])))
+    action = _last_observation(_run(
+        METHOD_REACT, task, company_env, max_iterations=1,
+        backend=ScriptedBackend([
+            Rule.on_substrings(json.dumps({"Thought": "look it up",
+                                           "Action": emission}),
+                               REACT_MARKER),
+            Rule.on_substrings("done", SUMMARY_MARKER)])))
+    observed = {"Searching": searching, "Sub-task": subtask, "Action": action}
+    assert observed == {who: observe_emission(emission, company_env, who)[0]
+                        for who in observed}
+    assert len({text.replace(who, "<who>")
+                for who, text in observed.items()}) == 1
 
 
 def test_codeact_solves_aggregation_in_one_script():
@@ -620,6 +695,28 @@ def test_decision_call_outage_ends_the_run_as_fatal(config_name, good_calls,
     assert traj.step_count == steps
     assert traj.final_answer.startswith("[degraded: backend went down]")
     assert traj.final_answer.endswith(" failed: backend went down")
+
+
+class _DownOn:
+    """Down for every prompt holding `marker`; the rest go to `inner`."""
+
+    def __init__(self, inner, marker: str):
+        self.inner, self.marker = inner, marker
+
+    def complete(self, request):
+        if self.marker in request.rendered():
+            raise BackendUnavailable("backend went down")
+        return self.inner.complete(request)
+
+
+def test_a_sub_task_outage_is_the_step_observation():
+    task, env = generate_khop_task(seed=7, k=2)
+    traj = _run(METHOD_PLAN_AND_EXECUTE, task, env, max_iterations=2,
+                backend=_DownOn(oracle_backend(task), PE_SUBTASK_MARKER))
+    assert traj.termination_reason == TERMINATION_MAX_ITERATIONS
+    executed = traj.revisions[-1]["steps"][0]
+    assert executed["status"] == "executed"
+    assert executed["observation"] == "Subtask failed: backend went down"
 
 
 # --- hostile completions -----------------------------------------------------------------

@@ -26,7 +26,6 @@ from goalact.sandbox import (
     MAX_INT_BITS,
     MAX_STRING_CHARS,
     SandboxLimits,
-    Script,
     eval_script,
     exec_coding,
     render_sandbox_outcome,
@@ -38,7 +37,7 @@ from conftest import ask_of, scripted
 
 
 def test_arithmetic_identity(company_env):
-    result = eval_script(Script("return 1+2"), company_env)
+    result = eval_script("return 1+2", company_env)
     assert result.ok
     assert result.value == "3"
     assert result.raw_value == 3
@@ -46,7 +45,7 @@ def test_arithmetic_identity(company_env):
 
 def test_filter_then_len_matches_brute_force(company_env):
     script = 'xs = filter_records("cases", "status", "open")\nreturn len(xs)'
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     table = company_env.table("cases")
     expected = sum(1 for row in table.rows if row["status"] == "open")
     assert result.value == str(expected)
@@ -59,7 +58,7 @@ def test_branch_semantics_on_empty_match(company_env):
         '{ return first(filter_records("cases", "status", "archived")).case_id } '
         'return "none"'
     )
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     assert result.ok
     assert result.value == "none"
 
@@ -71,7 +70,7 @@ def test_loop_sums_a_field(company_env):
         "for r in rows { total = total + r.amount }",
         "return total",
     ])
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     expected = sum(row["amount"] for row in company_env.table("cases").rows
                    if row["status"] == "open")
     assert result.value == str(expected)
@@ -80,7 +79,7 @@ def test_loop_sums_a_field(company_env):
 
 def test_infinite_loop_faults_at_exactly_the_step_budget(company_env):
     limits = SandboxLimits(max_eval_steps=500)
-    result = eval_script(Script("x = 0\nwhile true { x = x + 1 }"),
+    result = eval_script("x = 0\nwhile true { x = x + 1 }",
                          company_env, limits)
     assert result.fault is not None
     assert result.fault.kind == FAULT_LIMIT
@@ -90,7 +89,7 @@ def test_infinite_loop_faults_at_exactly_the_step_budget(company_env):
 def test_step_budget_is_never_exceeded(company_env):
     for budget in (1, 7, 40, 300):
         limits = SandboxLimits(max_eval_steps=budget)
-        result = eval_script(Script("x = 0\nwhile true { x = x + 1 }"),
+        result = eval_script("x = 0\nwhile true { x = x + 1 }",
                              company_env, limits)
         assert result.steps_used <= budget
 
@@ -102,21 +101,21 @@ def test_tool_budget_is_enforced(company_env):
         "while true { "
         'y = filter_records("cases", "status", "open") x = x + 1 }',
     ])
-    result = eval_script(Script(script), company_env, limits)
+    result = eval_script(script, company_env, limits)
     assert result.fault is not None
     assert result.fault.kind == FAULT_LIMIT
     assert result.tool_calls_used <= 3
 
 
 def test_unknown_tool_names_the_tool(company_env):
-    result = eval_script(Script('return teleport("away")'), company_env)
+    result = eval_script('return teleport("away")', company_env)
     assert result.fault is not None
     assert result.fault.kind == FAULT_RUNTIME
     assert "teleport" in result.fault.message
 
 
 def test_parse_error_reported_as_fault(company_env):
-    result = eval_script(Script("return +"), company_env)
+    result = eval_script("return +", company_env)
     assert result.fault is not None
     assert result.fault.kind == FAULT_PARSE
 
@@ -131,7 +130,7 @@ def test_parse_error_reported_as_fault(company_env):
 ], ids=["parentheses", "brackets", "negations", "if-blocks", "operator-chain",
         "index-chain"])
 def test_deep_nesting_is_a_parse_fault(company_env, script):
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     assert result.fault is not None
     assert result.fault.kind == FAULT_PARSE
     assert "nesting" in result.fault.message
@@ -140,7 +139,7 @@ def test_deep_nesting_is_a_parse_fault(company_env, script):
 def test_moderate_nesting_still_runs(company_env):
     script = ("if true { " * 20 + "return " + "(" * 20 + "[1, 2]" + ")" * 20
               + "[1]" + " }" * 20)
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     assert result.ok, result.fault
     assert result.value == "2"
 
@@ -163,7 +162,7 @@ def test_an_over_deep_script_is_refused_before_the_rest_is_lexed(
         company_env, monkeypatch):
     matches = _count_token_matches(monkeypatch)
     script = "return " + "[" * 100000 + "0" + "]" * 100000
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     assert result.fault is not None and "nesting" in result.fault.message
     assert matches[0] <= 300
 
@@ -180,7 +179,7 @@ def test_the_first_parse_fault_ends_lexing(company_env, monkeypatch, script):
     """The first fault in parse order is reported, a bad character among
     them, and no more of the script is lexed."""
     matches = _count_token_matches(monkeypatch)
-    result = eval_script(Script(script), company_env)
+    result = eval_script(script, company_env)
     assert result.fault is not None and result.fault.kind == FAULT_PARSE
     assert matches[0] <= 300
 
@@ -195,7 +194,7 @@ def test_runtime_faults_cover_common_misuse(company_env):
         'return get_record("companies", "name", "NoSuchCo")': "no companies",
     }
     for script, fragment in cases.items():
-        result = eval_script(Script(script), company_env)
+        result = eval_script(script, company_env)
         assert result.fault is not None, script
         assert result.fault.kind == FAULT_RUNTIME
         assert fragment in result.fault.message
@@ -213,7 +212,7 @@ def test_determinism_including_trace_order(company_env):
     for _ in range(2):
         trajectory = Trajectory(task_id="t", method="CodeAct")
         env = RecordingEnvironment(company_env, trajectory, 4096)
-        runs.append((eval_script(Script(script), env), trajectory.tool_calls))
+        runs.append((eval_script(script, env), trajectory.tool_calls))
     (first, first_calls), (second, second_calls) = runs
     assert first.ok and first.value == second.value
     assert first.steps_used == second.steps_used
@@ -228,21 +227,21 @@ def test_determinism_including_trace_order(company_env):
 
 
 def test_float_rendering_uses_six_significant_digits(company_env):
-    result = eval_script(Script("return 1/3"), company_env)
+    result = eval_script("return 1/3", company_env)
     assert result.value == "0.333333"
-    assert eval_script(Script("return 2.5 + 1"), company_env).value == "3.5"
-    assert eval_script(Script("return 10/2"), company_env).value == "5"
+    assert eval_script("return 2.5 + 1", company_env).value == "3.5"
+    assert eval_script("return 10/2", company_env).value == "5"
 
 
 def test_string_and_list_values_render_plainly(company_env):
-    assert eval_script(Script('return "plain"'), company_env).value == "plain"
-    assert eval_script(Script("return [1, 2]"), company_env).value == "[1, 2]"
-    assert eval_script(Script("x = 1"), company_env).value == "null"
+    assert eval_script('return "plain"', company_env).value == "plain"
+    assert eval_script("return [1, 2]", company_env).value == "[1, 2]"
+    assert eval_script("x = 1", company_env).value == "null"
 
 
 def test_comparisons_and_indexing(company_env):
     script = 'xs = [10, 20, 30]\nif xs[1] >= 20 { return xs[2] } return xs[0]'
-    assert eval_script(Script(script), company_env).value == "30"
+    assert eval_script(script, company_env).value == "30"
 
 
 # --- value growth ----------------------------------------------------------------
@@ -333,7 +332,7 @@ def test_doubled_list_result_renders_only_the_output_budget():
 
 def test_deeply_nested_result_renders_without_recursion(company_env):
     script = "s = [1]\ni = 0\nwhile i < 5000 { s = [s]\ni = i + 1 }\nreturn s"
-    result = eval_script(Script(script), company_env,
+    result = eval_script(script, company_env,
                          SandboxLimits(max_eval_steps=100_000))
     assert result.ok, result.fault
     budget = SandboxLimits().max_output_bytes
@@ -356,7 +355,7 @@ def test_comparing_shared_structure_is_bounded_by_the_step_budget():
 
 
 def test_comparison_charges_one_step_per_member_pair(company_env):
-    steps = [eval_script(Script(_DOUBLED_PAIR.format(n)), company_env)
+    steps = [eval_script(_DOUBLED_PAIR.format(n), company_env)
              for n in (2, 3)]
     assert [r.raw_value for r in steps] == [True, True]
     # A round of the loop costs 16 steps.  After n rounds, s == t compares
@@ -369,7 +368,7 @@ def test_comparing_deep_lists_does_not_recurse(company_env):
     script = ("s = [1]\nt = [1]\ni = 0\n"
               "while i < 5000 { s = [s]  t = [t]  i = i + 1 }\n"
               "return [s == t, s != t, s == [t]]")
-    result = eval_script(Script(script), company_env,
+    result = eval_script(script, company_env,
                          SandboxLimits(max_eval_steps=100_000))
     assert result.ok, result.fault
     assert result.raw_value == [True, False, False]
@@ -409,7 +408,7 @@ def test_equality_matches_python_on_random_values():
                  for _ in range(12)]
         lines.append("return [[" + ", ".join(names) + "], [" + ", ".join(
             f"v{i} {op} v{j}" for i, j, op in pairs) + "]]")
-        result = eval_script(Script("\n".join(lines)), _EQUALITY_ENV)
+        result = eval_script("\n".join(lines), _EQUALITY_ENV)
         assert result.ok, result.fault
         values, verdicts = result.raw_value
         assert verdicts == [(values[i] == values[j]) == (op == "==")
@@ -428,7 +427,7 @@ def test_equality_matches_python_on_random_values():
 ], ids=["string-doubling", "integer-squaring", "integer-doubling",
         "integer-subtraction"])
 def test_growing_values_fault_at_the_size_limit(company_env, script, message):
-    result = eval_script(Script(script), company_env,
+    result = eval_script(script, company_env,
                          SandboxLimits(max_eval_steps=100_000))
     assert result.fault is not None
     assert result.fault.kind == FAULT_LIMIT
@@ -450,7 +449,7 @@ _SQUARE_TEN = "x = {}\ni = 0\nwhile i < {} {{ x = x * x\ni = i + 1 }}\n"
         "division-past-float", "int-times-float-past-float",
         "float-squaring-to-inf", "float-inf-minus-inf", "division-to-inf"])
 def test_numbers_past_a_float_come_back_as_faults(company_env, script, kind):
-    result = eval_script(Script(script), company_env,
+    result = eval_script(script, company_env,
                          SandboxLimits(max_eval_steps=100_000))
     assert result.fault is not None
     assert result.fault.kind == kind
@@ -460,16 +459,16 @@ def test_numbers_past_a_float_come_back_as_faults(company_env, script, kind):
 
 def test_values_at_the_size_limit_still_compute(company_env):
     half = "a" * (MAX_STRING_CHARS // 2)
-    at_limit = eval_script(Script(f'return len("{half}" + "{half}")'),
+    at_limit = eval_script(f'return len("{half}" + "{half}")',
                            company_env)
     assert at_limit.raw_value == MAX_STRING_CHARS
-    over = eval_script(Script(f'return len("{half}" + "{half}" + "a")'),
+    over = eval_script(f'return len("{half}" + "{half}" + "a")',
                        company_env)
     assert over.fault is not None and over.fault.kind == FAULT_LIMIT
     widest = 2 ** MAX_INT_BITS - 1
-    assert eval_script(Script(f"return {widest - 1} + 1"),
+    assert eval_script(f"return {widest - 1} + 1",
                        company_env).raw_value == widest
-    assert eval_script(Script(f"return {widest} + 1"),
+    assert eval_script(f"return {widest} + 1",
                        company_env).fault.kind == FAULT_LIMIT
 
 
@@ -523,7 +522,7 @@ def test_exec_coding_degrades_on_backend_outage(company_env):
 
 
 def test_outcome_rendering_mentions_budgets(company_env):
-    result = eval_script(Script("return 1"), company_env)
+    result = eval_script("return 1", company_env)
     rendered = render_sandbox_outcome(result)
     assert rendered.startswith("Result: 1 ")
     assert "tool calls" in rendered
