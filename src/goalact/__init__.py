@@ -17,7 +17,7 @@ from .backends import (
     ScriptedBackend,
     request_hash,
 )
-from .environment import Table, ToolCall, ToolEnvironment, ToolSpec
+from .environment import Table, ToolCall, ToolEnvironment
 from .evaluation import (
     SuiteReport,
     TaskScore,

@@ -1,6 +1,7 @@
 """Synthetic ground-truth world: named tables of records and retrieval tools.
 
-Two generic read-only tools are exposed over every table:
+Two read-only tools, the constant `TOOLS`, are exposed over every table;
+each takes the `TOOL_PARAMETERS`, and `TOOL_DESCRIPTIONS` lists them:
 
     get_record(table, field, value)     -> the first row matching field=value
     filter_records(table, field, value) -> every matching row, in table order
@@ -12,10 +13,10 @@ call is run and its result or ToolError rendered as an observation.
 Environments are immutable after load and safe to share across runs and
 threads.  What they write are caches of derived text, each filled on first
 use: a table's text column for a queried field and the JSON text of each
-row a call returns (see `Table`), and an environment's tool-list and
-table-schema text.  Two threads that miss a cache at once both build equal
-values from the same immutable inputs, and storing one is a single atomic
-assignment, so neither can see a partial or different value.
+row a call returns (see `Table`), and an environment's table-schema text.
+Two threads that miss a cache at once both build equal values from the same
+immutable inputs, and storing one is a single atomic assignment, so neither
+can see a partial or different value.
 """
 
 from __future__ import annotations
@@ -94,33 +95,17 @@ class Table:
         return text
 
 
-@dataclass(frozen=True)
-class ToolSpec:
-    name: str
-    description: str
-    parameters: tuple[tuple[str, str], ...]  # (name, scalar kind)
-    table: Optional[str] = None              # None for the generic tools
-    semantics: str = "get_record"            # get_record | filter_records
-
-    def signature(self) -> str:
-        args = ", ".join(f"{pname}: {kind}" for pname, kind in self.parameters)
-        return f"{self.name}({args})"
-
-
-GENERIC_TOOLS = (
-    ToolSpec(
-        name="get_record",
-        description="Return the single record of a table whose field equals the value.",
-        parameters=(("table", "string"), ("field", "string"), ("value", "string")),
-        semantics="get_record",
-    ),
-    ToolSpec(
-        name="filter_records",
-        description="Return every record of a table whose field equals the value.",
-        parameters=(("table", "string"), ("field", "string"), ("value", "string")),
-        semantics="filter_records",
-    ),
-)
+TOOLS = {  # name -> description
+    "get_record":
+        "Return the single record of a table whose field equals the value.",
+    "filter_records":
+        "Return every record of a table whose field equals the value.",
+}
+TOOL_PARAMETERS = ("table", "field", "value")
+# The {tool_prompt} slot: one line per tool.
+TOOL_DESCRIPTIONS = "\n".join(
+    f"- {name}({', '.join(f'{p}: string' for p in TOOL_PARAMETERS)}): "
+    f"{description}" for name, description in TOOLS.items())
 
 
 @dataclass(frozen=True)
@@ -189,16 +174,11 @@ def list_text(row_texts: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class ToolEnvironment:
     tables: tuple[Table, ...] = ()
-    tools: tuple[ToolSpec, ...] = GENERIC_TOOLS
 
-    # Name -> first table or tool of that name, built on the first lookup.
+    # Name -> first table of that name, built on the first lookup.
     @cached_property
     def _tables_by_name(self) -> dict[str, Table]:
         return {t.name: t for t in reversed(self.tables)}
-
-    @cached_property
-    def _tools_by_name(self) -> dict[str, ToolSpec]:
-        return {t.name: t for t in reversed(self.tools)}
 
     def table(self, name: str) -> Table:
         table = self._tables_by_name.get(name)
@@ -206,34 +186,26 @@ class ToolEnvironment:
             raise ToolError(f"unknown table '{name}'")
         return table
 
-    def tool(self, name: str) -> ToolSpec:
-        spec = self._tools_by_name.get(name)
-        if spec is None:
-            raise ToolError(f"unknown tool '{name}'")
-        return spec
-
-    def _table_for(self, spec: ToolSpec, call: ToolCall) -> Table:
-        return self.table(str(call.arguments.get("table", spec.table or "")))
-
     def invoke_tool(self, call: ToolCall) -> list[Row]:
         """Run one retrieval call; a ToolError names an unknown tool, table or
         field, or a get_record call that matches no row."""
-        spec = self.tool(call.tool_name)
-        allowed = {pname for pname, _ in spec.parameters}
-        unexpected = set(call.arguments) - allowed
+        name = call.tool_name
+        if name not in TOOLS:
+            raise ToolError(f"unknown tool '{name}'")
+        unexpected = set(call.arguments).difference(TOOL_PARAMETERS)
         if unexpected:
             raise ToolError(
-                f"{spec.name} takes ({', '.join(sorted(allowed))}); "
+                f"{name} takes ({', '.join(sorted(TOOL_PARAMETERS))}); "
                 f"unexpected argument(s): {', '.join(sorted(unexpected))}")
         field_name = str(call.arguments.get("field", ""))
         value = call.arguments.get("value", "")
-        table = self._table_for(spec, call)
+        table = self.table(str(call.arguments.get("table", "")))
         if table.rows and field_name not in table.fields:
             raise ToolError(
                 f"table '{table.name}' has no field '{field_name}' "
                 f"(fields: {', '.join(table.fields)})"
             )
-        first_only = spec.semantics == "get_record"
+        first_only = name == "get_record"
         matches = _matching_rows(table, field_name, value, first_only)
         if first_only and not matches:
             raise ToolError(
@@ -244,10 +216,8 @@ class ToolEnvironment:
     def row_texts(self, call: ToolCall, rows: Sequence[Row]) -> list[str]:
         """The JSON text of each row `invoke_tool(call)` returned, each row
         rendered once per table (`Table.row_text`)."""
-        table = self._table_for(self.tool(call.tool_name), call)
+        table = self.table(str(call.arguments.get("table", "")))
         return [table.row_text(row) for row in rows]
-
-    # The prompt texts below are rendered on first use and kept.
 
     @cached_property
     def _table_schemas(self) -> str:
@@ -256,18 +226,10 @@ class ToolEnvironment:
             f"fields: {', '.join(table.fields)}; {len(table.rows)} rows)"
             for table in self.tables)
 
-    @cached_property
-    def _tool_descriptions(self) -> str:
-        return "\n".join(f"- {t.signature()}: {t.description}"
-                         for t in self.tools)
-
     def render_table_schemas(self) -> str:
-        """The {table_used_prompt} slot: one line per table."""
+        """The {table_used_prompt} slot: one line per table, rendered on
+        first use and kept."""
         return self._table_schemas
-
-    def render_tool_descriptions(self) -> str:
-        """The {tool_prompt} slot: one line per tool."""
-        return self._tool_descriptions
 
 
 # --- fixture files -------------------------------------------------------------

@@ -375,7 +375,7 @@ def generate_aggregation_task(seed: int, decimal_amounts: bool = False
 
 def generate_task(category: str, seed: int) -> tuple[Task, ToolEnvironment]:
     """Dispatch by category name: '1hop'..'5hop', 'writing', 'aggregation'."""
-    if category.endswith("hop") and category[:-3].isdigit():
+    if category.endswith("hop") and category[:-3].removeprefix("-").isdigit():
         return generate_khop_task(seed, int(category[:-3]))
     if category == "writing":
         return generate_writing_task(seed)

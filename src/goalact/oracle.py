@@ -4,7 +4,9 @@ Each task kind has a solver that turns the generator's construction recipe
 into one `Solution` record: the skill rules (tool emissions per objective,
 sandbox scripts, documents), the summary texts, and, for every method, the
 response it must read in each round together with the value that first
-appears in that round's prompt.  Solvers build only the skill rules, keyed
+appears in that round's prompt.  Every tool call a solution names is one
+`Lookup`, which spells each of its forms; ReAct and Plan-and-Execute make
+the same calls, one a round.  Solvers build only the skill rules, keyed
 by skill marker, and know no method's marker or rule names.  One
 assembler, `_assemble`, turns a record into ten per-marker rule families:
 it alone knows the method markers, the rule-naming scheme and the family
@@ -50,33 +52,63 @@ DISABLED_TEXT = "currently disabled"
 Keys = list[Optional[str]]
 
 
+class Lookup(NamedTuple):
+    """One tool call in each form a prompt asks for it or an answer makes it:
+    the Searching `objective`, the Plan-and-Execute `subtask`, the
+    `{"tool", "args"}` `emission`, the ReAct `action` and the sandbox
+    `script` expression."""
+    tool: str
+    table: str
+    field: str
+    value: str
+
+    def _asking(self, get_verb: str, filter_verb: str) -> str:
+        verb, rows = (get_verb, "record") if self.tool == "get_record" \
+            else (filter_verb, "records")
+        return (f'{verb} the {self.table} {rows} whose {self.field} '
+                f'is "{self.value}"')
+
+    objective = property(lambda self: self._asking("look up", "filter"))
+    subtask = property(lambda self: self._asking("Fetch", "Filter"))
+    emission = property(lambda self: json.dumps({"tool": self.tool, "args": {
+        "table": self.table, "field": self.field, "value": self.value}}))
+    action = property(lambda self: f"{self.tool}[table={self.table}, "
+                                   f"field={self.field}, value={self.value}]")
+    script = property(lambda self: f'{self.tool}("{self.table}", '
+                                   f'"{self.field}", "{self.value}")')
+
+
 class Solution(NamedTuple):
     """What one task answers to every prompt; only skill rules carry markers,
     and they come keyed by that marker.
 
     A `*_keys` list holds, per round, the value that first appears in that
-    round's prompt (None for round 1); the list before it, each round's answer.
+    round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
+    same call in each round, one per entry of `calls`, and then finish;
+    `call_keys` holds both methods' keys.
     """
     skill_rules: dict[str, list[Rule]]  # skill marker -> its rules
     summary: tuple[str, str, str]  # (success key, success text, fallback)
     steps: list[tuple[str, SkillAction]]  # round t executes steps[t-1]
     round_keys: Keys  # one per step
-    react_turns: list[tuple[str, str]]  # (thought, action text)
-    react_keys: Keys
+    # (ReAct thought, Plan-and-Execute thinking, its sub-task, the call)
+    calls: list[tuple[str, str, str, Lookup]]
+    finish: tuple[str, str, str]  # (ReAct thought, ReAct action, thinking)
+    call_keys: Keys  # one per call, then the finishing round's
     codeact_scripts: list[str]
     codeact_keys: Keys
-    pe_steps: list[tuple[str, str]]  # (thinking, sub-task or Finish)
-    pe_keys: Keys
-    pe_subtasks: list[tuple[str, str]]  # (sub-task, tool emission)
-
-
-def _tool_json(tool: str, table: str, field: str, value: str) -> str:
-    return json.dumps({"tool": tool,
-                       "args": {"table": table, "field": field, "value": value}})
 
 
 def _react_json(thought: str, action: str) -> str:
     return json.dumps({"Thought": thought, "Action": action})
+
+
+def _searching_rules(lookups: list[Lookup], prefix: str) -> list[Rule]:
+    """The Searching skill: each lookup's objective answered by its emission."""
+    return [Rule.on_substrings(lookup.emission,
+                               f"{SEARCHING_MARKER} {lookup.objective}",
+                               name=f"{prefix}-search{i}")
+            for i, lookup in enumerate(lookups, start=1)]
 
 
 # --- assembly ---------------------------------------------------------------------------
@@ -120,10 +152,20 @@ def _assemble(s: Solution, prefix: str) -> list[RuleFamily]:
                 Rule.on_substrings(fallback_text, SUMMARY_MARKER,
                                    name=f"{prefix}-summary-fallback")]
 
+    def react_turns() -> list[str]:
+        turns = [(thought, lookup.action) for thought, _, _, lookup in s.calls]
+        return [_react_json(*turn) for turn in turns + [s.finish[:2]]]
+
+    def pe_plans() -> list[str]:
+        steps = [(thinking, subtask) for _, thinking, subtask, _ in s.calls]
+        steps.append((s.finish[2], "Finish"))
+        return [render_step_array(steps[t:]) for t in range(len(steps))]
+
     def pe_subtasks() -> list[Rule]:
-        return [Rule.on_substrings(emission, f"{PE_SUBTASK_MARKER} {subtask}",
+        return [Rule.on_substrings(lookup.emission,
+                                   f"{PE_SUBTASK_MARKER} {subtask}",
                                    name=f"{prefix}-pe-sub{i}")
-                for i, (subtask, emission) in enumerate(s.pe_subtasks, start=1)]
+                for i, (_, _, subtask, lookup) in enumerate(s.calls, start=1)]
 
     # The plan continuation at round t is the step suffix with t-1 steps
     # executed; the plan-less ablation answers with just step t.
@@ -136,14 +178,10 @@ def _assemble(s: Solution, prefix: str) -> list[RuleFamily]:
         _rounds(NO_PLAN_MARKER,
                 lambda: [render_plan_steps([step]) for step in s.steps],
                 s.round_keys, f"{prefix}-single", disabled=True),
-        _rounds(REACT_MARKER,
-                lambda: [_react_json(*turn) for turn in s.react_turns],
-                s.react_keys, f"{prefix}-react"),
+        _rounds(REACT_MARKER, react_turns, s.call_keys, f"{prefix}-react"),
         _rounds(CODEACT_MARKER, lambda: s.codeact_scripts, s.codeact_keys,
                 f"{prefix}-codeact"),
-        _rounds(PE_PLAN_MARKER, lambda: [render_step_array(s.pe_steps[t:])
-                                         for t in range(len(s.pe_keys))],
-                s.pe_keys, f"{prefix}-pe"),
+        _rounds(PE_PLAN_MARKER, pe_plans, s.call_keys, f"{prefix}-pe"),
         (PE_SUBTASK_MARKER, pe_subtasks),
     ]
 
@@ -156,26 +194,17 @@ def _khop_solution(task: Task) -> Solution:
     answer_field = task.recipe["answer_field"]
     k = len(hops)
 
-    lookups = [(h["table"], h["lookup_field"], h["lookup_value"]) for h in hops]
-    objectives = ['look up the %s record whose %s is "%s"' % hop
-                  for hop in lookups]
-    emissions = [_tool_json("get_record", *hop) for hop in lookups]
-    subtasks = ['Fetch the %s record whose %s is "%s"' % hop for hop in lookups]
-    steps = [(f"Hop {i}: resolve the {h['table']} record.",
-              SkillAction(kind=SEARCHING, objective=objectives[i - 1]))
-             for i, h in enumerate(hops, start=1)]
+    lookups = [Lookup("get_record", h["table"], h["lookup_field"],
+                      h["lookup_value"]) for h in hops]
+    steps = [(f"Hop {i}: resolve the {lookup.table} record.",
+              SkillAction(kind=SEARCHING, objective=lookup.objective))
+             for i, lookup in enumerate(lookups, start=1)]
     steps.append(("Every hop is resolved; finish.", SkillAction(kind=FINISH)))
 
     # Round t first sees hop t's key (t >= 2); the last round sees the answer.
     round_keys: Keys = [None]
-    round_keys += [hops[t - 1]["lookup_value"] for t in range(2, k + 1)]
+    round_keys += [lookup.value for lookup in lookups[1:]]
     round_keys.append(answer)
-
-    react_turns = [(f"Hop {i}: fetch the {h['table']} record.",
-                    "get_record[table=%s, field=%s, value=%s]" % lookups[i - 1])
-                   for i, h in enumerate(hops, start=1)]
-    react_turns.append(("The final record is in hand.",
-                        f"Finish[The {answer_field} is {answer}]"))
 
     chain_lines = []
     for i, h in enumerate(hops, start=1):
@@ -185,25 +214,21 @@ def _khop_solution(task: Task) -> Solution:
             f'r{i} = get_record("{h["table"]}", "{h["lookup_field"]}", {source})')
     chain_lines.append(f"return r{k}.{answer_field}")
 
-    pe_steps = [(f"Sub-task {i}: one lookup.", subtask)
-                for i, subtask in enumerate(subtasks, start=1)]
-    pe_steps.append(("All sub-tasks done.", "Finish"))
-
     return Solution(
-        skill_rules={SEARCHING_MARKER: [
-            Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
-                               name=f"khop-search{i}")
-            for i, (objective, emission)
-            in enumerate(zip(objectives, emissions), start=1)]},
+        skill_rules={SEARCHING_MARKER: _searching_rules(lookups, "khop")},
         summary=(answer, f"The {answer_field} of the final record is {answer}.",
                  "The requested value could not be determined."),
         steps=steps, round_keys=round_keys,
-        react_turns=react_turns, react_keys=round_keys,
+        calls=[(f"Hop {i}: fetch the {lookup.table} record.",
+                f"Sub-task {i}: one lookup.", lookup.subtask, lookup)
+               for i, lookup in enumerate(lookups, start=1)],
+        finish=("The final record is in hand.",
+                f"Finish[The {answer_field} is {answer}]",
+                "All sub-tasks done."),
+        call_keys=round_keys,
         codeact_scripts=["\n".join(chain_lines),
                          "Finish[the chain is resolved]"],
-        codeact_keys=[None, answer],
-        pe_steps=pe_steps, pe_keys=round_keys,
-        pe_subtasks=list(zip(subtasks, emissions)))
+        codeact_keys=[None, answer])
 
 
 # --- writing tasks ------------------------------------------------------------------
@@ -213,19 +238,10 @@ def _writing_solution(task: Task) -> Solution:
     plaintiff_id = task.gold_path[0][1]
     doc_marker = r["doc_marker"]
 
-    lookups = [("get_record", "parties", "legal_name", r["plaintiff_name"]),
-               ("get_record", "parties", "legal_name", r["defendant_name"]),
-               ("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
-               ("filter_records", "statutes", "topic", r["topic"])]
-    objectives = ['look up the %s record whose %s is "%s"' % lookup[1:]
-                  for lookup in lookups[:3]]
-    objectives.append('filter the statutes records whose topic is "%s"'
-                      % r["topic"])
-    subtasks = ['Fetch the %s record whose %s is "%s"' % lookup[1:]
-                for lookup in lookups[:3]]
-    subtasks.append('Filter the statutes records whose topic is "%s"'
-                    % r["topic"])
-    emissions = [_tool_json(*lookup) for lookup in lookups]
+    lookups = [Lookup("get_record", "parties", "legal_name", r["plaintiff_name"]),
+               Lookup("get_record", "parties", "legal_name", r["defendant_name"]),
+               Lookup("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
+               Lookup("filter_records", "statutes", "topic", r["topic"])]
     obj_write = ("compose the defense brief citing the gathered parties, "
                  "counsel, and statutes")
 
@@ -243,8 +259,8 @@ def _writing_solution(task: Task) -> Solution:
                 "Gather the defendant's registered details.",
                 "Identify the defendant's counsel.",
                 "Collect the statutes on the disputed topic."]
-    steps = [(thought, SkillAction(SEARCHING, objective))
-             for thought, objective in zip(thoughts, objectives)]
+    steps = [(thought, SkillAction(SEARCHING, lookup.objective))
+             for thought, lookup in zip(thoughts, lookups)]
     steps += [("Compose the defense brief from the gathered material.",
                SkillAction(WRITING, obj_write)),
               ("The brief is complete; finish.", SkillAction(kind=FINISH))]
@@ -252,11 +268,7 @@ def _writing_solution(task: Task) -> Solution:
                         r["bar_number"], r["statute_ids"][0], doc_marker]
 
     skill_rules = {
-        SEARCHING_MARKER: [
-            Rule.on_substrings(emission, f"{SEARCHING_MARKER} {objective}",
-                               name=f"writing-search{i}")
-            for i, (objective, emission)
-            in enumerate(zip(objectives, emissions), start=1)],
+        SEARCHING_MARKER: _searching_rules(lookups, "writing"),
         WRITING_MARKER: [Rule.on_substrings(
             document, f"{WRITING_MARKER} {obj_write}", name="writing-compose")],
     }
@@ -265,19 +277,12 @@ def _writing_solution(task: Task) -> Solution:
                       "Now the defendant's record.",
                       "Find the defendant's counsel.",
                       "Collect the statutes for the topic."]
-    react_turns = [(thought, "%s[table=%s, field=%s, value=%s]" % lookup)
-                   for thought, lookup in zip(react_thoughts, lookups)]
-    react_turns.append(("The facts are gathered.", "Finish[facts gathered]"))
 
     codeact_script = "\n".join([
-        'd = get_record("parties", "legal_name", "%s")' % r["defendant_name"],
+        f"d = {lookups[1].script}",
         'l = get_record("lawyers", "lawyer_id", d.counsel_id)',
         "return [d, l]",
     ])
-
-    pe_steps = [(f"Sub-task {i}.", text)
-                for i, text in enumerate(subtasks, start=1)]
-    pe_steps.append(("All facts fetched.", "Finish"))
 
     return Solution(
         skill_rules=skill_rules,
@@ -286,11 +291,14 @@ def _writing_solution(task: Task) -> Solution:
                  f"involved: {r['plaintiff_name']} versus "
                  f"{r['defendant_name']}."),
         steps=steps, round_keys=round_keys,
-        react_turns=react_turns, react_keys=round_keys[:5],
+        calls=[(thought, f"Sub-task {i}.", lookup.subtask, lookup)
+               for i, (thought, lookup)
+               in enumerate(zip(react_thoughts, lookups), start=1)],
+        finish=("The facts are gathered.", "Finish[facts gathered]",
+                "All facts fetched."),
+        call_keys=round_keys[:5],
         codeact_scripts=[codeact_script, "Finish[facts gathered]"],
-        codeact_keys=[None, r["bar_number"]],
-        pe_steps=pe_steps, pe_keys=round_keys[:5],
-        pe_subtasks=list(zip(subtasks, emissions)))
+        codeact_keys=[None, r["bar_number"]])
 
 
 # --- aggregation tasks ----------------------------------------------------------------
@@ -303,15 +311,15 @@ def _aggregation_solution(task: Task) -> Solution:
     result_key = f"Result: {rendered_total}"
     first_gold_id = task.gold_path[0][1]
 
+    lookup = Lookup("filter_records", table, field_name, value)
     obj_code = (f"filter {table} by {field_name} {value} and sum the "
                 f"{sum_field} field")
     script = "\n".join([
-        f'rows = filter_records("{table}", "{field_name}", "{value}")',
+        f"rows = {lookup.script}",
         "total = 0",
         "for r in rows { total = total + r.%s }" % sum_field,
         "return total",
     ])
-    subtask = f"Fetch every {table} row whose {field_name} is {value}"
 
     return Solution(
         skill_rules={CODING_MARKER: [Rule.on_substrings(
@@ -323,20 +331,15 @@ def _aggregation_solution(task: Task) -> Solution:
                 "script.", SkillAction(CODING, obj_code)),
                ("The total is computed; finish.", SkillAction(kind=FINISH))],
         round_keys=[None, result_key],
-        react_turns=[
-            ("Pull every matching row first.",
-             f"filter_records[table={table}, field={field_name}, value={value}]"),
-            ("Plain tool calls cannot sum these rows.",
-             "Finish[the rows are listed but the total needs computation]"),
-        ],
-        react_keys=[None, first_gold_id],
+        calls=[("Pull every matching row first.", "List the matching rows.",
+                f"Fetch every {table} row whose {field_name} is {value}",
+                lookup)],
+        finish=("Plain tool calls cannot sum these rows.",
+                "Finish[the rows are listed but the total needs computation]",
+                "Nothing more a single call can do."),
+        call_keys=[None, first_gold_id],
         codeact_scripts=[script, "Finish[total computed]"],
-        codeact_keys=[None, result_key],
-        pe_steps=[("List the matching rows.", subtask),
-                  ("Nothing more a single call can do.", "Finish")],
-        pe_keys=[None, first_gold_id],
-        pe_subtasks=[(subtask, _tool_json("filter_records", table, field_name,
-                                          value))])
+        codeact_keys=[None, result_key])
 
 
 # --- entry points -----------------------------------------------------------------------
@@ -371,27 +374,23 @@ def never_finishing_backend() -> ScriptedBackend:
     probe = [("Probe the environment once more.",
               SkillAction(SEARCHING, "probe the tables for anything new")),
              ("Wrap up.", SkillAction(kind=FINISH))]
-    table, field, value = "companies", "name", "Nonexistent Corp"
-    lookup_call = _tool_json("get_record", table, field, value)
-    pe_probe = [(probe[0][0], f'Fetch the {table} record whose {field} is '
-                              f'"{value}"'),
-                (probe[1][0], "Finish")]
+    lookup = Lookup("get_record", "companies", "name", "Nonexistent Corp")
+    pe_probe = [(probe[0][0], lookup.subtask), (probe[1][0], "Finish")]
     return ScriptedBackend([
         Rule.on_substrings(render_plan_steps(probe), PLANNING_MARKER,
                            name="nf-plan"),
         Rule.on_substrings(render_plan_steps([probe[0]]), NO_PLAN_MARKER,
                            name="nf-single"),
-        Rule.on_substrings(lookup_call, SEARCHING_MARKER, name="nf-search"),
+        Rule.on_substrings(lookup.emission, SEARCHING_MARKER, name="nf-search"),
         Rule.on_substrings(
             "The iteration budget was exhausted before an answer emerged.",
             SUMMARY_MARKER, name="nf-summary"),
         Rule.on_substrings(render_step_array(pe_probe), PE_PLAN_MARKER,
                            name="nf-pe-plan"),
-        Rule.on_substrings(lookup_call, PE_SUBTASK_MARKER, name="nf-pe-sub"),
-        Rule.on_substrings(
-            _react_json(probe[0][0], f"get_record[table={table}, "
-                                     f"field={field}, value={value}]"),
-            REACT_MARKER, name="nf-react"),
-        Rule.on_substrings(f'return get_record("{table}", "{field}", '
-                           f'"{value}")', CODEACT_MARKER, name="nf-codeact"),
+        Rule.on_substrings(lookup.emission, PE_SUBTASK_MARKER,
+                           name="nf-pe-sub"),
+        Rule.on_substrings(_react_json(probe[0][0], lookup.action),
+                           REACT_MARKER, name="nf-react"),
+        Rule.on_substrings(f"return {lookup.script}", CODEACT_MARKER,
+                           name="nf-codeact"),
     ], label="never-finishing")

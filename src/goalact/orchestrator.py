@@ -36,7 +36,7 @@ from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences, user_request
-from .environment import ToolEnvironment, list_text
+from .environment import TOOL_DESCRIPTIONS, ToolEnvironment, list_text
 from .errors import (
     AuthFailure,
     BackendUnavailable,
@@ -305,7 +305,7 @@ class _Policy:
         head = "\n".join([
             *self.intro,
             "Available tools:",
-            self.env.render_tool_descriptions(),
+            TOOL_DESCRIPTIONS,
             "Data tables:",
             self.env.render_table_schemas(),
             f"Question: {self.task.query}",
@@ -397,7 +397,7 @@ def _exec_subtask(action: SkillAction, context: SkillContext) -> SkillResult:
         "Map the sub-task below to exactly one tool call. Respond with a "
         "single JSON object {\"tool\": \"<name>\", \"args\": {...}}.",
         "Available tools:",
-        context.env.render_tool_descriptions(),
+        TOOL_DESCRIPTIONS,
         f"Question: {context.question}",
         f"{PE_SUBTASK_MARKER} {action.objective}",
     ])

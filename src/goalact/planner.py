@@ -18,7 +18,7 @@ from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .backends import decode_json, strip_code_fences
-from .environment import ToolEnvironment
+from .environment import TOOL_DESCRIPTIONS, ToolEnvironment
 from .errors import FatalError, GoalActError, PlanError, PlanningFailed
 from .plan import (
     BUILTIN_KINDS,
@@ -128,7 +128,7 @@ def planning_frame(question: str, env: ToolEnvironment,
     values = {
         "question": question,
         "table_used_prompt": env.render_table_schemas(),
-        "tool_prompt": env.render_tool_descriptions(),
+        "tool_prompt": TOOL_DESCRIPTIONS,
         "memory": "\n\n".join(exemplars),
         "skill_count": count_word(skill_count),
         "skill_menu": skill_menu,

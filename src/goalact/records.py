@@ -4,8 +4,9 @@ the harness reads back.
 A record's document holds exactly the fields its dataclass declares, in
 declaration order; a field declared `list[<record>]` holds those records'
 documents.  A file whose document is not JSON, or which its build function
-refuses with a KeyError, TypeError, ValueError or FatalError, raises a
-FatalError naming the file, and the line of a line-delimited file.
+refuses with a KeyError, TypeError or ValueError, raises a FatalError that
+calls the file malformed; a FatalError of the build function keeps its own
+message.  Either names the file, and the line of a line-delimited file.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def check_types(record: Any) -> None:
 
 
 def _refused(where: Any, exc: Exception) -> FatalError:
+    if isinstance(exc, FatalError):
+        return FatalError(f"{where}: {exc}")
     return FatalError(f"{where}: malformed ({type(exc).__name__}: {exc})")
 
 

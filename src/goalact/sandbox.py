@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from .backends import strip_code_fences
-from .environment import ToolCall, ToolEnvironment, render_number
+from .environment import (TOOL_DESCRIPTIONS, TOOL_PARAMETERS, TOOLS, ToolCall,
+                          ToolEnvironment, render_number)
 from .errors import ToolError
 from .plan import truncate_observation
 from .records import check_types
@@ -528,27 +529,24 @@ class _Interpreter:
         return self.call_tool(name, args)
 
     def call_tool(self, name: str, args: list[Any]) -> Any:
-        try:
-            spec = self.env.tool(name)
-        except ToolError:
+        if name not in TOOLS:
             raise _Fault(FAULT_RUNTIME, f"unknown tool or function {name!r}")
-        if len(args) != len(spec.parameters):
+        if len(args) != len(TOOL_PARAMETERS):
             raise _Fault(FAULT_RUNTIME,
-                         f"{name} takes {len(spec.parameters)} arguments, "
+                         f"{name} takes {len(TOOL_PARAMETERS)} arguments, "
                          f"got {len(args)}")
         if self.tool_calls >= self.limits.max_tool_calls:
             raise _Fault(FAULT_LIMIT,
                          f"tool budget of {self.limits.max_tool_calls} calls "
                          "exhausted")
         self.tool_calls += 1
-        arguments = {pname: args[i]
-                     for i, (pname, _) in enumerate(spec.parameters)}
-        call = ToolCall(tool_name=name, arguments=arguments)
+        call = ToolCall(tool_name=name,
+                        arguments=dict(zip(TOOL_PARAMETERS, args)))
         try:
             rows = self.env.invoke_tool(call)
         except ToolError as exc:
             raise _Fault(FAULT_RUNTIME, f"tool {name} failed: {exc}")
-        return dict(rows[0]) if spec.semantics == "get_record" \
+        return dict(rows[0]) if name == "get_record" \
             else [dict(r) for r in rows]
 
 
@@ -643,7 +641,7 @@ def _coding_prompt(action: SkillAction, context: SkillContext) -> str:
         GRAMMAR_REFERENCE,
         "",
         "Available tools:",
-        context.env.render_tool_descriptions(),
+        TOOL_DESCRIPTIONS,
         "",
         f"Question: {context.question}",
         f"{CODING_MARKER} {action.objective}",

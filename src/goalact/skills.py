@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .backends import decode_json, strip_code_fences
-from .environment import ToolCall, ToolEnvironment, list_text
+from .environment import (TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment,
+                          list_text)
 from .errors import BackendUnavailable, FatalError, ToolError
 from .plan import (
     CODING,
@@ -254,7 +255,7 @@ def _searching_prompt(action: SkillAction, context: SkillContext) -> str:
         "accepted.",
         "",
         "Available tools:",
-        context.env.render_tool_descriptions(),
+        TOOL_DESCRIPTIONS,
         "",
         f"Question: {context.question}",
         f"{SEARCHING_MARKER} {action.objective}",
@@ -281,8 +282,8 @@ def observe_emission(emission: str, env: Any, who: str) -> SkillResult:
     except ToolError as exc:
         return f"Tool call {call.tool_name} failed: {exc}", payload
     texts = env.row_texts(call, rows)
-    one_row = env.tool(call.tool_name).semantics == "get_record"
-    observation = texts[0] if one_row else list_text(texts)
+    observation = texts[0] if call.tool_name == "get_record" \
+        else list_text(texts)
     if discarded:
         observation += (f" ({discarded} extra emitted call"
                         f"{'s' if discarded > 1 else ''} discarded)")

@@ -196,6 +196,31 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
     assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
 
 
+
+def test_a_config_its_own_check_refuses_is_not_called_malformed(tmp_path,
+                                                                 capsys):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    config, missing = tmp_path / "config.json", tmp_path / "nope.jsonl"
+    for settings, message in (
+            ({"exemplars_file": str(missing)},
+             f"[Errno 2] No such file or directory: '{missing}'"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1")):
+        config.write_text(json.dumps(settings))
+        assert main(["run", "--task", str(task_file),
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr().err == \
+            f"configuration fault: {config}: {message}\n"
+
+
+@pytest.mark.parametrize("k", [-1, 0, 6])
+def test_generate_names_the_allowed_hop_range(tmp_path, capsys, k):
+    assert main(["generate", "--seed", "1", "--k", str(k),
+                 "--out", str(tmp_path / "fixtures")]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration fault: k must be in 1..5, got {k}\n"
+
+
 def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     task_file = next((fixtures / "tasks").glob("*.json"))

@@ -109,7 +109,6 @@ def test_filter_matches_brute_force_scan_on_random_predicates():
 
 def _scan_lookup(env: ToolEnvironment, call: ToolCall) -> list:
     """invoke_tool as a loose-equality scan over every row: the oracle."""
-    spec = env.tool(call.tool_name)
     table = env.table(str(call.arguments["table"]))
     field_name = str(call.arguments["field"])
     value = call.arguments["value"]
@@ -120,7 +119,7 @@ def _scan_lookup(env: ToolEnvironment, call: ToolCall) -> list:
     matches = [row for row in table.rows
                if row.get(field_name) == value
                or str(row.get(field_name)) == str(value)]
-    if spec.semantics == "get_record":
+    if call.tool_name == "get_record":
         if not matches:
             raise ToolError(
                 f"no {table.name} record with {field_name} = {value!r}")

@@ -14,12 +14,15 @@ import json
 
 import pytest
 
+from goalact import oracle
 from goalact.backends import ScriptedBackend, user_request
+from goalact.environment import TOOL_PARAMETERS, ToolCall
 from goalact.errors import RuleMiss
 from goalact.generator import CATEGORY_ORDER, generate_task
 from goalact.oracle import build_oracle_rules, oracle_backend
 from goalact.orchestrator import CODEACT_MARKER, SUMMARY_MARKER
-from goalact.skills import SEARCHING_MARKER
+from goalact.sandbox import SandboxLimits, eval_script
+from goalact.skills import SEARCHING_MARKER, parse_tool_emission
 
 RULES_DIGEST = "d0e2c23d8dc1cf6e58d553024824253bcf794f1d33e3256f6f25edf22bb4bdee"
 
@@ -118,3 +121,21 @@ def test_a_miss_within_the_one_family_names_the_closest_of_all_rules(
     assert [rule.name for rule in backend.rules] == \
         [rule.name for rule in flat.rules]
 
+
+def test_each_lookup_spells_one_call_that_finds_rows():
+    """A lookup's emission and ReAct action are one call, its script makes
+    that call too, and the call finds rows in its task's environment."""
+    lookups = 0
+    for category, seed in TASKS:
+        task, env = generate_task(category, seed)
+        solve = oracle._SOLVERS[task.recipe["kind"]][1]
+        for *_, lookup in solve(task).calls:
+            call = ToolCall(lookup.tool, dict(zip(TOOL_PARAMETERS, lookup[1:])))
+            assert parse_tool_emission(lookup.emission) == ([call], None)
+            assert parse_tool_emission(lookup.action) == ([call], None)
+            assert env.invoke_tool(call), lookup
+            result = eval_script(f"return {lookup.script}", env,
+                                 SandboxLimits())
+            assert result.fault is None, (lookup, result.fault)
+            lookups += 1
+    assert lookups == 20 * (1 + 2 + 3 + 4 + 5 + 4 + 1)

@@ -3,7 +3,7 @@
 A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
 hook sees every file the process opens and wrappers count the request
 hashes the scripted backend computes, the rows rendered to JSON and the
-rows returned, the tool-list and table-schema renders, and the planning
+rows returned, the table-schema renders, and the planning
 frames filled.  Given an exemplar file, the same script runs GoalAct and
 Plan-and-Solve with it instead, to count its reads.  The lazy oracle is guarded by counting the plan renderings
 and rule families a single run builds.  Table lookups are guarded by
@@ -48,8 +48,8 @@ sys.addaudithook(audit)
 from goalact import (backends, environment, generator, oracle, orchestrator,
                      planner, suite)
 
-counts = dict.fromkeys(("request_hashes", "row_dumps", "tool_lists",
-                        "table_schemas", "frames", "rounds"), 0)
+counts = dict.fromkeys(("request_hashes", "row_dumps", "table_schemas",
+                        "frames", "rounds"), 0)
 
 
 def counting(name, original):
@@ -60,10 +60,8 @@ def counting(name, original):
 
 
 backends.request_hash = counting("request_hashes", backends.request_hash)
-for prop, name in (("_tool_descriptions", "tool_lists"),
-                   ("_table_schemas", "table_schemas")):
-    cached = environment.ToolEnvironment.__dict__[prop]
-    cached.func = counting(name, cached.func)
+cached = environment.ToolEnvironment.__dict__["_table_schemas"]
+cached.func = counting("table_schemas", cached.func)
 planner.planning_frame = orchestrator.planning_frame = counting(
     "frames", planner.planning_frame)
 orchestrator.update_global_plan = counting("rounds",
@@ -157,8 +155,7 @@ def test_oracle_suite_renders_each_run_constant_once(suite_counts):
     # return it; zero would mean the wrapper missed the renders.
     assert suite_counts["rows_returned"] > 0
     assert suite_counts["row_dumps"] == suite_counts["rows_returned"]
-    # One tool list and one schema text per environment.
-    assert suite_counts["tool_lists"] == suite_counts["environments"]
+    # One schema text per environment.
     assert suite_counts["table_schemas"] == suite_counts["environments"]
     # One planning frame per GoalAct and Plan-and-Solve run, shared by all
     # of GoalAct's planning rounds.

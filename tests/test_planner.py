@@ -8,7 +8,7 @@ import pytest
 
 from goalact import planner
 from goalact.backends import Rule
-from goalact.environment import ToolEnvironment
+from goalact.environment import TOOL_DESCRIPTIONS, ToolEnvironment
 from goalact.errors import FatalError, GoalActError, PlanError, PlanningFailed
 from goalact.plan import FINISH, SEARCHING, History, SkillAction, history_of
 from goalact.planner import (
@@ -93,16 +93,13 @@ def test_values_holding_slot_markers_are_inserted_verbatim():
         "scratchpad", "skill_count", "skill_menu"))
 
     class MarkerEnv:
-        def render_tool_descriptions(self):
-            return markers
-
         def render_table_schemas(self):
             return markers
 
     registry = default_registry()
     count, menu = render_skill_menu(registry)
     values = {"question": markers, "table_used_prompt": markers,
-              "tool_prompt": markers, "memory": markers,
+              "tool_prompt": TOOL_DESCRIPTIONS, "memory": markers,
               "scratchpad": markers, "skill_count": count_word(count),
               "skill_menu": menu}
     expected = re.sub(r"\{(\w+)\}", lambda m: values[m.group(1)],
@@ -111,7 +108,7 @@ def test_values_holding_slot_markers_are_inserted_verbatim():
     prompt = markers.join(planning_frame(markers, MarkerEnv(), (markers,),
                                          registry))
     assert prompt == expected
-    assert prompt.count(markers) == 6 and prompt.count(menu) == 1
+    assert prompt.count(markers) == 5 and prompt.count(menu) == 1
 
 
 def test_template_without_a_slot_is_an_error(company_env, monkeypatch):
