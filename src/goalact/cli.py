@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .generator import generate_task, load_fixture, save_fixture
 from .orchestrator import RunConfig, normalize_method
-from .plan import Trajectory, read_trajectories
+from .plan import Trajectory, read_trajectories, write_trajectories
 from .records import read_document
 from .sandbox import SandboxLimits
 from .suite import (
@@ -145,9 +145,11 @@ def cmd_run(args: argparse.Namespace) -> int:
           f"termination={trajectory.termination_reason}")
     print(f"final answer: {trajectory.final_answer}")
     if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_trajectories(args.out / "trajectories.jsonl", [trajectory])
         report = aggregate({method: [score]}, {task.id: task.category})
-        write_run_dir(args.out, {"trajectories.jsonl": [trajectory]}, report,
-                      config, [method], backend_spec, [task.id])
+        write_run_dir(args.out, report, config, [method], backend_spec,
+                      [task.id])
     return 0
 
 

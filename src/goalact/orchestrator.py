@@ -29,6 +29,7 @@ partial trajectory.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field
@@ -177,6 +178,18 @@ class RunConfig:
     def exemplars(self) -> tuple[str, ...]:
         """The few-shot transcripts of the planning prompt."""
         return load_exemplars(self.exemplars_file or None, self.exemplar_count)
+
+    def for_method(self, method: str) -> "RunConfig":
+        """This config for one method of a suite: the ablations stay with
+        GoalAct, and the exemplars this config read are shared, not read
+        again.  The copy is checked as a new config is."""
+        config = copy.copy(self)
+        object.__setattr__(config, "method", method)
+        object.__setattr__(config, "ablations", self.ablations
+                           if method == METHOD_GOALACT else frozenset())
+        del config.__dict__["registry"]
+        config.__post_init__()
+        return config
 
 
 def normalize_method(name: str) -> str:

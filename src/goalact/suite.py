@@ -11,6 +11,12 @@ then holds every finished and partial trajectory, a report over the tasks
 that finished under every method run, and a manifest that lists the
 failures, and the first failure is raised.  Which runs are kept depends only
 on task order, never on `jobs`.
+
+Each run's trajectory line is written to its method's log as soon as every
+earlier task's line is, so the suite holds no finished run beyond the ones
+its workers are making.  The manifest and the reports are written last, and
+the suite deletes an earlier run's copies before its first line: a
+directory without `manifest.json` holds an unfinished suite.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .backends import (
     CassetteRecorder,
@@ -43,8 +50,8 @@ from .evaluation import (
 )
 from .generator import Task
 from .oracle import oracle_backend
-from .orchestrator import METHOD_GOALACT, RunConfig, run_task
-from .plan import Trajectory, write_trajectories
+from .orchestrator import RunConfig, run_task
+from .plan import Trajectory, encode_trajectory
 
 BackendFactory = Callable[[Task], Any]
 
@@ -54,6 +61,10 @@ ENV_MODEL = "GOALACT_MODEL"
 
 # Faults of one task's run that leave the suite's other tasks to run.
 TASK_LOCAL_FAULTS = (RuleMiss, CassetteMiss)
+
+# The files a run directory gains once its runs are done, written last.
+REPORTS = {"report.txt": render_report_text, "report.json": render_report_json}
+SUMMARY_FILES = ("manifest.json", *REPORTS)
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,12 @@ class TaskFailure:
 
     def stops_suite(self) -> bool:
         return not isinstance(self.error, TASK_LOCAL_FAULTS)
+
+
+# One run's (encoded trajectory line, score, failure): a finished run has a
+# score and no failure, a run that raised its partial trajectory's line and
+# its failure.
+Outcome = tuple[str, Optional[TaskScore], Optional[TaskFailure]]
 
 
 def resolve_backend_factory(spec: str) -> BackendFactory:
@@ -127,45 +144,36 @@ def score_trajectory(task: Task, trajectory: Trajectory) -> TaskScore:
 def run_method_over_tasks(method: str,
                           jobs_input: Sequence[tuple[Task, ToolEnvironment]],
                           config: RunConfig, backend_factory: BackendFactory,
-                          jobs: int = 1
-                          ) -> tuple[list[Trajectory], list[TaskScore],
-                                     list[TaskFailure]]:
+                          jobs: int = 1) -> Iterator[Outcome]:
     """Run one method over every task, ordered deterministically by task id.
 
-    Returns the trajectories in task order, a failed run's partial one
-    included, the scores of the finished runs, and the failures.  A failure
-    that stops the suite is the last task kept: at `jobs` > 1 no task not
-    yet started runs, and no later task's run is kept.
+    Yields each run's outcome in task order.  A failure that stops the
+    suite is the last outcome: at `jobs` > 1 no task not yet started runs,
+    and no later task's run is yielded.
     """
     ordered = sorted(jobs_input, key=lambda pair: pair[0].id)
-    method_config = dataclasses.replace(
-        config, method=method,
-        ablations=config.ablations if method == METHOD_GOALACT else frozenset())
+    method_config = config.for_method(method)
 
-    def one(pair: tuple[Task, ToolEnvironment]) -> Trajectory | BackendError:
+    def one(pair: tuple[Task, ToolEnvironment]) -> Outcome:
         task, env = pair
         try:
-            return run_task(task, env, method_config, backend_factory(task))
+            trajectory = run_task(task, env, method_config,
+                                  backend_factory(task))
         except (AuthFailure, *TASK_LOCAL_FAULTS) as exc:
-            return exc
+            return (encode_trajectory(exc.trajectory), None,
+                    TaskFailure(method, task.id, exc))
+        return (encode_trajectory(trajectory),
+                score_trajectory(task, trajectory), None)
 
-    trajectories, scores, failures = [], [], []
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        outcomes = pool.map(one, ordered) if pool else map(one, ordered)
-        for (task, _), outcome in zip(ordered, outcomes):
-            if isinstance(outcome, Trajectory):
-                trajectories.append(outcome)
-                scores.append(score_trajectory(task, outcome))
-                continue
-            trajectories.append(outcome.trajectory)
-            failures.append(TaskFailure(method, task.id, outcome))
-            if failures[-1].stops_suite():
-                break
+        for outcome in pool.map(one, ordered) if pool else map(one, ordered):
+            yield outcome
+            if outcome[2] is not None and outcome[2].stops_suite():
+                return
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return trajectories, scores, failures
 
 
 def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
@@ -183,50 +191,56 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     if not methods:
         raise FatalError("the suite has no methods to run")
     categories = {task.id: task.category for task, _ in tasks_with_envs}
-    runs: dict[str, tuple[list[Trajectory], list[TaskScore]]] = {}
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
+        for name in SUMMARY_FILES:
+            (out_dir / name).unlink(missing_ok=True)
+    runs: dict[str, list[TaskScore]] = {}
     failures: list[TaskFailure] = []
     for method in methods:
-        trajectories, scores, method_failures = run_method_over_tasks(
-            method, tasks_with_envs, config, backend_factory, jobs=jobs)
-        runs[method] = trajectories, scores
-        failures += method_failures
+        scores = runs[method] = []
+        log = nullcontext() if out_dir is None else open(
+            out_dir / "trajectories" / f"{method}.jsonl", "w",
+            encoding="utf-8")
+        with log as handle, closing(run_method_over_tasks(
+                method, tasks_with_envs, config, backend_factory,
+                jobs=jobs)) as outcomes:
+            for line, score, failure in outcomes:
+                if handle is not None:
+                    handle.write(line + "\n")
+                if failure is None:
+                    scores.append(score)
+                else:
+                    failures.append(failure)
         if failures and failures[-1].stops_suite():
             break
     finished = set.intersection(*({score.task_id for score in scores}
-                                  for _, scores in runs.values()))
+                                  for scores in runs.values()))
     report = aggregate({
         method: [s for s in scores if s.task_id in finished]
-        for method, (_, scores) in runs.items()}, categories) \
+        for method, scores in runs.items()}, categories) \
         if finished else None
 
     if out_dir is not None:
-        logs = {f"trajectories/{method}.jsonl": trajectories
-                for method, (trajectories, _) in runs.items()}
-        write_run_dir(Path(out_dir), logs, report, config, methods,
-                      backend_spec, sorted(categories), jobs=jobs,
-                      failures=failures)
+        write_run_dir(out_dir, report, config, methods, backend_spec,
+                      sorted(categories), jobs=jobs, failures=failures)
     if failures:
         raise failures[0].error
     return report
 
 
-def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
-                  report: Optional[SuiteReport], config: RunConfig,
-                  methods: Sequence[str], backend_spec: str,
+def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
+                  config: RunConfig, methods: Sequence[str], backend_spec: str,
                   task_ids: Sequence[str], jobs: Optional[int] = None,
                   failures: Sequence[TaskFailure] = ()) -> None:
-    """Write a run directory: each trajectory log under its relative path,
-    written fresh, then `manifest.json`, `report.txt` and `report.json`.
-    The manifest holds a `jobs` key only when `jobs` is given, and a
-    `failures` list (task id, method, error kind) only when there are
-    failures.  With no report, no report file is left in the directory."""
+    """Finish a run directory whose trajectory logs are written: write
+    `manifest.json`, then `report.txt` and `report.json` when there is a
+    report.  The manifest holds a `jobs` key only when `jobs` is given, and
+    a `failures` list (task id, method, error kind) only when there are
+    failures."""
     from .planner import PROMPT_VERSION
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for relative, trajectories in logs.items():
-        path = out_dir / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_trajectories(path, trajectories)
     manifest: dict[str, Any] = {
         "config_hash": config_hash(config, methods, backend_spec),
         "backend": backend_spec,
@@ -243,10 +257,6 @@ def write_run_dir(out_dir: Path, logs: dict[str, Sequence[Trajectory]],
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    reports = {"report.txt": render_report_text,
-               "report.json": render_report_json}
-    for name, render in reports.items():
-        if report is None:
-            (out_dir / name).unlink(missing_ok=True)
-        else:
+    if report is not None:
+        for name, render in REPORTS.items():
             (out_dir / name).write_text(render(report), encoding="utf-8")

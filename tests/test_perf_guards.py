@@ -5,13 +5,16 @@ hook sees every file the process opens and wrappers count the request
 hashes the scripted backend computes, the rows rendered to JSON and the
 rows returned, the table-schema renders, and the planning
 frames filled.  Given an exemplar file, the same script runs GoalAct and
-Plan-and-Solve with it instead, to count its reads.  The lazy oracle is guarded by counting the plan renderings
-and rule families a single run builds.  Table lookups are guarded by
-counting the row reads of a 2,000-row table.
+Plan-and-Solve with it instead, to count its reads.  The same suite, run in
+this process, counts the trajectories alive after each run.  The lazy oracle
+is guarded by counting the plan renderings and rule families a single run
+builds.  Table lookups are guarded by counting the row reads of a 2,000-row
+table.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -21,10 +24,15 @@ from pathlib import Path
 import pytest
 
 import goalact
-from goalact import oracle
+from goalact import oracle, suite
 from goalact.environment import Table, ToolCall, ToolEnvironment
-from goalact.generator import generate_khop_task, generate_writing_task
+from goalact.generator import (
+    generate_aggregation_task,
+    generate_khop_task,
+    generate_writing_task,
+)
 from goalact.orchestrator import METHODS, RunConfig, run_task
+from goalact.plan import Trajectory
 
 _SUITE_SCRIPT = r"""
 import json, os, sys
@@ -144,10 +152,35 @@ def test_a_suite_reads_its_exemplars_file_once_per_method(tmp_path):
         encoding="utf-8")
     counts = _count_suite(tmp_path / "run", exemplars)
     assert counts["rows"] == 2
-    # Once when the suite's config is made, then once for each method's
-    # config, which all of that method's runs share.
+    # Once, when the suite's config is made; each method's config shares
+    # what it read.
     assert counts["opens"] == {"global_planning.txt": 1,
-                               "exemplars.jsonl": 0, "exemplars_file": 3}
+                               "exemplars.jsonl": 0, "exemplars_file": 1}
+
+
+def test_a_suite_holds_one_run_at_a_time(monkeypatch, tmp_path):
+    def live_trajectories() -> int:
+        return sum(isinstance(obj, Trajectory) for obj in gc.get_objects())
+
+    live = []
+    original = suite.run_task
+
+    def counting_run_task(*args):
+        trajectory = original(*args)
+        live.append(live_trajectories())
+        return trajectory
+
+    monkeypatch.setattr(suite, "run_task", counting_run_task)
+    pairs = [generate_khop_task(seed=5, k=2), generate_aggregation_task(seed=5),
+             generate_writing_task(seed=5)]
+    gc.collect()
+    before = live_trajectories()
+    suite.run_suite(pairs, METHODS, RunConfig(), oracle.oracle_backend,
+                    out_dir=tmp_path / "run")
+    # The run just made and at most one other: each run's line is written
+    # before the next run starts.
+    assert len(live) == len(pairs) * len(METHODS)
+    assert max(live) - before <= 2
 
 
 def test_oracle_suite_renders_each_run_constant_once(suite_counts):

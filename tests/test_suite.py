@@ -1,4 +1,5 @@
-"""A suite keeps its work when a task's run raises a backend fault."""
+"""A suite keeps its work when a task's run raises a backend fault or is
+interrupted."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from goalact.orchestrator import (
     METHOD_REACT,
     RunConfig,
 )
-from goalact.suite import run_suite
+from goalact.plan import read_trajectories
+from goalact.suite import SUMMARY_FILES, run_suite
 
 METHODS = [METHOD_GOALACT, METHOD_REACT]
 
@@ -163,3 +165,43 @@ def test_a_suite_with_no_finished_task_exits_three_with_its_runs(
     # No task finished, so there is nothing to report.
     assert not (out / "report.json").exists()
     assert not (out / "report.txt").exists()
+
+
+def _interrupt(out, jobs):
+    """Run a suite into `out` that is interrupted in ReAct's second task."""
+    ids = sorted(task.id for task, _ in _pairs())
+    calls = {task_id: 0 for task_id in ids}
+
+    def factory(task):
+        # Methods run one after another, so a task's second call is ReAct's.
+        calls[task.id] += 1
+        if (task.id, calls[task.id]) == (ids[1], 2):
+            return _Raising(KeyboardInterrupt)
+        return oracle_backend(task)
+
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(_pairs(), METHODS, RunConfig(), factory, out_dir=out,
+                  jobs=jobs)
+    return ids
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_interrupt_keeps_every_line_written_before_it(tmp_path, jobs):
+    out = tmp_path / "run"
+    ids = _interrupt(out, jobs)
+    logs = {method: read_trajectories(out / "trajectories" / f"{method}.jsonl")
+            for method in METHODS}
+    assert [run.task_id for run in logs[METHOD_GOALACT]] == ids
+    assert [run.task_id for run in logs[METHOD_REACT]] == ids[:1]
+    assert all(run.termination_reason == "finish"
+               for runs in logs.values() for run in runs)
+
+
+def test_an_interrupted_suite_leaves_no_earlier_manifest_or_report(tmp_path):
+    out = tmp_path / "run"
+    run_suite(_pairs(), METHODS, RunConfig(), oracle_backend, out_dir=out)
+    assert all((out / name).exists() for name in SUMMARY_FILES)
+    _interrupt(out, jobs=1)
+    assert not any((out / name).exists() for name in SUMMARY_FILES)
+    assert len(read_trajectories(
+        out / "trajectories" / f"{METHOD_REACT}.jsonl")) == 1
