@@ -68,7 +68,8 @@ class Rule:
 
 # A rule family: a prompt-type marker and the build of the rules keyed on it.
 RuleFamily = tuple[str, Callable[[], Sequence[Rule]]]
-# A built family's (substrings, response) pairs, in rule order.
+# A built family's (substrings other than its marker, response) pairs, in
+# rule order.
 Matchers = list[tuple[tuple[str, ...], str]]
 
 
@@ -80,26 +81,41 @@ class ScriptedBackend:
     A prompt tries the rules of each family whose marker it holds, in family
     order, then rule order; the first rule whose substrings all occur wins.
     A build refuses (ValueError) a rule with no substring holding its marker,
-    so the walk answers as an in-order scan of all rules would.  A miss builds
-    every family and raises RuleMiss naming the closest rule.  `rules` lists
-    the rules built so far, in family order; reading it builds nothing."""
+    so the walk answers as an in-order scan of all rules would.  The walk
+    enters a family only when the prompt holds its marker, so a substring
+    equal to the marker is not tested again; one that merely contains it is.
+    A miss builds every family and raises RuleMiss naming the closest rule.
+    `rules` lists the rules built so far, in family order; reading it builds
+    nothing."""
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
-        self.label = label
-        self.calls_made = 0
-        self._families: dict[str, Callable] = {"": lambda: rules}
-        self._built: dict[str, list[Rule]] = {}
-        self._matchers: dict[str, Matchers] = {}
+        self._start({"": lambda: rules}, label)
         self._family_matchers("")
 
     @classmethod
     def from_families(cls, families: Sequence[RuleFamily],
                       label: str = "scripted") -> "ScriptedBackend":
         """A backend over (marker, build) families, in matching order."""
-        backend = cls((), label)
-        backend._families = dict(families)
-        backend._built, backend._matchers = {}, {}
+        backend = cls.__new__(cls)
+        backend._start(dict(families), label)
         return backend
+
+    def _start(self, families: dict[str, Callable[[], Sequence[Rule]]],
+               label: str) -> None:
+        self.label = label
+        self.calls_made = 0
+        self._families = families
+        self._built: dict[str, list[Rule]] = {}
+        self._matchers: dict[str, Matchers] = {}
+        self._rules: Optional[list[Rule]] = None
+
+    @property
+    def rules(self) -> list[Rule]:
+        """Flattened on the first read after a family is built."""
+        if self._rules is None:
+            self._rules = [rule for marker in self._families
+                           for rule in self._built.get(marker, ())]
+        return self._rules
 
     def _family_matchers(self, marker: str) -> Matchers:
         matchers = self._matchers.get(marker)
@@ -113,10 +129,10 @@ class ScriptedBackend:
                     raise ValueError(f"[{self.label}] rule {rule.name or i!r} "
                                      f"holds no {marker!r} in its substrings")
             self._built[marker] = built
-            self.rules = [rule for name in self._families
-                          for rule in self._built.get(name, ())]
+            self._rules = None
             matchers = self._matchers[marker] = [
-                (rule.substrings, rule.response) for rule in built]
+                (tuple(key for key in rule.substrings if key != marker),
+                 rule.response) for rule in built]
         return matchers
 
     def complete(self, request: CompletionRequest) -> str:
@@ -125,7 +141,10 @@ class ScriptedBackend:
         for marker in self._families:
             if marker in prompt:
                 for keys, response in self._family_matchers(marker):
-                    if all(key in prompt for key in keys):
+                    for key in keys:
+                        if key not in prompt:
+                            break
+                    else:
                         return response
         for marker in self._families:
             self._family_matchers(marker)

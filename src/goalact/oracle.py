@@ -6,20 +6,22 @@ sandbox scripts, documents), the summary texts, and, for every method, the
 response it must read in each round together with the value that first
 appears in that round's prompt.  Every tool call a solution names is one
 `Lookup`, which spells each of its forms; ReAct and Plan-and-Execute make
-the same calls, one a round.  Solvers build only the skill rules, keyed
-by skill marker, and know no method's marker or rule names.  One
+the same calls, one a round.  Solvers write only the skill rules, as one
+build per skill marker, and know no method's marker or rule names.  One
 assembler, `_assemble`, turns a record into ten per-marker rule families:
 it alone knows the method markers, the rule-naming scheme and the family
 order, and one helper, `_rounds`, writes every method's round family.  Rules
 key on a prompt-type marker plus the round's first new value, most specific
 round first, so one rule set serves every method deterministically.
 
-`build_oracle_rules` does only the solve; each family is a closure that
-renders its rules when first called, so a backend built from the families
-renders only the prompt types a run sends (a CodeAct run never renders a
-plan).  Every rule holds its family's marker in one of its substrings;
-`ScriptedBackend` checks this when it builds a family and refuses a rule
-that does not.
+`build_oracle_rules` solves the task and renders no rule: each family,
+skill families included, is a closure that renders its rules (and a
+lookup's emission JSON) when first called, so a backend built from the
+families renders only the prompt types a run sends (a CodeAct run never
+renders a plan, and only GoalAct, its ablations and Plan-and-Solve, which
+run skills, render skill rules).  Every rule holds its family's marker in
+one of its substrings; `ScriptedBackend` checks this when it builds a
+family and refuses a rule that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -80,14 +82,14 @@ class Lookup(NamedTuple):
 
 class Solution(NamedTuple):
     """What one task answers to every prompt; only skill rules carry markers,
-    and they come keyed by that marker.
+    and they come as one build per skill marker, run when first needed.
 
     A `*_keys` list holds, per round, the value that first appears in that
     round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
     same call in each round, one per entry of `calls`, and then finish;
     `call_keys` holds both methods' keys.
     """
-    skill_rules: dict[str, list[Rule]]  # skill marker -> its rules
+    skill_builds: dict[str, Callable[[], list[Rule]]]  # by skill marker
     summary: tuple[str, str, str]  # (success key, success text, fallback)
     steps: list[tuple[str, SkillAction]]  # round t executes steps[t-1]
     round_keys: Keys  # one per step
@@ -144,7 +146,7 @@ def _assemble(s: Solution, prefix: str) -> list[RuleFamily]:
     success_key, success_text, fallback_text = s.summary
 
     def skill(marker: str) -> RuleFamily:
-        return marker, lambda: s.skill_rules.get(marker, [])
+        return marker, s.skill_builds.get(marker, list)
 
     def summary() -> list[Rule]:
         return [Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
@@ -215,7 +217,8 @@ def _khop_solution(task: Task) -> Solution:
     chain_lines.append(f"return r{k}.{answer_field}")
 
     return Solution(
-        skill_rules={SEARCHING_MARKER: _searching_rules(lookups, "khop")},
+        skill_builds={
+            SEARCHING_MARKER: lambda: _searching_rules(lookups, "khop")},
         summary=(answer, f"The {answer_field} of the final record is {answer}.",
                  "The requested value could not be determined."),
         steps=steps, round_keys=round_keys,
@@ -267,9 +270,9 @@ def _writing_solution(task: Task) -> Solution:
     round_keys: Keys = [None, plaintiff_id, r["registration_code"],
                         r["bar_number"], r["statute_ids"][0], doc_marker]
 
-    skill_rules = {
-        SEARCHING_MARKER: _searching_rules(lookups, "writing"),
-        WRITING_MARKER: [Rule.on_substrings(
+    skill_builds = {
+        SEARCHING_MARKER: lambda: _searching_rules(lookups, "writing"),
+        WRITING_MARKER: lambda: [Rule.on_substrings(
             document, f"{WRITING_MARKER} {obj_write}", name="writing-compose")],
     }
 
@@ -285,7 +288,7 @@ def _writing_solution(task: Task) -> Solution:
     ])
 
     return Solution(
-        skill_rules=skill_rules,
+        skill_builds=skill_builds,
         summary=(doc_marker, document,
                  "A complete defense brief could not be produced. Parties "
                  f"involved: {r['plaintiff_name']} versus "
@@ -322,7 +325,7 @@ def _aggregation_solution(task: Task) -> Solution:
     ])
 
     return Solution(
-        skill_rules={CODING_MARKER: [Rule.on_substrings(
+        skill_builds={CODING_MARKER: lambda: [Rule.on_substrings(
             script, f"{CODING_MARKER} {obj_code}", name="agg-script")]},
         summary=(result_key, f"The total amount is {rendered_total}.",
                  "The total could not be computed within the available "

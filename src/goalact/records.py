@@ -25,9 +25,11 @@ _REFUSALS = (ValueError, KeyError, TypeError, RecursionError, FatalError)
 
 
 @functools.cache
-def _declared(cls: type) -> tuple[dict[str, Any], dict[str, type]]:
-    """Each declared field's type, in declaration order, and the record
-    class of each field declared `list[<record>]`."""
+def _declared(cls: type) -> tuple[dict[str, Any], dict[str, type],
+                                  Callable[[Any], dict[str, Any]]]:
+    """Each declared field's type, in declaration order, the record class
+    of each field declared `list[<record>]`, and the builder of the class's
+    documents."""
     hints = typing.get_type_hints(cls)
     declared = {f.name: hints[f.name] for f in fields(cls)}
     nested = {}
@@ -35,21 +37,30 @@ def _declared(cls: type) -> tuple[dict[str, Any], dict[str, type]]:
         item = (typing.get_args(hint) or (None,))[0]
         if typing.get_origin(hint) is list and is_dataclass(item):
             nested[name] = item
-    return declared, nested
+    return declared, nested, _document_builder(declared, nested)
+
+
+def _document_builder(declared: dict[str, Any], nested: dict[str, type]
+                      ) -> Callable[[Any], dict[str, Any]]:
+    """A function returning a dict display of the declared fields, each
+    read as an attribute, compiled once per class as `dataclasses` compiles
+    `__init__`: the display costs a quarter of a `getattr` loop's time."""
+    scope = {f"build_{name}": _declared(item)[2]
+             for name, item in nested.items()}
+    items = (f"{name!r}: list(map(build_{name}, record.{name}))"
+             if name in nested else f"{name!r}: record.{name}"
+             for name in declared)
+    return eval(f"lambda record: {{{', '.join(items)}}}", scope)
 
 
 def record_to_dict(record: Any) -> dict[str, Any]:
     """The document of `record`, built from its declared fields."""
-    declared, nested = _declared(type(record))
-    doc = {name: getattr(record, name) for name in declared}
-    for name in nested:
-        doc[name] = list(map(record_to_dict, doc[name]))
-    return doc
+    return _declared(type(record))[2](record)
 
 
 def record_from_dict(cls: type[T], doc: Any) -> T:
     """TypeError unless `doc` is an object of exactly the declared keys."""
-    declared, nested = _declared(cls)
+    declared, nested, _ = _declared(cls)
     if not isinstance(doc, dict) or doc.keys() != declared.keys():
         raise TypeError(f"a {cls.__name__} is an object of exactly the keys "
                         f"{', '.join(declared)}")

@@ -14,8 +14,9 @@ on task order, never on `jobs`.
 
 Each run's trajectory line is written to its method's log as soon as every
 earlier task's line is, so the suite holds no finished run beyond the ones
-its workers are making.  The manifest and the reports are written last, and
-the suite deletes an earlier run's copies before its first line: a
+its workers are making.  The manifest and the reports are written last.
+Before its first line the suite deletes them and every method log an
+earlier run left, so no log of a method it does not run survives, and a
 directory without `manifest.json` holds an unfinished suite.
 """
 
@@ -193,9 +194,11 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     categories = {task.id: task.category for task, _ in tasks_with_envs}
     if out_dir is not None:
         out_dir = Path(out_dir)
-        (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
-        for name in SUMMARY_FILES:
-            (out_dir / name).unlink(missing_ok=True)
+        logs = out_dir / "trajectories"
+        logs.mkdir(parents=True, exist_ok=True)
+        for path in [*logs.glob("*.jsonl"), *map(out_dir.joinpath,
+                                                 SUMMARY_FILES)]:
+            path.unlink(missing_ok=True)
     runs: dict[str, list[TaskScore]] = {}
     failures: list[TaskFailure] = []
     for method in methods:

@@ -154,6 +154,29 @@ def test_a_family_rule_without_its_marker_is_refused_when_built():
         "[unit] rule 'stray' holds no '[D]' in its substrings")
 
 
+def test_a_rule_keyed_on_its_marker_alone_answers_its_whole_family():
+    backend = ScriptedBackend.from_families([
+        ("[A]", lambda: [Rule.on_substrings("a-x", "[A]", "x", name="a-x"),
+                         Rule.on_substrings("a-any", "[A]", name="a-any")]),
+        ("[B]", lambda: [Rule.on_substrings("b", "[B]", name="b")]),
+    ])
+    assert backend.complete(_req("[A] x")) == "a-x"
+    assert backend.complete(_req("[A]")) == "a-any"
+    assert backend.complete(_req("y [A] z")) == "a-any"
+    with pytest.raises(RuleMiss):
+        backend.complete(_req("[C] x"))
+
+
+def test_a_key_holding_its_marker_and_more_text_is_still_required():
+    backend = ScriptedBackend.from_families(
+        [("[B]", lambda: [Rule.on_substrings("b-x", "[B] x", name="b-x")])],
+        label="unit")
+    assert backend.complete(_req("[B] x")) == "b-x"
+    with pytest.raises(RuleMiss) as miss:
+        backend.complete(_req("[B] y, then x"))
+    assert "(closest: b-x)" in str(miss.value)
+
+
 def _count_request_hashes(monkeypatch) -> list:
     """Record every request `goalact.backends.request_hash` is called with."""
     import goalact.backends as backends_module

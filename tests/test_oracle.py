@@ -82,12 +82,21 @@ def _answer(backend, prompt):
         return f"RuleMiss: {miss}"
 
 
+def _first_match(rules, prompt):
+    """The response of the first rule whose substrings all occur in
+    `prompt`, found with no ScriptedBackend code."""
+    for rule in rules:
+        if all(key in prompt for key in rule.substrings):
+            return rule.response
+    return None
+
+
 @pytest.mark.parametrize("category", CATEGORY_ORDER)
 def test_family_matching_answers_as_the_full_ordered_scan(category):
     """Each rule's own keys make a one-marker prompt; with another marker
     added they make a two-marker prompt.  Either way the lazy backend gives
     the answer of a backend scanning the flat rule list, shadowed rules
-    included."""
+    included, and the answer the test's own scan of that list finds."""
     for seed in (1, 2, 3):
         task = generate_task(category, seed)[0]
         rules = flat_rules(task)
@@ -96,8 +105,10 @@ def test_family_matching_answers_as_the_full_ordered_scan(category):
             other = CODEACT_MARKER if SUMMARY_MARKER in own else SUMMARY_MARKER
             for prompt in (own, f"{own}\n{other}", f"{other}\n{own}"):
                 flat = ScriptedBackend(rules, label=f"oracle:{task.id}")
-                assert _answer(oracle_backend(task), prompt) == \
-                    _answer(flat, prompt), (rule.name, prompt)
+                answer = _answer(oracle_backend(task), prompt)
+                assert answer == _answer(flat, prompt), (rule.name, prompt)
+                assert answer == _first_match(rules, prompt), \
+                    (rule.name, prompt)
 
 
 @pytest.mark.parametrize("category, closest", [

@@ -7,8 +7,8 @@ rows returned, the table-schema renders, and the planning
 frames filled.  Given an exemplar file, the same script runs GoalAct and
 Plan-and-Solve with it instead, to count its reads.  The same suite, run in
 this process, counts the trajectories alive after each run.  The lazy oracle
-is guarded by counting the plan renderings and rule families a single run
-builds.  Table lookups are guarded by counting the row reads of a 2,000-row
+is guarded by counting the plan, ReAct and skill-rule renderings and the
+rule families a single run builds.  Table lookups are guarded by counting the row reads of a 2,000-row
 table.
 """
 
@@ -209,14 +209,30 @@ def _count_renders(monkeypatch, *names: str) -> dict[str, int]:
 
 def test_a_codeact_run_renders_no_plan(monkeypatch):
     counts = _count_renders(monkeypatch, "render_plan_steps",
-                            "render_step_array")
+                            "render_step_array", "_searching_rules")
     task, env = generate_khop_task(seed=5, k=3)
     backend = oracle.oracle_backend(task)
     traj = run_task(task, env, RunConfig(method="CodeAct"), backend)
     assert traj.termination_reason == "finish"
-    assert counts == {"render_plan_steps": 0, "render_step_array": 0}
+    assert counts == {"render_plan_steps": 0, "render_step_array": 0,
+                      "_searching_rules": 0}
     assert {rule.name.split("-")[1] for rule in backend.rules} == \
         {"codeact", "summary"}
+
+
+@pytest.mark.parametrize("method, family", [("ReAct", "react"),
+                                            ("PlanAndExecute", "pe")])
+def test_a_run_sending_no_skill_prompt_renders_no_skill_rule(monkeypatch,
+                                                             method, family):
+    counts = _count_renders(monkeypatch, "_searching_rules")
+    task, env = generate_writing_task(seed=5)
+    backend = oracle.oracle_backend(task)
+    traj = run_task(task, env, RunConfig(method=method), backend)
+    assert traj.termination_reason == "finish"
+    assert counts == {"_searching_rules": 0}
+    # Neither the Searching nor the Writing family is built.
+    assert {rule.name.split("-")[1] for rule in backend.rules} == \
+        {family, "summary"}
 
 
 def test_a_goalact_run_builds_no_react_or_plan_and_execute_family(

@@ -205,3 +205,15 @@ def test_an_interrupted_suite_leaves_no_earlier_manifest_or_report(tmp_path):
     assert not any((out / name).exists() for name in SUMMARY_FILES)
     assert len(read_trajectories(
         out / "trajectories" / f"{METHOD_REACT}.jsonl")) == 1
+
+
+def test_a_suite_into_a_used_directory_leaves_a_fresh_runs_bytes(tmp_path):
+    again, fresh = tmp_path / "again", tmp_path / "fresh"
+    run_suite(_pairs(), METHODS, RunConfig(), oracle_backend, out_dir=again)
+    for out in (again, fresh):
+        run_suite(_pairs(), [METHOD_GOALACT], RunConfig(), oracle_backend,
+                  out_dir=out)
+    # No ReAct log of the earlier suite is left beside a GoalAct manifest.
+    assert _run_dir_bytes(again) == _run_dir_bytes(fresh)
+    assert [p.name for p in (again / "trajectories").iterdir()] == \
+        [f"{METHOD_GOALACT}.jsonl"]
