@@ -42,13 +42,36 @@ def user_request(content: str, model: str = "scripted") -> CompletionRequest:
     return CompletionRequest(messages=(Message("user", content),), model=model)
 
 
+# Each byte other than the space that `str.split()` counts as whitespace in
+# ASCII text, mapped to a space.
+_ASCII_WHITESPACE = bytes.maketrans(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", b" " * 9)
+_SPACE_RUNS = re.compile(rb"  +")
+
+
+def _normalized(text: str) -> bytes:
+    """`" ".join(text.split())` as UTF-8: each whitespace run one space, the
+    ends stripped.  ASCII text takes one pass over its bytes instead of a
+    list of words.  Lone surrogates pass through, so a preview of any prompt
+    can be built."""
+    if text.isascii():
+        spaced = text.encode("ascii").translate(_ASCII_WHITESPACE)
+        return _SPACE_RUNS.sub(b" ", spaced).strip(b" ")
+    return " ".join(text.split()).encode("utf-8", "surrogatepass")
+
+
+def _preview(text: str, limit: int) -> str:
+    """The first `limit` characters of `text`, whitespace normalized."""
+    return _normalized(text).decode("utf-8", "surrogatepass")[:limit]
+
+
 def request_hash(request: CompletionRequest) -> str:
-    """Stable across serialization order: whitespace-normalized content."""
-    parts = [request.model]
+    """The cassette key, stable across whitespace: sha256 over the model,
+    then per message `\\x1f`, the role, `:` and the normalized content."""
+    digest = hashlib.sha256(request.model.encode("utf-8"))
     for message in request.messages:
-        normalized = " ".join(message.content.split())
-        parts.append(f"{message.role}:{normalized}")
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+        digest.update(b"\x1f" + message.role.encode("utf-8") + b":"
+                      + _normalized(message.content))
+    return digest.hexdigest()
 
 
 # --- scripted backend -----------------------------------------------------------
@@ -157,9 +180,9 @@ class ScriptedBackend:
             score = hits / len(rule.substrings)
             if score > best_score:
                 best_name, best_score = rule.name or f"rule#{i}", score
-        head = " ".join(prompt.split())[:160]
         return (f"[{self.label}] no rule matched call #{self.calls_made} "
-                f"(closest: {best_name}); prompt starts: {head!r}")
+                f"(closest: {best_name}); prompt starts: "
+                f"{_preview(prompt, 160)!r}")
 
 
 # --- HTTP chat-completions backend ----------------------------------------------
@@ -275,11 +298,10 @@ class CassetteRecorder:
         with self._lock:
             if key not in self.entries:
                 self.entries[key] = response
-                preview = " ".join(request.rendered().split())[:80]
                 with open(self.path, "a", encoding="utf-8") as handle:
                     handle.write(json.dumps(
                         {"key": key, "response": response,
-                         "prompt_preview": preview},
+                         "prompt_preview": _preview(request.rendered(), 80)},
                         ensure_ascii=False) + "\n")
         return response
 
@@ -296,10 +318,10 @@ class CassetteReplayBackend:
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)
         if key not in self.entries:
-            preview = " ".join(request.rendered().split())[:120]
             raise CassetteMiss(
                 f"no cassette entry for request {key[:12]} "
-                f"({len(self.entries)} entries loaded); prompt: {preview!r}")
+                f"({len(self.entries)} entries loaded); prompt: "
+                f"{_preview(request.rendered(), 120)!r}")
         return self.entries[key]
 
 

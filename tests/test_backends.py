@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import sys
 import threading
 
@@ -210,6 +212,80 @@ def test_request_hash_normalizes_whitespace():
                           model="m")
     assert request_hash(a) == request_hash(b)
     assert request_hash(a) != request_hash(c)
+
+
+# Every recorded cassette is keyed by these bytes, so they are a fixed
+# contract: these digests were computed by the word-splitting definition
+# below before the byte-level normalizer replaced it.
+@pytest.mark.parametrize("messages, model, digest", [
+    ((Message("system", "  Tools:\n\n- get_record\t(x)\x0b\x0c\r\x1c\x1d"
+                        "\x1e\x1f end  "),
+      Message("user", "caf\xe9\u3000  \x85ok\xa0!")), "gpt-x",
+     "893b3767f988c04a167dfaa012d06fe2c52f92040f8abac00e1cdeab733b4251"),
+    ((Message("user", ""),), "m",
+     "9de2f3f00be269fd5d461dba1eab3287e8ccd8363967a069f364d8380aea841f"),
+    ((Message("user", " \t\n"),), "m",
+     "9de2f3f00be269fd5d461dba1eab3287e8ccd8363967a069f364d8380aea841f"),
+])
+def test_request_hash_keeps_its_pinned_digests(messages, model, digest):
+    request = CompletionRequest(messages=messages, model=model)
+    assert request_hash(request) == digest
+
+
+def _reference_request_hash(request: CompletionRequest) -> str:
+    """The cassette key as first defined: content split into words."""
+    parts = [request.model]
+    for message in request.messages:
+        parts.append(f"{message.role}:{' '.join(message.content.split())}")
+    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+
+
+def test_request_hash_matches_the_word_splitting_definition():
+    rng = random.Random(19)
+    whitespace = [chr(c) for c in range(128) if chr(c).isspace()]
+    assert len(whitespace) == 10
+    other_space = ["\x85", "\xa0", "\u2028", "\u3000"]
+    letters = list("abcXYZ:{}-\x00\x7f")
+    for n in range(400):
+        ascii_only = n % 2 == 0
+        pool = whitespace + letters + ([] if ascii_only else other_space)
+        texts = []
+        for _ in range(rng.randint(1, 3)):
+            chunks = [rng.choice(pool) * rng.choice((1, 1, 2, 5))
+                      for _ in range(rng.randint(0, 40))]
+            texts.append(rng.choice(("", " ", "\n\t")) + "".join(chunks)
+                         + rng.choice(("", "  ", "\x1f\r")))
+        request = CompletionRequest(
+            messages=tuple(Message(rng.choice(("system", "user")), text)
+                           for text in texts),
+            model=rng.choice(("m", "gpt-x")))
+        assert request_hash(request) == _reference_request_hash(request), \
+            request
+
+
+def test_previews_show_the_prompt_with_its_whitespace_normalized(tmp_path):
+    prompt = " ask\t\x1c now\u3000caf\xe9 \r\n" + "word  " * 40
+
+    def preview(text: str, limit: int) -> str:
+        return " ".join(text.split())[:limit]
+
+    class Echo:
+        def complete(self, request):
+            return "answer"
+
+    cassette = tmp_path / "previews.jsonl"
+    CassetteRecorder(Echo(), cassette).complete(_req(prompt))
+    entry = json.loads(cassette.read_text(encoding="utf-8"))
+    assert entry["prompt_preview"] == preview(prompt, 80)
+    with pytest.raises(CassetteMiss) as miss:
+        CassetteReplayBackend(cassette).complete(_req(prompt + "?"))
+    assert str(miss.value).endswith(f"prompt: {preview(prompt, 120)!r}")
+    # A lone surrogate, which a JSON completion may carry into a prompt,
+    # still gives a rule miss that shows it.
+    odd = "odd \ud800  text"
+    with pytest.raises(RuleMiss) as miss:
+        ScriptedBackend([Rule.on_substrings("r", "never")]).complete(_req(odd))
+    assert str(miss.value).endswith(f"prompt starts: {preview(odd, 160)!r}")
 
 
 def test_benchmark_temperature_defaults_to_zero():

@@ -6,7 +6,8 @@ hashes the scripted backend computes, the rows rendered to JSON and the
 rows returned, the table-schema renders, and the planning
 frames filled.  Given an exemplar file, the same script runs GoalAct and
 Plan-and-Solve with it instead, to count its reads.  The same suite, run in
-this process, counts the trajectories alive after each run.  The lazy oracle
+this process, counts the trajectories alive after each run; replayed from a
+cassette recorded from it, it counts the request hashes.  The lazy oracle
 is guarded by counting the plan, ReAct and skill-rule renderings and the
 rule families a single run builds.  Table lookups are guarded by counting the row reads of a 2,000-row
 table.
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import goalact
-from goalact import oracle, suite
+from goalact import backends, oracle, suite
 from goalact.environment import Table, ToolCall, ToolEnvironment
 from goalact.generator import (
     generate_aggregation_task,
@@ -158,6 +159,12 @@ def test_a_suite_reads_its_exemplars_file_once_per_method(tmp_path):
                                "exemplars.jsonl": 0, "exemplars_file": 1}
 
 
+def _suite_pairs() -> list:
+    """The 3 tasks of the suite the script above runs."""
+    return [generate_khop_task(seed=5, k=2), generate_aggregation_task(seed=5),
+            generate_writing_task(seed=5)]
+
+
 def test_a_suite_holds_one_run_at_a_time(monkeypatch, tmp_path):
     def live_trajectories() -> int:
         return sum(isinstance(obj, Trajectory) for obj in gc.get_objects())
@@ -171,8 +178,7 @@ def test_a_suite_holds_one_run_at_a_time(monkeypatch, tmp_path):
         return trajectory
 
     monkeypatch.setattr(suite, "run_task", counting_run_task)
-    pairs = [generate_khop_task(seed=5, k=2), generate_aggregation_task(seed=5),
-             generate_writing_task(seed=5)]
+    pairs = _suite_pairs()
     gc.collect()
     before = live_trajectories()
     suite.run_suite(pairs, METHODS, RunConfig(), oracle.oracle_backend,
@@ -181,6 +187,33 @@ def test_a_suite_holds_one_run_at_a_time(monkeypatch, tmp_path):
     # before the next run starts.
     assert len(live) == len(pairs) * len(METHODS)
     assert max(live) - before <= 2
+
+
+def test_a_replayed_suite_hashes_each_logged_call_once(monkeypatch,
+                                                       tmp_path):
+    pairs = _suite_pairs()
+    cassette = tmp_path / "suite.jsonl"
+    suite.run_suite(pairs, METHODS, RunConfig(),
+                    lambda task: backends.CassetteRecorder(
+                        oracle.oracle_backend(task), cassette),
+                    out_dir=tmp_path / "recorded")
+    hashes = [0]
+    original = backends.request_hash
+
+    def counting(request):
+        hashes[0] += 1
+        return original(request)
+
+    monkeypatch.setattr(backends, "request_hash", counting)
+    spec = f"replay:{cassette}"
+    suite.run_suite(pairs, METHODS, RunConfig(),
+                    suite.resolve_backend_factory(spec),
+                    out_dir=tmp_path / "replayed", backend_spec=spec)
+    logged = sum(len(json.loads(line)["llm_calls"])
+                 for log in (tmp_path / "replayed" / "trajectories").iterdir()
+                 for line in log.read_text(encoding="utf-8").splitlines())
+    assert logged > len(pairs) * len(METHODS)
+    assert hashes[0] == logged
 
 
 def test_oracle_suite_renders_each_run_constant_once(suite_counts):
