@@ -269,9 +269,11 @@ class HttpChatBackend:
     @staticmethod
     def _extract_content(text: str, status: int) -> str:
         try:
-            doc = decode_json(text)
-            return doc["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            content = decode_json(text)["choices"][0]["message"]["content"]
+            str.encode(content, "utf-8")  # no non-string, no lone surrogate
+            return content
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
+                UnicodeEncodeError) as exc:
             raise BackendUnavailable(
                 f"HTTP {status} with unparseable completion body: {exc}") from exc
 
@@ -293,16 +295,23 @@ class CassetteRecorder:
         return getattr(self.inner, "last_attempts", 1)
 
     def complete(self, request: CompletionRequest) -> str:
+        """A completion UTF-8 cannot encode raises BackendUnavailable; it is
+        neither written nor kept."""
         response = self.inner.complete(request)
         key = request_hash(request)
         with self._lock:
             if key not in self.entries:
-                self.entries[key] = response
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(
+                try:
+                    line = (json.dumps(
                         {"key": key, "response": response,
                          "prompt_preview": _preview(request.rendered(), 80)},
-                        ensure_ascii=False) + "\n")
+                        ensure_ascii=False) + "\n").encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise BackendUnavailable(
+                        f"cannot record the completion: {exc}") from exc
+                with open(self.path, "ab") as handle:
+                    handle.write(line)
+                self.entries[key] = response
         return response
 
 
@@ -360,11 +369,16 @@ def save_rules_file(rules: Sequence[Rule], path: Path) -> None:
 
 def decode_json(text: str) -> Any:
     """`json.loads` for model output: a document nested too deeply for the
-    decoder raises `json.JSONDecodeError` like any other malformed one."""
+    decoder, or holding an integer longer than `int()` converts, raises
+    `json.JSONDecodeError` like any other malformed one."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RecursionError:
         raise json.JSONDecodeError("document nests too deeply", text, 0)
+    except ValueError:  # the integer string conversion limit
+        raise json.JSONDecodeError("number has too many digits", text, 0)
 
 
 def strip_code_fences(text: str) -> str:

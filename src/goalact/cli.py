@@ -25,7 +25,7 @@ from .evaluation import (
     report_from_dict,
 )
 from .generator import generate_task, load_fixture, save_fixture
-from .orchestrator import RunConfig, normalize_method
+from .orchestrator import RunConfig, normalize_method, run_task
 from .plan import Trajectory, read_trajectories, write_trajectories
 from .records import read_document
 from .sandbox import SandboxLimits
@@ -128,8 +128,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .orchestrator import run_task
-
     method = normalize_method(args.method)
     config, backend_spec = load_run_config(args.config, method, args.backend)
     task, env = load_fixture(args.task)

@@ -46,8 +46,7 @@ from .orchestrator import (
 )
 from .plan import CODING, FINISH, SEARCHING, WRITING, SkillAction
 from .planner import PLANNING_MARKER, render_plan_steps, render_step_array
-from .sandbox import CODING_MARKER
-from .skills import SEARCHING_MARKER, WRITING_MARKER
+from .skills import CODING_MARKER, SEARCHING_MARKER, WRITING_MARKER
 
 DISABLED_TEXT = "currently disabled"
 

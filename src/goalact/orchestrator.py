@@ -17,6 +17,7 @@ A `RunConfig` builds its skill registry and exemplars when it is made, so a
 bad setting fails before any run, and every run of that config shares them.
 Every model call of a run goes through `RecordingBackend.ask(purpose,
 prompt)`, which logs the exchange; a step or skill sees it as `ask(prompt)`.
+`planner` reads every completion a policy acts on; this module parses none.
 Trouble inside a step degrades to an observation the next iteration can
 react to: `skills.observe_emission` runs and renders every tool call a model
 emits, a malformed or failing one included, and `skills.dispatch` renders
@@ -30,13 +31,12 @@ partial trajectory.
 from __future__ import annotations
 
 import copy
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
-from .backends import decode_json, strip_code_fences, user_request
+from .backends import strip_code_fences, user_request
 from .environment import TOOL_DESCRIPTIONS, ToolEnvironment, list_text
 from .errors import (
     AuthFailure,
@@ -69,9 +69,11 @@ from .plan import (
     truncate_observation,
 )
 from .planner import (
+    finish_answer,
     load_exemplars,
     parse_action,
     parse_step_texts,
+    parse_thought_action,
     planning_frame,
     render_history,
     render_skill_menu,
@@ -79,12 +81,7 @@ from .planner import (
     update_global_plan,
 )
 from .records import check_types
-from .sandbox import (
-    GRAMMAR_REFERENCE,
-    SandboxLimits,
-    eval_script,
-    render_sandbox_outcome,
-)
+from .sandbox import GRAMMAR_REFERENCE, SandboxLimits, eval_script
 from .skills import (
     SkillContext,
     SkillDescriptor,
@@ -94,6 +91,7 @@ from .skills import (
     dispatch,
     observe_emission,
     register_skill,
+    render_sandbox_outcome,
 )
 
 METHOD_GOALACT = "GoalAct"
@@ -118,9 +116,6 @@ NO_PLAN_MARKER = "Propose only the single next step."
 PE_PLAN_MARKER = "Plan the remaining sub-tasks as free text."
 PE_SUBTASK_MARKER = "Subtask:"
 PE_SUBTASK_KIND = "Subtask"
-
-_FINISH_TEXT_RE = re.compile(r"^\s*finish\s*(?:\[(.*)\])?\s*$",
-                             re.IGNORECASE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -398,9 +393,9 @@ class _PlanAndSolvePolicy(_GoalActPolicy):
 
 
 def _free_action(text: str) -> SkillAction:
-    match = _FINISH_TEXT_RE.match(text)
-    if match:
-        return SkillAction(kind=FINISH, objective=(match.group(1) or "").strip())
+    answer = finish_answer(text)
+    if answer is not None:
+        return SkillAction(kind=FINISH, objective=answer)
     return SkillAction(kind=PE_SUBTASK_KIND, objective=text.strip())
 
 
@@ -476,29 +471,6 @@ class _LinePolicy(_TranscriptPolicy):
         return "\n".join(self.lines), self.last_observation
 
 
-def _parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
-    body = strip_code_fences(raw)
-    try:
-        doc = decode_json(body)
-    except json.JSONDecodeError:
-        start, end = body.find("{"), body.rfind("}")
-        if start < 0 or end <= start:
-            return None
-        try:
-            doc = decode_json(body[start:end + 1])
-        except json.JSONDecodeError:
-            return None
-    if isinstance(doc, list) and doc:
-        doc = doc[0]
-    if not isinstance(doc, dict):
-        return None
-    thought = doc.get("Thought", doc.get("Thinking"))
-    action = doc.get("Action")
-    if thought is None or action is None:
-        return None
-    return str(thought), str(action)
-
-
 class _ReActPolicy(_LinePolicy):
     """Incremental thought-action-observation with no global plan."""
 
@@ -512,7 +484,7 @@ class _ReActPolicy(_LinePolicy):
              'Respond with a JSON object {"Thought": "...", "Action": "..."}.')
 
     def take(self, emission: str) -> bool:
-        parsed = _parse_thought_action(emission)
+        parsed = parse_thought_action(emission)
         if parsed is None:
             self.lines.append("Observation: the previous response could not "
                               "be parsed; answer with the JSON object format.")
@@ -521,7 +493,7 @@ class _ReActPolicy(_LinePolicy):
         for line in (f"Thought: {thought}", f"Action: {action_text}"):
             self.lines.append(truncate_observation(
                 line, self.config.observation_bytes))
-        if _FINISH_TEXT_RE.match(action_text):
+        if finish_answer(action_text) is not None:
             return True
         # A tool error may echo an argument of any length: truncate it too.
         self.observe(truncate_observation(
@@ -541,7 +513,7 @@ class _CodeActPolicy(_LinePolicy):
 
     def take(self, emission: str) -> bool:
         body = strip_code_fences(emission)
-        if _FINISH_TEXT_RE.match(body):
+        if finish_answer(body) is not None:
             self.lines.append(f"Action: {body.strip()}")
             return True
         result = eval_script(body, self.env, self.config.sandbox_limits)

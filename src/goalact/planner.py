@@ -1,4 +1,4 @@
-"""Global-plan maintenance: prompt assembly, response parsing, plan splicing.
+"""Global-plan maintenance, and the one reader of what a model writes.
 
 Each planning round renders the executed history into the planning
 template, asks the model for the *continuation* of the plan, and splices the
@@ -6,6 +6,10 @@ parsed pending steps onto the immutable executed prefix.  The template's
 other slots are filled once per run by `planning_frame`: the question, tool
 and table descriptions from the run's task, and the few-shot exemplars
 (`load_exemplars`) and skill menu that its run config builds once.
+
+Every completion a run acts on is read here: plan arrays, `Kind[objective]`
+actions, ReAct thought/action objects, `Finish[answer]` turns and tool-call
+emissions.  Each reader returns a fault as data or raises PlanError.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .backends import decode_json, strip_code_fences
-from .environment import TOOL_DESCRIPTIONS, ToolEnvironment
+from .environment import TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment
 from .errors import FatalError, GoalActError, PlanError, PlanningFailed
 from .plan import (
     BUILTIN_KINDS,
@@ -50,8 +54,9 @@ _NUMBER_WORDS = ["zero", "one", "two", "three", "four", "five", "six",
 _SLOTS = ("question", "table_used_prompt", "tool_prompt", "memory",
           "scratchpad", "skill_count", "skill_menu")
 
-_ACTION_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[(.*)\])?\s*$",
-                        re.DOTALL)
+# The one `Name[body]` form: plan actions, ReAct tool calls, Finish turns.
+_CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[(.*)\])?\s*$",
+                      re.DOTALL)
 
 
 def count_word(n: int) -> str:
@@ -157,7 +162,7 @@ def build_planning_prompt(question: str, env: ToolEnvironment,
 
 def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
     """Split 'Kind[objective]' into a SkillAction; kind match is case-insensitive."""
-    match = _ACTION_RE.match(text)
+    match = _CALL_RE.match(text)
     if not match:
         raise PlanError(f"unparseable action string: {text!r}")
     word, objective = match.group(1), match.group(2) or ""
@@ -171,23 +176,39 @@ def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
     return SkillAction(kind=kind, objective=objective.strip())
 
 
-def parse_step_texts(raw: str) -> list[tuple[str, str]]:
-    """Parse a completion into raw (thinking, action-text) pairs.
+def finish_answer(text: str) -> Optional[str]:
+    """The stripped answer of a `Finish[answer]` or bare `Finish` text, the
+    name in any letter case; None for any other text."""
+    # Most texts are no Finish: a prefix test spares them the match.
+    if text.lstrip()[:6].lower() != "finish":
+        return None
+    match = _CALL_RE.match(text)
+    if match is None or match.group(1).lower() != "finish":
+        return None
+    return (match.group(2) or "").strip()
 
-    Strips an optional code fence, accepts stray prose around the array, and
-    requires each element to carry exactly the Thinking and Action keys.
-    """
+
+def _locate_json(raw: str, brackets: str, what: str) -> Any:
+    """A completion's JSON document: the text in an optional code fence, or
+    else its span from the first `brackets[0]` to the last `brackets[1]`.
+    Raises PlanError naming `what` when neither parses."""
     text = strip_code_fences(raw)
     try:
-        doc = decode_json(text)
+        return decode_json(text)
     except json.JSONDecodeError:
-        start, end = text.find("["), text.rfind("]")
+        start, end = text.find(brackets[0]), text.rfind(brackets[1])
         if start < 0 or end <= start:
-            raise PlanError("completion holds no parseable array")
+            raise PlanError(f"completion holds no parseable {what}")
         try:
-            doc = decode_json(text[start:end + 1])
+            return decode_json(text[start:end + 1])
         except json.JSONDecodeError as exc:
-            raise PlanError(f"array does not parse: {exc}") from exc
+            raise PlanError(f"{what} does not parse: {exc}") from exc
+
+
+def parse_step_texts(raw: str) -> list[tuple[str, str]]:
+    """Parse a completion's JSON array into raw (thinking, action-text)
+    pairs; each element must carry exactly the Thinking and Action keys."""
+    doc = _locate_json(raw, "[]", "array")
     if not isinstance(doc, list):
         raise PlanError(f"expected an array, got {type(doc).__name__}")
     if not doc:
@@ -209,6 +230,82 @@ def parse_plan_response(raw: str, kinds: Sequence[str] = BUILTIN_KINDS
     """Parse a planner completion into (thought, SkillAction) pairs."""
     return [(thought, parse_action(text, kinds))
             for thought, text in parse_step_texts(raw)]
+
+
+def parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
+    """A ReAct reply's (thought, action text), from its JSON object (or the
+    first object of an array) holding `Thought` (else `Thinking`) and
+    `Action`; None when the reply holds no such object."""
+    try:
+        doc = _locate_json(raw, "{}", "object")
+    except PlanError:
+        return None
+    if isinstance(doc, list) and doc:
+        doc = doc[0]
+    if not isinstance(doc, dict):
+        return None
+    thought = doc.get("Thought", doc.get("Thinking"))
+    action = doc.get("Action")
+    return None if thought is None or action is None \
+        else (str(thought), str(action))
+
+
+def _decoded(text: str) -> Any:
+    """The JSON value of `text`, or None when it does not parse."""
+    try:
+        return decode_json(text)
+    except json.JSONDecodeError:
+        return None
+
+
+def _call_from_obj(obj: Any) -> Optional[ToolCall]:
+    if isinstance(obj, dict) and "tool" in obj:
+        args = obj.get("args", {})
+        if isinstance(args, dict):
+            return ToolCall(tool_name=str(obj["tool"]),
+                            arguments={str(k): v for k, v in args.items()})
+    return None
+
+
+def _parse_react_call(line: str) -> Optional[ToolCall]:
+    match = _CALL_RE.match(line)
+    if match is None or match.group(2) is None:  # a call has a [body]
+        return None
+    name, arg_body = match.groups()
+    arguments: dict[str, Any] = {}
+    if arg_body.strip():
+        for piece in arg_body.split(","):
+            if "=" not in piece:
+                return None
+            key, value = piece.split("=", 1)
+            arguments[key.strip()] = value.strip().strip("\"'")
+    return ToolCall(tool_name=name, arguments=arguments)
+
+
+def parse_tool_emission(text: str) -> tuple[list[ToolCall], Optional[str]]:
+    """Extract tool calls from a backend emission.
+
+    Accepts the canonical {"tool": name, "args": {...}} object, an array of
+    such objects, one object per line, or the ReAct-style Tool[k=v, ...]
+    form.  Returns (calls, problem); problem explains a parse failure.
+    """
+    body = strip_code_fences(text)
+    doc = _decoded(body)
+    if isinstance(doc, list):
+        found = list(map(_call_from_obj, doc))
+        problem = "array held no {\"tool\": ...} objects"
+    elif doc is not None:
+        found, problem = [_call_from_obj(doc)], "object lacks a \"tool\" key"
+    else:  # a call per line of several lines, else the body as one Tool[...]
+        lines = body.splitlines()  # one line is the body, which did not decode
+        found = [_call_from_obj(_decoded(line)) or _parse_react_call(line)
+                 for line in map(str.strip, lines) if line] \
+            if len(lines) > 1 else []
+        if not any(found):
+            found = [_parse_react_call(body)]
+        problem = "no tool call found in the emission"
+    calls = list(filter(None, found))
+    return (calls, None) if calls else ([], problem)
 
 
 def splice_pending(executed: tuple[PlanStep, ...],

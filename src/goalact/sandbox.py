@@ -6,7 +6,8 @@ comparisons, if/else, while, for-each over lists, list and record values,
 and an explicit return; tools appear as built-in functions.  Every
 evaluation is metered: an expression-step budget, a tool-call budget, and an
 output byte budget, all enforced inside the interpreter so faults come back
-as data, never as exceptions.
+as data, never as exceptions.  The Coding skill that runs scripts lives in
+`skills`, which imports this module.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .backends import strip_code_fences
-from .environment import (TOOL_DESCRIPTIONS, TOOL_PARAMETERS, TOOLS, ToolCall,
-                          ToolEnvironment, render_number)
+from .environment import (TOOL_PARAMETERS, TOOLS, ToolCall, ToolEnvironment,
+                          render_number)
 from .errors import ToolError
 from .plan import truncate_observation
 from .records import check_types
-from .skills import SkillAction, SkillContext, SkillResult
-
-CODING_MARKER = "Computation objective:"
 
 FAULT_PARSE = "ParseError"
 FAULT_RUNTIME = "RuntimeError"
@@ -629,38 +626,3 @@ def eval_script(source: str, env: ToolEnvironment,
         render_value(raw, limits.max_output_bytes), limits.max_output_bytes)
     return SandboxResult(value=rendered, steps_used=interp.steps,
                          tool_calls_used=interp.tool_calls, raw_value=raw)
-
-
-# --- the Coding skill --------------------------------------------------------------
-
-def _coding_prompt(action: SkillAction, context: SkillContext) -> str:
-    return "\n".join([
-        "You write one short script in the sandbox language below to satisfy "
-        "a computation objective. Respond with the script only.",
-        "",
-        GRAMMAR_REFERENCE,
-        "",
-        "Available tools:",
-        TOOL_DESCRIPTIONS,
-        "",
-        f"Question: {context.question}",
-        f"{CODING_MARKER} {action.objective}",
-    ])
-
-
-def render_sandbox_outcome(result: SandboxResult) -> str:
-    summary = (f"[{result.tool_calls_used} tool call"
-               f"{'s' if result.tool_calls_used != 1 else ''}, "
-               f"{result.steps_used} steps]")
-    if result.fault is not None:
-        return (f"Coding fault ({result.fault.kind}): {result.fault.message} "
-                f"{summary}")
-    return f"Result: {result.value} {summary}"
-
-
-def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
-    """Ask the model for a script, run it, observe the result or fault."""
-    emission = context.ask(_coding_prompt(action, context))
-    source = strip_code_fences(emission)
-    result = eval_script(source, context.env, context.sandbox_limits)
-    return render_sandbox_outcome(result), {"script": source}

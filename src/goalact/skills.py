@@ -8,20 +8,18 @@ skill fault becomes an observation the next planning round can react to: a
 kind it cannot run, and a backend outage inside the executor.
 `observe_emission` is the one path from a model's tool-call emission to an
 observation, a tool fault included; Searching, a Plan-and-Execute sub-task
-and a ReAct action all run their emission through it.  Finish is listed for
+and a ReAct action all run their emission through it.  `planner` reads the
+emission, and Coding runs its script on `sandbox`.  Finish is listed for
 prompt rendering but executed by the run loop, not here.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .backends import decode_json, strip_code_fences
-from .environment import (TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment,
-                          list_text)
+from .backends import strip_code_fences
+from .environment import TOOL_DESCRIPTIONS, ToolEnvironment, list_text
 from .errors import BackendUnavailable, FatalError, ToolError
 from .plan import (
     CODING,
@@ -32,12 +30,12 @@ from .plan import (
     SkillAction,
     truncate_observation,
 )
+from .planner import parse_tool_emission
+from .sandbox import GRAMMAR_REFERENCE, SandboxResult, eval_script
 
+CODING_MARKER = "Computation objective:"
 SEARCHING_MARKER = "Retrieval objective:"
 WRITING_MARKER = "Writing objective:"
-
-_REACT_CALL_RE = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\[(.*)\]\s*$", re.DOTALL)
 
 
 @dataclass
@@ -112,8 +110,6 @@ def register_skill(registry: SkillRegistry, kind: str,
 
 
 def default_registry() -> SkillRegistry:
-    from .sandbox import exec_coding  # Coding runs on the sandbox module.
-
     return SkillRegistry(entries=(
         SkillDescriptor(
             name=SEARCHING,
@@ -174,77 +170,6 @@ def dispatch(action: SkillAction, context: SkillContext,
                                 context.observation_bytes), payload
 
 
-# --- tool-call emission parsing -------------------------------------------------
-
-def _call_from_obj(obj: Any) -> Optional[ToolCall]:
-    if isinstance(obj, dict) and "tool" in obj:
-        args = obj.get("args", {})
-        if isinstance(args, dict):
-            return ToolCall(tool_name=str(obj["tool"]),
-                            arguments={str(k): v for k, v in args.items()})
-    return None
-
-
-def parse_tool_emission(text: str) -> tuple[list[ToolCall], Optional[str]]:
-    """Extract tool calls from a backend emission.
-
-    Accepts the canonical {"tool": name, "args": {...}} object, an array of
-    such objects, one object per line, or the ReAct-style Tool[k=v, ...]
-    form.  Returns (calls, problem); problem explains a parse failure.
-    """
-    body = strip_code_fences(text)
-    try:
-        doc = decode_json(body)
-    except json.JSONDecodeError:
-        doc = None
-    if doc is not None:
-        if isinstance(doc, list):
-            calls = [c for c in (_call_from_obj(item) for item in doc) if c]
-            if calls:
-                return calls, None
-            return [], "array held no {\"tool\": ...} objects"
-        call = _call_from_obj(doc)
-        if call:
-            return [call], None
-        return [], "object lacks a \"tool\" key"
-
-    calls = []
-    for line in body.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = decode_json(line)
-        except json.JSONDecodeError:
-            obj = None
-        call = _call_from_obj(obj) if obj is not None else None
-        if call is None:
-            call = _parse_react_call(line)
-        if call is not None:
-            calls.append(call)
-    if calls:
-        return calls, None
-    single = _parse_react_call(body)
-    if single is not None:
-        return [single], None
-    return [], "no tool call found in the emission"
-
-
-def _parse_react_call(line: str) -> Optional[ToolCall]:
-    match = _REACT_CALL_RE.match(line)
-    if not match:
-        return None
-    name, arg_body = match.group(1), match.group(2)
-    arguments: dict[str, Any] = {}
-    if arg_body.strip():
-        for piece in arg_body.split(","):
-            if "=" not in piece:
-                return None
-            key, value = piece.split("=", 1)
-            arguments[key.strip()] = value.strip().strip("\"'")
-    return ToolCall(tool_name=name, arguments=arguments)
-
-
 # --- executors -------------------------------------------------------------------
 
 def _searching_prompt(action: SkillAction, context: SkillContext) -> str:
@@ -294,6 +219,38 @@ def exec_searching(action: SkillAction, context: SkillContext) -> SkillResult:
     """One retrieval intent, at most one tool call."""
     return observe_emission(context.ask(_searching_prompt(action, context)),
                             context.env, SEARCHING)
+
+
+def _coding_prompt(action: SkillAction, context: SkillContext) -> str:
+    return "\n".join([
+        "You write one short script in the sandbox language below to satisfy "
+        "a computation objective. Respond with the script only.",
+        "",
+        GRAMMAR_REFERENCE,
+        "",
+        "Available tools:",
+        TOOL_DESCRIPTIONS,
+        "",
+        f"Question: {context.question}",
+        f"{CODING_MARKER} {action.objective}",
+    ])
+
+
+def render_sandbox_outcome(result: SandboxResult) -> str:
+    summary = (f"[{result.tool_calls_used} tool call"
+               f"{'s' if result.tool_calls_used != 1 else ''}, "
+               f"{result.steps_used} steps]")
+    if result.fault is not None:
+        return (f"Coding fault ({result.fault.kind}): {result.fault.message} "
+                f"{summary}")
+    return f"Result: {result.value} {summary}"
+
+
+def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
+    """Ask the model for a script, run it, observe the result or fault."""
+    source = strip_code_fences(context.ask(_coding_prompt(action, context)))
+    result = eval_script(source, context.env, context.sandbox_limits)
+    return render_sandbox_outcome(result), {"script": source}
 
 
 def render_source_material(history: History, budget: int) -> str:

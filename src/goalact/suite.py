@@ -53,6 +53,7 @@ from .generator import Task
 from .oracle import oracle_backend
 from .orchestrator import RunConfig, run_task
 from .plan import Trajectory, encode_trajectory
+from .planner import PROMPT_VERSION
 
 BackendFactory = Callable[[Task], Any]
 
@@ -242,8 +243,6 @@ def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
     report.  The manifest holds a `jobs` key only when `jobs` is given, and
     a `failures` list (task id, method, error kind) only when there are
     failures."""
-    from .planner import PROMPT_VERSION
-
     manifest: dict[str, Any] = {
         "config_hash": config_hash(config, methods, backend_spec),
         "backend": backend_spec,

@@ -445,7 +445,40 @@ def test_http_unparseable_completion_bodies_are_backend_faults():
             client.complete(_req("x", model="m"))
 
 
+@pytest.mark.parametrize("body", [
+    '{"choices": [{"message": {"content": "ok"}}], "id": %s}' % ("1" * 5000),
+    _ok_body("ok \ud800"),
+    json.dumps({"choices": [{"message": {"content": None}}]}),
+], ids=["over-long-integer", "lone-surrogate", "null-content"])
+def test_http_content_a_run_cannot_use_is_a_backend_fault(body):
+    """A body past `int()`'s digit limit is malformed; content that UTF-8
+    cannot encode, or no string at all, could be neither logged nor
+    recorded."""
+    client = _client(_SequenceTransport([(200, body)]))
+    with pytest.raises(BackendUnavailable, match="unparseable completion"):
+        client.complete(_req("x", model="m"))
+
+
 # --- cassettes ----------------------------------------------------------------------
+
+def test_a_completion_utf8_cannot_encode_is_neither_recorded_nor_kept(
+        tmp_path):
+    class LoneSurrogate:
+        calls = 0
+
+        def complete(self, request):
+            self.calls += 1
+            return json.loads('"ok \\ud800"')
+
+    inner, cassette = LoneSurrogate(), tmp_path / "cassette.jsonl"
+    recorder = CassetteRecorder(inner, cassette)
+    for _ in range(2):
+        with pytest.raises(BackendUnavailable, match="cannot record"):
+            recorder.complete(_req("ask"))
+    assert inner.calls == 2
+    assert recorder.entries == {}
+    assert not cassette.exists()
+
 
 def test_record_then_replay_without_network(tmp_path):
     cassette = tmp_path / "session.jsonl"

@@ -25,6 +25,7 @@ from goalact.orchestrator import (
     METHOD_PLAN_AND_EXECUTE,
     METHOD_PLAN_AND_SOLVE,
     METHOD_REACT,
+    NO_PLAN_MARKER,
     PE_PLAN_MARKER,
     PE_SUBTASK_MARKER,
     REACT_MARKER,
@@ -734,24 +735,54 @@ class _Answers:
         return self.inner.complete(request)
 
 
+# Each decision or skill call a hostile completion can answer: (method,
+# ablations, the marker of that call's prompt, how the run then ends).
+_HOSTILE_CALLS = [
+    (METHOD_GOALACT, (), PLANNING_MARKER, TERMINATION_FATAL),
+    (METHOD_GOALACT, (), SEARCHING_MARKER, TERMINATION_MAX_ITERATIONS),
+    (METHOD_GOALACT, ("no_global_plan",), NO_PLAN_MARKER,
+     TERMINATION_MAX_ITERATIONS),
+    (METHOD_PLAN_AND_SOLVE, (), PLANNING_MARKER, TERMINATION_FATAL),
+    (METHOD_PLAN_AND_SOLVE, (), SEARCHING_MARKER, TERMINATION_FINISH),
+    (METHOD_PLAN_AND_EXECUTE, (), PE_PLAN_MARKER, TERMINATION_FATAL),
+    (METHOD_PLAN_AND_EXECUTE, (), PE_SUBTASK_MARKER,
+     TERMINATION_MAX_ITERATIONS),
+    (METHOD_REACT, (), REACT_MARKER, TERMINATION_MAX_ITERATIONS),
+]
+_HOSTILE_IDS = [f"{method}-{marker}-{reason}"
+                for method, _, marker, reason in _HOSTILE_CALLS]
+
+
+def _run_answering(method, ablations, marker, document):
+    """A khop2 oracle run whose calls holding `marker` answer `document`."""
+    task, env = generate_khop_task(seed=7, k=2)
+    return _run(method, task, env,
+                backend=_Answers(oracle_backend(task), marker, document),
+                ablations=frozenset(ablations))
+
+
 @pytest.mark.parametrize("document", [
     "[" * 100000 + "]" * 100000,
     '{"a":' * 100000,
 ], ids=["brackets", "objects"])
-@pytest.mark.parametrize("method, marker, reason", [
-    (METHOD_GOALACT, PLANNING_MARKER, TERMINATION_FATAL),
-    (METHOD_GOALACT, SEARCHING_MARKER, TERMINATION_MAX_ITERATIONS),
-    (METHOD_PLAN_AND_SOLVE, PLANNING_MARKER, TERMINATION_FATAL),
-    (METHOD_PLAN_AND_SOLVE, SEARCHING_MARKER, TERMINATION_FINISH),
-    (METHOD_PLAN_AND_EXECUTE, PE_PLAN_MARKER, TERMINATION_FATAL),
-    (METHOD_PLAN_AND_EXECUTE, PE_SUBTASK_MARKER, TERMINATION_MAX_ITERATIONS),
-    (METHOD_REACT, REACT_MARKER, TERMINATION_MAX_ITERATIONS),
-])
+@pytest.mark.parametrize("method, ablations, marker, reason", _HOSTILE_CALLS,
+                         ids=_HOSTILE_IDS)
 def test_deeply_nested_json_completion_is_a_fault_not_a_crash(
-        method, marker, reason, document):
-    task, env = generate_khop_task(seed=7, k=2)
-    traj = _run(method, task, env,
-                backend=_Answers(oracle_backend(task), marker, document))
+        method, ablations, marker, reason, document):
+    traj = _run_answering(method, ablations, marker, document)
     assert traj.termination_reason == reason
     assert traj.final_answer == "The requested value could not be determined."
     encode_trajectory(traj)
+
+
+@pytest.mark.parametrize("method, ablations, marker, reason", _HOSTILE_CALLS,
+                         ids=_HOSTILE_IDS)
+def test_an_over_long_integer_in_a_completion_is_a_fault_not_a_crash(
+        method, ablations, marker, reason):
+    """An integer past `int()`'s 4,300-digit conversion limit makes the
+    whole document malformed, in a plan, a ReAct step and an emission."""
+    document = '[{"Thinking": %s, "Action": "Finish"}]' % ("1" * 5000)
+    traj = _run_answering(method, ablations, marker, document)
+    assert traj.termination_reason == reason
+    assert traj.final_answer == "The requested value could not be determined."
+    assert "1" * 5000 in encode_trajectory(traj)

@@ -3,20 +3,27 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 
 import pytest
 
 from goalact import planner
 from goalact.backends import Rule
-from goalact.environment import TOOL_DESCRIPTIONS, ToolEnvironment
+from goalact.environment import TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment
 from goalact.errors import FatalError, GoalActError, PlanError, PlanningFailed
-from goalact.plan import FINISH, SEARCHING, History, SkillAction, history_of
+from goalact.plan import (BUILTIN_KINDS, FINISH, SEARCHING, History,
+                          SkillAction, history_of)
 from goalact.planner import (
     PLANNING_MARKER,
     build_planning_prompt,
     count_word,
+    finish_answer,
     load_exemplars,
+    parse_action,
     parse_plan_response,
+    parse_step_texts,
+    parse_thought_action,
+    parse_tool_emission,
     planning_frame,
     render_history,
     render_plan_steps,
@@ -321,3 +328,125 @@ def test_update_never_returns_an_invalid_plan_under_fuzzing(company_env):
         returned += 1
     assert returned + errored == 500
     assert returned > 0 and errored > 0
+
+
+@pytest.mark.parametrize("text, answer", [
+    ("Finish[AlphaCorp]", "AlphaCorp"),
+    ("  finish [ 42 ]\n", "42"),
+    ("FINISH", ""),
+    ("Finish[]", ""),
+    ("\u2003Finish[x]", "x"),
+    ("Finish[a] and [b]", "a] and [b"),
+    ("Finished[x]", None),
+    ("Finish[x] then more", None),
+    ("Finish2[x]", None),
+    ("get_record[table=t]", None),
+    ("", None),
+])
+def test_finish_answer_reads_a_finish_in_any_letter_case(text, answer):
+    assert finish_answer(text) == answer
+
+
+@pytest.mark.parametrize("text, calls, problem", [
+    ('{"tool": "get_record", "args": {"table": "t"}}',
+     [("get_record", {"table": "t"})], None),
+    ('```json\n{"tool": "a"}\n```', [("a", {})], None),
+    ('[{"tool": "a"}, 5, {"tool": "b", "args": {"k": 1}}]',
+     [("a", {}), ("b", {"k": 1})], None),
+    ("[1, 2]", [], 'array held no {"tool": ...} objects'),
+    ('{"args": {}}', [], 'object lacks a "tool" key'),
+    ('{"tool": "a"}\nprose\nb[k=v, j = "w"]',
+     [("a", {}), ("b", {"k": "v", "j": "w"})], None),
+    ("get_record[table=companies,\n field=name]",
+     [("get_record", {"table": "companies", "field": "name"})], None),
+    ("get_record[]", [("get_record", {})], None),
+    ("get_record[table]", [], "no tool call found in the emission"),
+    ("null", [], "no tool call found in the emission"),
+    ("", [], "no tool call found in the emission"),
+])
+def test_tool_emission_forms(text, calls, problem):
+    """An object, an array, one call per line, or one Tool[k=v, ...] call
+    over the whole emission, lines included."""
+    assert parse_tool_emission(text) == (
+        [ToolCall(tool_name=name, arguments=args) for name, args in calls],
+        problem)
+
+
+# --- every completion reader against hostile text ----------------------------------
+
+_DIGITS = "1" * 5000  # past int()'s 4,300-digit conversion limit
+_SOUP = ["[", "]", "{", "}", '"', ":", ",", " ", "\n", "```", "```json\n",
+         '"Thinking"', '"Thought"', '"Action"', '"tool"', '"args"', "Finish",
+         "finish[", "Searching[", "get_record", "=", "'", "\\", "null",
+         "1e999", "-0.5", _DIGITS, "-" + _DIGITS, "\u00e9", "\ud800", "x"]
+_OPENERS = ["[", '{"a":', '[{"Thinking":', '{"Thought":',
+            '{"tool": "get_record", "args": {"value":', "Searching[", "("]
+_DOCUMENTS = [
+    json.dumps([{"Thinking": "look it up", "Action": "Searching[the city]"},
+                {"Thinking": "done", "Action": "Finish[]"}]),
+    json.dumps({"Thought": "look", "Action": "get_record[table=companies, "
+                "field=name, value=AlphaCorp]"}),
+    json.dumps({"tool": "filter_records", "args": {
+        "table": "cases", "field": "status", "value": "open"}}),
+    '[{"Thinking": %s, "Action": "Finish"}]' % _DIGITS,
+    "Finish[AlphaCorp]",
+    "Coding[sum the open amounts]",
+    "get_record[table=companies, field=name, value=AlphaCorp]",
+]
+
+
+def _hostile_text(rng: random.Random) -> str:
+    """Token soup, a nesting 100,000 deep, or a well-formed document that is
+    fenced, wrapped in prose or cut short."""
+    case = rng.randrange(5)
+    if case == 0:
+        return "".join(rng.choice(_SOUP) for _ in range(rng.randrange(120)))
+    if case == 1:
+        closed = rng.choice([100_000, rng.randrange(100_000), 0])
+        return rng.choice(_OPENERS) * 100_000 + "0" + \
+            rng.choice("]})") * closed
+    document = rng.choice(_DOCUMENTS)
+    if case == 2:
+        return f"```{rng.choice(['', 'json'])}\n{document}\n```"
+    if case == 3:
+        return f"Here is my reply:\n{document}\nI hope it helps [really]."
+    return document[:rng.randrange(len(document) + 1)]
+
+
+def _is_tool_emission_result(result) -> bool:
+    calls, problem = result
+    return all(isinstance(call, ToolCall) for call in calls) and (
+        problem is None if calls else isinstance(problem, str))
+
+
+# Each reader, and what a value it returns must look like.
+_READERS = {
+    "parse_step_texts": (parse_step_texts, lambda pairs: pairs and all(
+        isinstance(thinking, str) and isinstance(action, str)
+        for thinking, action in pairs)),
+    "parse_plan_response": (parse_plan_response, lambda steps: steps and all(
+        isinstance(action, SkillAction) for _, action in steps)),
+    "parse_action": (lambda text: parse_action(text, BUILTIN_KINDS),
+                     lambda action: isinstance(action, SkillAction)),
+    "parse_thought_action": (parse_thought_action, lambda pair: pair is None
+                             or all(isinstance(text, str) for text in pair)),
+    "finish_answer": (finish_answer,
+                      lambda answer: answer is None or isinstance(answer, str)),
+    "parse_tool_emission": (parse_tool_emission, _is_tool_emission_result),
+}
+
+
+def test_every_completion_reader_returns_or_raises_plan_error_on_hostile_text():
+    """Whatever a model writes, each reader in `planner` returns a value, a
+    None or a problem text, or raises PlanError, within a second."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        text = _hostile_text(rng)
+        for name, (read, well_formed) in _READERS.items():
+            began = time.monotonic()
+            try:
+                assert well_formed(read(text)), (name, text[:80])
+            except PlanError:
+                pass
+            elapsed = time.monotonic() - began
+            assert elapsed < 1.0, (name, text[:80], elapsed)

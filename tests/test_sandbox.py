@@ -19,7 +19,6 @@ from goalact.orchestrator import RecordingEnvironment
 from goalact.plan import CODING, TRUNCATION_MARKER, History, SkillAction, \
     Trajectory, truncate_observation
 from goalact.sandbox import (
-    CODING_MARKER,
     FAULT_LIMIT,
     FAULT_PARSE,
     FAULT_RUNTIME,
@@ -27,11 +26,14 @@ from goalact.sandbox import (
     MAX_STRING_CHARS,
     SandboxLimits,
     eval_script,
-    exec_coding,
-    render_sandbox_outcome,
     render_value,
 )
-from goalact.skills import SkillContext
+from goalact.skills import (
+    CODING_MARKER,
+    SkillContext,
+    exec_coding,
+    render_sandbox_outcome,
+)
 
 from conftest import ask_of, scripted
 
