@@ -270,10 +270,10 @@ class HttpChatBackend:
     def _extract_content(text: str, status: int) -> str:
         try:
             content = decode_json(text)["choices"][0]["message"]["content"]
-            str.encode(content, "utf-8")  # no non-string, no lone surrogate
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}")
             return content
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
-                UnicodeEncodeError) as exc:
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable(
                 f"HTTP {status} with unparseable completion body: {exc}") from exc
 
@@ -369,22 +369,52 @@ def save_rules_file(rules: Sequence[Rule], path: Path) -> None:
 
 def decode_json(text: str) -> Any:
     """`json.loads` for model output: a document nested too deeply for the
-    decoder, or holding an integer longer than `int()` converts, raises
-    `json.JSONDecodeError` like any other malformed one."""
+    decoder, holding an integer longer than `int()` converts, or holding a
+    string with a lone surrogate (a JSON `\\ud800` escape), which UTF-8
+    cannot encode, raises `json.JSONDecodeError` like any other malformed
+    one.  Only a text that is not ASCII or holds a `\\ud` escape can decode
+    to a surrogate, so no other text is searched for one."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError:
         raise
     except RecursionError:
         raise json.JSONDecodeError("document nests too deeply", text, 0)
     except ValueError:  # the integer string conversion limit
         raise json.JSONDecodeError("number has too many digits", text, 0)
+    if (not text.isascii() or "\\ud" in text or "\\uD" in text) \
+            and _holds_surrogate(doc):
+        raise json.JSONDecodeError("string holds a lone surrogate", text, 0)
+    return doc
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _holds_surrogate(doc: Any) -> bool:
+    """Whether a key or string anywhere in the decoded `doc` holds a
+    surrogate code point, walked with an explicit stack."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                return True
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return False
+
+
+_CODE_FENCE = re.compile(r"^```[a-zA-Z0-9_-]*\n(.*)\n?```$", re.DOTALL)
 
 
 def strip_code_fences(text: str) -> str:
     """Remove a single wrapping ``` fence (with optional language tag)."""
     stripped = text.strip()
-    match = re.match(r"^```[a-zA-Z0-9_-]*\n(.*)\n?```$", stripped, re.DOTALL)
+    match = _CODE_FENCE.match(stripped)
     if match:
         return match.group(1).strip()
     return stripped

@@ -240,8 +240,13 @@ def table_to_dict(table: Table) -> dict[str, Any]:
 
 
 def table_from_dict(doc: Mapping[str, Any]) -> Table:
-    return Table(name=doc["name"], key_field=doc["key_field"],
-                 rows=tuple(dict(r) for r in doc["rows"]))
+    """The table of a decoded fixture document, holding the decoded rows
+    themselves; TypeError unless every row is an object."""
+    rows = tuple(doc["rows"])
+    if set(map(type, rows)) - {dict}:
+        row = next(row for row in rows if type(row) is not dict)
+        raise TypeError(f"a table row is an object, not {type(row).__name__}")
+    return Table(name=doc["name"], key_field=doc["key_field"], rows=rows)
 
 
 def save_table(table: Table, path: Path) -> None:

@@ -8,14 +8,20 @@ evaluation is metered: an expression-step budget, a tool-call budget, and an
 output byte budget, all enforced inside the interpreter so faults come back
 as data, never as exceptions.  The Coding skill that runs scripts lives in
 `skills`, which imports this module.
+
+A script is parsed while it is lexed, one regex match per token, into a
+tree of closures; running the tree is calling its statement closures, each
+of which calls the closures of its parts, so no node is dispatched by name.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, Optional
 
 from .environment import (TOOL_PARAMETERS, TOOLS, ToolCall, ToolEnvironment,
                           render_number)
@@ -93,15 +99,24 @@ class SandboxResult:
 
 # --- lexer -----------------------------------------------------------------------
 
+# One match per token: the separators before it, then the token, the end of
+# the script, or the one character that starts no token.  A keyword is a
+# whole name (`iffy` is a name), tried before names; the other kinds start
+# with different characters, so their order only sets which is tried first.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[\s;]+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>==|!=|<=|>=|[-+*/=<>(){}\[\],.])
+    [\s;]*
+    (?: (?P<op>==|!=|<=|>=|[-+*/=<>(){}\[\],.])
+      | (?P<kw>(?:if|else|while|for|in|return|true|false)(?![A-Za-z0-9_]))
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<number>\d+\.\d+|\d+)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
 """, re.VERBOSE)
 
-_KEYWORDS = {"if", "else", "while", "for", "in", "return", "true", "false"}
+_COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+_OPERATORS = _COMPARISONS | {"+", "-", "*", "/"}
 
 
 class _Fault(Exception):
@@ -111,62 +126,54 @@ class _Fault(Exception):
         self.message = message
 
 
-class _Return(Exception):
-    def __init__(self, value: Any):
-        super().__init__("return")
-        self.value = value
-
-
-def _tokenize(source: str) -> Iterator[tuple[str, str]]:
-    """The script's tokens, lexed as they are asked for, then `eof` forever."""
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise _Fault(FAULT_PARSE,
-                         f"unexpected character {source[pos]!r} at offset {pos}")
-        pos = match.end()
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        text = match.group()
-        if kind == "name" and text in _KEYWORDS:
-            yield "kw", text
-        else:
-            yield kind, text
-    while True:
-        yield "eof", ""
+# A parsed statement or expression: run, it takes its step and evaluates.
+_Node = Callable[[], Any]
 
 
 # --- parser ----------------------------------------------------------------------
 
 class _Parser:
-    """Parses a script while lexing it, one token ahead.
+    """Parses a script while lexing it, one token ahead, into nodes.
 
-    The first fault in parse order, a bad character among them, ends the
-    parse: no more of the script is lexed.
+    The lookahead token is `kind` and `text`.  An operator or keyword is
+    known by its text alone, since no name, number or string has the same
+    text.  The first fault in parse order, a bad character among them, ends
+    the parse: no more of the script is lexed.  The nodes come from `nodes`.
     """
 
-    def __init__(self, source: str):
-        self.tokens = _tokenize(source)
-        self.token = next(self.tokens)
+    def __init__(self, source: str, nodes: _Interpreter):
+        self.source = source
+        self.match = _TOKEN_RE.match
+        self.pos = 0
         self.depth = 0
+        self.nodes = nodes
+        self.kind = self.text = ""
+        self.advance()
 
-    def peek(self) -> tuple[str, str]:
-        return self.token
+    def advance(self) -> str:
+        """Lex the next token into the lookahead; return the replaced text."""
+        text = self.text
+        match = self.match(self.source, self.pos)
+        kind = self.kind = match.lastgroup
+        if kind == "bad":
+            raise _Fault(FAULT_PARSE, f"unexpected character {match[kind]!r} "
+                                      f"at offset {match.start(kind)}")
+        self.text = match[kind]
+        self.pos = match.end()
+        return text
 
-    def next(self) -> tuple[str, str]:
-        token = self.token
-        self.token = next(self.tokens)
-        return token
+    def expect(self, text: str) -> None:
+        got = self.advance()
+        if got != text:
+            raise _Fault(FAULT_PARSE,
+                         f"expected {text!r}, got {got or '<eof>'!r}")
 
-    def expect(self, kind: str, text: Optional[str] = None) -> str:
-        got_kind, got_text = self.next()
-        if got_kind != kind or (text is not None and got_text != text):
-            wanted = text or kind
-            shown = got_text if got_text else "<eof>"
-            raise _Fault(FAULT_PARSE, f"expected {wanted!r}, got {shown!r}")
-        return got_text
+    def name(self) -> str:
+        kind, got = self.kind, self.advance()
+        if kind != "name":
+            raise _Fault(FAULT_PARSE,
+                         f"expected 'name', got {got or '<eof>'!r}")
+        return got
 
     def deeper(self) -> None:
         self.depth += 1
@@ -174,119 +181,109 @@ class _Parser:
             raise _Fault(FAULT_PARSE, "script nesting is deeper than "
                                       f"{MAX_NESTING_DEPTH} levels")
 
-    def program(self) -> list[Any]:
+    def program(self) -> tuple[_Node, ...]:
         statements = []
-        while self.peek()[0] != "eof":
+        while self.kind != "eof":
             statements.append(self.statement())
-        return statements
+        return tuple(statements)
 
-    def statement(self) -> Any:
-        kind, text = self.peek()
-        if kind == "kw" and text == "if":
-            return self.if_statement()
-        if kind == "kw" and text == "while":
-            self.next()
+    def statement(self) -> _Node:
+        nodes, text = self.nodes, self.text
+        if self.kind == "name":  # an assignment, the commonest statement
+            name = self.advance()
+            self.expect("=")
+            return nodes.assign(name, self.expression())
+        if text == "if":
+            self.advance()
             condition = self.expression()
-            body = self.block()
-            return ("while", condition, body)
-        if kind == "kw" and text == "for":
-            self.next()
-            name = self.expect("name")
-            self.expect("kw", "in")
+            then_body = self.block()
+            else_body: tuple[_Node, ...] = ()
+            if self.text == "else":
+                self.advance()
+                else_body = self.block()
+            return nodes.if_(condition, then_body, else_body)
+        if text == "while":
+            self.advance()
+            condition = self.expression()
+            return nodes.while_(condition, self.block())
+        if text == "for":
+            self.advance()
+            name = self.name()
+            self.expect("in")
             source = self.expression()
-            body = self.block()
-            return ("for", name, source, body)
-        if kind == "kw" and text == "return":
-            self.next()
-            return ("return", self.expression())
-        if kind == "name":
-            name = self.next()[1]
-            self.expect("op", "=")
-            return ("assign", name, self.expression())
+            return nodes.for_(name, source, self.block())
+        if text == "return":
+            self.advance()
+            return nodes.return_(self.expression())
         raise _Fault(FAULT_PARSE, f"unexpected token {text!r}")
 
-    def if_statement(self) -> Any:
-        self.expect("kw", "if")
-        condition = self.expression()
-        then_body = self.block()
-        else_body: list[Any] = []
-        if self.peek() == ("kw", "else"):
-            self.next()
-            else_body = self.block()
-        return ("if", condition, then_body, else_body)
-
-    def block(self) -> list[Any]:
-        self.expect("op", "{")
+    def block(self) -> tuple[_Node, ...]:
+        self.expect("{")
         self.deeper()
         statements = []
-        while self.peek() != ("op", "}"):
-            if self.peek()[0] == "eof":
+        while self.text != "}":
+            if self.kind == "eof":
                 raise _Fault(FAULT_PARSE, "unterminated block")
             statements.append(self.statement())
-        self.next()
+        self.advance()
         self.depth -= 1
-        return statements
+        return tuple(statements)
 
-    def expression(self) -> Any:
+    def expression(self) -> _Node:
         self.deeper()
-        node = self.sum_expr()
-        kind, text = self.peek()
-        if kind == "op" and text in ("==", "!=", "<", "<=", ">", ">="):
-            self.next()
-            node = ("binop", text, node, self.sum_expr())
+        node = self.operand()
+        if self.text in _OPERATORS:
+            node = self.sum_tail(self.term_tail(node))
+            if self.text in _COMPARISONS:
+                op = self.advance()
+                right = self.term_tail(self.operand())
+                node = self.nodes.binop(op, node, self.sum_tail(right))
         self.depth -= 1
         return node
 
-    # The operator and postfix loops below build left-nested trees, one level
-    # deeper per operator, so each operator counts as a level of nesting.
+    # A sum is a chain of terms and a term a chain of operands.  The operator
+    # and postfix loops below build left-nested trees, one level deeper per
+    # operator, so each operator counts as a level of nesting.  Given the
+    # first term or operand, a tail parses the rest of its chain.
 
-    def sum_expr(self) -> Any:
-        node, entry = self.term(), self.depth
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
+    def sum_tail(self, node: _Node) -> _Node:
+        entry = self.depth
+        while self.text == "+" or self.text == "-":
+            op = self.advance()
             self.deeper()
-            node = ("binop", op, node, self.term())
+            node = self.nodes.binop(op, node, self.term_tail(self.operand()))
         self.depth = entry
         return node
 
-    def term(self) -> Any:
-        node, entry = self.unary(), self.depth
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
+    def term_tail(self, node: _Node) -> _Node:
+        entry = self.depth
+        while self.text == "*" or self.text == "/":
+            op = self.advance()
             self.deeper()
-            node = ("binop", op, node, self.unary())
+            node = self.nodes.binop(op, node, self.operand())
         self.depth = entry
         return node
 
-    def unary(self) -> Any:
-        if self.peek() == ("op", "-"):
-            self.next()
+    def operand(self) -> _Node:
+        """A negation, or a primary and its field and index postfixes."""
+        nodes, kind, text = self.nodes, self.kind, self.advance()
+        if text == "-":
             self.deeper()
-            node = ("neg", self.unary())
+            node = nodes.neg(self.operand())
             self.depth -= 1
             return node
-        return self.postfix()
-
-    def postfix(self) -> Any:
-        node, entry = self.primary(), self.depth
-        while True:
-            if self.peek() == ("op", "."):
-                self.next()
-                self.deeper()
-                node = ("field", node, self.expect("name"))
-            elif self.peek() == ("op", "["):
-                self.next()
-                self.deeper()
-                index = self.expression()
-                self.expect("op", "]")
-                node = ("index", node, index)
+        if kind == "name":
+            if self.text == "(":
+                self.advance()
+                node = nodes.call(text, self.items(")"))
             else:
-                self.depth = entry
-                return node
-
-    def primary(self) -> Any:
-        kind, text = self.next()
-        if kind == "number":
+                node = nodes.var(text)
+        elif kind == "string":
+            text = text[1:-1]
+            if "\\" in text:
+                text = text.replace('\\"', '"').replace("\\\\", "\\")
+            node = nodes.lit(text)
+        elif kind == "number":
             try:
                 value = float(text) if "." in text else int(text)
             except ValueError:  # more digits than int() will convert
@@ -294,162 +291,315 @@ class _Parser:
             if value == math.inf:
                 raise _Fault(FAULT_PARSE, f"number literal of {len(text)} "
                                           "characters is too large")
-            return ("lit", value)
-        if kind == "string":
-            return ("lit", text[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        if kind == "kw" and text in ("true", "false"):
-            return ("lit", text == "true")
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                self.next()
-                args = []
-                if self.peek() != ("op", ")"):
-                    args.append(self.expression())
-                    while self.peek() == ("op", ","):
-                        self.next()
-                        args.append(self.expression())
-                self.expect("op", ")")
-                return ("call", text, args)
-            return ("var", text)
-        if kind == "op" and text == "[":
-            items = []
-            if self.peek() != ("op", "]"):
-                items.append(self.expression())
-                while self.peek() == ("op", ","):
-                    self.next()
-                    items.append(self.expression())
-            self.expect("op", "]")
-            return ("list", items)
-        if kind == "op" and text == "(":
+            node = nodes.lit(value)
+        elif text == "true" or text == "false":
+            node = nodes.lit(text == "true")
+        elif text == "[":
+            node = nodes.list_(self.items("]"))
+        elif text == "(":
             node = self.expression()
-            self.expect("op", ")")
-            return node
-        raise _Fault(FAULT_PARSE, f"unexpected token {text!r} in expression")
+            self.expect(")")
+        else:
+            raise _Fault(FAULT_PARSE,
+                         f"unexpected token {text!r} in expression")
+        entry = self.depth
+        while True:
+            if self.text == ".":
+                self.advance()
+                self.deeper()
+                node = nodes.field(node, self.name())
+            elif self.text == "[":
+                self.advance()
+                self.deeper()
+                index = self.expression()
+                self.expect("]")
+                node = nodes.index(node, index)
+            else:
+                self.depth = entry
+                return node
+
+    def items(self, close: str) -> tuple[_Node, ...]:
+        """The comma-separated expressions before `close`, consumed too."""
+        items = []
+        if self.text != close:
+            items.append(self.expression())
+            while self.text == ",":
+                self.advance()
+                items.append(self.expression())
+        self.expect(close)
+        return tuple(items)
 
 
 # --- evaluator -------------------------------------------------------------------
 
+def _run(statements: tuple[_Node, ...]) -> Optional[tuple[Any]]:
+    """Run statements in order up to a `return`, whose value comes back in
+    a 1-tuple; None when none ran."""
+    for statement in statements:
+        returned = statement()
+        if returned is not None:
+            return returned
+    return None
+
+
+def _truthy(value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _Fault(FAULT_RUNTIME,
+                 "conditions must be boolean (use a comparison)")
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bounded(value: Any) -> Any:
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        raise _Fault(FAULT_LIMIT, "number result too large for a float")
+    if isinstance(value, str) and len(value) > MAX_STRING_CHARS:
+        raise _Fault(FAULT_LIMIT, "string result longer than "
+                                  f"{MAX_STRING_CHARS} characters")
+    if isinstance(value, int) and value.bit_length() > MAX_INT_BITS:
+        raise _Fault(FAULT_LIMIT,
+                     f"integer result wider than {MAX_INT_BITS} bits")
+    return value
+
+
+def _add(left: Any, right: Any) -> Any:
+    if (isinstance(left, str) and isinstance(right, str)
+            or _numeric(left) and _numeric(right)):
+        return _bounded(left + right)
+    raise _Fault(FAULT_RUNTIME, "+ needs two numbers or two strings")
+
+
+def _arithmetic(op: str, apply: Callable[[Any, Any], Any]
+                ) -> Callable[[Any, Any], Any]:
+    def checked(left: Any, right: Any) -> Any:
+        if not (_numeric(left) and _numeric(right)):
+            raise _Fault(FAULT_RUNTIME, f"{op} needs numbers")
+        if op == "/" and right == 0:
+            raise _Fault(FAULT_RUNTIME, "division by zero")
+        return _bounded(apply(left, right))
+    return checked
+
+
+def _ordering(apply: Callable[[Any, Any], bool]) -> Callable[[Any, Any], bool]:
+    def checked(left: Any, right: Any) -> bool:
+        if not (_numeric(left) and _numeric(right)
+                or isinstance(left, str) and isinstance(right, str)):
+            raise _Fault(FAULT_RUNTIME,
+                         f"cannot order {type(left).__name__} against "
+                         f"{type(right).__name__}")
+        return apply(left, right)
+    return checked
+
+
+# operator -> its checked function of the two operand values
+_ARITHMETIC = {"+": _add, "-": _arithmetic("-", operator.sub),
+               "*": _arithmetic("*", operator.mul),
+               "/": _arithmetic("/", operator.truediv)}
+_ORDERINGS = {"<": _ordering(operator.lt), "<=": _ordering(operator.le),
+              ">": _ordering(operator.gt), ">=": _ordering(operator.ge)}
+
+
 class _Interpreter:
+    """A script's run-time state, and the builder of the nodes that run it.
+
+    Each node is a closure over the script's variables and step budget.
+    Run, it takes one step before anything else, as every statement and
+    expression does, then evaluates its parts in source order.  A statement
+    returns None, or the 1-tuple of the value of the `return` it ran.
+
+    A step is one item of `budget`, an iterator over `max_eval_steps`
+    items, so a step past the budget raises StopIteration, which `run`
+    reports as the step fault.  No node runs inside a generator, where
+    StopIteration would turn into a RuntimeError.
+    """
+
     def __init__(self, env: ToolEnvironment, limits: SandboxLimits):
         self.env = env
         self.limits = limits
         self.vars: dict[str, Any] = {}
-        self.steps = 0
+        self.budget = iter(range(limits.max_eval_steps))
+        self.tick = self.budget.__next__
         self.tool_calls = 0
 
-    def tick(self) -> None:
-        if self.steps >= self.limits.max_eval_steps:
-            raise _Fault(FAULT_LIMIT,
-                         f"evaluation stopped at {self.limits.max_eval_steps} steps")
-        self.steps += 1
+    @property
+    def steps(self) -> int:
+        return self.limits.max_eval_steps - self.budget.__length_hint__()
 
-    def run(self, statements: list[Any]) -> Any:
+    def run(self, program: tuple[_Node, ...]) -> Any:
         try:
-            self.exec_block(statements)
-        except _Return as ret:
-            return ret.value
-        return None
+            returned = _run(program)
+        except StopIteration:
+            raise _Fault(FAULT_LIMIT, "evaluation stopped at "
+                         f"{self.limits.max_eval_steps} steps") from None
+        return None if returned is None else returned[0]
 
-    def exec_block(self, statements: list[Any]) -> None:
-        for statement in statements:
-            self.exec_statement(statement)
+    # --- statements
 
-    def exec_statement(self, node: Any) -> None:
-        self.tick()
-        op = node[0]
-        if op == "assign":
-            self.vars[node[1]] = self.eval(node[2])
-        elif op == "if":
-            if self.truthy(self.eval(node[1])):
-                self.exec_block(node[2])
-            else:
-                self.exec_block(node[3])
-        elif op == "while":
-            while self.truthy(self.eval(node[1])):
-                self.exec_block(node[2])
-                self.tick()
-        elif op == "for":
-            source = self.eval(node[2])
-            if not isinstance(source, list):
+    def assign(self, name: str, value: _Node) -> _Node:
+        tick, variables = self.tick, self.vars
+
+        def assign() -> None:
+            tick()
+            variables[name] = value()
+        return assign
+
+    def if_(self, condition: _Node, then_body: tuple[_Node, ...],
+            else_body: tuple[_Node, ...]) -> _Node:
+        tick = self.tick
+
+        def if_() -> Optional[tuple[Any]]:
+            tick()
+            return _run(then_body if _truthy(condition()) else else_body)
+        return if_
+
+    def while_(self, condition: _Node, body: tuple[_Node, ...]) -> _Node:
+        tick = self.tick
+
+        def while_() -> Optional[tuple[Any]]:
+            tick()
+            while _truthy(condition()):
+                returned = _run(body)
+                if returned is not None:
+                    return returned
+                tick()
+            return None
+        return while_
+
+    def for_(self, name: str, source: _Node, body: tuple[_Node, ...]) -> _Node:
+        tick, variables = self.tick, self.vars
+
+        def for_() -> Optional[tuple[Any]]:
+            tick()
+            items = source()
+            if not isinstance(items, list):
                 raise _Fault(FAULT_RUNTIME, "for-each needs a list")
-            for item in source:
-                self.tick()
-                self.vars[node[1]] = item
-                self.exec_block(node[3])
-        elif op == "return":
-            raise _Return(self.eval(node[1]))
-        else:  # pragma: no cover - parser emits no other statements
-            raise _Fault(FAULT_RUNTIME, f"unknown statement {op}")
+            for item in items:
+                tick()
+                variables[name] = item
+                returned = _run(body)
+                if returned is not None:
+                    return returned
+            return None
+        return for_
 
-    @staticmethod
-    def truthy(value: Any) -> bool:
-        if isinstance(value, bool):
+    def return_(self, value: _Node) -> _Node:
+        tick = self.tick
+
+        def return_() -> tuple[Any]:
+            tick()
+            return (value(),)
+        return return_
+
+    # --- expressions
+
+    def lit(self, value: Any) -> _Node:
+        tick = self.tick
+
+        def lit() -> Any:
+            tick()
             return value
-        raise _Fault(FAULT_RUNTIME,
-                     "conditions must be boolean (use a comparison)")
+        return lit
 
-    def eval(self, node: Any) -> Any:
-        self.tick()
-        op = node[0]
-        if op == "lit":
-            return node[1]
-        if op == "var":
-            if node[1] not in self.vars:
-                raise _Fault(FAULT_RUNTIME, f"undefined variable {node[1]!r}")
-            return self.vars[node[1]]
-        if op == "list":
-            return [self.eval(item) for item in node[1]]
-        if op == "neg":
-            value = self.eval(node[1])
+    def var(self, name: str) -> _Node:
+        tick, variables = self.tick, self.vars
+
+        def var() -> Any:
+            tick()
+            try:
+                return variables[name]
+            except KeyError:
+                raise _Fault(FAULT_RUNTIME,
+                             f"undefined variable {name!r}") from None
+        return var
+
+    def list_(self, items: tuple[_Node, ...]) -> _Node:
+        tick = self.tick
+
+        def list_() -> list[Any]:
+            tick()
+            return [item() for item in items]
+        return list_
+
+    def neg(self, operand: _Node) -> _Node:
+        tick = self.tick
+
+        def neg() -> Any:
+            tick()
+            value = operand()
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise _Fault(FAULT_RUNTIME, "negation needs a number")
             return -value
-        if op == "field":
-            record = self.eval(node[1])
+        return neg
+
+    def field(self, target: _Node, name: str) -> _Node:
+        tick = self.tick
+
+        def field() -> Any:
+            tick()
+            record = target()
             if not isinstance(record, dict):
                 raise _Fault(FAULT_RUNTIME, "field access needs a record")
-            if node[2] not in record:
-                raise _Fault(FAULT_RUNTIME,
-                             f"record has no field {node[2]!r}")
-            return record[node[2]]
-        if op == "index":
-            target = self.eval(node[1])
-            index = self.eval(node[2])
-            if not isinstance(target, (list, str)):
+            if name not in record:
+                raise _Fault(FAULT_RUNTIME, f"record has no field {name!r}")
+            return record[name]
+        return field
+
+    def index(self, target: _Node, position: _Node) -> _Node:
+        tick = self.tick
+
+        def index() -> Any:
+            tick()
+            value, at = target(), position()
+            if not isinstance(value, (list, str)):
                 raise _Fault(FAULT_RUNTIME, "indexing needs a list or string")
-            if isinstance(index, bool) or not isinstance(index, int):
+            if isinstance(at, bool) or not isinstance(at, int):
                 raise _Fault(FAULT_RUNTIME, "index must be an integer")
-            if not 0 <= index < len(target):
+            if not 0 <= at < len(value):
                 raise _Fault(FAULT_RUNTIME,
-                             f"index {index} out of range (length {len(target)})")
-            return target[index]
-        if op == "binop":
+                             f"index {at} out of range (length {len(value)})")
+            return value[at]
+        return index
+
+    def binop(self, op: str, left: _Node, right: _Node) -> _Node:
+        tick = self.tick
+        if op == "==" or op == "!=":
+            equal, want = self.equal, op == "=="
+
+            def compare() -> bool:
+                tick()
+                return equal(left(), right()) is want
+            return compare
+        if op in _ORDERINGS:
+            order = _ORDERINGS[op]
+
+            def ordered() -> bool:
+                tick()
+                return order(left(), right())
+            return ordered
+        apply = _ARITHMETIC[op]
+
+        def arithmetic() -> Any:
+            tick()
             try:
-                return self.binop(node[1], self.eval(node[2]),
-                                  self.eval(node[3]))
+                return apply(left(), right())
             except OverflowError:  # an integer too wide to meet a float
-                raise _Fault(FAULT_LIMIT, "number result too large for a float")
-        if op == "call":
-            return self.call(node[1], [self.eval(arg) for arg in node[2]])
-        raise _Fault(FAULT_RUNTIME, f"unknown expression {op}")
+                raise _Fault(FAULT_LIMIT,
+                             "number result too large for a float") from None
+        return arithmetic
 
-    @staticmethod
-    def _numeric(value: Any) -> bool:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    def call(self, name: str, args: tuple[_Node, ...]) -> _Node:
+        tick = self.tick
+        function = _BUILTINS.get(name) or partial(self.call_tool, name)
 
-    @staticmethod
-    def bounded(value: Any) -> Any:
-        if isinstance(value, float):
-            if math.isfinite(value):
-                return value
-            raise _Fault(FAULT_LIMIT, "number result too large for a float")
-        if isinstance(value, str) and len(value) > MAX_STRING_CHARS:
-            raise _Fault(FAULT_LIMIT, "string result longer than "
-                                      f"{MAX_STRING_CHARS} characters")
-        if isinstance(value, int) and value.bit_length() > MAX_INT_BITS:
-            raise _Fault(FAULT_LIMIT,
-                         f"integer result wider than {MAX_INT_BITS} bits")
-        return value
+        def call() -> Any:
+            tick()
+            return function([arg() for arg in args])
+        return call
 
     def equal(self, left: Any, right: Any) -> bool:
         """Python's `left == right`, walked depth first with an explicit stack
@@ -478,53 +628,6 @@ class _Interpreter:
             else:
                 return True
 
-    def binop(self, op: str, left: Any, right: Any) -> Any:
-        if op == "==":
-            return self.equal(left, right)
-        if op == "!=":
-            return not self.equal(left, right)
-        if op in ("<", "<=", ">", ">="):
-            if self._numeric(left) and self._numeric(right):
-                pass
-            elif isinstance(left, str) and isinstance(right, str):
-                pass
-            else:
-                raise _Fault(FAULT_RUNTIME,
-                             f"cannot order {type(left).__name__} against "
-                             f"{type(right).__name__}")
-            return {"<": left < right, "<=": left <= right,
-                    ">": left > right, ">=": left >= right}[op]
-        if op == "+":
-            if isinstance(left, str) and isinstance(right, str):
-                return self.bounded(left + right)
-            if self._numeric(left) and self._numeric(right):
-                return self.bounded(left + right)
-            raise _Fault(FAULT_RUNTIME, "+ needs two numbers or two strings")
-        if not (self._numeric(left) and self._numeric(right)):
-            raise _Fault(FAULT_RUNTIME, f"{op} needs numbers")
-        if op == "-":
-            return self.bounded(left - right)
-        if op == "*":
-            return self.bounded(left * right)
-        if op == "/":
-            if right == 0:
-                raise _Fault(FAULT_RUNTIME, "division by zero")
-            return self.bounded(left / right)
-        raise _Fault(FAULT_RUNTIME, f"unknown operator {op}")
-
-    def call(self, name: str, args: list[Any]) -> Any:
-        if name == "len":
-            if len(args) != 1 or not isinstance(args[0], (list, str)):
-                raise _Fault(FAULT_RUNTIME, "len takes one list or string")
-            return len(args[0])
-        if name == "first":
-            if len(args) != 1 or not isinstance(args[0], list):
-                raise _Fault(FAULT_RUNTIME, "first takes one list")
-            if not args[0]:
-                raise _Fault(FAULT_RUNTIME, "first of an empty list")
-            return args[0][0]
-        return self.call_tool(name, args)
-
     def call_tool(self, name: str, args: list[Any]) -> Any:
         if name not in TOOLS:
             raise _Fault(FAULT_RUNTIME, f"unknown tool or function {name!r}")
@@ -545,6 +648,24 @@ class _Interpreter:
             raise _Fault(FAULT_RUNTIME, f"tool {name} failed: {exc}")
         return dict(rows[0]) if name == "get_record" \
             else [dict(r) for r in rows]
+
+
+def _len(args: list[Any]) -> int:
+    if len(args) != 1 or not isinstance(args[0], (list, str)):
+        raise _Fault(FAULT_RUNTIME, "len takes one list or string")
+    return len(args[0])
+
+
+def _first(args: list[Any]) -> Any:
+    if len(args) != 1 or not isinstance(args[0], list):
+        raise _Fault(FAULT_RUNTIME, "first takes one list")
+    if not args[0]:
+        raise _Fault(FAULT_RUNTIME, "first of an empty list")
+    return args[0][0]
+
+
+# The functions a script calls by name before its tools.
+_BUILTINS = {"len": _len, "first": _first}
 
 
 _DONE = object()
@@ -611,12 +732,12 @@ def eval_script(source: str, env: ToolEnvironment,
     """Run one script to completion; faults come back inside the result."""
     interp = _Interpreter(env, limits)
     try:
-        statements = _Parser(source).program()
+        program = _Parser(source, interp).program()
     except _Fault as fault:
         return SandboxResult(value="", fault=SandboxFault(fault.kind,
                                                           fault.message))
     try:
-        raw = interp.run(statements)
+        raw = interp.run(program)
     except _Fault as fault:
         return SandboxResult(
             value="", steps_used=interp.steps,

@@ -17,6 +17,7 @@ from goalact.backends import (
     Message,
     Rule,
     ScriptedBackend,
+    decode_json,
     load_rules_file,
     request_hash,
     save_rules_file,
@@ -689,3 +690,22 @@ def test_strip_code_fences_variants():
     assert strip_code_fences(f"```\n{body}\n```") == body
     assert strip_code_fences(body) == body
     assert strip_code_fences(f"  {body}  ") == body
+
+
+@pytest.mark.parametrize("text", [
+    '"x \\ud800"',
+    '{"a": ["ok", {"b": "\\uDFFF"}]}',
+    '{"\\ud800": 1}',
+    '["\\ude00\\ud83d"]',
+    '"é \ud800"',
+], ids=["escape", "nested-upper-case", "key", "reversed-pair", "raw"])
+def test_decode_json_refuses_a_lone_surrogate(text):
+    with pytest.raises(json.JSONDecodeError, match="lone surrogate"):
+        decode_json(text)
+
+
+def test_decode_json_keeps_what_utf8_can_encode():
+    assert decode_json('"\\ud83d\\ude00"') == "\U0001F600"
+    assert decode_json('"é"') == "é"
+    assert decode_json('"\\\\ud800"') == "\\ud800"
+    assert decode_json('{"a": ["\\u00e9"]}') == {"a": ["é"]}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import sys
 import threading
@@ -16,8 +17,9 @@ from goalact.environment import (
     render_number,
     render_row,
     render_rows,
+    table_from_dict,
 )
-from goalact.errors import ToolError
+from goalact.errors import FatalError, ToolError
 from goalact.generator import (
     AGGREGATION_ROWS,
     generate_aggregation_task,
@@ -470,3 +472,25 @@ def test_render_number_canonical_forms():
     assert render_number(1 / 3) == "0.333333"
     assert render_number(10.0) == "10"
     assert render_number(True) == "true"
+
+
+@pytest.mark.parametrize("row", [[["name", "x"]], "name", 3, None],
+                         ids=["pairs", "string", "number", "null"])
+def test_a_table_row_that_is_no_object_is_a_malformed_fixture(tmp_path, row):
+    task, env = generate_khop_task(seed=9, k=2)
+    path = save_fixture(task, env, tmp_path)
+    table_file = sorted((tmp_path / "tables").glob(f"{task.id}__*.json"))[0]
+    doc = json.loads(table_file.read_text(encoding="utf-8"))
+    doc["rows"].insert(1, row)
+    table_file.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FatalError, match="malformed .*a table row is an "
+                                         "object, not"):
+        load_fixture(path)
+
+
+def test_a_table_holds_the_rows_it_was_decoded_with():
+    doc = {"name": "t", "key_field": "id",
+           "rows": [{"id": "a", "n": 1}, {"id": "b", "n": 2}]}
+    table = table_from_dict(doc)
+    assert table.rows == tuple(doc["rows"])
+    assert all(map(operator.is_, table.rows, doc["rows"]))

@@ -786,3 +786,24 @@ def test_an_over_long_integer_in_a_completion_is_a_fault_not_a_crash(
     assert traj.termination_reason == reason
     assert traj.final_answer == "The requested value could not be determined."
     assert "1" * 5000 in encode_trajectory(traj)
+
+
+@pytest.mark.parametrize("method, marker, document, reason", [
+    (METHOD_REACT, REACT_MARKER,
+     '{"Thought": "x \\ud800", "Action": "Finish[y]"}',
+     TERMINATION_MAX_ITERATIONS),
+    (METHOD_GOALACT, SEARCHING_MARKER,
+     '{"tool": "get_record", "args": {"table": "x \\ud800", "field": "name", '
+     '"value": "v"}}', TERMINATION_MAX_ITERATIONS),
+    (METHOD_GOALACT, PLANNING_MARKER,
+     '[{"Thinking": "x \\ud800", "Action": "Finish[]"}]', TERMINATION_FATAL),
+], ids=["react-thought", "searching-table", "plan-thinking"])
+def test_a_lone_surrogate_escape_is_a_malformed_completion(
+        method, marker, document, reason):
+    """A JSON `\\ud800` escape decodes to a string UTF-8 cannot encode, so
+    the document is malformed: the run ends as data and its trajectory
+    encodes, holding the escape as the raw response's six characters."""
+    traj = _run_answering(method, (), marker, document)
+    assert traj.termination_reason == reason
+    assert traj.final_answer == "The requested value could not be determined."
+    assert "x \\\\ud800" in encode_trajectory(traj)
