@@ -202,6 +202,8 @@ def _urllib_transport(url: str, headers: dict[str, str], body: bytes,
             return resp.status, resp.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8", errors="replace")
+    except UnicodeDecodeError as exc:
+        raise BackendUnavailable(f"response body is not UTF-8: {exc}") from exc
     except (urllib.error.URLError, TimeoutError, OSError) as exc:
         raise ConnectionError(str(exc)) from exc
 
@@ -388,7 +390,7 @@ def decode_json(text: str) -> Any:
     return doc
 
 
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
+SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _holds_surrogate(doc: Any) -> bool:
@@ -398,7 +400,7 @@ def _holds_surrogate(doc: Any) -> bool:
     while stack:
         value = stack.pop()
         if isinstance(value, str):
-            if _SURROGATE.search(value):
+            if SURROGATE.search(value):
                 return True
         elif isinstance(value, dict):
             stack.extend(value)

@@ -6,9 +6,9 @@ each takes the `TOOL_PARAMETERS`, and `TOOL_DESCRIPTIONS` lists them:
     get_record(table, field, value)     -> the first row matching field=value
     filter_records(table, field, value) -> every matching row, in table order
 
-`ToolEnvironment.invoke_tool` runs a call and `row_texts` gives the text of
-each row it returned; `skills.observe_emission` is the one place a model's
-call is run and its result or ToolError rendered as an observation.
+`ToolEnvironment.call` runs a call through `invoke_tool`, the one place a
+ToolError is caught, and returns a `ToolResult`: the rows with each row's
+JSON text, or the error of a call that failed.
 
 Environments are immutable after load and safe to share across runs and
 threads.  What they write are caches of derived text, each filled on first
@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ToolError
 from .records import read_document
@@ -114,6 +114,20 @@ class ToolCall:
     arguments: Mapping[str, Scalar]
 
 
+class ToolResult(NamedTuple):
+    """The rows a call returned and each row's JSON text, or no rows and the
+    error of a call that failed."""
+
+    rows: list[Row]
+    texts: list[str]
+    error: Optional[str] = None
+
+    @property
+    def list_text(self) -> str:
+        """`render_rows(rows)`, joined from the texts."""
+        return "[" + ", ".join(self.texts) + "]"
+
+
 def _values_equal(row_value: Scalar, wanted: Scalar) -> bool:
     # Tool arguments arrive as text; compare loosely but deterministically.
     return row_value == wanted or str(row_value) == str(wanted)
@@ -166,11 +180,6 @@ def render_rows(rows: Sequence[Row]) -> str:
     return "[" + ", ".join(render_row(r) for r in rows) + "]"
 
 
-def list_text(row_texts: Sequence[str]) -> str:
-    """`render_rows` of the rows whose texts these are."""
-    return "[" + ", ".join(row_texts) + "]"
-
-
 @dataclass(frozen=True)
 class ToolEnvironment:
     tables: tuple[Table, ...] = ()
@@ -213,11 +222,14 @@ class ToolEnvironment:
             )
         return matches
 
-    def row_texts(self, call: ToolCall, rows: Sequence[Row]) -> list[str]:
-        """The JSON text of each row `invoke_tool(call)` returned, each row
-        rendered once per table (`Table.row_text`)."""
+    def call(self, call: ToolCall) -> ToolResult:
+        """Run one call; a ToolError becomes the result's error."""
+        try:
+            rows = self.invoke_tool(call)
+        except ToolError as exc:
+            return ToolResult(rows=[], texts=[], error=str(exc))
         table = self.table(str(call.arguments.get("table", "")))
-        return [table.row_text(row) for row in rows]
+        return ToolResult(rows, [table.row_text(row) for row in rows])
 
     @cached_property
     def _table_schemas(self) -> str:

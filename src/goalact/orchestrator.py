@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
-from .backends import strip_code_fences, user_request
-from .environment import TOOL_DESCRIPTIONS, ToolEnvironment, list_text
+from .backends import SURROGATE, strip_code_fences, user_request
+from .environment import (TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment,
+                          ToolResult)
 from .errors import (
     AuthFailure,
     BackendUnavailable,
@@ -46,7 +47,6 @@ from .errors import (
     PlanError,
     PlanningFailed,
     RuleMiss,
-    ToolError,
 )
 from .generator import Task
 from .plan import (
@@ -214,9 +214,12 @@ class RecordingBackend:
         self.model = model
 
     def ask(self, purpose: str, prompt: str) -> str:
-        """Send `prompt` as one user message; log and return the completion."""
+        """Send `prompt` as one user message; log and return the completion,
+        or raise BackendUnavailable, unlogged, if UTF-8 cannot encode it."""
         request = user_request(prompt, model=self.model)
         response = self.inner.complete(request)
+        if not response.isascii() and SURROGATE.search(response):
+            raise BackendUnavailable("the completion holds a surrogate")
         self.trajectory.record_llm(LlmExchange(
             purpose=purpose,
             model=request.model,
@@ -229,37 +232,26 @@ class RecordingBackend:
         return response
 
 
+@dataclass
 class RecordingEnvironment:
-    """Delegates tool calls and logs each one into the trajectory.
+    """Runs tool calls on `inner` and logs each into the trajectory: a
+    successful call's result as the list of its rows' texts, as a
+    filter_records observation shows it, and a failed call's error cut to
+    the run's observation budget, since it may echo an argument of any
+    length."""
 
-    A successful call's logged result is the list of its rows' texts,
-    which the observation of a filter_records call is too.  A failed call's
-    logged error is truncated to the run's observation budget, since it may
-    echo an argument of any length.
-    """
+    inner: ToolEnvironment
+    trajectory: Trajectory
+    observation_bytes: int
 
-    def __init__(self, inner: ToolEnvironment, trajectory: Trajectory,
-                 observation_bytes: int):
-        self.inner = inner
-        self.trajectory = trajectory
-        self.observation_bytes = observation_bytes
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.inner, name)
-
-    def invoke_tool(self, call):
-        try:
-            rows = self.inner.invoke_tool(call)
-        except ToolError as exc:
-            self.trajectory.record_tool(ToolCallRecord(
-                tool=call.tool_name, arguments=dict(call.arguments),
-                result=truncate_observation(str(exc), self.observation_bytes),
-                ok=False))
-            raise
+    def call(self, call: ToolCall) -> ToolResult:
+        result = self.inner.call(call)
         self.trajectory.record_tool(ToolCallRecord(
             tool=call.tool_name, arguments=dict(call.arguments),
-            result=list_text(self.inner.row_texts(call, rows)), ok=True))
-        return rows
+            result=result.list_text if result.error is None
+            else truncate_observation(result.error, self.observation_bytes),
+            ok=result.error is None))
+        return result
 
 
 # --- shared pieces -------------------------------------------------------------------
@@ -315,7 +307,7 @@ class _Policy:
             "Available tools:",
             TOOL_DESCRIPTIONS,
             "Data tables:",
-            self.env.render_table_schemas(),
+            self.env.inner.render_table_schemas(),
             f"Question: {self.task.query}",
             self.label,
             "",
@@ -372,8 +364,8 @@ class _GoalActPolicy(_PlanPolicy):
     @cached_property
     def _planning_frame(self) -> tuple[str, ...]:
         """The planning template filled but for its history, once per run."""
-        return planning_frame(self.task.query, self.env, self.config.exemplars,
-                              self.config.registry)
+        return planning_frame(self.task.query, self.env.inner,
+                              self.config.exemplars, self.config.registry)
 
     def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
         return update_global_plan(self.plan, ask, self.config.registry,
@@ -464,8 +456,10 @@ class _LinePolicy(_TranscriptPolicy):
     last_observation: str = ""
 
     def observe(self, observation: str) -> None:
-        self.last_observation = observation
-        self.lines.append(f"Observation: {observation}")
+        """Log an observation, cut to the run's observation budget."""
+        self.last_observation = truncate_observation(
+            observation, self.config.observation_bytes)
+        self.lines.append(f"Observation: {self.last_observation}")
 
     def summary(self) -> tuple[str, str]:
         return "\n".join(self.lines), self.last_observation
@@ -495,10 +489,7 @@ class _ReActPolicy(_LinePolicy):
                 line, self.config.observation_bytes))
         if finish_answer(action_text) is not None:
             return True
-        # A tool error may echo an argument of any length: truncate it too.
-        self.observe(truncate_observation(
-            observe_emission(action_text, self.env, "Action")[0],
-            self.config.observation_bytes))
+        self.observe(observe_emission(action_text, self.env, "Action")[0])
         return False
 
 
@@ -518,8 +509,7 @@ class _CodeActPolicy(_LinePolicy):
             return True
         result = eval_script(body, self.env, self.config.sandbox_limits)
         self.lines.append("Action: script")
-        self.observe(truncate_observation(render_sandbox_outcome(result),
-                                          self.config.observation_bytes))
+        self.observe(render_sandbox_outcome(result))
         return False
 
 

@@ -25,7 +25,6 @@ from typing import Any, Callable, Iterator, Optional
 
 from .environment import (TOOL_PARAMETERS, TOOLS, ToolCall, ToolEnvironment,
                           render_number)
-from .errors import ToolError
 from .plan import truncate_observation
 from .records import check_types
 
@@ -640,14 +639,12 @@ class _Interpreter:
                          f"tool budget of {self.limits.max_tool_calls} calls "
                          "exhausted")
         self.tool_calls += 1
-        call = ToolCall(tool_name=name,
-                        arguments=dict(zip(TOOL_PARAMETERS, args)))
-        try:
-            rows = self.env.invoke_tool(call)
-        except ToolError as exc:
-            raise _Fault(FAULT_RUNTIME, f"tool {name} failed: {exc}")
-        return dict(rows[0]) if name == "get_record" \
-            else [dict(r) for r in rows]
+        result = self.env.call(ToolCall(
+            tool_name=name, arguments=dict(zip(TOOL_PARAMETERS, args))))
+        if result.error is not None:
+            raise _Fault(FAULT_RUNTIME, f"tool {name} failed: {result.error}")
+        return dict(result.rows[0]) if name == "get_record" \
+            else [dict(r) for r in result.rows]
 
 
 def _len(args: list[Any]) -> int:

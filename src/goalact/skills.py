@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .backends import strip_code_fences
-from .environment import TOOL_DESCRIPTIONS, ToolEnvironment, list_text
-from .errors import BackendUnavailable, FatalError, ToolError
+from .environment import TOOL_DESCRIPTIONS, ToolEnvironment
+from .errors import BackendUnavailable, FatalError
 from .plan import (
     CODING,
     FINISH,
@@ -202,13 +202,11 @@ def observe_emission(emission: str, env: Any, who: str) -> SkillResult:
         return f"{who} emitted no usable tool call ({problem}).", None
     call, discarded = calls[0], len(calls) - 1
     payload = {"tool": call.tool_name, "args": dict(call.arguments)}
-    try:
-        rows = env.invoke_tool(call)
-    except ToolError as exc:
-        return f"Tool call {call.tool_name} failed: {exc}", payload
-    texts = env.row_texts(call, rows)
-    observation = texts[0] if call.tool_name == "get_record" \
-        else list_text(texts)
+    result = env.call(call)
+    if result.error is not None:
+        return f"Tool call {call.tool_name} failed: {result.error}", payload
+    observation = result.texts[0] if call.tool_name == "get_record" \
+        else result.list_text
     if discarded:
         observation += (f" ({discarded} extra emitted call"
                         f"{'s' if discarded > 1 else ''} discarded)")

@@ -460,6 +460,27 @@ def test_http_content_a_run_cannot_use_is_a_backend_fault(body):
         client.complete(_req("x", model="m"))
 
 
+def test_an_http_body_that_is_not_utf8_is_a_backend_fault(monkeypatch):
+    class Response:
+        status = 200
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def read(self):
+            return b'{"choices": [{"message": {"content": "ok \xff"}}]}'
+
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda request, timeout: Response())
+    client = _client(None)  # the default, urllib transport
+    with pytest.raises(BackendUnavailable, match="not UTF-8"):
+        client.complete(_req("x", model="m"))
+    assert client.last_attempts == 1
+
+
 # --- cassettes ----------------------------------------------------------------------
 
 def test_a_completion_utf8_cannot_encode_is_neither_recorded_nor_kept(

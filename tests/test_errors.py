@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 from pathlib import Path
+from typing import Callable
 
 import goalact
 from goalact import errors
@@ -12,26 +13,38 @@ from goalact import errors
 SOURCE = Path(goalact.__file__).resolve().parent
 
 
-def _caught_names(tree: ast.AST) -> dict[str, list[str]]:
-    """Each name an `except` clause catches -> the functions it is caught
-    in, each named with its enclosing classes and functions
-    (`RecordingEnvironment.invoke_tool`)."""
-    caught: dict[str, list[str]] = {}
+def _names_by_function(tree: ast.AST, names_at: Callable[[ast.AST], list[str]]
+                       ) -> dict[str, list[str]]:
+    """Each name `names_at` finds at a node -> the functions it is found in,
+    each named with its enclosing classes and functions
+    (`ToolEnvironment.call`)."""
+    found: dict[str, list[str]] = {}
 
     def visit(node: ast.AST, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             function = node.name if function == "<module>" \
                 else f"{function}.{node.name}"
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            for part in ast.walk(node.type):
-                if isinstance(part, ast.Name):
-                    caught.setdefault(part.id, []).append(function)
+        for name in names_at(node):
+            found.setdefault(name, []).append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, "<module>")
-    return caught
+    return found
+
+
+def _caught(node: ast.AST) -> list[str]:
+    """The names an `except` clause catches."""
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        return [part.id for part in ast.walk(node.type)
+                if isinstance(part, ast.Name)]
+    return []
+
+
+def _attributes(node: ast.AST) -> list[str]:
+    """The attribute an `x.name` expression reads."""
+    return [node.attr] if isinstance(node, ast.Attribute) else []
 
 
 def _parse(path: Path) -> ast.AST:
@@ -48,15 +61,21 @@ def test_every_fault_type_is_caught_by_name_somewhere():
         "CassetteMiss", "ToolError"])
     caught: set[str] = set()
     for path in SOURCE.glob("*.py"):
-        caught |= set(_caught_names(_parse(path)))
+        caught |= set(_names_by_function(_parse(path), _caught))
     assert [name for name in defined if name not in caught] == []
 
 
-def _catchers(name: str) -> set[str]:
-    """`<module>.<function>` of every handler under src/goalact/ that
-    catches `name`."""
+def _sites(name: str, names_at: Callable[[ast.AST], list[str]]) -> set[str]:
+    """`<module>.<function>` of every place under src/goalact/ where
+    `names_at` finds `name`."""
     return {f"{path.stem}.{function}" for path in SOURCE.glob("*.py")
-            for function in _caught_names(_parse(path)).get(name, [])}
+            for function in _names_by_function(_parse(path), names_at)
+            .get(name, [])}
+
+
+def _catchers(name: str) -> set[str]:
+    """`<module>.<function>` of every handler that catches `name`."""
+    return _sites(name, _caught)
 
 
 def test_only_dispatch_turns_a_skill_outage_into_an_observation():
@@ -66,7 +85,12 @@ def test_only_dispatch_turns_a_skill_outage_into_an_observation():
         "skills.dispatch", "orchestrator.summarize", "orchestrator.run_task"}
 
 
-def test_a_tool_error_is_caught_in_three_places_only():
-    assert _catchers("ToolError") == {
-        "orchestrator.RecordingEnvironment.invoke_tool",
-        "skills.observe_emission", "sandbox._Interpreter.call_tool"}
+def test_a_tool_error_is_caught_in_tool_environment_call_only():
+    """Every tool call runs through `ToolEnvironment.call`, which returns a
+    fault as the result's error."""
+    assert _catchers("ToolError") == {"environment.ToolEnvironment.call"}
+
+
+def test_only_tool_environment_call_runs_invoke_tool():
+    assert _sites("invoke_tool", _attributes) == {
+        "environment.ToolEnvironment.call"}

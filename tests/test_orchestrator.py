@@ -6,6 +6,7 @@ import json
 import pytest
 
 from goalact.backends import Rule, ScriptedBackend
+from goalact.environment import ToolEnvironment
 from goalact.errors import BackendUnavailable, FatalError, RuleMiss
 from goalact.generator import (
     Task,
@@ -20,6 +21,7 @@ from goalact.oracle import (
     oracle_backend,
 )
 from goalact.orchestrator import (
+    CODEACT_MARKER,
     METHOD_CODEACT,
     METHOD_GOALACT,
     METHOD_PLAN_AND_EXECUTE,
@@ -30,6 +32,7 @@ from goalact.orchestrator import (
     PE_SUBTASK_MARKER,
     REACT_MARKER,
     SUMMARY_MARKER,
+    RecordingEnvironment,
     RunConfig,
     normalize_method,
     run_task,
@@ -807,3 +810,27 @@ def test_a_lone_surrogate_escape_is_a_malformed_completion(
     assert traj.termination_reason == reason
     assert traj.final_answer == "The requested value could not be determined."
     assert "x \\\\ud800" in encode_trajectory(traj)
+
+
+@pytest.mark.parametrize("method, marker, document", [
+    (METHOD_CODEACT, CODEACT_MARKER, 'return "x \ud800"'),
+    (METHOD_REACT, REACT_MARKER,
+     '{"Thought": "x \ud800", "Action": "Finish[y]"}'),
+], ids=["codeact-script", "react-thought"])
+def test_a_completion_holding_a_lone_surrogate_is_refused(
+        method, marker, document):
+    """A completion UTF-8 cannot encode, as a rules file or cassette can
+    give, is an unusable reply: the decision call fails, the run ends as
+    fatal_error, and its trajectory, which does not hold the reply, encodes."""
+    traj = _run_answering(method, (), marker, document)
+    assert traj.termination_reason == TERMINATION_FATAL
+    assert "\ud800" not in encode_trajectory(traj)
+    encode_trajectory(traj).encode("utf-8")
+
+
+def test_the_recording_environment_forwards_nothing_but_calls():
+    """A policy reads table schemas from the bare environment; the wrapper
+    a run hands its skills and sandbox only runs and logs calls."""
+    assert "__getattr__" not in vars(RecordingEnvironment)
+    assert not hasattr(RecordingEnvironment, "invoke_tool")
+    assert not hasattr(ToolEnvironment, "row_texts")
