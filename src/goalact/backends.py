@@ -6,6 +6,7 @@ record/replay wrappers keyed by a whitespace-normalized request hash."""
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import re
 import threading
@@ -204,15 +205,16 @@ def _urllib_transport(url: str, headers: dict[str, str], body: bytes,
         return exc.code, exc.read().decode("utf-8", errors="replace")
     except UnicodeDecodeError as exc:
         raise BackendUnavailable(f"response body is not UTF-8: {exc}") from exc
-    except (urllib.error.URLError, TimeoutError, OSError) as exc:
+    except (urllib.error.URLError, TimeoutError, OSError,
+            http.client.HTTPException) as exc:
         raise ConnectionError(str(exc)) from exc
 
 
 class HttpChatBackend:
     """Chat-completions client with bounded exponential backoff.
 
-    Retries timeouts, 429, and 5xx up to `max_attempts` total tries; 401/403
-    fail immediately.
+    Retries timeouts, connection faults (a body cut short among them), 429,
+    and 5xx up to `max_attempts` total tries; 401/403 fail immediately.
     """
 
     def __init__(self, endpoint: str, api_key: str, model: str,

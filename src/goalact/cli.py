@@ -25,12 +25,13 @@ from .evaluation import (
     report_from_dict,
 )
 from .generator import generate_task, load_fixture, save_fixture
-from .orchestrator import RunConfig, normalize_method, run_task
+from .orchestrator import RunConfig, normalize_method
 from .plan import Trajectory, read_trajectories, write_trajectories
 from .records import read_document
 from .sandbox import SandboxLimits
 from .suite import (
     resolve_backend_factory,
+    run_recorded,
     run_suite,
     score_trajectory,
     write_run_dir,
@@ -132,22 +133,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, backend_spec = load_run_config(args.config, method, args.backend)
     task, env = load_fixture(args.task)
     backend = resolve_backend_factory(backend_spec)(task)
-    trajectory = run_task(task, env, config, backend)
-    score = score_trajectory(task, trajectory)
-    trajectory_text = "\n".join(
-        call.response for call in trajectory.llm_calls)
-    coverage = path_coverage(task.key_middles, trajectory_text)
-    print(f"task {task.id} [{task.category}] via {method}: "
-          f"s={score.s:.4f} path_coverage={coverage:.4f} "
-          f"steps={trajectory.step_count} "
-          f"termination={trajectory.termination_reason}")
-    print(f"final answer: {trajectory.final_answer}")
+    trajectory, fault = run_recorded(task, env, config, backend)
+    if fault is None:
+        score = score_trajectory(task, trajectory)
+        trajectory_text = "\n".join(
+            call.response for call in trajectory.llm_calls)
+        coverage = path_coverage(task.key_middles, trajectory_text)
+        print(f"task {task.id} [{task.category}] via {method}: "
+              f"s={score.s:.4f} path_coverage={coverage:.4f} "
+              f"steps={trajectory.step_count} "
+              f"termination={trajectory.termination_reason}")
+        print(f"final answer: {trajectory.final_answer}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_trajectories(args.out / "trajectories.jsonl", [trajectory])
-        report = aggregate({method: [score]}, {task.id: task.category})
+        report = None if fault else aggregate({method: [score]},
+                                              {task.id: task.category})
         write_run_dir(args.out, report, config, [method], backend_spec,
-                      [task.id])
+                      [task.id], failures=[fault] if fault else ())
+    if fault is not None:
+        raise fault
     return 0
 
 

@@ -391,16 +391,27 @@ def task_to_dict(task: Task) -> dict[str, Any]:
     return record_to_dict(task)
 
 
+def _strings(value: Any, name: str) -> tuple[str, ...]:
+    """`value`, an array of strings, as a tuple; TypeError otherwise."""
+    if not isinstance(value, (list, tuple)) \
+            or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{name} must be an array of strings, not {value!r}")
+    return tuple(value)
+
+
 def task_from_dict(doc: Mapping[str, Any]) -> Task:
-    return Task(
-        id=doc["id"],
-        category=doc["category"],
-        query=doc["query"],
-        key_answers=tuple(doc["key_answers"]),
-        key_middles=tuple(doc["key_middles"]),
-        gold_path=tuple((t, k) for t, k in doc["gold_path"]),
-        recipe=dict(doc.get("recipe", {})),
-    )
+    """TypeError unless `key_answers` and `key_middles` are arrays of
+    strings and `gold_path` one of string pairs, ValueError if
+    `key_answers` is empty."""
+    gold_path = tuple((table, key) for table, key in (
+        _strings(pair, "a gold_path entry") for pair in doc["gold_path"]))
+    task = Task(id=doc["id"], category=doc["category"], query=doc["query"],
+                key_answers=_strings(doc["key_answers"], "key_answers"),
+                key_middles=_strings(doc["key_middles"], "key_middles"),
+                gold_path=gold_path, recipe=dict(doc.get("recipe", {})))
+    if not task.key_answers:
+        raise ValueError("key_answers must not be empty")
+    return task
 
 
 def save_fixture(task: Task, env: ToolEnvironment, out_dir: Path) -> Path:

@@ -4,13 +4,17 @@ Everything written into a run directory is free of timestamps and absolute
 paths, so re-running with the same manifest against a scripted or cassette
 backend reproduces every artifact byte for byte.
 
-A run that raises a backend fault does not throw the suite's work away.  A
-RuleMiss or CassetteMiss ends only its own task; an AuthFailure, which every
-later call would repeat, stops the suite at its task.  The run directory
-then holds every finished and partial trajectory, a report over the tasks
-that finished under every method run, and a manifest that lists the
-failures, and the first failure is raised.  Which runs are kept depends only
-on task order, never on `jobs`.
+The suite runs each method in turn over every task in task-id order: on
+the calling thread at `jobs` 1, else on the one thread pool it makes.
+
+A run that raises a backend fault does not throw the suite's work away:
+`run_recorded`, which `goalact run` uses too, returns its partial trajectory
+and the fault, which is the failure's record.  A RuleMiss or CassetteMiss
+ends only its own task; an AuthFailure, which every later call would repeat,
+stops the suite at its task.  The run directory then holds every finished
+and partial trajectory, a report over the tasks that finished under every
+method run, and a manifest that lists the failures, and the first failure is
+raised.  Which runs are kept depends only on task order, never on `jobs`.
 
 Each run's trajectory line is written to its method's log as soon as every
 earlier task's line is, so the suite holds no finished run beyond the ones
@@ -27,10 +31,9 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, nullcontext
-from dataclasses import dataclass
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .backends import (
     CassetteRecorder,
@@ -61,30 +64,9 @@ ENV_ENDPOINT = "GOALACT_API_BASE"
 ENV_API_KEY = "GOALACT_API_KEY"
 ENV_MODEL = "GOALACT_MODEL"
 
-# Faults of one task's run that leave the suite's other tasks to run.
-TASK_LOCAL_FAULTS = (RuleMiss, CassetteMiss)
-
 # The files a run directory gains once its runs are done, written last.
 REPORTS = {"report.txt": render_report_text, "report.json": render_report_json}
 SUMMARY_FILES = ("manifest.json", *REPORTS)
-
-
-@dataclass(frozen=True)
-class TaskFailure:
-    """A run that raised; `error.trajectory` is its partial trajectory."""
-
-    method: str
-    task_id: str
-    error: BackendError
-
-    def stops_suite(self) -> bool:
-        return not isinstance(self.error, TASK_LOCAL_FAULTS)
-
-
-# One run's (encoded trajectory line, score, failure): a finished run has a
-# score and no failure, a run that raised its partial trajectory's line and
-# its failure.
-Outcome = tuple[str, Optional[TaskScore], Optional[TaskFailure]]
 
 
 def resolve_backend_factory(spec: str) -> BackendFactory:
@@ -143,39 +125,14 @@ def score_trajectory(task: Task, trajectory: Trajectory) -> TaskScore:
                         task_id=task.id)
 
 
-def run_method_over_tasks(method: str,
-                          jobs_input: Sequence[tuple[Task, ToolEnvironment]],
-                          config: RunConfig, backend_factory: BackendFactory,
-                          jobs: int = 1) -> Iterator[Outcome]:
-    """Run one method over every task, ordered deterministically by task id.
-
-    Yields each run's outcome in task order.  A failure that stops the
-    suite is the last outcome: at `jobs` > 1 no task not yet started runs,
-    and no later task's run is yielded.
-    """
-    ordered = sorted(jobs_input, key=lambda pair: pair[0].id)
-    method_config = config.for_method(method)
-
-    def one(pair: tuple[Task, ToolEnvironment]) -> Outcome:
-        task, env = pair
-        try:
-            trajectory = run_task(task, env, method_config,
-                                  backend_factory(task))
-        except (AuthFailure, *TASK_LOCAL_FAULTS) as exc:
-            return (encode_trajectory(exc.trajectory), None,
-                    TaskFailure(method, task.id, exc))
-        return (encode_trajectory(trajectory),
-                score_trajectory(task, trajectory), None)
-
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+def run_recorded(task: Task, env: ToolEnvironment, config: RunConfig,
+                 backend: Any) -> tuple[Trajectory, Optional[BackendError]]:
+    """Run one task; a run that raised a backend fault a run directory
+    records returns its partial trajectory and the fault."""
     try:
-        for outcome in pool.map(one, ordered) if pool else map(one, ordered):
-            yield outcome
-            if outcome[2] is not None and outcome[2].stops_suite():
-                return
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        return run_task(task, env, config, backend), None
+    except (AuthFailure, RuleMiss, CassetteMiss) as exc:
+        return exc.trajectory, exc
 
 
 def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
@@ -183,7 +140,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
               backend_factory: BackendFactory, out_dir: Optional[Path] = None,
               backend_spec: str = "scripted:oracle",
               jobs: int = 1) -> SuiteReport:
-    """Run every method over every task; optionally persist run artifacts.
+    """Run every method over every task, in task-id order; optionally
+    persist run artifacts.
 
     Raises the first failure, after writing the run directory, when a run
     raised a backend fault (see the module docstring).
@@ -193,6 +151,7 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     if not methods:
         raise FatalError("the suite has no methods to run")
     categories = {task.id: task.category for task, _ in tasks_with_envs}
+    ordered = sorted(tasks_with_envs, key=lambda pair: pair[0].id)
     if out_dir is not None:
         out_dir = Path(out_dir)
         logs = out_dir / "trajectories"
@@ -201,24 +160,41 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
                                                  SUMMARY_FILES)]:
             path.unlink(missing_ok=True)
     runs: dict[str, list[TaskScore]] = {}
-    failures: list[TaskFailure] = []
-    for method in methods:
-        scores = runs[method] = []
-        log = nullcontext() if out_dir is None else open(
-            out_dir / "trajectories" / f"{method}.jsonl", "w",
-            encoding="utf-8")
-        with log as handle, closing(run_method_over_tasks(
-                method, tasks_with_envs, config, backend_factory,
-                jobs=jobs)) as outcomes:
-            for line, score, failure in outcomes:
-                if handle is not None:
-                    handle.write(line + "\n")
-                if failure is None:
-                    scores.append(score)
+    failures: list[BackendError] = []
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        for method in methods:
+            scores = runs[method] = []
+            method_config = config.for_method(method)
+
+            def one(pair: tuple[Task, ToolEnvironment]) -> tuple[
+                    str, Optional[TaskScore], Optional[BackendError]]:
+                task, env = pair
+                trajectory, fault = run_recorded(task, env, method_config,
+                                                 backend_factory(task))
+                return (encode_trajectory(trajectory), None if fault
+                        else score_trajectory(task, trajectory), fault)
+
+            log = nullcontext() if out_dir is None else open(
+                out_dir / "trajectories" / f"{method}.jsonl", "w",
+                encoding="utf-8")
+            with log as handle:
+                for line, score, fault in (pool.map if pool else map)(
+                        one, ordered):
+                    if handle is not None:
+                        handle.write(line + "\n")
+                    if fault is None:
+                        scores.append(score)
+                    else:
+                        failures.append(fault)
+                        if isinstance(fault, AuthFailure):
+                            break  # every later call would repeat it
                 else:
-                    failures.append(failure)
-        if failures and failures[-1].stops_suite():
-            break
+                    continue  # every task ran: on to the next method
+            break  # an AuthFailure stops the suite
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     finished = set.intersection(*({score.task_id for score in scores}
                                   for scores in runs.values()))
     report = aggregate({
@@ -230,19 +206,20 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
         write_run_dir(out_dir, report, config, methods, backend_spec,
                       sorted(categories), jobs=jobs, failures=failures)
     if failures:
-        raise failures[0].error
+        raise failures[0]
     return report
 
 
 def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
                   config: RunConfig, methods: Sequence[str], backend_spec: str,
                   task_ids: Sequence[str], jobs: Optional[int] = None,
-                  failures: Sequence[TaskFailure] = ()) -> None:
+                  failures: Sequence[BackendError] = ()) -> None:
     """Finish a run directory whose trajectory logs are written: write
     `manifest.json`, then `report.txt` and `report.json` when there is a
-    report.  The manifest holds a `jobs` key only when `jobs` is given, and
-    a `failures` list (task id, method, error kind) only when there are
-    failures."""
+    report, else delete any an earlier run left.  The manifest holds a
+    `jobs` key only when `jobs` is given, and a `failures` list (task id,
+    method, error kind of each fault `run_recorded` returned) only when
+    there are failures."""
     manifest: dict[str, Any] = {
         "config_hash": config_hash(config, methods, backend_spec),
         "backend": backend_spec,
@@ -254,11 +231,14 @@ def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
         manifest["jobs"] = jobs
     if failures:
         manifest["failures"] = [
-            {"task_id": f.task_id, "method": f.method,
-             "error": type(f.error).__name__} for f in failures]
+            {"task_id": fault.trajectory.task_id,
+             "method": fault.trajectory.method,
+             "error": type(fault).__name__} for fault in failures]
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    if report is not None:
-        for name, render in REPORTS.items():
+    for name, render in REPORTS.items():
+        if report is None:
+            (out_dir / name).unlink(missing_ok=True)
+        else:
             (out_dir / name).write_text(render(report), encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import random
 import sys
@@ -460,25 +461,50 @@ def test_http_content_a_run_cannot_use_is_a_backend_fault(body):
         client.complete(_req("x", model="m"))
 
 
+class _Response:
+    """A 200 response whose `read()` returns, or raises, `body`."""
+
+    status = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self):
+        if isinstance(self.body, Exception):
+            raise self.body
+        return self.body
+
+
 def test_an_http_body_that_is_not_utf8_is_a_backend_fault(monkeypatch):
-    class Response:
-        status = 200
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def read(self):
-            return b'{"choices": [{"message": {"content": "ok \xff"}}]}'
-
+    body = b'{"choices": [{"message": {"content": "ok \xff"}}]}'
     monkeypatch.setattr("urllib.request.urlopen",
-                        lambda request, timeout: Response())
+                        lambda request, timeout: _Response(body))
     client = _client(None)  # the default, urllib transport
     with pytest.raises(BackendUnavailable, match="not UTF-8"):
         client.complete(_req("x", model="m"))
     assert client.last_attempts == 1
+
+
+@pytest.mark.parametrize("cut_reads", [4, 1])
+def test_an_http_body_cut_short_is_retried(monkeypatch, cut_reads):
+    bodies = [http.client.IncompleteRead(b'{"choi', 40)] * cut_reads \
+        + [_ok_body("hi").encode()]
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda request, timeout: _Response(bodies.pop(0)))
+    client = _client(None)  # the default, urllib transport
+    if cut_reads < client.max_attempts:
+        assert client.complete(_req("x", model="m")) == "hi"
+        assert client.last_attempts == cut_reads + 1
+    else:
+        with pytest.raises(BackendUnavailable, match="IncompleteRead"):
+            client.complete(_req("x", model="m"))
+        assert client.last_attempts == client.max_attempts == 4
 
 
 # --- cassettes ----------------------------------------------------------------------

@@ -147,6 +147,11 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("rules", '["x", ["y"]]'),
     ("rules", '{"response": "x", "ordinal": 1}'),
     ("task", None),
+    ("task", {"key_answers": "Leasing Charter 7821"}),
+    ("task", {"key_answers": []}),
+    ("task", {"key_middles": [1]}),
+    ("task", {"gold_path": [["companies", 2]]}),
+    ("task", {"gold_path": [["companies"]]}),
     ("table", '{"name": "companies"}'),
     ("trajectory", "[1]"),
     ("trajectory", None),
@@ -170,14 +175,19 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
            "trajectory": tmp_path / "trajectories.jsonl",
            "report": tmp_path / "report.json",
            "exemplars": tmp_path / "exemplars.jsonl"}[kind]
-    if text is None:  # a well-formed document less one of its keys
+    if not isinstance(text, str):
+        # A well-formed document less one of its keys, or with the fields
+        # `text` holds.
         doc, key = {
             "task": (json.loads(task_file.read_text(encoding="utf-8")),
                      "query"),
             "trajectory": (trajectory_to_dict(Trajectory("t", "GoalAct")),
                            "llm_calls"),
         }[kind]
-        del doc[key]
+        if text is None:
+            del doc[key]
+        else:
+            doc.update(text)
         text = json.dumps(doc)
     bad.write_text(text + "\n", encoding="utf-8")
     if kind == "exemplars":

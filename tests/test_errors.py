@@ -85,6 +85,14 @@ def test_only_dispatch_turns_a_skill_outage_into_an_observation():
         "skills.dispatch", "orchestrator.summarize", "orchestrator.run_task"}
 
 
+def test_a_recorded_fault_is_caught_in_run_task_and_run_recorded_only():
+    """`run_task` hangs the partial trajectory on the fault and
+    `run_recorded` returns both; the suite and `goalact run` keep them."""
+    for name in ("AuthFailure", "RuleMiss", "CassetteMiss"):
+        assert _catchers(name) == {"orchestrator.run_task",
+                                   "suite.run_recorded"}
+
+
 def test_a_tool_error_is_caught_in_tool_environment_call_only():
     """Every tool call runs through `ToolEnvironment.call`, which returns a
     fault as the result's error."""

@@ -4,9 +4,11 @@ interrupted."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from goalact import suite
 from goalact.backends import ScriptedBackend
 from goalact.cli import main
 from goalact.errors import AuthFailure, CassetteMiss, RuleMiss
@@ -20,10 +22,11 @@ from goalact.oracle import oracle_backend
 from goalact.orchestrator import (
     METHOD_GOALACT,
     METHOD_REACT,
+    METHODS as ALL_METHODS,
     RunConfig,
 )
 from goalact.plan import read_trajectories
-from goalact.suite import SUMMARY_FILES, run_suite
+from goalact.suite import REPORTS, SUMMARY_FILES, run_suite
 
 METHODS = [METHOD_GOALACT, METHOD_REACT]
 
@@ -165,6 +168,54 @@ def test_a_suite_with_no_finished_task_exits_three_with_its_runs(
     # No task finished, so there is nothing to report.
     assert not (out / "report.json").exists()
     assert not (out / "report.txt").exists()
+
+
+def test_a_run_that_raised_keeps_its_line_and_failure_but_no_report(
+        tmp_path, capsys):
+    fixtures = tmp_path / "fixtures"
+    task, env = generate_khop_task(seed=3, k=2)
+    task_file = save_fixture(task, env, fixtures)
+    out, suite_out = tmp_path / "run", tmp_path / "suite"
+    assert main(["run", "--task", str(task_file), "--method", "react",
+                 "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in SUMMARY_FILES)
+    rules = tmp_path / "rules.jsonl"
+    rules.write_text(json.dumps({"response": "x",
+                                 "substrings": ["never-present-key"]}) + "\n")
+    capsys.readouterr()
+    assert main(["run", "--task", str(task_file), "--method", "react",
+                 "--backend", f"scripted:{rules}", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("backend fault: ")
+    [run] = _lines(out / "trajectories.jsonl")
+    assert (run["task_id"], run["termination_reason"]) == \
+        (task.id, "fatal_error")
+    # The manifest lists the failure as a suite over the same inputs does,
+    # and the earlier run's report is gone.
+    assert main(["suite", "--fixtures", str(fixtures), "--methods", "react",
+                 "--backend", f"scripted:{rules}", "--out",
+                 str(suite_out)]) == 3
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [{"error": "RuleMiss", "method": METHOD_REACT,
+                         "task_id": task.id}]
+    assert failures == \
+        json.loads((suite_out / "manifest.json").read_text())["failures"]
+    assert not any((out / name).exists() for name in REPORTS)
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_a_suite_makes_one_thread_pool_and_only_for_jobs(monkeypatch, jobs,
+                                                         pools):
+    made = []
+
+    def counting_pool(*args, **kwargs):
+        made.append(ThreadPoolExecutor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(suite, "ThreadPoolExecutor", counting_pool)
+    report = run_suite(_pairs(), ALL_METHODS, RunConfig(), oracle_backend,
+                       jobs=jobs)
+    assert [row.method for row in report.rows] == list(ALL_METHODS)
+    assert len(made) == pools
 
 
 def _interrupt(out, jobs):
