@@ -1,27 +1,30 @@
 """Scripted oracle backends: rule sets that solve generated tasks perfectly.
 
-Each task kind has a solver that turns the generator's construction recipe
-into one `Solution` record: the skill rules (tool emissions per objective,
-sandbox scripts, documents), the summary texts, and, for every method, the
-response it must read in each round together with the value that first
-appears in that round's prompt.  Every tool call a solution names is one
-`Lookup`, which spells each of its forms; ReAct and Plan-and-Execute make
-the same calls, one a round.  Solvers write only the skill rules, as one
-build per skill marker, and know no method's marker or rule names.  One
-assembler, `_assemble`, turns a record into ten per-marker rule families:
-it alone knows the method markers, the rule-naming scheme and the family
-order, and one helper, `_rounds`, writes every method's round family.  Rules
-key on a prompt-type marker plus the round's first new value, most specific
-round first, so one rule set serves every method deterministically.
+Each task kind has a `Solution` class that reads the generator's
+construction recipe: the skill texts (tool emissions per objective, sandbox
+scripts, documents), the summary texts, and, for every method, the response
+it must read in each round together with the value that first appears in
+that round's prompt.  Every tool call a solution names is one `Lookup`,
+which spells each of its forms; ReAct and Plan-and-Execute make the same
+calls, one a round.  A solution writes each text the first time it is read
+and knows no method's marker or rule names.
 
-`build_oracle_rules` solves the task and renders no rule: each family,
-skill families included, is a closure that renders its rules (and a
-lookup's emission JSON) when first called, so a backend built from the
-families renders only the prompt types a run sends (a CodeAct run never
-renders a plan, and only GoalAct, its ablations and Plan-and-Solve, which
-run skills, render skill rules).  Every rule holds its family's marker in
-one of its substrings; `ScriptedBackend` checks this when it builds a
-family and refuses a rule that does not.
+The rules come as per-marker families, one module-level builder each: the
+builders alone know the method markers, the rule-naming scheme and the
+family order, and one helper, `_round_rules`, writes every method's round
+family.  A kind lists only the families that hold rules for it: a k-hop
+task has no Writing or Coding family, an aggregation task no Searching or
+Writing family, a writing task no Coding family.  Rules key on a
+prompt-type marker plus the round's first new value, most specific round
+first, so one rule set serves every method deterministically.
+
+`build_oracle_rules` solves nothing and renders no rule: it binds the kind's
+builders to a fresh solution, so a backend built from the families writes
+only the texts of the prompt types a run sends (a CodeAct run writes its
+scripts and summary, never a plan or an objective, and only GoalAct, its
+ablations and Plan-and-Solve, which run skills, render skill rules).  Every
+rule holds its family's marker in one of its substrings; `ScriptedBackend`
+checks this when it builds a family and refuses a rule that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -32,7 +35,8 @@ separations.
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional
 
 from .backends import Rule, RuleFamily, ScriptedBackend
 from .generator import Task
@@ -79,27 +83,6 @@ class Lookup(NamedTuple):
                                    f'"{self.field}", "{self.value}")')
 
 
-class Solution(NamedTuple):
-    """What one task answers to every prompt; only skill rules carry markers,
-    and they come as one build per skill marker, run when first needed.
-
-    A `*_keys` list holds, per round, the value that first appears in that
-    round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
-    same call in each round, one per entry of `calls`, and then finish;
-    `call_keys` holds both methods' keys.
-    """
-    skill_builds: dict[str, Callable[[], list[Rule]]]  # by skill marker
-    summary: tuple[str, str, str]  # (success key, success text, fallback)
-    steps: list[tuple[str, SkillAction]]  # round t executes steps[t-1]
-    round_keys: Keys  # one per step
-    # (ReAct thought, Plan-and-Execute thinking, its sub-task, the call)
-    calls: list[tuple[str, str, str, Lookup]]
-    finish: tuple[str, str, str]  # (ReAct thought, ReAct action, thinking)
-    call_keys: Keys  # one per call, then the finishing round's
-    codeact_scripts: list[str]
-    codeact_keys: Keys
-
-
 def _react_json(thought: str, action: str) -> str:
     return json.dumps({"Thought": thought, "Action": action})
 
@@ -112,256 +95,385 @@ def _searching_rules(lookups: list[Lookup], prefix: str) -> list[Rule]:
             for i, lookup in enumerate(lookups, start=1)]
 
 
-# --- assembly ---------------------------------------------------------------------------
+class _written:
+    """A solution field written on its first read and kept on the solution:
+    `functools.cached_property` without the lock it takes on every first
+    read (Python < 3.12), which a solution, read by one run's thread, does
+    not need."""
 
-def _rounds(marker: str, render: Callable[[], list[str]], round_keys: Keys,
-            prefix: str, disabled: bool = False) -> RuleFamily:
-    """A family of one rule per round, last round first, rendered on first
-    use: round t answers render()[t-1] and keys on round_keys[t-1]; the
-    opening round keys on the marker only.  With `disabled`, a first rule
-    answers a "currently disabled" prompt with the last response."""
-    def build() -> list[Rule]:
-        responses = render()
-        rules = [Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
-                                    name=f"{prefix}-disabled")
-                 ] if disabled else []
-        rules += [Rule.on_substrings(responses[t - 1], marker,
-                                     round_keys[t - 1], name=f"{prefix}-round{t}")
-                  for t in range(len(round_keys), 1, -1)]
-        rules.append(Rule.on_substrings(responses[0], marker,
-                                        name=f"{prefix}-round1"))
-        return rules
-    return marker, build
+    def __init__(self, write: Callable[[Any], Any]):
+        self.write, self.name = write, write.__name__
+
+    def __get__(self, solution: Any, owner: Optional[type] = None) -> Any:
+        if solution is None:
+            return self
+        value = solution.__dict__[self.name] = self.write(solution)
+        return value
 
 
-def _assemble(s: Solution, prefix: str) -> list[RuleFamily]:
-    """Every method's rule families for one solved task, in matching order.
+class Solution:
+    """What one task answers to every prompt, each text written when first
+    read; a subclass per task kind reads its recipe.
 
-    Each family is a prompt-type marker and a closure that builds only the
-    rules keyed on it; every one of those rules holds the marker in one of
-    its substrings, which is what lets a backend match a prompt within the
-    family of the one marker it holds.
+    A `*_keys` list holds, per round, the value that first appears in that
+    round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
+    same call in each round, one per entry of `calls`, and then finish;
+    `call_keys` holds both methods' keys.
     """
+    prefix: str  # of every rule name
+    families: tuple[tuple[str, Callable[["Solution"], list[Rule]]], ...]
+    # summary: (success key, success text, fallback)
+    # steps: round t executes steps[t-1]; round_keys: one per step
+    # calls: (ReAct thought, Plan-and-Execute thinking, the call) per call
+    # finish: (ReAct thought, ReAct action, Plan-and-Execute thinking)
+    # call_keys: one per call, then the finishing round's
+    # codeact_scripts and codeact_keys: one per CodeAct round
+
+    def __init__(self, task: Task):
+        self.task = task
+        self.recipe = task.recipe
+
+    @_written
+    def subtasks(self) -> list[str]:
+        """Plan-and-Execute's sub-task per call."""
+        return [lookup.subtask for *_, lookup in self.calls]
+
+
+# --- rule families ------------------------------------------------------------------
+# Each builder renders one marker's rules for a solution; every one of those
+# rules holds the marker in one of its substrings, which is what lets a
+# backend match a prompt within the family of the one marker it holds.
+
+def _round_rules(marker: str, responses: list[str], round_keys: Keys,
+                 prefix: str, disabled: bool = False) -> list[Rule]:
+    """One rule per round, last round first: round t answers
+    responses[t-1] and keys on round_keys[t-1]; the opening round keys on
+    the marker only.  With `disabled`, a first rule answers a "currently
+    disabled" prompt with the last response."""
+    rules = [Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
+                                name=f"{prefix}-disabled")] if disabled else []
+    rules += [Rule.on_substrings(responses[t - 1], marker, round_keys[t - 1],
+                                 name=f"{prefix}-round{t}")
+              for t in range(len(round_keys), 1, -1)]
+    rules.append(Rule.on_substrings(responses[0], marker,
+                                    name=f"{prefix}-round1"))
+    return rules
+
+
+def _searching_family(s: Solution) -> list[Rule]:
+    return _searching_rules(s.lookups, s.prefix)
+
+
+def _writing_family(s: Solution) -> list[Rule]:
+    return [Rule.on_substrings(s.document,
+                               f"{WRITING_MARKER} {s.write_objective}",
+                               name="writing-compose")]
+
+
+def _coding_family(s: Solution) -> list[Rule]:
+    return [Rule.on_substrings(s.script,
+                               f"{CODING_MARKER} {s.code_objective}",
+                               name="agg-script")]
+
+
+def _summary_family(s: Solution) -> list[Rule]:
     success_key, success_text, fallback_text = s.summary
+    return [Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
+                               name=f"{s.prefix}-summary-success"),
+            Rule.on_substrings(fallback_text, SUMMARY_MARKER,
+                               name=f"{s.prefix}-summary-fallback")]
 
-    def skill(marker: str) -> RuleFamily:
-        return marker, s.skill_builds.get(marker, list)
 
-    def summary() -> list[Rule]:
-        return [Rule.on_substrings(success_text, SUMMARY_MARKER, success_key,
-                                   name=f"{prefix}-summary-success"),
-                Rule.on_substrings(fallback_text, SUMMARY_MARKER,
-                                   name=f"{prefix}-summary-fallback")]
-
-    def react_turns() -> list[str]:
-        turns = [(thought, lookup.action) for thought, _, _, lookup in s.calls]
-        return [_react_json(*turn) for turn in turns + [s.finish[:2]]]
-
-    def pe_plans() -> list[str]:
-        steps = [(thinking, subtask) for _, thinking, subtask, _ in s.calls]
-        steps.append((s.finish[2], "Finish"))
-        return [render_step_array(steps[t:]) for t in range(len(steps))]
-
-    def pe_subtasks() -> list[Rule]:
-        return [Rule.on_substrings(lookup.emission,
-                                   f"{PE_SUBTASK_MARKER} {subtask}",
-                                   name=f"{prefix}-pe-sub{i}")
-                for i, (_, _, subtask, lookup) in enumerate(s.calls, start=1)]
-
+def _plan_family(s: Solution) -> list[Rule]:
     # The plan continuation at round t is the step suffix with t-1 steps
-    # executed; the plan-less ablation answers with just step t.
-    return [
-        skill(SEARCHING_MARKER), skill(WRITING_MARKER), skill(CODING_MARKER),
-        (SUMMARY_MARKER, summary),
-        _rounds(PLANNING_MARKER, lambda: [render_plan_steps(s.steps[t:])
+    # executed.
+    return _round_rules(PLANNING_MARKER, [render_plan_steps(s.steps[t:])
                                           for t in range(len(s.steps))],
-                s.round_keys, f"{prefix}-plan", disabled=True),
-        _rounds(NO_PLAN_MARKER,
-                lambda: [render_plan_steps([step]) for step in s.steps],
-                s.round_keys, f"{prefix}-single", disabled=True),
-        _rounds(REACT_MARKER, react_turns, s.call_keys, f"{prefix}-react"),
-        _rounds(CODEACT_MARKER, lambda: s.codeact_scripts, s.codeact_keys,
-                f"{prefix}-codeact"),
-        _rounds(PE_PLAN_MARKER, pe_plans, s.call_keys, f"{prefix}-pe"),
-        (PE_SUBTASK_MARKER, pe_subtasks),
-    ]
+                        s.round_keys, f"{s.prefix}-plan", disabled=True)
+
+
+def _single_family(s: Solution) -> list[Rule]:
+    # The plan-less ablation answers with just step t.
+    return _round_rules(NO_PLAN_MARKER,
+                        [render_plan_steps([step]) for step in s.steps],
+                        s.round_keys, f"{s.prefix}-single", disabled=True)
+
+
+def _react_family(s: Solution) -> list[Rule]:
+    turns = [(thought, lookup.action) for thought, _, lookup in s.calls]
+    turns.append(s.finish[:2])
+    return _round_rules(REACT_MARKER, [_react_json(*turn) for turn in turns],
+                        s.call_keys, f"{s.prefix}-react")
+
+
+def _codeact_family(s: Solution) -> list[Rule]:
+    return _round_rules(CODEACT_MARKER, s.codeact_scripts, s.codeact_keys,
+                        f"{s.prefix}-codeact")
+
+
+def _pe_plan_family(s: Solution) -> list[Rule]:
+    steps = [(thinking, subtask)
+             for (_, thinking, _), subtask in zip(s.calls, s.subtasks)]
+    steps.append((s.finish[2], "Finish"))
+    return _round_rules(PE_PLAN_MARKER, [render_step_array(steps[t:])
+                                         for t in range(len(steps))],
+                        s.call_keys, f"{s.prefix}-pe")
+
+
+def _pe_subtask_family(s: Solution) -> list[Rule]:
+    return [Rule.on_substrings(lookup.emission,
+                               f"{PE_SUBTASK_MARKER} {subtask}",
+                               name=f"{s.prefix}-pe-sub{i}")
+            for i, ((*_, lookup), subtask)
+            in enumerate(zip(s.calls, s.subtasks), start=1)]
+
+
+# Every kind's method families, after its skill families, in matching order.
+_METHOD_FAMILIES = (
+    (SUMMARY_MARKER, _summary_family),
+    (PLANNING_MARKER, _plan_family),
+    (NO_PLAN_MARKER, _single_family),
+    (REACT_MARKER, _react_family),
+    (CODEACT_MARKER, _codeact_family),
+    (PE_PLAN_MARKER, _pe_plan_family),
+    (PE_SUBTASK_MARKER, _pe_subtask_family),
+)
 
 
 # --- k-hop lookup tasks -------------------------------------------------------------
 
-def _khop_solution(task: Task) -> Solution:
-    hops = task.recipe["hops"]
-    answer = task.recipe["answer"]
-    answer_field = task.recipe["answer_field"]
-    k = len(hops)
+class _KhopSolution(Solution):
+    prefix = "khop"
+    families = ((SEARCHING_MARKER, _searching_family), *_METHOD_FAMILIES)
 
-    lookups = [Lookup("get_record", h["table"], h["lookup_field"],
-                      h["lookup_value"]) for h in hops]
-    steps = [(f"Hop {i}: resolve the {lookup.table} record.",
-              SkillAction(kind=SEARCHING, objective=lookup.objective))
-             for i, lookup in enumerate(lookups, start=1)]
-    steps.append(("Every hop is resolved; finish.", SkillAction(kind=FINISH)))
+    @_written
+    def lookups(self) -> list[Lookup]:
+        return [Lookup("get_record", h["table"], h["lookup_field"],
+                       h["lookup_value"]) for h in self.recipe["hops"]]
 
-    # Round t first sees hop t's key (t >= 2); the last round sees the answer.
-    round_keys: Keys = [None]
-    round_keys += [lookup.value for lookup in lookups[1:]]
-    round_keys.append(answer)
+    @_written
+    def summary(self) -> tuple[str, str, str]:
+        answer = self.recipe["answer"]
+        return (answer, f"The {self.recipe['answer_field']} of the final "
+                        f"record is {answer}.",
+                "The requested value could not be determined.")
 
-    chain_lines = []
-    for i, h in enumerate(hops, start=1):
-        source = f'"{h["lookup_value"]}"' if i == 1 \
-            else f"r{i - 1}.{h['lookup_field']}"
+    @_written
+    def steps(self) -> list[tuple[str, SkillAction]]:
+        steps = [(f"Hop {i}: resolve the {lookup.table} record.",
+                  SkillAction(kind=SEARCHING, objective=lookup.objective))
+                 for i, lookup in enumerate(self.lookups, start=1)]
+        steps.append(("Every hop is resolved; finish.",
+                      SkillAction(kind=FINISH)))
+        return steps
+
+    @_written
+    def round_keys(self) -> Keys:
+        # Round t first sees hop t's key (t >= 2); the last round sees the
+        # answer.
+        return [None, *(lookup.value for lookup in self.lookups[1:]),
+                self.recipe["answer"]]
+
+    call_keys = property(lambda self: self.round_keys)
+
+    @_written
+    def calls(self) -> list[tuple[str, str, Lookup]]:
+        return [(f"Hop {i}: fetch the {lookup.table} record.",
+                 f"Sub-task {i}: one lookup.", lookup)
+                for i, lookup in enumerate(self.lookups, start=1)]
+
+    @_written
+    def finish(self) -> tuple[str, str, str]:
+        return ("The final record is in hand.",
+                f"Finish[The {self.recipe['answer_field']} is "
+                f"{self.recipe['answer']}]",
+                "All sub-tasks done.")
+
+    @_written
+    def codeact_scripts(self) -> list[str]:
+        hops = self.recipe["hops"]
+        chain_lines = []
+        for i, h in enumerate(hops, start=1):
+            source = f'"{h["lookup_value"]}"' if i == 1 \
+                else f"r{i - 1}.{h['lookup_field']}"
+            chain_lines.append(f'r{i} = get_record("{h["table"]}", '
+                               f'"{h["lookup_field"]}", {source})')
         chain_lines.append(
-            f'r{i} = get_record("{h["table"]}", "{h["lookup_field"]}", {source})')
-    chain_lines.append(f"return r{k}.{answer_field}")
+            f"return r{len(hops)}.{self.recipe['answer_field']}")
+        return ["\n".join(chain_lines), "Finish[the chain is resolved]"]
 
-    return Solution(
-        skill_builds={
-            SEARCHING_MARKER: lambda: _searching_rules(lookups, "khop")},
-        summary=(answer, f"The {answer_field} of the final record is {answer}.",
-                 "The requested value could not be determined."),
-        steps=steps, round_keys=round_keys,
-        calls=[(f"Hop {i}: fetch the {lookup.table} record.",
-                f"Sub-task {i}: one lookup.", lookup.subtask, lookup)
-               for i, lookup in enumerate(lookups, start=1)],
-        finish=("The final record is in hand.",
-                f"Finish[The {answer_field} is {answer}]",
-                "All sub-tasks done."),
-        call_keys=round_keys,
-        codeact_scripts=["\n".join(chain_lines),
-                         "Finish[the chain is resolved]"],
-        codeact_keys=[None, answer])
+    codeact_keys = property(lambda self: [None, self.recipe["answer"]])
 
 
 # --- writing tasks ------------------------------------------------------------------
 
-def _writing_solution(task: Task) -> Solution:
-    r = task.recipe
-    plaintiff_id = task.gold_path[0][1]
-    doc_marker = r["doc_marker"]
+class _WritingSolution(Solution):
+    prefix = "writing"
+    families = ((SEARCHING_MARKER, _searching_family),
+                (WRITING_MARKER, _writing_family), *_METHOD_FAMILIES)
+    write_objective = ("compose the defense brief citing the gathered "
+                       "parties, counsel, and statutes")
+    finish = ("The facts are gathered.", "Finish[facts gathered]",
+              "All facts fetched.")
 
-    lookups = [Lookup("get_record", "parties", "legal_name", r["plaintiff_name"]),
-               Lookup("get_record", "parties", "legal_name", r["defendant_name"]),
-               Lookup("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
-               Lookup("filter_records", "statutes", "topic", r["topic"])]
-    obj_write = ("compose the defense brief citing the gathered parties, "
-                 "counsel, and statutes")
+    @_written
+    def lookups(self) -> list[Lookup]:
+        r = self.recipe
+        return [Lookup("get_record", "parties", "legal_name",
+                       r["plaintiff_name"]),
+                Lookup("get_record", "parties", "legal_name",
+                       r["defendant_name"]),
+                Lookup("get_record", "lawyers", "lawyer_id", r["counsel_id"]),
+                Lookup("filter_records", "statutes", "topic", r["topic"])]
 
-    document = (
-        f"{doc_marker}\n"
-        f"On behalf of the defendant {r['defendant_name']} (registration "
-        f"{r['registration_code']}), counsel {r['counsel_name']} (bar number "
-        f"{r['bar_number']}) answers the complaint brought by the plaintiff "
-        f"{r['plaintiff_name']}. The defense invokes "
-        f"{r['statute_ids'][0]} and {r['statute_ids'][1]}, both governing "
-        f"{r['topic']}, and requests dismissal of every claim."
-    )
+    @_written
+    def document(self) -> str:
+        r = self.recipe
+        return (
+            f"{r['doc_marker']}\n"
+            f"On behalf of the defendant {r['defendant_name']} (registration "
+            f"{r['registration_code']}), counsel {r['counsel_name']} (bar "
+            f"number {r['bar_number']}) answers the complaint brought by the "
+            f"plaintiff {r['plaintiff_name']}. The defense invokes "
+            f"{r['statute_ids'][0]} and {r['statute_ids'][1]}, both governing "
+            f"{r['topic']}, and requests dismissal of every claim."
+        )
 
-    thoughts = ["Gather the plaintiff's registered details.",
-                "Gather the defendant's registered details.",
-                "Identify the defendant's counsel.",
-                "Collect the statutes on the disputed topic."]
-    steps = [(thought, SkillAction(SEARCHING, lookup.objective))
-             for thought, lookup in zip(thoughts, lookups)]
-    steps += [("Compose the defense brief from the gathered material.",
-               SkillAction(WRITING, obj_write)),
-              ("The brief is complete; finish.", SkillAction(kind=FINISH))]
-    round_keys: Keys = [None, plaintiff_id, r["registration_code"],
-                        r["bar_number"], r["statute_ids"][0], doc_marker]
+    @_written
+    def summary(self) -> tuple[str, str, str]:
+        r = self.recipe
+        return (r["doc_marker"], self.document,
+                "A complete defense brief could not be produced. Parties "
+                f"involved: {r['plaintiff_name']} versus "
+                f"{r['defendant_name']}.")
 
-    skill_builds = {
-        SEARCHING_MARKER: lambda: _searching_rules(lookups, "writing"),
-        WRITING_MARKER: lambda: [Rule.on_substrings(
-            document, f"{WRITING_MARKER} {obj_write}", name="writing-compose")],
-    }
+    @_written
+    def steps(self) -> list[tuple[str, SkillAction]]:
+        thoughts = ["Gather the plaintiff's registered details.",
+                    "Gather the defendant's registered details.",
+                    "Identify the defendant's counsel.",
+                    "Collect the statutes on the disputed topic."]
+        steps = [(thought, SkillAction(SEARCHING, lookup.objective))
+                 for thought, lookup in zip(thoughts, self.lookups)]
+        steps += [("Compose the defense brief from the gathered material.",
+                   SkillAction(WRITING, self.write_objective)),
+                  ("The brief is complete; finish.", SkillAction(kind=FINISH))]
+        return steps
 
-    react_thoughts = ["Start with the plaintiff's record.",
-                      "Now the defendant's record.",
-                      "Find the defendant's counsel.",
-                      "Collect the statutes for the topic."]
+    @_written
+    def round_keys(self) -> Keys:
+        r = self.recipe
+        return [None, self.task.gold_path[0][1], r["registration_code"],
+                r["bar_number"], r["statute_ids"][0], r["doc_marker"]]
 
-    codeact_script = "\n".join([
-        f"d = {lookups[1].script}",
-        'l = get_record("lawyers", "lawyer_id", d.counsel_id)',
-        "return [d, l]",
-    ])
+    call_keys = property(lambda self: self.round_keys[:5])
 
-    return Solution(
-        skill_builds=skill_builds,
-        summary=(doc_marker, document,
-                 "A complete defense brief could not be produced. Parties "
-                 f"involved: {r['plaintiff_name']} versus "
-                 f"{r['defendant_name']}."),
-        steps=steps, round_keys=round_keys,
-        calls=[(thought, f"Sub-task {i}.", lookup.subtask, lookup)
-               for i, (thought, lookup)
-               in enumerate(zip(react_thoughts, lookups), start=1)],
-        finish=("The facts are gathered.", "Finish[facts gathered]",
-                "All facts fetched."),
-        call_keys=round_keys[:5],
-        codeact_scripts=[codeact_script, "Finish[facts gathered]"],
-        codeact_keys=[None, r["bar_number"]])
+    @_written
+    def calls(self) -> list[tuple[str, str, Lookup]]:
+        react_thoughts = ["Start with the plaintiff's record.",
+                          "Now the defendant's record.",
+                          "Find the defendant's counsel.",
+                          "Collect the statutes for the topic."]
+        return [(thought, f"Sub-task {i}.", lookup)
+                for i, (thought, lookup)
+                in enumerate(zip(react_thoughts, self.lookups), start=1)]
+
+    @_written
+    def codeact_scripts(self) -> list[str]:
+        return ["\n".join([
+            f"d = {self.lookups[1].script}",
+            'l = get_record("lawyers", "lawyer_id", d.counsel_id)',
+            "return [d, l]",
+        ]), "Finish[facts gathered]"]
+
+    codeact_keys = property(lambda self: [None, self.recipe["bar_number"]])
 
 
 # --- aggregation tasks ----------------------------------------------------------------
 
-def _aggregation_solution(task: Task) -> Solution:
-    r = task.recipe
-    table, field_name = r["table"], r["filter_field"]
-    value, sum_field = r["filter_value"], r["sum_field"]
-    rendered_total = r["rendered_total"]
-    result_key = f"Result: {rendered_total}"
-    first_gold_id = task.gold_path[0][1]
+class _AggregationSolution(Solution):
+    prefix = "agg"
+    families = ((CODING_MARKER, _coding_family), *_METHOD_FAMILIES)
+    finish = ("Plain tool calls cannot sum these rows.",
+              "Finish[the rows are listed but the total needs computation]",
+              "Nothing more a single call can do.")
 
-    lookup = Lookup("filter_records", table, field_name, value)
-    obj_code = (f"filter {table} by {field_name} {value} and sum the "
-                f"{sum_field} field")
-    script = "\n".join([
-        f"rows = {lookup.script}",
-        "total = 0",
-        "for r in rows { total = total + r.%s }" % sum_field,
-        "return total",
-    ])
+    @_written
+    def code_objective(self) -> str:
+        r = self.recipe
+        return (f"filter {r['table']} by {r['filter_field']} "
+                f"{r['filter_value']} and sum the {r['sum_field']} field")
 
-    return Solution(
-        skill_builds={CODING_MARKER: lambda: [Rule.on_substrings(
-            script, f"{CODING_MARKER} {obj_code}", name="agg-script")]},
-        summary=(result_key, f"The total amount is {rendered_total}.",
-                 "The total could not be computed within the available "
-                 "budget."),
-        steps=[("Too many rows to fetch one by one; compute the total with a "
-                "script.", SkillAction(CODING, obj_code)),
-               ("The total is computed; finish.", SkillAction(kind=FINISH))],
-        round_keys=[None, result_key],
-        calls=[("Pull every matching row first.", "List the matching rows.",
-                f"Fetch every {table} row whose {field_name} is {value}",
-                lookup)],
-        finish=("Plain tool calls cannot sum these rows.",
-                "Finish[the rows are listed but the total needs computation]",
-                "Nothing more a single call can do."),
-        call_keys=[None, first_gold_id],
-        codeact_scripts=[script, "Finish[total computed]"],
-        codeact_keys=[None, result_key])
+    @_written
+    def script(self) -> str:
+        lookup = self.calls[0][2]
+        return "\n".join([
+            f"rows = {lookup.script}",
+            "total = 0",
+            "for r in rows { total = total + r.%s }" % self.recipe["sum_field"],
+            "return total",
+        ])
+
+    @_written
+    def result_key(self) -> str:
+        return f"Result: {self.recipe['rendered_total']}"
+
+    @_written
+    def summary(self) -> tuple[str, str, str]:
+        return (self.result_key,
+                f"The total amount is {self.recipe['rendered_total']}.",
+                "The total could not be computed within the available "
+                "budget.")
+
+    @_written
+    def steps(self) -> list[tuple[str, SkillAction]]:
+        return [("Too many rows to fetch one by one; compute the total with "
+                 "a script.", SkillAction(CODING, self.code_objective)),
+                ("The total is computed; finish.", SkillAction(kind=FINISH))]
+
+    @_written
+    def round_keys(self) -> Keys:
+        return [None, self.result_key]
+
+    @_written
+    def calls(self) -> list[tuple[str, str, Lookup]]:
+        r = self.recipe
+        return [("Pull every matching row first.", "List the matching rows.",
+                 Lookup("filter_records", r["table"], r["filter_field"],
+                        r["filter_value"]))]
+
+    @_written
+    def subtasks(self) -> list[str]:
+        r = self.recipe
+        return [f"Fetch every {r['table']} row whose {r['filter_field']} is "
+                f"{r['filter_value']}"]
+
+    call_keys = property(lambda self: [None, self.task.gold_path[0][1]])
+    codeact_scripts = property(
+        lambda self: [self.script, "Finish[total computed]"])
+    codeact_keys = property(lambda self: self.round_keys)
 
 
 # --- entry points -----------------------------------------------------------------------
 
-# recipe kind -> (rule-name prefix, solver)
-_SOLVERS = {
-    "khop": ("khop", _khop_solution),
-    "writing": ("writing", _writing_solution),
-    "aggregation": ("agg", _aggregation_solution),
+# recipe kind -> its solution
+_SOLVERS: dict[str, type[Solution]] = {
+    "khop": _KhopSolution,
+    "writing": _WritingSolution,
+    "aggregation": _AggregationSolution,
 }
 
 
 def build_oracle_rules(task: Task) -> list[RuleFamily]:
-    """Solve `task` and return its rules as lazy per-marker families, in
-    matching order; flattened, they are the task's full rule list."""
-    kind = task.recipe.get("kind")
-    if kind not in _SOLVERS:
+    """The task's rules as lazy per-marker families, in matching order: its
+    kind's builders bound to one fresh solution.  Flattened, they are the
+    task's full rule list."""
+    solver = _SOLVERS.get(task.recipe.get("kind"))
+    if solver is None:
         raise ValueError(f"task {task.id} carries no oracle recipe")
-    prefix, solve = _SOLVERS[kind]
-    return _assemble(solve(task), prefix)
+    solution = solver(task)
+    return [(marker, partial(build, solution))
+            for marker, build in solver.families]
 
 
 def oracle_backend(task: Task) -> ScriptedBackend:

@@ -250,10 +250,15 @@ def trajectory_from_dict(doc: Any) -> Trajectory:
     return traj
 
 
+# `json.dumps` with these options, made once: `trajectory_to_dict` builds a
+# fresh tree, so no container needs the circular-reference check.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
+                                 check_circular=False)
+
+
 def encode_trajectory(traj: Trajectory) -> str:
     """One canonical JSON document, suitable for line-delimited logs."""
-    return json.dumps(trajectory_to_dict(traj), ensure_ascii=False,
-                      separators=(",", ":"))
+    return _LINE_ENCODER.encode(trajectory_to_dict(traj))
 
 
 def decode_trajectory(line: str) -> Trajectory:

@@ -58,6 +58,11 @@ _SLOTS = ("question", "table_used_prompt", "tool_prompt", "memory",
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[(.*)\])?\s*$",
                       re.DOTALL)
 
+# What a JSON value can start with, after JSON whitespace: the decoder
+# refuses any other text.
+_JSON_START = re.compile(
+    r'[ \t\n\r]*(?:[{\["\-0-9]|true|false|null|NaN|Infinity)')
+
 
 def count_word(n: int) -> str:
     return _NUMBER_WORDS[n] if 0 <= n < len(_NUMBER_WORDS) else str(n)
@@ -251,7 +256,11 @@ def parse_thought_action(raw: str) -> Optional[tuple[str, str]]:
 
 
 def _decoded(text: str) -> Any:
-    """The JSON value of `text`, or None when it does not parse."""
+    """The JSON value of `text`, or None when it does not parse.  A text
+    that cannot begin a JSON value, such as a `Tool[...]` call, is not
+    decoded."""
+    if _JSON_START.match(text) is None:
+        return None
     try:
         return decode_json(text)
     except json.JSONDecodeError:

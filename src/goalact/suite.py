@@ -17,8 +17,10 @@ method run, and a manifest that lists the failures, and the first failure is
 raised.  Which runs are kept depends only on task order, never on `jobs`.
 
 Each run's trajectory line is written to its method's log as soon as every
-earlier task's line is, so the suite holds no finished run beyond the ones
-its workers are making.  The manifest and the reports are written last.
+earlier task's line is.  At `jobs` N > 1 at most N runs are in flight
+beyond the one whose line the suite waits to write, and the next starts
+only once that line is written, so a slow run holds back at most N
+finished lines.  The manifest and the reports are written last.
 Before its first line the suite deletes them and every method log an
 earlier run left, so no log of a method it does not run survives, and a
 directory without `manifest.json` holds an unfinished suite.
@@ -30,10 +32,12 @@ import dataclasses
 import hashlib
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .backends import (
     CassetteRecorder,
@@ -135,6 +139,19 @@ def run_recorded(task: Task, env: ToolEnvironment, config: RunConfig,
         return exc.trajectory, exc
 
 
+def _in_order(pool: ThreadPoolExecutor, fn: Callable[[Any], Any],
+              items: Sequence[Any], ahead: int) -> Iterator[Any]:
+    """`fn` of each item, in order, run on `pool`: at most `ahead` calls
+    are in flight beyond the one whose result is awaited, and one more is
+    submitted only once the consumer has taken a result."""
+    rest = iter(items)
+    pending = deque(pool.submit(fn, item)
+                    for item in islice(rest, ahead + 1))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(fn, item) for item in islice(rest, 1))
+
+
 def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
               methods: Sequence[str], config: RunConfig,
               backend_factory: BackendFactory, out_dir: Optional[Path] = None,
@@ -179,8 +196,9 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
                 out_dir / "trajectories" / f"{method}.jsonl", "w",
                 encoding="utf-8")
             with log as handle:
-                for line, score, fault in (pool.map if pool else map)(
-                        one, ordered):
+                for line, score, fault in (
+                        _in_order(pool, one, ordered, jobs) if pool
+                        else map(one, ordered)):
                     if handle is not None:
                         handle.write(line + "\n")
                     if fault is None:

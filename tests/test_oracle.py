@@ -20,9 +20,22 @@ from goalact.environment import TOOL_PARAMETERS, ToolCall
 from goalact.errors import RuleMiss
 from goalact.generator import CATEGORY_ORDER, generate_task
 from goalact.oracle import build_oracle_rules, oracle_backend
-from goalact.orchestrator import CODEACT_MARKER, SUMMARY_MARKER
+from goalact.orchestrator import (
+    CODEACT_MARKER,
+    NO_PLAN_MARKER,
+    PE_PLAN_MARKER,
+    PE_SUBTASK_MARKER,
+    REACT_MARKER,
+    SUMMARY_MARKER,
+)
+from goalact.planner import PLANNING_MARKER
 from goalact.sandbox import SandboxLimits, eval_script
-from goalact.skills import SEARCHING_MARKER, parse_tool_emission
+from goalact.skills import (
+    CODING_MARKER,
+    SEARCHING_MARKER,
+    WRITING_MARKER,
+    parse_tool_emission,
+)
 
 RULES_DIGEST = "d0e2c23d8dc1cf6e58d553024824253bcf794f1d33e3256f6f25edf22bb4bdee"
 
@@ -64,11 +77,24 @@ def test_a_prompt_without_a_marker_misses_naming_the_first_rule(
         "prompt starts: 'Say something helpful.'")
 
 
+METHOD_MARKERS = [SUMMARY_MARKER, PLANNING_MARKER, NO_PLAN_MARKER,
+                  REACT_MARKER, CODEACT_MARKER, PE_PLAN_MARKER,
+                  PE_SUBTASK_MARKER]
+# Each kind lists only the families that hold rules for it.
+KIND_MARKERS = {
+    "khop": [SEARCHING_MARKER, *METHOD_MARKERS],
+    "writing": [SEARCHING_MARKER, WRITING_MARKER, *METHOD_MARKERS],
+    "aggregation": [CODING_MARKER, *METHOD_MARKERS],
+}
+
+
 def test_every_oracle_rule_holds_its_family_marker():
     """The invariant that makes matching within one family exact."""
     for category, seed in TASKS:
-        families = build_oracle_rules(generate_task(category, seed)[0])
-        assert len({marker for marker, _ in families}) == len(families) == 10
+        task = generate_task(category, seed)[0]
+        families = build_oracle_rules(task)
+        assert [marker for marker, _ in families] == \
+            KIND_MARKERS[task.recipe["kind"]]
         for marker, build in families:
             for rule in build():
                 assert any(marker in key for key in rule.substrings), \
@@ -139,8 +165,8 @@ def test_each_lookup_spells_one_call_that_finds_rows():
     lookups = 0
     for category, seed in TASKS:
         task, env = generate_task(category, seed)
-        solve = oracle._SOLVERS[task.recipe["kind"]][1]
-        for *_, lookup in solve(task).calls:
+        solution = oracle._SOLVERS[task.recipe["kind"]](task)
+        for *_, lookup in solution.calls:
             call = ToolCall(lookup.tool, dict(zip(TOOL_PARAMETERS, lookup[1:])))
             assert parse_tool_emission(lookup.emission) == ([call], None)
             assert parse_tool_emission(lookup.action) == ([call], None)

@@ -8,9 +8,11 @@ frames filled.  Given an exemplar file, the same script runs GoalAct and
 Plan-and-Solve with it instead, to count its reads.  The same suite, run in
 this process, counts the trajectories alive after each run; replayed from a
 cassette recorded from it, it counts the request hashes.  The lazy oracle
-is guarded by counting the plan, ReAct and skill-rule renderings and the
-rule families a single run builds.  Table lookups are guarded by counting the row reads of a 2,000-row
-table.
+is guarded by counting the plan, ReAct and skill-rule renderings, the rule
+families a single run builds and the objective and sub-task texts it
+writes, and the planner by counting the JSON decodes of a `Tool[...]`
+action.  Table lookups are guarded by counting the row reads of a
+2,000-row table.
 """
 
 from __future__ import annotations
@@ -25,15 +27,27 @@ from pathlib import Path
 import pytest
 
 import goalact
-from goalact import backends, oracle, suite
+from goalact import backends, oracle, planner, suite
 from goalact.environment import Table, ToolCall, ToolEnvironment
 from goalact.generator import (
     generate_aggregation_task,
     generate_khop_task,
     generate_writing_task,
 )
-from goalact.orchestrator import METHODS, RunConfig, run_task
+from goalact.orchestrator import (
+    CODEACT_MARKER,
+    METHODS,
+    NO_PLAN_MARKER,
+    PE_PLAN_MARKER,
+    PE_SUBTASK_MARKER,
+    REACT_MARKER,
+    SUMMARY_MARKER,
+    RunConfig,
+    run_task,
+)
 from goalact.plan import Trajectory
+from goalact.planner import PLANNING_MARKER
+from goalact.skills import SEARCHING_MARKER
 
 _SUITE_SCRIPT = r"""
 import json, os, sys
@@ -309,3 +323,55 @@ def test_table_lookups_read_each_row_once_per_field():
     # A value that is not text is compared row by row, as before.
     assert reads_of("filter_records", "amount", 3) == 2000
     assert reads_of("filter_records", "amount", 3) == 2000
+
+
+def _count_asking(monkeypatch) -> list[int]:
+    """Count the objective and sub-task texts the oracle writes."""
+    asked = [0]
+    original = oracle.Lookup._asking
+
+    def counting(self, *args):
+        asked[0] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(oracle.Lookup, "_asking", counting)
+    return asked
+
+
+def test_building_the_oracle_rules_writes_no_objective(monkeypatch):
+    asked = _count_asking(monkeypatch)
+    for task, _ in _suite_pairs():
+        assert oracle.build_oracle_rules(task)
+    assert asked == [0]
+
+
+@pytest.mark.parametrize("method", ["CodeAct", "ReAct"])
+def test_a_khop_run_without_plans_writes_no_objective(monkeypatch, method):
+    asked = _count_asking(monkeypatch)
+    task, env = generate_khop_task(seed=5, k=3)
+    traj = run_task(task, env, RunConfig(method=method),
+                    oracle.oracle_backend(task))
+    assert traj.termination_reason == "finish"
+    assert asked == [0]
+
+
+def test_a_khop_task_lists_no_writing_or_coding_family():
+    task, _ = generate_khop_task(seed=5, k=2)
+    assert [marker for marker, _ in oracle.build_oracle_rules(task)] == [
+        SEARCHING_MARKER, SUMMARY_MARKER, PLANNING_MARKER, NO_PLAN_MARKER,
+        REACT_MARKER, CODEACT_MARKER, PE_PLAN_MARKER, PE_SUBTASK_MARKER]
+
+
+def test_a_tool_call_action_is_not_json_decoded(monkeypatch):
+    decoded = [0]
+    original = planner.decode_json
+
+    def counting(text):
+        decoded[0] += 1
+        return original(text)
+
+    monkeypatch.setattr(planner, "decode_json", counting)
+    for action in ("get_record[table=parties, field=legal_name, value=X]",
+                   "filter_records[table=statutes, field=topic, value=Y]"):
+        assert planner._decoded(action) is None
+    assert decoded == [0]

@@ -24,6 +24,7 @@ from goalact.plan import (
     make_plan,
     read_trajectories,
     trajectory_from_dict,
+    trajectory_to_dict,
     truncate_observation,
     validate_plan,
     write_trajectories,
@@ -170,6 +171,25 @@ def test_trajectory_round_trip_survives_unicode_payloads():
     encoded = encode_trajectory(traj)
     assert decode_trajectory(encoded).final_answer == traj.final_answer
     assert encode_trajectory(decode_trajectory(encoded)) == encoded
+
+
+def test_trajectory_lines_are_the_bytes_json_dumps_writes():
+    """The shared encoder writes what `json.dumps` with the log's options
+    writes, for text that is not ASCII, holds control characters or quotes,
+    and for a tool call's nested payload."""
+    traj = _sample_trajectory()
+    traj.final_answer = "réponse — 中文 \ud83d\ude00 \x00\x1f\x7f\t\n\"q\" \\"
+    traj.tool_calls[0].arguments = {
+        "table": "companies", "value": "Zoë\u2028", "limit": 3,
+        "nested": [1.5, None, True, {"k": [float("inf"), -0.0, 10 ** 30]}]}
+    traj.record_llm(LlmExchange(
+        purpose="skill", model="m", temperature=0.25,
+        messages=[{"role": "user", "content": "ünïcode\r\n\b\f"}],
+        response='{"tool": "get_record", "args": {}}', attempts=2))
+    encoded = encode_trajectory(traj)
+    assert encoded == json.dumps(trajectory_to_dict(traj), ensure_ascii=False,
+                                 separators=(",", ":"))
+    assert "\\u0000" in encoded and "中文" in encoded
 
 
 def test_trajectory_document_keys_are_the_declared_fields_in_order():

@@ -8,9 +8,11 @@ import time
 import pytest
 
 from goalact import planner
-from goalact.backends import Rule
+from goalact.backends import Rule, decode_json
 from goalact.environment import TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment
 from goalact.errors import FatalError, GoalActError, PlanError, PlanningFailed
+from goalact.generator import CATEGORY_ORDER, generate_task
+from goalact.oracle import build_oracle_rules
 from goalact.plan import (BUILTIN_KINDS, FINISH, SEARCHING, History,
                           SkillAction, history_of)
 from goalact.planner import (
@@ -370,6 +372,56 @@ def test_tool_emission_forms(text, calls, problem):
     assert parse_tool_emission(text) == (
         [ToolCall(tool_name=name, arguments=args) for name, args in calls],
         problem)
+
+
+def _oracle_emissions() -> list[str]:
+    """Every response the oracle writes over 7 categories x seeds 1-5, and
+    the action of each of its ReAct turns."""
+    texts = []
+    for category in CATEGORY_ORDER:
+        for seed in range(1, 6):
+            task = generate_task(category, seed)[0]
+            for _, build in build_oracle_rules(task):
+                for rule in build():
+                    texts.append(rule.response)
+                    if rule.name.split("-")[-2] == "react":
+                        texts.append(json.loads(rule.response)["Action"])
+    return texts
+
+
+_HAND_EMISSIONS = [
+    ' \t\n\r{"tool": "get_record", "args": {"table": "t"}}',
+    ' \t\n\r[{"tool": "a"}]', "\v{\"tool\": \"a\"}", "\ufeff{\"tool\": \"a\"}",
+    "false", "true", "null", "-1", "NaN", "Infinity", "-Infinity", '"x"',
+    "[]", "{}", "", "  ", "0", "12 ", "falsehood[a=1]", "nullify[a=1]",
+    "NaNa[a=1]", "Infinity[a=1]", "filter_records[table=t, field=f, value=v]",
+    "get_record[table=t, field=f, value=v]",
+    'get_record[table=a, field=b, value=c]\n{"tool": "filter_records", '
+    '"args": {"table": "t"}}\nprose',
+    'Thinking first.\n  get_record[table=a, field=b, value=c]',
+    '```json\n{"tool": "a", "args": {}}\n```', "[1, 2", '{"tool": "a"',
+]
+
+
+def test_tool_emission_reads_as_with_every_text_decoded(monkeypatch):
+    """Skipping the JSON decode of a text that cannot begin a JSON value
+    changes no result: each emission reads as it does when every text is
+    handed to `decode_json`."""
+    rng = random.Random(24)
+    corpus = _oracle_emissions() + _HAND_EMISSIONS + \
+        [_hostile_text(rng) for _ in range(200)]
+    assert len(corpus) > 1000
+    actual = [parse_tool_emission(text) for text in corpus]
+
+    def always_decoded(text):
+        try:
+            return decode_json(text)
+        except json.JSONDecodeError:
+            return None
+
+    monkeypatch.setattr(planner, "_decoded", always_decoded)
+    for text, got in zip(corpus, actual):
+        assert got == parse_tool_emission(text), text[:80]
 
 
 # --- every completion reader against hostile text ----------------------------------

@@ -4,6 +4,7 @@ interrupted."""
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -268,3 +269,38 @@ def test_a_suite_into_a_used_directory_leaves_a_fresh_runs_bytes(tmp_path):
     assert _run_dir_bytes(again) == _run_dir_bytes(fresh)
     assert [p.name for p in (again / "trajectories").iterdir()] == \
         [f"{METHOD_GOALACT}.jsonl"]
+
+
+def test_a_held_run_lets_at_most_jobs_later_runs_finish(monkeypatch,
+                                                        tmp_path):
+    """While the first task's run is held, the workers run ahead by at most
+    `jobs` later tasks instead of finishing all of them."""
+    jobs = 2
+    pairs = [generate_khop_task(seed=seed, k=1) for seed in range(1, 21)]
+    first = min(task.id for task, _ in pairs)
+    finished: list[str] = []
+    all_others = threading.Event()
+    seen_while_held: list[int] = []
+    original = suite.run_task
+
+    def holding_run_task(task, *args):
+        if task.id == first:
+            # Held until every other run finished, or long enough that any
+            # run the suite had started would have.
+            all_others.wait(timeout=0.5)
+            seen_while_held.append(len(finished))
+        trajectory = original(task, *args)
+        if task.id != first:
+            finished.append(task.id)
+            if len(finished) == len(pairs) - 1:
+                all_others.set()
+        return trajectory
+
+    monkeypatch.setattr(suite, "run_task", holding_run_task)
+    out = tmp_path / "run"
+    run_suite(pairs, [METHOD_REACT], RunConfig(), oracle_backend, out_dir=out,
+              jobs=jobs)
+    assert seen_while_held and seen_while_held[0] <= jobs
+    assert [run.task_id for run in read_trajectories(
+        out / "trajectories" / f"{METHOD_REACT}.jsonl")] == \
+        sorted(task.id for task, _ in pairs)
