@@ -39,9 +39,11 @@ print("next up: step", step.index, step.action.render())
 executed = step.mark_executed('{"name": "AlphaCorp", "case_id": "CS-100"}')
 plan = GlobalPlan(steps=(executed,) + plan.steps[1:], revision=plan.revision)
 
-# The history is exactly the executed prefix, as (thought, action,
-# observation) triples. It is what the next planning round sees.
+# The history is the executed prefix: the plan's own executed steps, each
+# with its thought, action and observation. It is what the next planning
+# round sees.
 history = history_of(plan)
+assert history[0] is executed
 print("history length:", len(history))
 print("next pending after execution:", first_pending(plan).index)
 

@@ -30,6 +30,7 @@ from .plan import Trajectory, read_trajectories, write_trajectories
 from .records import read_document
 from .sandbox import SandboxLimits
 from .suite import (
+    ENV_MODEL,
     resolve_backend_factory,
     run_recorded,
     run_suite,
@@ -38,7 +39,6 @@ from .suite import (
 )
 
 ENV_BACKEND = "GOALACT_BACKEND"
-ENV_MODEL = "GOALACT_MODEL"
 
 
 def build_parser() -> argparse.ArgumentParser:

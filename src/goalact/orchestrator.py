@@ -69,15 +69,16 @@ from .plan import (
     truncate_observation,
 )
 from .planner import (
+    REPAIR_INSTRUCTION,
     finish_answer,
     load_exemplars,
     parse_action,
+    parse_plan_response,
     parse_step_texts,
     parse_thought_action,
     planning_frame,
     render_history,
     render_skill_menu,
-    revise_plan,
     update_global_plan,
 )
 from .records import check_types
@@ -275,8 +276,7 @@ def summarize(question: str, history_text: str, ask: Callable[[str], str],
 
 def _history_summary(history: History) -> tuple[str, str]:
     """(history text, last observation) of a skill history."""
-    last = history.triples[-1][2] if history.triples else ""
-    return render_history(history), last
+    return render_history(history), history[-1].observation if history else ""
 
 
 # --- policies ------------------------------------------------------------------------
@@ -289,8 +289,9 @@ class _Policy:
     method has finished, and summary(), the (history text, best observation)
     pair to summarize from at any point.  A PlanningFailed or
     BackendUnavailable out of step() comes from the policy's own decision
-    call, the one made for `purpose`.  A policy that sends world prompts
-    names their `intro`, `label` and `outro` lines.
+    call, the one made for `purpose`.  A policy's `frame` holds the texts
+    of its prompts around their transcript, built once per run; a policy
+    that sends world prompts names their `intro`, `label` and `outro` lines.
     """
 
     task: Task
@@ -299,9 +300,8 @@ class _Policy:
     env: RecordingEnvironment
 
     @cached_property
-    def _world_frame(self) -> tuple[str, str]:
-        """The text of every world prompt before and after its transcript,
-        built once per run."""
+    def frame(self) -> tuple[str, ...]:
+        """The text of every world prompt before and after its transcript."""
         head = "\n".join([
             *self.intro,
             "Available tools:",
@@ -317,8 +317,7 @@ class _Policy:
     def world_prompt(self, transcript: str) -> str:
         """The intro, the tools, tables and question, the label, `transcript`
         and the outro, one per line."""
-        head, tail = self._world_frame
-        return head + transcript + tail
+        return transcript.join(self.frame)
 
     def skill_context(self, purpose: str, history: History) -> SkillContext:
         """What `dispatch` hands an executor; its model calls are logged
@@ -335,7 +334,11 @@ class _Policy:
 
 @dataclass
 class _PlanPolicy(_Policy):
-    """Shared plan state: (re-)plan, then execute the first pending step."""
+    """Shared plan state: (re-)plan, then execute the first pending step.
+
+    Each round is one `update_global_plan` call over the policy's `frame`,
+    its `parse` of a reply and its `repair` retry text, failing as `what`.
+    """
 
     purpose = "planning"
     replans = True  # re-plan every round; False plans once, up front
@@ -343,7 +346,10 @@ class _PlanPolicy(_Policy):
 
     def step(self) -> bool:
         if self.replans or self.plan is None:
-            self.plan = self.revise(partial(self.recorder.ask, self.purpose))
+            self.plan = update_global_plan(
+                self.plan, partial(self.recorder.ask, self.purpose),
+                self.frame, self.parse, self.config.max_plan_steps,
+                self.repair, self.what)
             self.recorder.trajectory.record_plan(self.plan)
         step = first_pending(self.plan)
         if step is None or step.action.kind == FINISH:
@@ -361,16 +367,17 @@ class _PlanPolicy(_Policy):
 class _GoalActPolicy(_PlanPolicy):
     """Re-plan the global plan, then dispatch one step through the skills."""
 
+    repair = "\n\n" + REPAIR_INSTRUCTION
+    what = "plan"
+
     @cached_property
-    def _planning_frame(self) -> tuple[str, ...]:
-        """The planning template filled but for its history, once per run."""
+    def frame(self) -> tuple[str, ...]:
+        """The planning template filled but for its history."""
         return planning_frame(self.task.query, self.env.inner,
                               self.config.exemplars, self.config.registry)
 
-    def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
-        return update_global_plan(self.plan, ask, self.config.registry,
-                                  self._planning_frame,
-                                  max_plan_steps=self.config.max_plan_steps)
+    def parse(self, raw: str) -> list[tuple[str, SkillAction]]:
+        return parse_plan_response(raw, self.config.registry.kinds())
 
     def execute_step(self, step: PlanStep) -> SkillResult:
         return dispatch(step.action, self.skill_context(
@@ -420,15 +427,12 @@ class _PlanAndExecutePolicy(_PlanPolicy):
              'objects; the final Action must be "Finish".')
     repair = ("\n\nYour previous reply could not be used. Output a valid "
               "structured array only.")
+    what = "sub-task plan"
 
-    def revise(self, ask: Callable[[str], str]) -> GlobalPlan:
-        return revise_plan(
-            self.plan, ask,
-            lambda history: self.world_prompt(render_history(history)),
-            lambda raw: [(thought, _free_action(text))
-                         for thought, text in parse_step_texts(raw)],
-            self.repair, "sub-task plan",
-            max_plan_steps=self.config.max_plan_steps)
+    @staticmethod
+    def parse(raw: str) -> list[tuple[str, SkillAction]]:
+        return [(thought, _free_action(text))
+                for thought, text in parse_step_texts(raw)]
 
     def execute_step(self, step: PlanStep) -> SkillResult:
         return dispatch(step.action, self.skill_context(
@@ -517,7 +521,7 @@ class _CodeActPolicy(_LinePolicy):
 class _NextStepPolicy(_TranscriptPolicy):
     """The w/o-global-plan ablation: single-step queries, same skills.
 
-    Its transcript is the skill history.
+    Its transcript is the history of the steps it executed.
     """
 
     purpose = "next_step"
@@ -525,36 +529,32 @@ class _NextStepPolicy(_TranscriptPolicy):
     outro = (NO_PLAN_MARKER,
              'Respond with a JSON array holding one {"Thinking": "...", '
              '"Action": "Kind[objective]"} object.')
-    triples: list[tuple[str, SkillAction, str]] = field(default_factory=list)
+    executed: History = ()
 
     def __post_init__(self) -> None:
         self.intro = ("You act step by step with the skills below; no plan is "
                       "kept.",
                       "Skills:\n" + render_skill_menu(self.config.registry)[1])
 
-    def history(self) -> History:
-        return History(triples=tuple(self.triples))
-
     def summary(self) -> tuple[str, str]:
-        return _history_summary(self.history())
+        return _history_summary(self.executed)
 
     def take(self, emission: str) -> bool:
         try:
             thought, text = parse_step_texts(emission)[0]
             action = parse_action(text, self.config.registry.kinds())
         except PlanError:
-            self.triples.append(("(unparseable step)",
-                                 SkillAction(kind=SEARCHING, objective="none"),
-                                 "The step could not be parsed; try again."))
-            return False
-        if action.kind == FINISH:
-            return True
-        observation, payload = dispatch(action, self.skill_context(
-            f"skill:{action.kind}", self.history()), self.config.registry)
-        if payload:
-            action = SkillAction(kind=action.kind, objective=action.objective,
-                                 payload=payload)
-        self.triples.append((thought, action, observation))
+            thought = "(unparseable step)"
+            action = SkillAction(kind=SEARCHING, objective="none")
+            result: SkillResult = (
+                "The step could not be parsed; try again.", None)
+        else:
+            if action.kind == FINISH:
+                return True
+            result = dispatch(action, self.skill_context(
+                f"skill:{action.kind}", self.executed), self.config.registry)
+        step = PlanStep(len(self.executed) + 1, thought, action)
+        self.executed += (step.mark_executed(*result),)
         return False
 
 

@@ -2,8 +2,8 @@
 
 A global plan is an ordered list of (thought, action) steps whose final action
 is always Finish.  Executed steps are immutable: re-planning may only rewrite
-the pending suffix.  The history is the executed prefix as
-(thought, action, observation) triples.
+the pending suffix.  The history is that executed prefix itself: the
+plan's own executed `PlanStep`s, oldest first.
 
 A trajectory document's fields, in order, are those that `Trajectory`,
 `LlmExchange` and `ToolCallRecord` declare; a revision is `plan_to_dict`'s.
@@ -85,14 +85,9 @@ class GlobalPlan:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class History:
-    """Executed (thought, action, observation) triples, oldest first."""
-
-    triples: tuple[tuple[str, SkillAction, str], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.triples)
+# Executed steps, oldest first: what every planning round, skill and
+# summary reads.
+History = tuple[PlanStep, ...]
 
 
 def make_plan(steps: Iterable[tuple[str, SkillAction]], revision: int = 1) -> GlobalPlan:
@@ -135,15 +130,13 @@ def validate_plan(plan: GlobalPlan, max_steps: Optional[int] = None) -> GlobalPl
 
 
 def history_of(plan: Optional[GlobalPlan]) -> History:
-    """Extract the executed prefix as (thought, action, observation) triples."""
+    """The executed prefix of `plan`'s steps: the steps themselves."""
     if plan is None:
-        return History()
-    triples = []
-    for step in plan.steps:
+        return ()
+    for position, step in enumerate(plan.steps):
         if not step.executed:
-            break
-        triples.append((step.thought, step.action, step.observation or ""))
-    return History(triples=tuple(triples))
+            return plan.steps[:position]
+    return plan.steps
 
 
 def first_pending(plan: GlobalPlan) -> Optional[PlanStep]:

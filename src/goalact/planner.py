@@ -1,11 +1,14 @@
 """Global-plan maintenance, and the one reader of what a model writes.
 
-Each planning round renders the executed history into the planning
-template, asks the model for the *continuation* of the plan, and splices the
-parsed pending steps onto the immutable executed prefix.  The template's
-other slots are filled once per run by `planning_frame`: the question, tool
-and table descriptions from the run's task, and the few-shot exemplars
-(`load_exemplars`) and skill menu that its run config builds once.
+Every planning round of every plan method is one `update_global_plan`
+call: it renders the plan's executed steps, the history, into the run's
+prompt frame, asks the model for the *continuation* of the plan, and splices
+the parsed pending steps onto that immutable executed prefix.  The methods
+differ only in their frame, their reply parser and whether they re-plan.
+GoalAct's frame is the planning template with its other slots filled once
+per run by `planning_frame`: the question, tool and table descriptions from
+the run's task, and the few-shot exemplars (`load_exemplars`) and skill menu
+that its run config builds once.
 
 Every completion a run acts on is read here: plan arrays, `Kind[objective]`
 actions, ReAct thought/action objects, `Finish[answer]` turns and tool-call
@@ -112,12 +115,9 @@ def load_exemplars(path: Optional[Any], count: int) -> tuple[str, ...]:
 
 def render_history(history: History) -> str:
     """The {scratchpad} slot: Thought/Action/Observation lines, oldest first."""
-    lines = []
-    for thought, action, observation in history.triples:
-        lines.append(f"Thought: {thought}")
-        lines.append(f"Action: {action.render()}")
-        lines.append(f"Observation: {observation}")
-    return "\n".join(lines)
+    return "\n".join(f"Thought: {step.thought}\n"
+                     f"Action: {step.action.render()}\n"
+                     f"Observation: {step.observation}" for step in history)
 
 
 def render_skill_menu(registry: Any) -> tuple[int, str]:
@@ -349,22 +349,23 @@ def render_plan_steps(steps: Sequence[tuple[str, SkillAction]]) -> str:
                              for thought, action in steps)
 
 
-def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
-                prompt_for: Callable[[History], str],
-                parse: Callable[[str], Sequence[tuple[str, SkillAction]]],
-                repair: str, what: str, max_plan_steps: int) -> GlobalPlan:
-    """One planning round over the executed prefix of `plan_prev`.
+def update_global_plan(plan_prev: Optional[GlobalPlan],
+                       ask: Callable[[str], str], frame: Sequence[str],
+                       parse: Callable[[str], Sequence[tuple[str, SkillAction]]],
+                       max_plan_steps: int, repair: str, what: str
+                       ) -> GlobalPlan:
+    """One planning round: executed prefix preserved, pending suffix rewritten.
 
-    Renders the prompt from the executed history, asks the model once, plus
-    a single retry with `repair` appended when the reply cannot be parsed or
-    validated, and splices the parsed steps onto the executed prefix.  Raises
+    `frame` holds the texts of the run's planning prompt around its history,
+    built once per run; a round joins it with the rendered executed steps of
+    `plan_prev`.  The model is asked once, plus a single retry with `repair`
+    appended when `parse` or the plan's validation rejects the reply.  Raises
     PlanningFailed naming `what` when both replies are unusable; backend
     errors propagate.
     """
-    history = history_of(plan_prev)
-    executed = tuple(plan_prev.steps[:len(history)]) if plan_prev else ()
+    executed = history_of(plan_prev)
     revision = plan_prev.revision + 1 if plan_prev else 1
-    prompt = prompt_for(history)
+    prompt = render_history(executed).join(frame)
     failure: Exception | None = None
     for attempt_prompt in (prompt, prompt + repair):
         raw = ask(attempt_prompt)
@@ -374,26 +375,3 @@ def revise_plan(plan_prev: Optional[GlobalPlan], ask: Callable[[str], str],
         except PlanError as exc:
             failure = exc
     raise PlanningFailed(f"no valid {what} after repair retry: {failure}")
-
-
-def update_global_plan(plan_prev: Optional[GlobalPlan],
-                       ask: Callable[[str], str], registry: Any,
-                       frame: Sequence[str], max_plan_steps: int
-                       ) -> GlobalPlan:
-    """One planning round: executed prefix preserved, pending suffix rewritten.
-
-    `frame` is the run's `planning_frame`, built once per run; a round joins
-    it with its rendered history.  The model is asked once, plus a single
-    repair retry with a corrective instruction when its output cannot be
-    parsed or validated against `registry`'s kinds.  Raises PlanningFailed
-    when both attempts are unusable; backend errors propagate.
-    """
-    kinds = registry.kinds()
-
-    def prompt_for(history: History) -> str:
-        return render_history(history).join(frame)
-
-    return revise_plan(plan_prev, ask, prompt_for,
-                       lambda raw: parse_plan_response(raw, kinds),
-                       "\n\n" + REPAIR_INSTRUCTION, "plan",
-                       max_plan_steps=max_plan_steps)

@@ -253,9 +253,8 @@ def exec_coding(action: SkillAction, context: SkillContext) -> SkillResult:
 
 def render_source_material(history: History, budget: int) -> str:
     """History for the writing prompt: newest last, oldest dropped first."""
-    blocks = []
-    for thought, act, observation in history.triples:
-        blocks.append(f"Action: {act.render()}\nObservation: {observation}")
+    blocks = [f"Action: {step.action.render()}\nObservation: {step.observation}"
+              for step in history]
     kept: list[str] = []
     used = 0
     for block in reversed(blocks):

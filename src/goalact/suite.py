@@ -167,6 +167,11 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
         raise FatalError("the suite has no tasks to run")
     if not methods:
         raise FatalError("the suite has no methods to run")
+    if len(set(methods)) < len(methods):
+        raise FatalError("the suite names a method more than once: "
+                         + ", ".join(methods))
+    if jobs < 1:
+        raise FatalError(f"jobs must be at least 1, got {jobs}")
     categories = {task.id: task.category for task, _ in tasks_with_envs}
     ordered = sorted(tasks_with_envs, key=lambda pair: pair[0].id)
     if out_dir is not None:

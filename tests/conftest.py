@@ -4,6 +4,7 @@ import pytest
 
 from goalact.backends import Rule, ScriptedBackend, user_request
 from goalact.environment import Table, ToolEnvironment
+from goalact.plan import PlanStep
 
 
 @pytest.fixture
@@ -33,6 +34,14 @@ def company_env() -> ToolEnvironment:
 
 def scripted(*rules: Rule) -> ScriptedBackend:
     return ScriptedBackend(list(rules))
+
+
+def executed_steps(*triples) -> tuple[PlanStep, ...]:
+    """A history: one executed step per (thought, action, observation)."""
+    return tuple(PlanStep(index=i, thought=thought, action=action)
+                 .mark_executed(observation)
+                 for i, (thought, action, observation)
+                 in enumerate(triples, start=1))
 
 
 def ask_of(backend):

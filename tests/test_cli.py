@@ -231,6 +231,21 @@ def test_generate_names_the_allowed_hop_range(tmp_path, capsys, k):
         f"configuration fault: k must be in 1..5, got {k}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["--methods", "react,ReAct"],
+     "the suite names a method more than once: ReAct, ReAct"),
+])
+def test_a_suite_of_no_jobs_or_a_method_named_twice_exits_two(
+        tmp_path, capsys, flags, message):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    out = tmp_path / "run"
+    assert main(["suite", "--fixtures", str(fixtures), *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration fault: {message}\n"
+    assert not out.exists()
+
+
 def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     task_file = next((fixtures / "tasks").glob("*.json"))

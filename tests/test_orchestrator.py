@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from goalact import orchestrator
 from goalact.backends import Rule, ScriptedBackend
 from goalact.environment import ToolEnvironment
 from goalact.errors import BackendUnavailable, FatalError, RuleMiss
@@ -32,6 +33,7 @@ from goalact.orchestrator import (
     PE_SUBTASK_MARKER,
     REACT_MARKER,
     SUMMARY_MARKER,
+    RecordingBackend,
     RecordingEnvironment,
     RunConfig,
     normalize_method,
@@ -43,12 +45,12 @@ from goalact.plan import (
     TERMINATION_FATAL,
     TERMINATION_FINISH,
     TERMINATION_MAX_ITERATIONS,
-    History,
     SkillAction,
     encode_trajectory,
+    history_of,
     plan_from_dict,
 )
-from goalact.planner import PLANNING_MARKER
+from goalact.planner import PLANNING_MARKER, render_history, update_global_plan
 from goalact.skills import (
     SEARCHING_MARKER,
     SkillContext,
@@ -342,6 +344,41 @@ def test_plan_and_execute_replans_and_solves():
                for call in traj.llm_calls)
 
 
+def test_plan_and_execute_makes_one_plan_round_per_revision(monkeypatch):
+    rounds = []
+
+    def counting_update(*args):
+        rounds.append(args)
+        return update_global_plan(*args)
+
+    monkeypatch.setattr(orchestrator, "update_global_plan", counting_update)
+    task, env = generate_khop_task(seed=46, k=3)
+    traj = _run(METHOD_PLAN_AND_EXECUTE, task, env)
+    assert len(traj.revisions) >= 2
+    assert len(rounds) == len(traj.revisions)
+
+
+@pytest.mark.parametrize("method", [METHOD_GOALACT, METHOD_PLAN_AND_SOLVE,
+                                    METHOD_PLAN_AND_EXECUTE])
+def test_every_planning_prompt_is_the_executed_steps_in_the_frame(method):
+    task, env = generate_khop_task(seed=11, k=3)
+    config = RunConfig(method=method)
+    traj = run_task(task, env, config, oracle_backend(task))
+    policy = orchestrator._POLICIES[method](
+        task, config, RecordingBackend(oracle_backend(task), traj, "m"),
+        RecordingEnvironment(env, traj, config.observation_bytes))
+    prompts = [call.messages[-1]["content"] for call in traj.llm_calls
+               if call.purpose == "planning"]
+    assert traj.termination_reason == TERMINATION_FINISH
+    assert len(prompts) == len(traj.revisions) >= 1
+    # A revision keeps the executed steps its round was prompted with.
+    for prompt, doc in zip(prompts, traj.revisions):
+        executed = history_of(plan_from_dict(doc))
+        assert prompt == render_history(executed).join(policy.frame)
+    if method != METHOD_PLAN_AND_SOLVE:  # a later round saw executed steps
+        assert history_of(plan_from_dict(traj.revisions[-1]))
+
+
 # --- one path from a tool-call emission to an observation ---------------------------
 
 def _call(tool: str, **args) -> str:
@@ -382,7 +419,7 @@ def test_every_caller_observes_an_emission_the_same_way(company_env,
                 key_answers=("Port Meridell",), key_middles=(), gold_path=())
     config = RunConfig()
     searching, _ = dispatch(SkillAction(SEARCHING, "anything"), SkillContext(
-        question=task.query, history=History(), env=company_env,
+        question=task.query, history=(), env=company_env,
         ask=lambda prompt: emission, sandbox_limits=config.sandbox_limits,
         observation_bytes=config.observation_bytes,
         writing_budget=config.writing_budget), config.registry)

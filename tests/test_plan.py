@@ -92,8 +92,15 @@ def test_history_is_the_executed_prefix_in_order():
     plan = _plan([SEARCHING, SEARCHING, SEARCHING, FINISH], executed=2)
     history = history_of(plan)
     assert len(history) == 2
-    assert [t[0] for t in history.triples] == ["t1", "t2"]
-    assert [t[2] for t in history.triples] == ["obs1", "obs2"]
+    assert [step.thought for step in history] == ["t1", "t2"]
+    assert [step.observation for step in history] == ["obs1", "obs2"]
+
+
+def test_history_is_the_plans_own_executed_steps():
+    plan = _plan([SEARCHING, SEARCHING, SEARCHING, FINISH], executed=2)
+    history = history_of(plan)
+    assert len(history) == 2
+    assert all(step is own for step, own in zip(history, plan.steps))
 
 
 def test_history_excludes_the_unexecuted_finish():

@@ -17,6 +17,7 @@ from goalact.plan import (BUILTIN_KINDS, FINISH, SEARCHING, History,
                           SkillAction, history_of)
 from goalact.planner import (
     PLANNING_MARKER,
+    REPAIR_INSTRUCTION,
     build_planning_prompt,
     count_word,
     finish_answer,
@@ -35,10 +36,10 @@ from goalact.planner import (
 )
 from goalact.skills import SkillDescriptor, default_registry, register_skill
 
-from conftest import ask_of, scripted
+from conftest import ask_of, executed_steps, scripted
 
 
-def _prompt(env: ToolEnvironment, history: History = History(),
+def _prompt(env: ToolEnvironment, history: History = (),
             registry=None) -> str:
     return build_planning_prompt("Which city hosts AlphaCorp?", env, history,
                                  ("example one", "example two"),
@@ -62,10 +63,10 @@ def test_prompt_places_both_exemplars_between_markers(company_env):
 
 
 def test_prompt_renders_history_lines_in_order(company_env):
-    history = History(triples=(
+    history = executed_steps(
         ("need the record", SkillAction(SEARCHING, "companies by name"),
          '{"name": "AlphaCorp"}'),
-    ))
+    )
     prompt = _prompt(company_env, history)
     assert render_history(history) in prompt
     thought_at = prompt.index("Thought: need the record")
@@ -248,10 +249,14 @@ def _fixture_plan_text() -> str:
 
 
 def _update(env, plan_prev, ask):
-    """One planning round over the frame a run builds for question "q"."""
+    """One GoalAct planning round over the frame a run builds for
+    question "q"."""
     registry = default_registry()
     frame = planning_frame("q", env, load_exemplars(None, 2), registry)
-    return update_global_plan(plan_prev, ask, registry, frame, 12)
+    return update_global_plan(
+        plan_prev, ask, frame,
+        lambda raw: parse_plan_response(raw, registry.kinds()), 12,
+        "\n\n" + REPAIR_INSTRUCTION, "plan")
 
 
 def test_update_builds_revision_one_from_fixture(company_env):
@@ -279,7 +284,7 @@ def test_update_preserves_the_executed_prefix_verbatim(company_env):
     assert updated.revision == 2
     assert updated.steps[0] == executed
     assert len(updated.steps) == 3
-    assert history_of(updated).triples == history_of(plan).triples
+    assert history_of(updated) == history_of(plan)
 
 
 def test_update_fails_after_two_finishless_attempts(company_env):

@@ -16,8 +16,8 @@ from goalact.backends import Rule
 from goalact.environment import Table, ToolEnvironment, render_number
 from goalact.errors import BackendUnavailable
 from goalact.orchestrator import RecordingEnvironment
-from goalact.plan import CODING, TRUNCATION_MARKER, History, SkillAction, \
-    Trajectory, truncate_observation
+from goalact.plan import CODING, TRUNCATION_MARKER, SkillAction, Trajectory, \
+    truncate_observation
 from goalact.sandbox import (
     FAULT_LIMIT,
     FAULT_PARSE,
@@ -488,7 +488,7 @@ def test_exec_coding_round_trip(company_env):
     ])
     backend = scripted(Rule.on_substrings(f"```\n{script}\n```",
                                           CODING_MARKER))
-    context = SkillContext(question="total open amount?", history=History(),
+    context = SkillContext(question="total open amount?", history=(),
                            env=company_env, ask=ask_of(backend),
                            sandbox_limits=SandboxLimits(),
                            observation_bytes=4096, writing_budget=12000)
@@ -503,7 +503,7 @@ def test_exec_coding_round_trip(company_env):
 def test_exec_coding_surfaces_faults_as_observations(company_env):
     backend = scripted(Rule.on_substrings('return teleport("x")',
                                           CODING_MARKER))
-    context = SkillContext(question="q", history=History(), env=company_env,
+    context = SkillContext(question="q", history=(), env=company_env,
                            ask=ask_of(backend), sandbox_limits=SandboxLimits(),
                            observation_bytes=4096, writing_budget=12000)
     observation, _ = exec_coding(SkillAction(CODING, "do something odd"),
@@ -516,7 +516,7 @@ def test_exec_coding_degrades_on_backend_outage(company_env):
     def down(prompt):
         raise BackendUnavailable("gave up")
 
-    context = SkillContext(question="q", history=History(), env=company_env,
+    context = SkillContext(question="q", history=(), env=company_env,
                            ask=down, sandbox_limits=SandboxLimits(),
                            observation_bytes=4096, writing_budget=12000)
     with pytest.raises(BackendUnavailable, match="gave up"):

@@ -31,13 +31,13 @@ from goalact.skills import (
     render_source_material,
 )
 
-from conftest import ask_of, scripted
+from conftest import ask_of, executed_steps, scripted
 
 _OUTAGE = "gave up after 4 attempts (timeout)"
 _CONFIG = RunConfig()
 
 
-def _context(env, backend, history: History = History()) -> SkillContext:
+def _context(env, backend, history: History = ()) -> SkillContext:
     return SkillContext(question="Which city hosts AlphaCorp?",
                         history=history, env=env, ask=ask_of(backend),
                         sandbox_limits=_CONFIG.sandbox_limits,
@@ -270,11 +270,11 @@ def test_searching_reports_an_emission_with_no_tool_call(company_env):
 # --- writing -------------------------------------------------------------------
 
 def test_writing_echoes_gathered_keywords(company_env):
-    history = History(triples=(
+    history = executed_steps(
         ("f1", SkillAction(SEARCHING, "a"), "fact alpha"),
         ("f2", SkillAction(SEARCHING, "b"), "fact beta"),
         ("f3", SkillAction(SEARCHING, "c"), "fact gamma"),
-    ))
+    )
     backend = scripted(Rule.on_substrings(
         "Drafted around fact alpha, fact beta, fact gamma.",
         WRITING_MARKER, "fact alpha", "fact gamma"))
@@ -289,7 +289,7 @@ def test_writing_works_from_question_alone(company_env):
                                           WRITING_MARKER))
     env, trajectory = _logged(company_env)
     observation, _ = exec_writing(SkillAction(WRITING, "draft"),
-                                  _context(env, backend, History()))
+                                  _context(env, backend, ()))
     assert observation == "Document from the question only."
     assert trajectory.tool_calls == []
 
@@ -302,7 +302,7 @@ def test_writing_degrades_on_backend_outage(company_env):
 
 
 def test_source_material_drops_oldest_first():
-    history = History(triples=tuple(
+    history = executed_steps(*(
         (f"t{i}", SkillAction(SEARCHING, f"obj{i}"), f"observation-{i} " + "y" * 60)
         for i in range(10)
     ))

@@ -12,7 +12,7 @@ import pytest
 from goalact import suite
 from goalact.backends import ScriptedBackend
 from goalact.cli import main
-from goalact.errors import AuthFailure, CassetteMiss, RuleMiss
+from goalact.errors import AuthFailure, CassetteMiss, FatalError, RuleMiss
 from goalact.generator import (
     generate_aggregation_task,
     generate_khop_task,
@@ -146,6 +146,26 @@ def test_a_clean_suite_writes_no_failure_list(tmp_path):
               out_dir=tmp_path / "run")
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert "failures" not in manifest
+
+
+def test_a_suite_that_names_a_method_twice_is_refused_before_any_run(
+        tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(FatalError, match="names a method more than once: "
+                       "ReAct, GoalAct, ReAct"):
+        run_suite(_pairs(), [METHOD_REACT, METHOD_GOALACT, METHOD_REACT],
+                  RunConfig(), oracle_backend, out_dir=out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_a_suite_of_fewer_than_one_job_is_refused_before_any_run(tmp_path,
+                                                                  jobs):
+    out = tmp_path / "run"
+    with pytest.raises(FatalError, match=f"jobs must be at least 1, got {jobs}"):
+        run_suite(_pairs(), METHODS, RunConfig(), oracle_backend, out_dir=out,
+                  jobs=jobs)
+    assert not out.exists()
 
 
 def test_a_suite_with_no_finished_task_exits_three_with_its_runs(
