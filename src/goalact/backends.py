@@ -92,9 +92,6 @@ class Rule:
 
 # A rule family: a prompt-type marker and the build of the rules keyed on it.
 RuleFamily = tuple[str, Callable[[], Sequence[Rule]]]
-# A built family's (substrings other than its marker, response) pairs, in
-# rule order.
-Matchers = list[tuple[tuple[str, ...], str]]
 
 
 class ScriptedBackend:
@@ -105,16 +102,18 @@ class ScriptedBackend:
     A prompt tries the rules of each family whose marker it holds, in family
     order, then rule order; the first rule whose substrings all occur wins.
     A build refuses (ValueError) a rule with no substring holding its marker,
-    so the walk answers as an in-order scan of all rules would.  The walk
-    enters a family only when the prompt holds its marker, so a substring
-    equal to the marker is not tested again; one that merely contains it is.
-    A miss builds every family and raises RuleMiss naming the closest rule.
-    `rules` lists the rules built so far, in family order; reading it builds
+    so the walk answers as an in-order scan of all rules would.  Each built
+    family is kept once, as its rules, each paired with its substrings other
+    than the marker: the walk enters a family only when the prompt holds its
+    marker, so a substring equal to the marker is not tested again; one that
+    merely contains it is.  A miss builds every family and raises RuleMiss
+    naming the closest rule.  `rules` lists the rules built so far, in
+    family order, flattened from that store on each read; reading it builds
     nothing."""
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
         self._start({"": lambda: rules}, label)
-        self._family_matchers("")
+        self._family("")
 
     @classmethod
     def from_families(cls, families: Sequence[RuleFamily],
@@ -129,49 +128,43 @@ class ScriptedBackend:
         self.label = label
         self.calls_made = 0
         self._families = families
-        self._built: dict[str, list[Rule]] = {}
-        self._matchers: dict[str, Matchers] = {}
-        self._rules: Optional[list[Rule]] = None
+        self._built: dict[str, list[tuple[tuple[str, ...], Rule]]] = {}
 
     @property
     def rules(self) -> list[Rule]:
-        """Flattened on the first read after a family is built."""
-        if self._rules is None:
-            self._rules = [rule for marker in self._families
-                           for rule in self._built.get(marker, ())]
-        return self._rules
+        """The rules built so far, in family order."""
+        return [rule for marker in self._families
+                for _, rule in self._built.get(marker, ())]
 
-    def _family_matchers(self, marker: str) -> Matchers:
-        matchers = self._matchers.get(marker)
-        if matchers is None:
-            built = list(self._families[marker]())
-            for i, rule in enumerate(built):
+    def _family(self, marker: str) -> list[tuple[tuple[str, ...], Rule]]:
+        built = self._built.get(marker)
+        if built is None:
+            rules = list(self._families[marker]())
+            for i, rule in enumerate(rules):
                 for key in rule.substrings:
                     if marker in key:
                         break
                 else:
                     raise ValueError(f"[{self.label}] rule {rule.name or i!r} "
                                      f"holds no {marker!r} in its substrings")
-            self._built[marker] = built
-            self._rules = None
-            matchers = self._matchers[marker] = [
-                (tuple(key for key in rule.substrings if key != marker),
-                 rule.response) for rule in built]
-        return matchers
+            built = self._built[marker] = [
+                (tuple(key for key in rule.substrings if key != marker), rule)
+                for rule in rules]
+        return built
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls_made += 1
         prompt = request.rendered()
         for marker in self._families:
             if marker in prompt:
-                for keys, response in self._family_matchers(marker):
+                for keys, rule in self._family(marker):
                     for key in keys:
                         if key not in prompt:
                             break
                     else:
-                        return response
+                        return rule.response
         for marker in self._families:
-            self._family_matchers(marker)
+            self._family(marker)
         raise RuleMiss(self._miss_message(prompt))
 
     def _miss_message(self, prompt: str) -> str:

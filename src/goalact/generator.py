@@ -400,9 +400,12 @@ def _strings(value: Any, name: str) -> tuple[str, ...]:
 
 
 def task_from_dict(doc: Mapping[str, Any]) -> Task:
-    """TypeError unless `key_answers` and `key_middles` are arrays of
-    strings and `gold_path` one of string pairs, ValueError if
-    `key_answers` is empty."""
+    """TypeError unless `id`, `category` and `query` are strings,
+    `key_answers` and `key_middles` arrays of strings and `gold_path` one of
+    string pairs, ValueError if `key_answers` is empty."""
+    for name in ("id", "category", "query"):
+        if not isinstance(doc[name], str):
+            raise TypeError(f"{name} must be a string, not {doc[name]!r}")
     gold_path = tuple((table, key) for table, key in (
         _strings(pair, "a gold_path entry") for pair in doc["gold_path"]))
     task = Task(id=doc["id"], category=doc["category"], query=doc["query"],

@@ -292,12 +292,16 @@ class _Policy:
     call, the one made for `purpose`.  A policy's `frame` holds the texts
     of its prompts around their transcript, built once per run; a policy
     that sends world prompts names their `intro`, `label` and `outro` lines.
+    The base step is a transcript method's: one prompt over the transcript
+    so far, its completion handed to take(); the plan policies override it.
     """
 
     task: Task
     config: RunConfig
     recorder: RecordingBackend
     env: RecordingEnvironment
+
+    label = "Transcript:"
 
     @cached_property
     def frame(self) -> tuple[str, ...]:
@@ -314,10 +318,9 @@ class _Policy:
         ])
         return head, "".join("\n" + line for line in self.outro)
 
-    def world_prompt(self, transcript: str) -> str:
-        """The intro, the tools, tables and question, the label, `transcript`
-        and the outro, one per line."""
-        return transcript.join(self.frame)
+    def step(self) -> bool:
+        return self.take(self.recorder.ask(
+            self.purpose, self.summary()[0].join(self.frame)))
 
     def skill_context(self, purpose: str, history: History) -> SkillContext:
         """What `dispatch` hands an executor; its model calls are logged
@@ -440,19 +443,10 @@ class _PlanAndExecutePolicy(_PlanPolicy):
 
 
 # --- transcript-based policies: ReAct, CodeAct, GoalAct without a plan --------------
-
-class _TranscriptPolicy(_Policy):
-    """No plan: each step sends one prompt over the transcript so far."""
-
-    label = "Transcript:"
-
-    def step(self) -> bool:
-        return self.take(self.recorder.ask(
-            self.purpose, self.world_prompt(self.summary()[0])))
-
+# No plan: each takes the base step, one prompt over its transcript so far.
 
 @dataclass
-class _LinePolicy(_TranscriptPolicy):
+class _LinePolicy(_Policy):
     """ReAct and CodeAct keep their transcript as Thought/Action/Observation
     lines."""
 
@@ -518,7 +512,7 @@ class _CodeActPolicy(_LinePolicy):
 
 
 @dataclass
-class _NextStepPolicy(_TranscriptPolicy):
+class _NextStepPolicy(_Policy):
     """The w/o-global-plan ablation: single-step queries, same skills.
 
     Its transcript is the history of the steps it executed.

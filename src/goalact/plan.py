@@ -32,11 +32,14 @@ TRUNCATION_MARKER = "[truncated]"
 
 
 def truncate_observation(text: str, byte_budget: int) -> str:
-    """Clamp an observation to a UTF-8 byte budget, marking the cut."""
+    """Clamp an observation to a UTF-8 byte budget, marking the cut; under
+    a budget too small for the whole marker, the marker is cut too."""
     raw = text.encode("utf-8")
     if len(raw) <= byte_budget:
         return text
-    keep = max(byte_budget - len(TRUNCATION_MARKER), 0)
+    keep = byte_budget - len(TRUNCATION_MARKER)
+    if keep < 0:
+        return TRUNCATION_MARKER[:byte_budget]
     clipped = raw[:keep].decode("utf-8", errors="ignore")
     return clipped + TRUNCATION_MARKER
 

@@ -170,9 +170,13 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     if len(set(methods)) < len(methods):
         raise FatalError("the suite names a method more than once: "
                          + ", ".join(methods))
+    categories = {task.id: task.category for task, _ in tasks_with_envs}
+    if len(categories) < len(tasks_with_envs):
+        ids = [task.id for task, _ in tasks_with_envs]
+        raise FatalError("the suite names a task id more than once: "
+                         + next(i for i in ids if ids.count(i) > 1))
     if jobs < 1:
         raise FatalError(f"jobs must be at least 1, got {jobs}")
-    categories = {task.id: task.category for task, _ in tasks_with_envs}
     ordered = sorted(tasks_with_envs, key=lambda pair: pair[0].id)
     if out_dir is not None:
         out_dir = Path(out_dir)

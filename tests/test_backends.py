@@ -116,6 +116,17 @@ def test_a_one_marker_prompt_builds_and_scans_only_its_family():
     assert backend.calls_made == 3
 
 
+def test_rules_is_read_from_the_built_families_on_every_read():
+    backend = ScriptedBackend.from_families(_families([]))
+    assert backend.rules == []
+    assert backend.complete(_req("[B] x")) == "b-x"
+    assert [rule.name for rule in backend.rules] == ["b-x"]
+    with pytest.raises(RuleMiss):
+        backend.complete(_req("no marker at all"))
+    assert backend.rules == [rule for _, build in _families([])
+                             for rule in build()]
+
+
 def test_other_prompts_build_every_family_and_scan_in_order():
     built: list[str] = []
     backend = ScriptedBackend.from_families(_families(built))

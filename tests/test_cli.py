@@ -152,6 +152,9 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("task", {"key_middles": [1]}),
     ("task", {"gold_path": [["companies", 2]]}),
     ("task", {"gold_path": [["companies"]]}),
+    ("task", {"id": 5}),
+    ("task", {"category": ["x"]}),
+    ("task", {"query": None}),
     ("table", '{"name": "companies"}'),
     ("trajectory", "[1]"),
     ("trajectory", None),
@@ -243,6 +246,20 @@ def test_a_suite_of_no_jobs_or_a_method_named_twice_exits_two(
     assert main(["suite", "--fixtures", str(fixtures), *flags,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration fault: {message}\n"
+    assert not out.exists()
+
+
+def test_a_suite_that_holds_a_task_file_twice_exits_two_naming_the_id(
+        tmp_path, capsys):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=2)
+    task_file = min((fixtures / "tasks").glob("*.json"))
+    (fixtures / "tasks" / "zz-copy.json").write_bytes(task_file.read_bytes())
+    out = tmp_path / "run"
+    assert main(["suite", "--fixtures", str(fixtures), "--methods", "react",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration fault: the suite names a task id more than once: "
+        f"{task_file.stem}\n")
     assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from goalact.oracle import (
     oracle_backend,
 )
 from goalact.orchestrator import (
+    ABLATION_NO_GLOBAL_PLAN,
     CODEACT_MARKER,
     METHOD_CODEACT,
     METHOD_GOALACT,
@@ -377,6 +378,31 @@ def test_every_planning_prompt_is_the_executed_steps_in_the_frame(method):
         assert prompt == render_history(executed).join(policy.frame)
     if method != METHOD_PLAN_AND_SOLVE:  # a later round saw executed steps
         assert history_of(plan_from_dict(traj.revisions[-1]))
+
+
+@pytest.mark.parametrize("method, ablations, purpose", [
+    (METHOD_REACT, frozenset(), "react_step"),
+    (METHOD_CODEACT, frozenset(), "codeact_step"),
+    (METHOD_GOALACT, frozenset({ABLATION_NO_GLOBAL_PLAN}), "next_step"),
+])
+def test_every_decision_prompt_is_the_transcript_in_the_frame(
+        method, ablations, purpose):
+    task, env = generate_khop_task(seed=11, k=3)
+    config = RunConfig(method=method, ablations=ablations)
+    traj = run_task(task, env, config, oracle_backend(task))
+    policy_class = orchestrator._NextStepPolicy if ablations \
+        else orchestrator._POLICIES[method]
+    policy = policy_class(
+        task, config, RecordingBackend(oracle_backend(task), traj, "m"),
+        RecordingEnvironment(env, traj, config.observation_bytes))
+    prompts = [call.messages[-1]["content"] for call in traj.llm_calls
+               if call.purpose == purpose]
+    assert traj.termination_reason == TERMINATION_FINISH
+    assert len(prompts) > 1
+    assert prompts[0] == "".join(policy.frame)
+    head, tail = policy.frame
+    for prompt in prompts:
+        assert prompt.startswith(head) and prompt.endswith(tail)
 
 
 # --- one path from a tool-call emission to an observation ---------------------------

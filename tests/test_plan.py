@@ -149,6 +149,15 @@ def test_truncate_observation_respects_utf8_boundaries():
     assert clipped.endswith("[truncated]")
 
 
+@pytest.mark.parametrize("text", ["hello world, a long observation", "é" * 30])
+def test_truncate_observation_never_exceeds_a_budget_below_the_marker(text):
+    for budget in range(1, 21):
+        clipped = truncate_observation(text, budget)
+        assert len(clipped.encode("utf-8")) <= budget
+        assert clipped.endswith("[truncated]") if budget >= 11 \
+            else clipped == "[truncated]"[:budget]
+
+
 def _sample_trajectory() -> Trajectory:
     traj = Trajectory(task_id="khop1-s00001", method="GoalAct")
     plan = _plan([SEARCHING, FINISH], executed=1)

@@ -158,6 +158,17 @@ def test_a_suite_that_names_a_method_twice_is_refused_before_any_run(
     assert not out.exists()
 
 
+def test_a_suite_that_holds_a_task_id_twice_is_refused_before_any_run(
+        tmp_path):
+    out = tmp_path / "run"
+    pairs = _pairs()
+    with pytest.raises(FatalError, match="names a task id more than once: "
+                       f"{pairs[1][0].id}$"):
+        run_suite([*pairs, pairs[1]], [METHOD_REACT], RunConfig(),
+                  oracle_backend, out_dir=out)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_a_suite_of_fewer_than_one_job_is_refused_before_any_run(tmp_path,
                                                                   jobs):
