@@ -12,7 +12,6 @@ from .backends import (
     CassetteReplayBackend,
     CompletionRequest,
     HttpChatBackend,
-    Message,
     Rule,
     ScriptedBackend,
     request_hash,

@@ -1,7 +1,10 @@
 """Completion providers behind one `complete(request) -> str` call: the
 scripted rule walk of tests and oracle runs (it never hashes a request), an
 HTTP chat-completions client with backoff on transient failures, and cassette
-record/replay wrappers keyed by a whitespace-normalized request hash."""
+record/replay wrappers keyed by a whitespace-normalized request hash.  A
+request's messages are the `{"role", "content"}` dicts a trajectory logs and
+the HTTP client sends, so a logged exchange hashes to its request's cassette
+key; every request is sent and logged at BENCHMARK_TEMPERATURE."""
 
 from __future__ import annotations
 
@@ -24,23 +27,18 @@ BENCHMARK_TEMPERATURE = 0.0
 
 
 @dataclass(frozen=True)
-class Message:
-    role: str  # system | user | assistant
-    content: str
-
-
-@dataclass(frozen=True)
 class CompletionRequest:
-    messages: tuple[Message, ...]
+    """One model call: its model and its `{"role", "content"}` messages."""
+
+    messages: tuple[dict[str, str], ...]
     model: str = "scripted"
-    temperature: float = BENCHMARK_TEMPERATURE
 
     def rendered(self) -> str:
-        return "\n".join(m.content for m in self.messages)
+        return "\n".join(m["content"] for m in self.messages)
 
 
 def user_request(content: str, model: str = "scripted") -> CompletionRequest:
-    return CompletionRequest(messages=(Message("user", content),), model=model)
+    return CompletionRequest(({"role": "user", "content": content},), model)
 
 
 # Each byte other than the space that `str.split()` counts as whitespace in
@@ -70,8 +68,8 @@ def request_hash(request: CompletionRequest) -> str:
     then per message `\\x1f`, the role, `:` and the normalized content."""
     digest = hashlib.sha256(request.model.encode("utf-8"))
     for message in request.messages:
-        digest.update(b"\x1f" + message.role.encode("utf-8") + b":"
-                      + _normalized(message.content))
+        digest.update(b"\x1f" + message["role"].encode("utf-8") + b":"
+                      + _normalized(message["content"]))
     return digest.hexdigest()
 
 
@@ -102,14 +100,16 @@ class ScriptedBackend:
     A prompt tries the rules of each family whose marker it holds, in family
     order, then rule order; the first rule whose substrings all occur wins.
     A build refuses (ValueError) a rule with no substring holding its marker,
-    so the walk answers as an in-order scan of all rules would.  Each built
-    family is kept once, as its rules, each paired with its substrings other
-    than the marker: the walk enters a family only when the prompt holds its
-    marker, so a substring equal to the marker is not tested again; one that
-    merely contains it is.  A miss builds every family and raises RuleMiss
-    naming the closest rule.  `rules` lists the rules built so far, in
-    family order, flattened from that store on each read; reading it builds
-    nothing."""
+    so the walk answers as an in-order scan of all rules would, and turns a
+    LookupError or TypeError of the family's own build (an oracle recipe
+    that lacks a field) into a ValueError naming the backend's label.  Each
+    built family is kept once, as its rules, each paired with its substrings
+    other than the marker: the walk enters a family only when the prompt
+    holds its marker, so a substring equal to the marker is not tested
+    again; one that merely contains it is.  A miss builds every family and
+    raises RuleMiss naming the closest rule.  `rules` lists the rules built
+    so far, in family order, flattened from that store on each read;
+    reading it builds nothing."""
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
         self._start({"": lambda: rules}, label)
@@ -139,7 +139,11 @@ class ScriptedBackend:
     def _family(self, marker: str) -> list[tuple[tuple[str, ...], Rule]]:
         built = self._built.get(marker)
         if built is None:
-            rules = list(self._families[marker]())
+            try:
+                rules = list(self._families[marker]())
+            except (LookupError, TypeError) as exc:
+                raise ValueError(f"[{self.label}] cannot build the rules of "
+                                 f"{marker!r}: {exc!r}") from exc
             for i, rule in enumerate(rules):
                 for key in rule.substrings:
                     if marker in key:
@@ -235,9 +239,8 @@ class HttpChatBackend:
     def complete(self, request: CompletionRequest) -> str:
         body = json.dumps({
             "model": request.model if request.model != "scripted" else self.model,
-            "messages": [{"role": m.role, "content": m.content}
-                         for m in request.messages],
-            "temperature": request.temperature,
+            "messages": request.messages,
+            "temperature": BENCHMARK_TEMPERATURE,
         }).encode("utf-8")
         headers = {
             "Content-Type": "application/json",

@@ -25,7 +25,7 @@ from .evaluation import (
     report_from_dict,
 )
 from .generator import generate_task, load_fixture, save_fixture
-from .orchestrator import RunConfig, normalize_method
+from .orchestrator import METHOD_GOALACT, RunConfig, normalize_method
 from .plan import Trajectory, read_trajectories, write_trajectories
 from .records import read_document
 from .sandbox import SandboxLimits
@@ -160,8 +160,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
     methods = [normalize_method(m) for m in args.methods.split(",") if m]
     if not methods:
         raise FatalError("no methods given")
-    config, backend_spec = load_run_config(args.config, methods[0],
-                                           args.backend)
+    lead = METHOD_GOALACT if METHOD_GOALACT in methods else methods[0]
+    config, backend_spec = load_run_config(args.config, lead, args.backend)
+    if not config.ablations:  # then the suite's config is its first method's
+        config = config.for_method(methods[0])
     tasks_dir = args.fixtures / "tasks"
     if not tasks_dir.is_dir():
         raise FatalError(f"no tasks/ directory under {args.fixtures}")

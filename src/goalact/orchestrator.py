@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
-from .backends import SURROGATE, strip_code_fences, user_request
+from .backends import (BENCHMARK_TEMPERATURE, SURROGATE, strip_code_fences,
+                       user_request)
 from .environment import (TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment,
                           ToolResult)
 from .errors import (
@@ -207,7 +208,7 @@ def normalize_method(name: str) -> str:
 # --- recording wrappers ------------------------------------------------------------
 
 class RecordingBackend:
-    """The one place a run calls the model; logs each exchange it makes."""
+    """The one place a run calls the model; logs each exchange as sent."""
 
     def __init__(self, inner: Any, trajectory: Trajectory, model: str):
         self.inner = inner
@@ -221,15 +222,11 @@ class RecordingBackend:
         response = self.inner.complete(request)
         if not response.isascii() and SURROGATE.search(response):
             raise BackendUnavailable("the completion holds a surrogate")
-        self.trajectory.record_llm(LlmExchange(
-            purpose=purpose,
-            model=request.model,
-            temperature=request.temperature,
-            messages=[{"role": m.role, "content": m.content}
-                      for m in request.messages],
+        self.trajectory.llm_calls.append(LlmExchange(
+            purpose=purpose, model=request.model,
+            temperature=BENCHMARK_TEMPERATURE, messages=list(request.messages),
             response=response,
-            attempts=getattr(self.inner, "last_attempts", 1),
-        ))
+            attempts=getattr(self.inner, "last_attempts", 1)))
         return response
 
 
@@ -247,7 +244,7 @@ class RecordingEnvironment:
 
     def call(self, call: ToolCall) -> ToolResult:
         result = self.inner.call(call)
-        self.trajectory.record_tool(ToolCallRecord(
+        self.trajectory.tool_calls.append(ToolCallRecord(
             tool=call.tool_name, arguments=dict(call.arguments),
             result=result.list_text if result.error is None
             else truncate_observation(result.error, self.observation_bytes),

@@ -177,7 +177,8 @@ class ToolCallRecord:
 
 @dataclass
 class Trajectory:
-    """The complete persisted record of one task run."""
+    """The complete persisted record of one task run; a run appends its
+    model calls, each as it was sent, and tool calls to their lists."""
 
     task_id: str
     method: str
@@ -191,12 +192,6 @@ class Trajectory:
 
     def record_plan(self, plan: GlobalPlan) -> None:
         self.revisions.append(plan_to_dict(plan))
-
-    def record_llm(self, exchange: LlmExchange) -> None:
-        self.llm_calls.append(exchange)
-
-    def record_tool(self, record: ToolCallRecord) -> None:
-        self.tool_calls.append(record)
 
 
 def step_to_dict(step: PlanStep) -> dict[str, Any]:

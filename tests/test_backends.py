@@ -15,7 +15,6 @@ from goalact.backends import (
     CassetteReplayBackend,
     CompletionRequest,
     HttpChatBackend,
-    Message,
     Rule,
     ScriptedBackend,
     decode_json,
@@ -217,12 +216,9 @@ def test_request_hash_is_skipped_when_no_rule_has_a_prompt_hash(monkeypatch):
 
 
 def test_request_hash_normalizes_whitespace():
-    a = CompletionRequest(messages=(Message("user", "hello   world"),),
-                          model="m")
-    b = CompletionRequest(messages=(Message("user", "hello\n world"),),
-                          model="m")
-    c = CompletionRequest(messages=(Message("user", "hello world!"),),
-                          model="m")
+    a = _req("hello   world", model="m")
+    b = _req("hello\n world", model="m")
+    c = _req("hello world!", model="m")
     assert request_hash(a) == request_hash(b)
     assert request_hash(a) != request_hash(c)
 
@@ -231,13 +227,14 @@ def test_request_hash_normalizes_whitespace():
 # contract: these digests were computed by the word-splitting definition
 # below before the byte-level normalizer replaced it.
 @pytest.mark.parametrize("messages, model, digest", [
-    ((Message("system", "  Tools:\n\n- get_record\t(x)\x0b\x0c\r\x1c\x1d"
-                        "\x1e\x1f end  "),
-      Message("user", "caf\xe9\u3000  \x85ok\xa0!")), "gpt-x",
+    (({"role": "system",
+       "content": "  Tools:\n\n- get_record\t(x)\x0b\x0c\r\x1c\x1d"
+                  "\x1e\x1f end  "},
+      {"role": "user", "content": "caf\xe9\u3000  \x85ok\xa0!"}), "gpt-x",
      "893b3767f988c04a167dfaa012d06fe2c52f92040f8abac00e1cdeab733b4251"),
-    ((Message("user", ""),), "m",
+    (({"role": "user", "content": ""},), "m",
      "9de2f3f00be269fd5d461dba1eab3287e8ccd8363967a069f364d8380aea841f"),
-    ((Message("user", " \t\n"),), "m",
+    (({"role": "user", "content": " \t\n"},), "m",
      "9de2f3f00be269fd5d461dba1eab3287e8ccd8363967a069f364d8380aea841f"),
 ])
 def test_request_hash_keeps_its_pinned_digests(messages, model, digest):
@@ -249,7 +246,8 @@ def _reference_request_hash(request: CompletionRequest) -> str:
     """The cassette key as first defined: content split into words."""
     parts = [request.model]
     for message in request.messages:
-        parts.append(f"{message.role}:{' '.join(message.content.split())}")
+        parts.append(f"{message['role']}:"
+                     f"{' '.join(message['content'].split())}")
     return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -269,8 +267,8 @@ def test_request_hash_matches_the_word_splitting_definition():
             texts.append(rng.choice(("", " ", "\n\t")) + "".join(chunks)
                          + rng.choice(("", "  ", "\x1f\r")))
         request = CompletionRequest(
-            messages=tuple(Message(rng.choice(("system", "user")), text)
-                           for text in texts),
+            messages=tuple({"role": rng.choice(("system", "user")),
+                            "content": text} for text in texts),
             model=rng.choice(("m", "gpt-x")))
         assert request_hash(request) == _reference_request_hash(request), \
             request
@@ -301,8 +299,34 @@ def test_previews_show_the_prompt_with_its_whitespace_normalized(tmp_path):
     assert str(miss.value).endswith(f"prompt starts: {preview(odd, 160)!r}")
 
 
-def test_benchmark_temperature_defaults_to_zero():
-    assert _req("anything").temperature == BENCHMARK_TEMPERATURE == 0.0
+def test_every_logged_exchange_and_http_body_carries_temperature_zero():
+    """A request holds no temperature: the HTTP client sends, and the
+    trajectory logs, BENCHMARK_TEMPERATURE beside the same messages."""
+    from goalact.generator import generate_khop_task
+    from goalact.oracle import oracle_backend
+    from goalact.orchestrator import METHODS, RunConfig, run_task
+
+    task, env = generate_khop_task(seed=61, k=2)
+    oracle = oracle_backend(task)
+    bodies = []
+
+    def transport(url, headers, body, timeout):
+        doc = json.loads(body.decode("utf-8"))
+        bodies.append(doc)
+        return 200, _ok_body(oracle.complete(
+            CompletionRequest(tuple(doc["messages"]), doc["model"])))
+
+    live = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
+                           model="m", transport=transport,
+                           sleeper=lambda s: None)
+    calls = [call for method in METHODS for call in run_task(
+        task, env, RunConfig(method=method), live).llm_calls]
+    assert BENCHMARK_TEMPERATURE == 0.0
+    assert len(calls) == len(bodies) > 0
+    assert {doc["temperature"] for doc in bodies} == \
+        {call.temperature for call in calls} == {0.0}
+    assert [doc["messages"] for doc in bodies] == \
+        [call.messages for call in calls]
 
 
 # --- HTTP backend -----------------------------------------------------------------
@@ -628,11 +652,8 @@ def test_recorded_run_replays_to_an_identical_trajectory(tmp_path):
         def __call__(self, url, headers, body, timeout):
             self.calls += 1
             doc = json.loads(body.decode("utf-8"))
-            request = CompletionRequest(
-                messages=tuple(Message(m["role"], m["content"])
-                               for m in doc["messages"]),
-                model=doc["model"], temperature=doc["temperature"])
-            return 200, _ok_body(oracle.complete(request))
+            return 200, _ok_body(oracle.complete(
+                CompletionRequest(tuple(doc["messages"]), doc["model"])))
 
     transport = _OracleTransport()
     live = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
@@ -645,6 +666,9 @@ def test_recorded_run_replays_to_an_identical_trajectory(tmp_path):
     assert live_calls > 0
 
     replay = CassetteReplayBackend(cassette)
+    # Each logged exchange hashes to the key its response is recorded under.
+    assert replay.entries == {request_hash(call): call.response
+                              for call in recorded.llm_calls}
     replayed = run_task(task, env, RunConfig(method="GoalAct"), replay)
     assert transport.calls == live_calls  # nothing new went over the wire
     assert encode_trajectory(replayed) == encode_trajectory(recorded)
@@ -666,11 +690,8 @@ def test_record_mode_logs_the_http_retry_count(tmp_path):
                 outages -= 1
                 return 503, "busy"
             doc = json.loads(body.decode("utf-8"))
-            request = CompletionRequest(
-                messages=tuple(Message(m["role"], m["content"])
-                               for m in doc["messages"]),
-                model=doc["model"], temperature=doc["temperature"])
-            return 200, _ok_body(oracle.complete(request))
+            return 200, _ok_body(oracle.complete(
+                CompletionRequest(tuple(doc["messages"]), doc["model"])))
         return transport
 
     def record(outages: int, cassette):
@@ -685,8 +706,38 @@ def test_record_mode_logs_the_http_retry_count(tmp_path):
     assert [call.attempts for call in retried.llm_calls] == \
         [2] + [1] * (len(retried.llm_calls) - 1)
     assert all(call.attempts == 1 for call in clean.llm_calls)
+    assert CassetteReplayBackend(tmp_path / "retried.jsonl").entries == {
+        request_hash(call): call.response for call in retried.llm_calls}
     assert (tmp_path / "retried.jsonl").read_bytes() == \
         (tmp_path / "clean.jsonl").read_bytes()
+
+
+def test_every_logged_exchange_hashes_to_its_cassette_entry(tmp_path):
+    """A suite of every category and method, answered by each task's oracle
+    through one recorder: each exchange its logs hold hashes to a cassette
+    key that holds the exchange's response."""
+    from goalact.generator import CATEGORY_ORDER, generate_task
+    from goalact.oracle import oracle_backend
+    from goalact.orchestrator import METHODS, RunConfig
+    from goalact.plan import read_trajectories
+    from goalact.suite import run_suite
+
+    recorder = CassetteRecorder(None, tmp_path / "suite.jsonl")
+
+    def factory(task):
+        recorder.inner = oracle_backend(task)
+        return recorder
+
+    pairs = [generate_task(category, 7) for category in CATEGORY_ORDER]
+    run_suite(pairs, list(METHODS), RunConfig(), factory,
+              out_dir=tmp_path / "run")
+    entries = CassetteReplayBackend(tmp_path / "suite.jsonl").entries
+    calls = [call for method in METHODS for trajectory in read_trajectories(
+        tmp_path / "run" / "trajectories" / f"{method}.jsonl")
+        for call in trajectory.llm_calls]
+    assert len(calls) > len(pairs) * len(METHODS)
+    for call in calls:
+        assert entries[request_hash(call)] == call.response, call.purpose
 
 
 def test_two_scripted_runs_yield_byte_identical_trajectories():

@@ -155,6 +155,14 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("task", {"id": 5}),
     ("task", {"category": ["x"]}),
     ("task", {"query": None}),
+    # A recipe that lacks a field the oracle reads: the run fails on the
+    # family build that reads it, naming the task.
+    ("task", {"recipe": {"kind": "khop"}}),
+    ("task", {"recipe": {"kind": "khop", "hops": [{}]}}),
+    ("task", {"recipe": {"kind": "aggregation", "table": "invoices",
+                         "filter_field": "company_id",
+                         "filter_value": "C-942263", "total": 1017481,
+                         "rendered_total": "1017481"}}),
     ("table", '{"name": "companies"}'),
     ("trajectory", "[1]"),
     ("trajectory", None),
@@ -178,6 +186,7 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
            "trajectory": tmp_path / "trajectories.jsonl",
            "report": tmp_path / "report.json",
            "exemplars": tmp_path / "exemplars.jsonl"}[kind]
+    recipe_row = isinstance(text, dict) and "recipe" in text
     if not isinstance(text, str):
         # A well-formed document less one of its keys, or with the fields
         # `text` holds.
@@ -206,8 +215,49 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("configuration fault: ")
     line_delimited = kind in ("cassette", "rules", "trajectory", "exemplars")
-    assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
+    if recipe_row:
+        task_id = json.loads(text)["id"]
+        assert f"[oracle:{task_id}] cannot build the rules of " in err
+    else:
+        assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
 
+
+
+def test_a_suite_with_goalact_takes_ablations_in_any_method_order(tmp_path,
+                                                                  capsys):
+    from goalact.orchestrator import RunConfig
+    from goalact.suite import config_hash
+
+    fixtures = _generate(tmp_path, capsys, seed=5, k=2, count=1)
+    config = tmp_path / "no-plan.json"
+    config.write_text('{"ablations": ["no_global_plan"]}', encoding="utf-8")
+    logs = {}
+    for methods in ("goalact,ps", "ps,goalact"):
+        out = tmp_path / methods.replace(",", "-")
+        assert main(["suite", "--fixtures", str(fixtures), "--methods",
+                     methods, "--config", str(config), "--out", str(out)]) == 0
+        logs[methods] = [(out / "trajectories" / f"{method}.jsonl").read_text(
+            encoding="utf-8") for method in ("GoalAct", "PlanAndSolve")]
+    # The ablation reaches GoalAct alone, whichever method comes first.
+    assert logs["goalact,ps"] == logs["ps,goalact"]
+    goalact_log, ps_log = logs["ps,goalact"]
+    assert '"purpose":"next_step"' in goalact_log
+    assert '"purpose":"next_step"' not in ps_log
+    # Without ablations the suite's config is still its first method's.
+    out = tmp_path / "plain"
+    assert main(["suite", "--fixtures", str(fixtures), "--methods",
+                 "ps,goalact", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_hash"] == config_hash(
+        RunConfig(method="PlanAndSolve"), ["PlanAndSolve", "GoalAct"],
+        "scripted:oracle")
+    capsys.readouterr()
+    # A suite that runs no GoalAct refuses them.
+    assert main(["suite", "--fixtures", str(fixtures), "--methods", "ps,react",
+                 "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (f"configuration fault: {config}: "
+                                       "ablation switches only apply to "
+                                       "GoalAct\n")
 
 
 def test_a_config_its_own_check_refuses_is_not_called_malformed(tmp_path,

@@ -162,13 +162,12 @@ def _sample_trajectory() -> Trajectory:
     traj = Trajectory(task_id="khop1-s00001", method="GoalAct")
     plan = _plan([SEARCHING, FINISH], executed=1)
     traj.record_plan(plan)
-    traj.record_llm(LlmExchange(purpose="planning", model="scripted",
-                                temperature=0.0,
-                                messages=[{"role": "user", "content": "plan"}],
-                                response="[]"))
-    traj.record_tool(ToolCallRecord(tool="get_record",
-                                    arguments={"table": "companies"},
-                                    result='{"name": "AlphaCorp"}'))
+    traj.llm_calls.append(LlmExchange(
+        purpose="planning", model="scripted", temperature=0.0,
+        messages=[{"role": "user", "content": "plan"}], response="[]"))
+    traj.tool_calls.append(ToolCallRecord(
+        tool="get_record", arguments={"table": "companies"},
+        result='{"name": "AlphaCorp"}'))
     traj.final_answer = "AlphaCorp"
     traj.step_count = 2
     traj.termination_reason = "finish"
@@ -198,7 +197,7 @@ def test_trajectory_lines_are_the_bytes_json_dumps_writes():
     traj.tool_calls[0].arguments = {
         "table": "companies", "value": "Zoë\u2028", "limit": 3,
         "nested": [1.5, None, True, {"k": [float("inf"), -0.0, 10 ** 30]}]}
-    traj.record_llm(LlmExchange(
+    traj.llm_calls.append(LlmExchange(
         purpose="skill", model="m", temperature=0.25,
         messages=[{"role": "user", "content": "ünïcode\r\n\b\f"}],
         response='{"tool": "get_record", "args": {}}', attempts=2))
