@@ -16,12 +16,13 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import AuthFailure, BackendUnavailable, CassetteMiss, RuleMiss
-from .records import read_lines
+from .records import (check_types, read_lines, record_from_dict,
+                      record_to_dict)
 
 BENCHMARK_TEMPERATURE = 0.0
 
@@ -100,9 +101,7 @@ class ScriptedBackend:
     A prompt tries the rules of each family whose marker it holds, in family
     order, then rule order; the first rule whose substrings all occur wins.
     A build refuses (ValueError) a rule with no substring holding its marker,
-    so the walk answers as an in-order scan of all rules would, and turns a
-    LookupError or TypeError of the family's own build (an oracle recipe
-    that lacks a field) into a ValueError naming the backend's label.  Each
+    so the walk answers as an in-order scan of all rules would.  Each
     built family is kept once, as its rules, each paired with its substrings
     other than the marker: the walk enters a family only when the prompt
     holds its marker, so a substring equal to the marker is not tested
@@ -139,11 +138,7 @@ class ScriptedBackend:
     def _family(self, marker: str) -> list[tuple[tuple[str, ...], Rule]]:
         built = self._built.get(marker)
         if built is None:
-            try:
-                rules = list(self._families[marker]())
-            except (LookupError, TypeError) as exc:
-                raise ValueError(f"[{self.label}] cannot build the rules of "
-                                 f"{marker!r}: {exc!r}") from exc
+            rules = list(self._families[marker]())
             for i, rule in enumerate(rules):
                 for key in rule.substrings:
                     if marker in key:
@@ -342,29 +337,24 @@ def _cassette_entry(doc: Any) -> tuple[str, str]:
 
 
 def _rule_from_dict(doc: Any) -> Rule:
-    keys = doc.get("substrings") if isinstance(doc, dict) else None
-    if not (isinstance(keys, list) and keys
-            and doc.keys() <= {"response", "substrings", "name"}
-            and all(isinstance(text, str) for text in
-                    [*keys, doc.get("response"), doc.get("name", "")])):
-        raise ValueError("a rule is a JSON object of a string response, a "
-                         "non-empty list of string substrings and maybe a "
-                         "string name; ordinal, prompt_hash and substring "
-                         "are gone")
-    return Rule(doc["response"], tuple(keys), doc.get("name", ""))
+    rule = check_types(record_from_dict(Rule, {"name": "", **doc}))
+    if not rule.substrings:
+        raise ValueError("a rule's substrings are a non-empty array")
+    return rule
 
 
 def load_rules_file(path: Path) -> list[Rule]:
-    """Scripted-backend fixture format: one rule per line, a JSON object
-    holding a `response`, a non-empty `substrings` list and an optional
-    `name`.  Any other line raises FatalError naming the file and line."""
+    """Scripted-backend fixture format: one `Rule` document per line, its
+    `substrings` not empty and its `name` "" when left out.  Any other line
+    raises FatalError naming the file and line."""
     return read_lines(path, _rule_from_dict)
 
 
 def save_rules_file(rules: Sequence[Rule], path: Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for rule in rules:
-            handle.write(json.dumps(asdict(rule), ensure_ascii=False) + "\n")
+            handle.write(json.dumps(record_to_dict(rule), ensure_ascii=False)
+                         + "\n")
 
 
 def decode_json(text: str) -> Any:

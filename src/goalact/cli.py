@@ -18,16 +18,16 @@ from typing import Any, Optional, Sequence
 
 from .errors import BackendError, FatalError, GoalActError
 from .evaluation import (
+    SuiteReport,
     aggregate,
     path_coverage,
     render_report_json,
     render_report_text,
-    report_from_dict,
 )
 from .generator import generate_task, load_fixture, save_fixture
 from .orchestrator import METHOD_GOALACT, RunConfig, normalize_method
 from .plan import Trajectory, read_trajectories, write_trajectories
-from .records import read_document
+from .records import check_types, read_document, record_from_dict
 from .sandbox import SandboxLimits
 from .suite import (
     ENV_MODEL,
@@ -169,6 +169,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         raise FatalError(f"no tasks/ directory under {args.fixtures}")
     pairs = [load_fixture(p) for p in sorted(tasks_dir.glob("*.json"))]
     factory = resolve_backend_factory(backend_spec)
+    for task, _ in pairs:  # a malformed task is refused before any run
+        factory(task)
     report = run_suite(pairs, methods, config, factory, out_dir=args.out,
                        backend_spec=backend_spec, jobs=args.jobs)
     print(render_report_text(report), end="")
@@ -213,7 +215,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = args.results
     if path.is_dir():
         path = path / "report.json"
-    report = read_document(path, report_from_dict)
+    report = read_document(path, lambda doc: check_types(
+        record_from_dict(SuiteReport, doc)))
     render = render_report_json if args.format == "json" \
         else render_report_text
     print(render(report), end="")

@@ -14,10 +14,11 @@ import json
 import math
 import unicodedata
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GoalActError
 from .generator import CATEGORY_ORDER
+from .records import record_to_dict
 
 
 @dataclass(frozen=True)
@@ -31,15 +32,15 @@ class TaskScore:
 @dataclass(frozen=True)
 class MethodRow:
     method: str
-    per_category: Mapping[str, float]
+    per_category: dict[str, float]
     overall: float
 
 
 @dataclass(frozen=True)
 class SuiteReport:
-    rows: tuple[MethodRow, ...]
     categories: tuple[str, ...]
     task_count: int
+    rows: tuple[MethodRow, ...]
 
 
 def _nfc(text: str) -> str:
@@ -149,44 +150,5 @@ def render_report_text(report: SuiteReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report: SuiteReport) -> dict:
-    return {
-        "categories": list(report.categories),
-        "task_count": report.task_count,
-        "rows": [
-            {"method": row.method,
-             "per_category": {c: row.per_category[c]
-                              for c in report.categories
-                              if c in row.per_category},
-             "overall": row.overall}
-            for row in report.rows
-        ],
-    }
-
-
-def _checked(value: Any, kind: Any, name: str) -> Any:
-    """`value` if it is a `kind` (a bool is no number), else a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{name} has the wrong type: {value!r}")
-    return value
-
-
-def report_from_dict(doc: Mapping) -> SuiteReport:
-    """The report `report_to_dict` wrote.  A value not of its type raises a
-    TypeError."""
-    number = (int, float)
-    rows = tuple(MethodRow(
-        method=_checked(row["method"], str, "method"),
-        per_category={c: _checked(s, number, f"the score of {c}") for c, s in
-                      _checked(row["per_category"], dict, "per_category").items()},
-        overall=_checked(row["overall"], number, "overall"))
-        for row in _checked(doc["rows"], list, "rows"))
-    categories = _checked(doc["categories"], list, "categories")
-    return SuiteReport(
-        rows=rows, categories=tuple(_checked(c, str, "a category")
-                                    for c in categories),
-        task_count=_checked(doc["task_count"], int, "task_count"))
-
-
 def render_report_json(report: SuiteReport) -> str:
-    return json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(record_to_dict(report), ensure_ascii=False, indent=2) + "\n"

@@ -113,7 +113,9 @@ class _written:
 
 class Solution:
     """What one task answers to every prompt, each text written when first
-    read; a subclass per task kind reads its recipe.
+    read; a subclass per task kind reads its recipe.  As a solution is made,
+    `read_recipe` reads every recipe field its families read, writing no
+    text.
 
     A `*_keys` list holds, per round, the value that first appears in that
     round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
@@ -132,6 +134,7 @@ class Solution:
     def __init__(self, task: Task):
         self.task = task
         self.recipe = task.recipe
+        self.read_recipe()
 
     @_written
     def subtasks(self) -> list[str]:
@@ -246,6 +249,10 @@ class _KhopSolution(Solution):
     prefix = "khop"
     families = ((SEARCHING_MARKER, _searching_family), *_METHOD_FAMILIES)
 
+    def read_recipe(self) -> None:
+        # The first hop too: with none, the plan's rounds outnumber its steps.
+        self.lookups[0], self.recipe["answer"], self.recipe["answer_field"]
+
     @_written
     def lookups(self) -> list[Lookup]:
         return [Lookup("get_record", h["table"], h["lookup_field"],
@@ -315,6 +322,11 @@ class _WritingSolution(Solution):
                        "parties, counsel, and statutes")
     finish = ("The facts are gathered.", "Finish[facts gathered]",
               "All facts fetched.")
+
+    def read_recipe(self) -> None:
+        r = self.recipe
+        self.lookups, r["doc_marker"], r["registration_code"], r["bar_number"]
+        r["counsel_name"], r["statute_ids"][1], self.task.gold_path[0][1]
 
     @_written
     def lookups(self) -> list[Lookup]:
@@ -398,6 +410,10 @@ class _AggregationSolution(Solution):
               "Finish[the rows are listed but the total needs computation]",
               "Nothing more a single call can do.")
 
+    def read_recipe(self) -> None:
+        self.calls, self.recipe["sum_field"], self.recipe["rendered_total"]
+        self.task.gold_path[0][1]
+
     @_written
     def code_objective(self) -> str:
         r = self.recipe
@@ -467,11 +483,15 @@ _SOLVERS: dict[str, type[Solution]] = {
 def build_oracle_rules(task: Task) -> list[RuleFamily]:
     """The task's rules as lazy per-marker families, in matching order: its
     kind's builders bound to one fresh solution.  Flattened, they are the
-    task's full rule list."""
+    task's full rule list; a malformed recipe raises a ValueError."""
     solver = _SOLVERS.get(task.recipe.get("kind"))
     if solver is None:
         raise ValueError(f"task {task.id} carries no oracle recipe")
-    solution = solver(task)
+    try:
+        solution = solver(task)
+    except (LookupError, TypeError) as exc:
+        raise ValueError(f"task {task.id} carries a malformed oracle recipe: "
+                         f"{exc!r}") from exc
     return [(marker, partial(build, solution))
             for marker, build in solver.families]
 

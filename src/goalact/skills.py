@@ -159,8 +159,8 @@ def dispatch(action: SkillAction, context: SkillContext,
     elif not entry.enabled:
         observation = f"Action not executed: skill {kind!r} is currently disabled"
     elif entry.run is None:
-        observation = (f"Action not executed: skill {kind!r} has no executor "
-                       "(Finish is handled by the run loop)")
+        observation = f"Action not executed: skill {kind!r} has no executor" \
+            + (" (Finish is handled by the run loop)" if kind == FINISH else "")
     else:
         try:
             observation, payload = entry.run(action, context)

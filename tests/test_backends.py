@@ -763,7 +763,13 @@ def test_rules_file_round_trip(tmp_path):
     ]
     path = tmp_path / "rules.jsonl"
     save_rules_file(rules, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == \
+        '{"response": "r2", "substrings": ["gamma"], "name": ""}'
     assert load_rules_file(path) == rules
+    # A line may leave out its name, which then reads as "".
+    path.write_text('{"substrings": ["gamma"], "response": "r2"}\n',
+                    encoding="utf-8")
+    assert load_rules_file(path) == rules[1:]
 
 
 @pytest.mark.parametrize("line", [

@@ -104,10 +104,26 @@ def test_report_command_formats(tmp_path, capsys):
     assert main(["report", "--results", str(out_dir), "--format", "text"]) == 0
     text = capsys.readouterr().out
     assert "Method" in text and "ALL" in text
+    assert text == (out_dir / "report.txt").read_text(encoding="utf-8")
     assert main(["report", "--results", str(out_dir / "report.json"),
                  "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["rows"][0]["method"] == "GoalAct"
+    rendered = capsys.readouterr().out
+    assert rendered == (out_dir / "report.json").read_text(encoding="utf-8")
+    assert json.loads(rendered)["rows"][0]["method"] == "GoalAct"
+
+
+def test_a_report_of_integer_scores_renders_them(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"categories": ["1hop"], "task_count": 1,
+                                  "rows": [{"method": "GoalAct",
+                                            "per_category": {"1hop": 1},
+                                            "overall": 1}]}),
+                      encoding="utf-8")
+    assert main(["report", "--results", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split() == [
+        "GoalAct", "1.0000", "1.0000"]
+    assert main(["report", "--results", str(report), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["overall"] == 1
 
 
 def test_bad_configuration_exits_two(tmp_path, capsys):
@@ -155,10 +171,12 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("task", {"id": 5}),
     ("task", {"category": ["x"]}),
     ("task", {"query": None}),
-    # A recipe that lacks a field the oracle reads: the run fails on the
-    # family build that reads it, naming the task.
+    # A recipe that lacks a field the oracle reads: the oracle refuses it
+    # when it makes the task's backend, naming the task.
     ("task", {"recipe": {"kind": "khop"}}),
     ("task", {"recipe": {"kind": "khop", "hops": [{}]}}),
+    ("task", {"recipe": {"kind": "khop", "hops": [], "answer": "a",
+                         "answer_field": "f"}}),
     ("task", {"recipe": {"kind": "aggregation", "table": "invoices",
                          "filter_field": "company_id",
                          "filter_value": "C-942263", "total": 1017481,
@@ -171,6 +189,13 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("report", '{"rows": [{}]}'),
     ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
         {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": "x"}]})),
+    ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
+        {"method": "GoalAct", "per_category": {"k": True}, "overall": 1.0}]})),
+    ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [],
+                           "notes": "x"})),
+    ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
+        {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": 1.0,
+         "notes": "x"}]})),
     ("exemplars", '{"nope": 1}'),
 ])
 def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
@@ -217,10 +242,24 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
     line_delimited = kind in ("cassette", "rules", "trajectory", "exemplars")
     if recipe_row:
         task_id = json.loads(text)["id"]
-        assert f"[oracle:{task_id}] cannot build the rules of " in err
+        assert f"task {task_id} carries a malformed oracle recipe: " in err
     else:
         assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
 
+
+def test_a_suite_refuses_a_malformed_recipe_before_its_first_run(tmp_path,
+                                                                 capsys):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=2, count=3)
+    last = sorted((fixtures / "tasks").glob("*.json"))[-1]
+    doc = json.loads(last.read_text(encoding="utf-8"))
+    doc["recipe"] = {"kind": "khop"}
+    last.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["suite", "--fixtures", str(fixtures), "--methods",
+                 "goalact,react", "--out", str(out)]) == 2
+    assert f"task {doc['id']} carries a malformed oracle recipe: " in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_suite_with_goalact_takes_ablations_in_any_method_order(tmp_path,

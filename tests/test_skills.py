@@ -124,6 +124,14 @@ def test_dispatch_rejects_unknown_and_finish(company_env):
          "(Finish is handled by the run loop)", None)
 
 
+def test_dispatch_answers_a_custom_skill_with_no_executor(company_env):
+    registry = register_skill(default_registry(), "Reasoning",
+                              SkillDescriptor("Reasoning", "think it over"))
+    assert dispatch(SkillAction("Reasoning", "weigh the facts"),
+                    _context(company_env, scripted()), registry) == \
+        ("Action not executed: skill 'Reasoning' has no executor", None)
+
+
 @pytest.mark.parametrize("kind", [SEARCHING, CODING, WRITING])
 def test_dispatch_turns_a_skill_outage_into_an_observation(company_env, kind):
     env, trajectory = _logged(company_env)
