@@ -49,7 +49,7 @@ print("next pending after execution:", first_pending(plan).index)
 
 # Trajectories capture a whole run and encode to one JSON document per line.
 traj = Trajectory(task_id="demo-1", method="GoalAct")
-traj.record_plan(plan)
+traj.revisions.append(plan)
 traj.final_answer = "AlphaCorp"
 traj.step_count = 2
 traj.termination_reason = "finish"

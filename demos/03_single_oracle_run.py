@@ -23,10 +23,9 @@ print("success:", score.s, "| steps:", trajectory.step_count,
 # The plan was re-generated before every executed action; executed steps
 # never change across revisions, only the pending suffix does.
 print("\nplan revisions:", len(trajectory.revisions))
-for revision in trajectory.revisions:
-    executed = sum(1 for s in revision["steps"] if s["status"] == "executed")
-    print(f"  revision {revision['revision']}: {len(revision['steps'])} steps,"
-          f" {executed} executed")
+for plan in trajectory.revisions:
+    executed = sum(1 for s in plan.steps if s.executed)
+    print(f"  revision {plan.revision}: {len(plan)} steps, {executed} executed")
 
 print("\nLLM calls by purpose:")
 for call in trajectory.llm_calls:

@@ -189,24 +189,32 @@ Transport = Callable[[str, dict[str, str], bytes, float], tuple[int, str]]
 
 def _urllib_transport(url: str, headers: dict[str, str], body: bytes,
                       timeout: float) -> tuple[int, str]:
+    """(status, body); a body cut short or late is a ConnectionError."""
     req = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8", errors="replace")
-    except UnicodeDecodeError as exc:
-        raise BackendUnavailable(f"response body is not UTF-8: {exc}") from exc
+        try:
+            resp = urllib.request.urlopen(req, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # an error status and its body
+            resp = exc
+        with resp:
+            status, raw = resp.status, resp.read()
     except (urllib.error.URLError, TimeoutError, OSError,
             http.client.HTTPException) as exc:
         raise ConnectionError(str(exc)) from exc
+    if isinstance(resp, urllib.error.HTTPError):
+        return status, raw.decode("utf-8", errors="replace")
+    try:
+        return status, raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BackendUnavailable(f"response body is not UTF-8: {exc}") from exc
 
 
 class HttpChatBackend:
     """Chat-completions client with bounded exponential backoff.
 
-    Retries timeouts, connection faults (a body cut short among them), 429,
-    and 5xx up to `max_attempts` total tries; 401/403 fail immediately.
+    Retries timeouts, connection faults (a body cut short or late, whatever
+    the status, among them), 429, and 5xx up to `max_attempts` total tries;
+    401/403 fail immediately.
     """
 
     def __init__(self, endpoint: str, api_key: str, model: str,

@@ -187,12 +187,11 @@ def render_transcript(trajectory: Trajectory) -> str:
         f"termination: {trajectory.termination_reason}",
         f"plan revisions: {len(trajectory.revisions)}",
     ]
-    for revision in trajectory.revisions:
-        lines.append(f"  revision {revision['revision']}:")
-        for step in revision["steps"]:
-            flag = "x" if step["status"] == "executed" else " "
-            lines.append(f"    [{flag}] {step['index']}. "
-                         f"{step['kind']}[{step['objective']}]")
+    for plan in trajectory.revisions:
+        lines.append(f"  revision {plan.revision}:")
+        for step in plan.steps:
+            flag = "x" if step.executed else " "
+            lines.append(f"    [{flag}] {step.index}. {step.action.render()}")
     lines.append(f"llm calls: {len(trajectory.llm_calls)}")
     for call in trajectory.llm_calls:
         lines.append(f"  - {call.purpose} ({call.attempts} attempt(s))")

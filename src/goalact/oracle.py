@@ -95,6 +95,14 @@ def _searching_rules(lookups: list[Lookup], prefix: str) -> list[Rule]:
             for i, lookup in enumerate(lookups, start=1)]
 
 
+def _read_texts(fields: Any, *names: Any) -> None:
+    """TypeError unless each named field, which some rule holds, is a str."""
+    for name in names:
+        if not isinstance(fields[name], str):
+            raise TypeError(f"recipe field {name!r} holds {fields[name]!r}, "
+                            f"not a string")
+
+
 class _written:
     """A solution field written on its first read and kept on the solution:
     `functools.cached_property` without the lock it takes on every first
@@ -114,8 +122,8 @@ class _written:
 class Solution:
     """What one task answers to every prompt, each text written when first
     read; a subclass per task kind reads its recipe.  As a solution is made,
-    `read_recipe` reads every recipe field its families read, writing no
-    text.
+    `read_recipe` reads every recipe field its families read, and refuses
+    one not a string, writing no text.
 
     A `*_keys` list holds, per round, the value that first appears in that
     round's prompt (None for round 1).  ReAct and Plan-and-Execute make the
@@ -250,8 +258,11 @@ class _KhopSolution(Solution):
     families = ((SEARCHING_MARKER, _searching_family), *_METHOD_FAMILIES)
 
     def read_recipe(self) -> None:
+        for hop in self.recipe["hops"]:
+            _read_texts(hop, "table", "lookup_field", "lookup_value")
+        _read_texts(self.recipe, "answer", "answer_field")
         # The first hop too: with none, the plan's rounds outnumber its steps.
-        self.lookups[0], self.recipe["answer"], self.recipe["answer_field"]
+        self.lookups[0]
 
     @_written
     def lookups(self) -> list[Lookup]:
@@ -325,8 +336,11 @@ class _WritingSolution(Solution):
 
     def read_recipe(self) -> None:
         r = self.recipe
-        self.lookups, r["doc_marker"], r["registration_code"], r["bar_number"]
-        r["counsel_name"], r["statute_ids"][1], self.task.gold_path[0][1]
+        _read_texts(r, "plaintiff_name", "defendant_name", "registration_code",
+                    "counsel_id", "counsel_name", "bar_number", "topic",
+                    "doc_marker")
+        _read_texts(r["statute_ids"], 0, 1)
+        self.task.gold_path[0][1]
 
     @_written
     def lookups(self) -> list[Lookup]:
@@ -411,7 +425,8 @@ class _AggregationSolution(Solution):
               "Nothing more a single call can do.")
 
     def read_recipe(self) -> None:
-        self.calls, self.recipe["sum_field"], self.recipe["rendered_total"]
+        _read_texts(self.recipe, "table", "filter_field", "filter_value",
+                    "sum_field", "rendered_total")
         self.task.gold_path[0][1]
 
     @_written

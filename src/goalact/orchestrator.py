@@ -350,7 +350,7 @@ class _PlanPolicy(_Policy):
                 self.plan, partial(self.recorder.ask, self.purpose),
                 self.frame, self.parse, self.config.max_plan_steps,
                 self.repair, self.what)
-            self.recorder.trajectory.record_plan(self.plan)
+            self.recorder.trajectory.revisions.append(self.plan)
         step = first_pending(self.plan)
         if step is None or step.action.kind == FINISH:
             return True

@@ -5,8 +5,10 @@ is always Finish.  Executed steps are immutable: re-planning may only rewrite
 the pending suffix.  The history is that executed prefix itself: the
 plan's own executed `PlanStep`s, oldest first.
 
-A trajectory document's fields, in order, are those that `Trajectory`,
-`LlmExchange` and `ToolCallRecord` declare; a revision is `plan_to_dict`'s.
+A trajectory document's fields, in order, are those its records declare
+(a step's action's fields in the action's place), as `records` writes them.
+A revision is the plan object itself, not a copy: plans, steps and actions
+are frozen, and `mark_executed` copies the payload it is given.
 """
 
 from __future__ import annotations
@@ -74,15 +76,17 @@ class PlanStep:
 
     def mark_executed(self, observation: str,
                       payload: Optional[Mapping[str, Any]] = None) -> "PlanStep":
-        """Produce the executed version of this step; the original is unchanged."""
-        action = self.action if payload is None else replace(self.action, payload=dict(payload))
+        """Produce the executed version of this step; the original is
+        unchanged.  An empty payload leaves the action as it was."""
+        action = replace(self.action, payload=dict(payload)) if payload \
+            else self.action
         return replace(self, status=EXECUTED, observation=observation, action=action)
 
 
 @dataclass(frozen=True)
 class GlobalPlan:
+    revision: int
     steps: tuple[PlanStep, ...]
-    revision: int = 1
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -178,54 +182,17 @@ class ToolCallRecord:
 @dataclass
 class Trajectory:
     """The complete persisted record of one task run; a run appends its
-    model calls, each as it was sent, and tool calls to their lists."""
+    plans, its model calls, each as it was sent, and tool calls to them."""
 
     task_id: str
     method: str
-    revisions: list[dict[str, Any]] = field(default_factory=list)
+    revisions: list[GlobalPlan] = field(default_factory=list)
     llm_calls: list[LlmExchange] = field(default_factory=list)
     tool_calls: list[ToolCallRecord] = field(default_factory=list)
     final_answer: Optional[str] = None
     step_count: int = 0
     termination_reason: str = TERMINATION_MAX_ITERATIONS
     degraded: bool = False
-
-    def record_plan(self, plan: GlobalPlan) -> None:
-        self.revisions.append(plan_to_dict(plan))
-
-
-def step_to_dict(step: PlanStep) -> dict[str, Any]:
-    return {
-        "index": step.index,
-        "thought": step.thought,
-        "kind": step.action.kind,
-        "objective": step.action.objective,
-        "payload": dict(step.action.payload) if step.action.payload else None,
-        "status": step.status,
-        "observation": step.observation,
-    }
-
-
-def step_from_dict(doc: Mapping[str, Any]) -> PlanStep:
-    return PlanStep(
-        index=doc["index"],
-        thought=doc["thought"],
-        action=SkillAction(kind=doc["kind"], objective=doc["objective"],
-                           payload=doc.get("payload")),
-        status=doc["status"],
-        observation=doc.get("observation"),
-    )
-
-
-def plan_to_dict(plan: GlobalPlan) -> dict[str, Any]:
-    return {"revision": plan.revision, "steps": [step_to_dict(s) for s in plan.steps]}
-
-
-def plan_from_dict(doc: Mapping[str, Any]) -> GlobalPlan:
-    return GlobalPlan(
-        steps=tuple(step_from_dict(s) for s in doc["steps"]),
-        revision=doc["revision"],
-    )
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict[str, Any]:
@@ -235,14 +202,11 @@ def trajectory_to_dict(traj: Trajectory) -> dict[str, Any]:
 def trajectory_from_dict(doc: Any) -> Trajectory:
     """The trajectory whose document `doc` is; a TypeError or KeyError when
     it, one of its calls or one of its plan revisions is malformed."""
-    traj = record_from_dict(Trajectory, doc)
-    for revision in traj.revisions:
-        plan_from_dict(revision)
-    return traj
+    return record_from_dict(Trajectory, doc)
 
 
-# `json.dumps` with these options, made once: `trajectory_to_dict` builds a
-# fresh tree, so no container needs the circular-reference check.
+# `json.dumps` with these options, made once: a trajectory's document holds
+# no cycle, so no container needs the circular-reference check.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
                                  check_circular=False)
 

@@ -4,6 +4,10 @@ the harness reads back.
 A record's document holds exactly the fields its dataclass declares, in
 declaration order; a field declared a list or tuple holds an array, and one
 of records (`list[<record>]`, `tuple[<record>, ...]`) their documents.  A
+field declared a record has no key of its own: that record's keys stand in
+its place, in its declaration order, and the reader builds it back from
+them.  (`RunConfig.sandbox_limits` is such a field, but a run config is
+never written as a document; `check_types` checks it as a record.)  A
 file whose document is not JSON, or which its build function refuses with a
 KeyError, TypeError or ValueError, raises a FatalError that calls the file
 malformed; a FatalError of the build function keeps its own message.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import types
 import typing
 from dataclasses import fields, is_dataclass
@@ -26,59 +31,67 @@ _REFUSALS = (ValueError, KeyError, TypeError, RecursionError, FatalError)
 
 
 @functools.cache
-def _declared(cls: type) -> tuple[dict[str, Any],
-                                  dict[str, Callable[[Any], Any]],
+def _declared(cls: type) -> tuple[dict[str, Any], dict[str, None],
+                                  dict[str, Callable[[dict], Any]],
                                   Callable[[Any], dict[str, Any]]]:
-    """Each declared field's type, in declaration order, the reader of each
-    field declared a list or tuple, and the class's document builder."""
+    """Each declared field's type, in declaration order; the document's
+    keys, in order; each field's reader of a document; and the document
+    builder, a dict display of the fields read as attributes, compiled once
+    per class as `dataclasses` compiles `__init__`: the display costs a
+    quarter of a `getattr` loop's time."""
     hints = typing.get_type_hints(cls)
     declared = {f.name: hints[f.name] for f in fields(cls)}
-    nested, readers = {}, {}
+    keys, readers, items, scope = {}, {}, [], {}
     for name, hint in declared.items():
         origin, args = typing.get_origin(hint), typing.get_args(hint)
-        item = (args or (None,))[0]
-        if (origin is list or args[1:] == (Ellipsis,)) and is_dataclass(item):
-            nested[name] = item
-        if origin in (list, tuple):
-            readers[name] = functools.partial(_array, name, origin,
-                                              nested.get(name))
-    return declared, readers, _document_builder(declared, nested)
-
-
-def _document_builder(declared: dict[str, Any], nested: dict[str, type]
-                      ) -> Callable[[Any], dict[str, Any]]:
-    """A function returning a dict display of the declared fields, each
-    read as an attribute, compiled once per class as `dataclasses` compiles
-    `__init__`: the display costs a quarter of a `getattr` loop's time."""
-    scope = {f"build_{name}": _declared(item)[2]
-             for name, item in nested.items()}
-    items = (f"{name!r}: list(map(build_{name}, record.{name}))"
-             if name in nested else f"{name!r}: record.{name}"
-             for name in declared)
-    return eval(f"lambda record: {{{', '.join(items)}}}", scope)
+        inner = None  # the record class the field holds, if any
+        if is_dataclass(hint):
+            inner = hint
+        elif (origin is list or args[1:] == (Ellipsis,)) \
+                and is_dataclass(args[0]):
+            inner = args[0]
+        if inner is not None:
+            scope[f"build_{name}"] = _declared(inner)[3]
+        if inner is hint:  # its keys stand in its own key's place
+            items.append(f"**build_{name}(record.{name})")
+            keys.update(_declared(hint)[1])
+            readers[name] = functools.partial(_read, hint)
+            continue
+        items.append(f"{name!r}: list(map(build_{name}, record.{name}))"
+                     if inner else f"{name!r}: record.{name}")
+        keys[name] = None
+        readers[name] = functools.partial(_array, name, origin, inner) \
+            if origin in (list, tuple) else operator.itemgetter(name)
+    build = eval(f"lambda record: {{{', '.join(items)}}}", scope)
+    return declared, keys, readers, build
 
 
 def record_to_dict(record: Any) -> dict[str, Any]:
     """The document of `record`, built from its declared fields."""
-    return _declared(type(record))[2](record)
+    return _declared(type(record))[3](record)
 
 
 def record_from_dict(cls: type[T], doc: Any) -> T:
-    """TypeError unless `doc` is an object of exactly the declared keys,
+    """TypeError unless `doc` is an object of exactly the document's keys,
     each field declared a list or tuple holding an array."""
-    declared, readers, _ = _declared(cls)
-    if not isinstance(doc, dict) or doc.keys() != declared.keys():
+    keys = _declared(cls)[1]
+    if not isinstance(doc, dict) or doc.keys() != keys.keys():
         raise TypeError(f"a {cls.__name__} is an object of exactly the keys "
-                        f"{', '.join(declared)}")
-    return cls(**{name: readers[name](value) if name in readers else value
-                  for name, value in doc.items()})
+                        f"{', '.join(keys)}")
+    return _read(cls, doc)
 
 
-def _array(name: str, container: type, item: Any, value: Any) -> Any:
+def _read(cls: type[T], doc: dict) -> T:
+    """`cls` built from the keys of `doc` that its document holds."""
+    return cls(**{name: read(doc) for name, read in _declared(cls)[2].items()})
+
+
+def _array(name: str, container: type, item: Any, doc: dict) -> Any:
+    value = doc[name]
     if not isinstance(value, list):
         raise TypeError(f"{name} must be an array, not {type(value).__name__}")
     return container(value if item is None
-                     else [record_from_dict(item, doc) for doc in value])
+                     else [record_from_dict(item, entry) for entry in value])
 
 
 def _conforms(value: Any, hint: Any) -> bool:

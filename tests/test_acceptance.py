@@ -34,7 +34,6 @@ from goalact.plan import (
     FINISH,
     TERMINATION_FINISH,
     TERMINATION_MAX_ITERATIONS,
-    plan_from_dict,
 )
 from goalact.planner import parse_plan_response, parse_step_texts, splice_pending
 from goalact.sandbox import SandboxLimits, eval_script
@@ -199,8 +198,7 @@ def test_acceptance_prefix_preservation():
                             oracle_backend(task))
             assert len(traj.revisions) >= 2
             executed_so_far: list[tuple] = []
-            for revision_doc in traj.revisions:
-                plan = plan_from_dict(revision_doc)
+            for plan in traj.revisions:
                 executed = [(s.thought, s.action.kind, s.action.objective,
                              s.observation)
                             for s in plan.steps if s.executed]

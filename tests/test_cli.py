@@ -5,7 +5,18 @@ import json
 import pytest
 
 from goalact.cli import main
-from goalact.plan import Trajectory, trajectory_to_dict
+from goalact.plan import (
+    FINISH,
+    SkillAction,
+    Trajectory,
+    make_plan,
+    trajectory_to_dict,
+)
+from goalact.records import record_to_dict
+
+# A one-step plan revision's document, and its step's.
+_REVISION = record_to_dict(make_plan([("done", SkillAction(FINISH))]))
+_STEP = _REVISION["steps"][0]
 
 
 def _generate(tmp_path, capsys, category="khop", seed=1, k=2, count=2):
@@ -177,6 +188,11 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("task", {"recipe": {"kind": "khop", "hops": [{}]}}),
     ("task", {"recipe": {"kind": "khop", "hops": [], "answer": "a",
                          "answer_field": "f"}}),
+    # A recipe value that a rule holds, not a string: refused the same way.
+    ("task", {"recipe": {"kind": "khop", "hops": [
+        {"table": "accounts", "lookup_field": "account_id",
+         "lookup_value": "AC-181566", "link_field": None}],
+        "answer_field": "bank", "answer": 5}}),
     ("task", {"recipe": {"kind": "aggregation", "table": "invoices",
                          "filter_field": "company_id",
                          "filter_value": "C-942263", "total": 1017481,
@@ -184,8 +200,12 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("table", '{"name": "companies"}'),
     ("trajectory", "[1]"),
     ("trajectory", None),
-    ("trajectory", json.dumps(trajectory_to_dict(Trajectory(
-        "t", "GoalAct", revisions=[{"revision": 1}])))),
+    ("trajectory", {"revisions": [{"revision": 1}]}),
+    ("trajectory", {"revisions": [{**_REVISION, "bogus": 1}]}),
+    ("trajectory", {"revisions": [{**_REVISION,
+                                   "steps": [{**_STEP, "bogus": 1}]}]}),
+    ("trajectory", {"revisions": [{**_REVISION, "steps": [
+        {key: _STEP[key] for key in _STEP if key != "payload"}]}]}),
     ("report", '{"rows": [{}]}'),
     ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
         {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": "x"}]})),
@@ -247,12 +267,13 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
         assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
 
 
-def test_a_suite_refuses_a_malformed_recipe_before_its_first_run(tmp_path,
-                                                                 capsys):
+def _suite_refuses_its_last_recipe(tmp_path, capsys, edit):
+    """A suite whose last task's recipe `edit` changed exits 2 naming that
+    task before its first run, writing nothing."""
     fixtures = _generate(tmp_path, capsys, seed=3, k=2, count=3)
     last = sorted((fixtures / "tasks").glob("*.json"))[-1]
     doc = json.loads(last.read_text(encoding="utf-8"))
-    doc["recipe"] = {"kind": "khop"}
+    edit(doc["recipe"])
     last.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "run"
     assert main(["suite", "--fixtures", str(fixtures), "--methods",
@@ -260,6 +281,20 @@ def test_a_suite_refuses_a_malformed_recipe_before_its_first_run(tmp_path,
     assert f"task {doc['id']} carries a malformed oracle recipe: " in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_suite_refuses_a_malformed_recipe_before_its_first_run(tmp_path,
+                                                                 capsys):
+    def keep_only_the_kind(recipe):
+        del recipe["hops"], recipe["answer"], recipe["answer_field"]
+
+    _suite_refuses_its_last_recipe(tmp_path, capsys, keep_only_the_kind)
+
+
+def test_a_suite_refuses_a_recipe_value_that_is_not_a_string(tmp_path,
+                                                             capsys):
+    _suite_refuses_its_last_recipe(
+        tmp_path, capsys, lambda recipe: recipe.update(answer=5))
 
 
 def test_a_suite_with_goalact_takes_ablations_in_any_method_order(tmp_path,

@@ -49,7 +49,6 @@ from goalact.plan import (
     SkillAction,
     encode_trajectory,
     history_of,
-    plan_from_dict,
 )
 from goalact.planner import PLANNING_MARKER, render_history, update_global_plan
 from goalact.skills import (
@@ -107,6 +106,23 @@ def test_goalact_solves_two_hop_within_step_bound():
     assert len(traj.revisions) == traj.step_count
 
 
+@pytest.mark.parametrize("method", [METHOD_GOALACT, METHOD_PLAN_AND_SOLVE,
+                                    METHOD_PLAN_AND_EXECUTE])
+def test_a_revision_keeps_the_steps_pending_when_it_was_made(method):
+    """A revision is the plan object itself: executing a step makes a new
+    plan, so the first revision still shows its first step pending (the
+    only revision of Plan-and-Solve, which plans once)."""
+    task, env = generate_khop_task(seed=21, k=2)
+    traj = _run(method, task, env)
+    assert traj.termination_reason == TERMINATION_FINISH
+    first = traj.revisions[0].steps[0]
+    assert (first.status, first.observation, first.action.payload) == \
+        ("pending", None, None)
+    doc = json.loads(encode_trajectory(traj))["revisions"][0]["steps"][0]
+    assert (doc["status"], doc["observation"]) == ("pending", None)
+    assert traj.tool_calls  # the step did run
+
+
 def test_goalact_honors_the_iteration_cap_exactly():
     task, env = generate_khop_task(seed=22, k=1)
     traj = _run(METHOD_GOALACT, task, env, backend=never_finishing_backend())
@@ -119,8 +135,7 @@ def test_goalact_prefix_monotonicity_across_revisions():
     task, env = generate_khop_task(seed=23, k=4)
     traj = _run(METHOD_GOALACT, task, env)
     executed_so_far: list[tuple] = []
-    for revision_doc in traj.revisions:
-        plan = plan_from_dict(revision_doc)
+    for plan in traj.revisions:
         executed = [(s.thought, s.action.kind, s.action.objective,
                      s.observation)
                     for s in plan.steps if s.executed]
@@ -328,8 +343,8 @@ def test_plan_and_execute_bounds_the_observation_of_a_failing_tool_call():
     traj = _run(METHOD_PLAN_AND_EXECUTE, task, env, backend=backend,
                 max_iterations=2)
     assert "no " + table.name + " record" in traj.tool_calls[0].result
-    observations = [step["observation"] for revision in traj.revisions
-                    for step in revision["steps"] if step["observation"]]
+    observations = [step.observation for plan in traj.revisions
+                    for step in plan.steps if step.observation]
     assert observations
     assert max(_observation_sizes(observations)) <= 4096
 
@@ -373,11 +388,11 @@ def test_every_planning_prompt_is_the_executed_steps_in_the_frame(method):
     assert traj.termination_reason == TERMINATION_FINISH
     assert len(prompts) == len(traj.revisions) >= 1
     # A revision keeps the executed steps its round was prompted with.
-    for prompt, doc in zip(prompts, traj.revisions):
-        executed = history_of(plan_from_dict(doc))
+    for prompt, plan in zip(prompts, traj.revisions):
+        executed = history_of(plan)
         assert prompt == render_history(executed).join(policy.frame)
     if method != METHOD_PLAN_AND_SOLVE:  # a later round saw executed steps
-        assert history_of(plan_from_dict(traj.revisions[-1]))
+        assert history_of(traj.revisions[-1])
 
 
 @pytest.mark.parametrize("method, ablations, purpose", [
@@ -781,9 +796,9 @@ def test_a_sub_task_outage_is_the_step_observation():
     traj = _run(METHOD_PLAN_AND_EXECUTE, task, env, max_iterations=2,
                 backend=_DownOn(oracle_backend(task), PE_SUBTASK_MARKER))
     assert traj.termination_reason == TERMINATION_MAX_ITERATIONS
-    executed = traj.revisions[-1]["steps"][0]
-    assert executed["status"] == "executed"
-    assert executed["observation"] == "Subtask failed: backend went down"
+    executed = traj.revisions[-1].steps[0]
+    assert executed.executed
+    assert executed.observation == "Subtask failed: backend went down"
 
 
 # --- hostile completions -----------------------------------------------------------------

@@ -134,6 +134,16 @@ def test_executed_steps_are_new_values():
     assert executed.action.payload == {"tool": "x"}
 
 
+def test_an_empty_payload_leaves_the_action_and_writes_null():
+    plan = _plan([SEARCHING, FINISH])
+    executed = plan.steps[0].mark_executed("saw it", payload={})
+    assert executed.action is plan.steps[0].action
+    traj = Trajectory(task_id="t", method="GoalAct", revisions=[
+        GlobalPlan(revision=1, steps=(executed,) + plan.steps[1:])])
+    doc = json.loads(encode_trajectory(traj))
+    assert doc["revisions"][0]["steps"][0]["payload"] is None
+
+
 def test_truncate_observation_marks_the_cut():
     text = "x" * 5000
     clipped = truncate_observation(text, 100)
@@ -161,7 +171,7 @@ def test_truncate_observation_never_exceeds_a_budget_below_the_marker(text):
 def _sample_trajectory() -> Trajectory:
     traj = Trajectory(task_id="khop1-s00001", method="GoalAct")
     plan = _plan([SEARCHING, FINISH], executed=1)
-    traj.record_plan(plan)
+    traj.revisions.append(plan)
     traj.llm_calls.append(LlmExchange(
         purpose="planning", model="scripted", temperature=0.0,
         messages=[{"role": "user", "content": "plan"}], response="[]"))
@@ -213,13 +223,24 @@ def test_trajectory_document_keys_are_the_declared_fields_in_order():
     assert list(doc["llm_calls"][0]) == [f.name for f in fields(LlmExchange)]
     assert list(doc["tool_calls"][0]) == \
         [f.name for f in fields(ToolCallRecord)]
+    assert list(doc["revisions"][0]) == ["revision", "steps"]
+    assert list(doc["revisions"][0]["steps"][0]) == [
+        "index", "thought", "kind", "objective", "payload", "status",
+        "observation"]
 
 
-@pytest.mark.parametrize("where", ["trajectory", "llm_call", "tool_call"])
+@pytest.mark.parametrize("where", ["trajectory", "llm_call", "tool_call",
+                                   "revision", "step",
+                                   "step without payload"])
 def test_trajectory_from_dict_refuses_an_unknown_key(where):
     doc = json.loads(encode_trajectory(_sample_trajectory()))
-    {"trajectory": doc, "llm_call": doc["llm_calls"][0],
-     "tool_call": doc["tool_calls"][0]}[where]["bogus"] = 1
+    step = doc["revisions"][0]["steps"][0]
+    if where == "step without payload":
+        del step["payload"]
+    else:
+        {"trajectory": doc, "llm_call": doc["llm_calls"][0],
+         "tool_call": doc["tool_calls"][0], "revision": doc["revisions"][0],
+         "step": step}[where]["bogus"] = 1
     with pytest.raises(TypeError):
         trajectory_from_dict(doc)
 
