@@ -22,9 +22,13 @@ first, so one rule set serves every method deterministically.
 builders to a fresh solution, so a backend built from the families writes
 only the texts of the prompt types a run sends (a CodeAct run writes its
 scripts and summary, never a plan or an objective, and only GoalAct, its
-ablations and Plan-and-Solve, which run skills, render skill rules).  Every
-rule holds its family's marker in one of its substrings; `ScriptedBackend`
-checks this when it builds a family and refuses a rule that does not.
+ablations and Plan-and-Solve, which run skills, render skill rules).  The
+JSON texts (a lookup's emission, a ReAct turn) are written with json's C
+string encoder, byte for byte what `json.dumps` writes with its defaults
+(`ensure_ascii`, `", "` and `": "`), as `render_step_array` writes its own
+format.  Every rule holds its family's marker in one of its substrings;
+`ScriptedBackend` checks this when it builds a family and refuses a rule
+that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -34,8 +38,8 @@ separations.
 
 from __future__ import annotations
 
-import json
 from functools import partial
+from json.encoder import encode_basestring_ascii as _encode_string
 from typing import Any, Callable, NamedTuple, Optional
 
 from .backends import Rule, RuleFamily, ScriptedBackend
@@ -75,8 +79,10 @@ class Lookup(NamedTuple):
 
     objective = property(lambda self: self._asking("look up", "filter"))
     subtask = property(lambda self: self._asking("Fetch", "Filter"))
-    emission = property(lambda self: json.dumps({"tool": self.tool, "args": {
-        "table": self.table, "field": self.field, "value": self.value}}))
+    emission = property(lambda self: (
+        f'{{"tool": {_encode_string(self.tool)}, "args": {{"table": '
+        f'{_encode_string(self.table)}, "field": {_encode_string(self.field)}'
+        f', "value": {_encode_string(self.value)}}}}}'))
     action = property(lambda self: f"{self.tool}[table={self.table}, "
                                    f"field={self.field}, value={self.value}]")
     script = property(lambda self: f'{self.tool}("{self.table}", '
@@ -84,7 +90,8 @@ class Lookup(NamedTuple):
 
 
 def _react_json(thought: str, action: str) -> str:
-    return json.dumps({"Thought": thought, "Action": action})
+    return (f'{{"Thought": {_encode_string(thought)}, '
+            f'"Action": {_encode_string(action)}}}')
 
 
 def _searching_rules(lookups: list[Lookup], prefix: str) -> list[Rule]:

@@ -6,19 +6,24 @@ the pending suffix.  The history is that executed prefix itself: the
 plan's own executed `PlanStep`s, oldest first.
 
 A trajectory document's fields, in order, are those its records declare
-(a step's action's fields in the action's place), as `records` writes them.
+(a step's action's fields in the action's place), as `records` writes them;
+reading one back checks each value against its field's declared type too.
 A revision is the plan object itself, not a copy: plans, steps and actions
-are frozen, and `mark_executed` copies the payload it is given.
+are frozen, and `mark_executed` copies the payload it is given.  Every
+round marks a step executed and walks the plan, so `mark_executed` calls
+the constructors, not `dataclasses.replace`, and the walks read `status`,
+not the `executed` property.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import PlanError
-from .records import read_lines, record_from_dict, record_to_dict
+from .records import (check_types, read_lines, record_from_dict,
+                      record_to_dict)
 
 # Built-in skill kinds.  Custom kinds are plain strings registered at runtime.
 SEARCHING = "Searching"
@@ -78,9 +83,10 @@ class PlanStep:
                       payload: Optional[Mapping[str, Any]] = None) -> "PlanStep":
         """Produce the executed version of this step; the original is
         unchanged.  An empty payload leaves the action as it was."""
-        action = replace(self.action, payload=dict(payload)) if payload \
-            else self.action
-        return replace(self, status=EXECUTED, observation=observation, action=action)
+        action = self.action
+        if payload:
+            action = SkillAction(action.kind, action.objective, dict(payload))
+        return PlanStep(self.index, self.thought, action, EXECUTED, observation)
 
 
 @dataclass(frozen=True)
@@ -125,12 +131,12 @@ def validate_plan(plan: GlobalPlan, max_steps: Optional[int] = None) -> GlobalPl
             )
     seen_pending = False
     for step in plan.steps:
-        if step.executed and seen_pending:
+        if step.status != EXECUTED:
+            seen_pending = True
+        elif seen_pending:
             raise PlanError(
                 f"executed step {step.index} follows a pending step"
             )
-        if not step.executed:
-            seen_pending = True
     if max_steps is not None and len(plan.steps) > max_steps:
         raise PlanError(f"{len(plan.steps)} steps exceed the cap of {max_steps}")
     return plan
@@ -141,7 +147,7 @@ def history_of(plan: Optional[GlobalPlan]) -> History:
     if plan is None:
         return ()
     for position, step in enumerate(plan.steps):
-        if not step.executed:
+        if step.status != EXECUTED:
             return plan.steps[:position]
     return plan.steps
 
@@ -149,7 +155,7 @@ def history_of(plan: Optional[GlobalPlan]) -> History:
 def first_pending(plan: GlobalPlan) -> Optional[PlanStep]:
     """The lowest-index pending step, or None when everything executed."""
     for step in plan.steps:
-        if not step.executed:
+        if step.status != EXECUTED:
             return step
     return None
 
@@ -201,8 +207,9 @@ def trajectory_to_dict(traj: Trajectory) -> dict[str, Any]:
 
 def trajectory_from_dict(doc: Any) -> Trajectory:
     """The trajectory whose document `doc` is; a TypeError or KeyError when
-    it, one of its calls or one of its plan revisions is malformed."""
-    return record_from_dict(Trajectory, doc)
+    it, one of its calls or one of its plan revisions is malformed: a key
+    missing or extra, or a value not of its field's declared type."""
+    return check_types(record_from_dict(Trajectory, doc))
 
 
 # `json.dumps` with these options, made once: a trajectory's document holds

@@ -95,6 +95,8 @@ def _array(name: str, container: type, item: Any, doc: dict) -> Any:
 
 
 def _conforms(value: Any, hint: Any) -> bool:
+    if hint is Any:
+        return True
     if is_dataclass(hint) and isinstance(value, hint):
         check_types(value)  # names the record's own field at fault
         return True
@@ -116,9 +118,9 @@ def _conforms(value: Any, hint: Any) -> bool:
 
 def check_types(record: T) -> T:
     """`record`, or a TypeError naming the first field whose value is not of
-    its declared type: a class, Optional, or a tuple, set, list or dict of
-    them, a dict's values and a record's own fields checked too.  A bool is
-    no int or float; an int is a float."""
+    its declared type: a class, Optional, Any, or a tuple, set, list or dict
+    of them, a dict's values and a record's own fields checked too.  A bool
+    is no int or float; an int is a float."""
     declared = _declared(type(record))[0]
     for f in fields(record):
         if not _conforms(getattr(record, f.name), declared[f.name]):

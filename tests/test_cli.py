@@ -206,6 +206,11 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
                                    "steps": [{**_STEP, "bogus": 1}]}]}),
     ("trajectory", {"revisions": [{**_REVISION, "steps": [
         {key: _STEP[key] for key in _STEP if key != "payload"}]}]}),
+    # Every key present, but a value not of its field's declared type.
+    ("trajectory", {"step_count": "many"}),
+    ("trajectory", {"revisions": [{**_REVISION, "revision": [1]}]}),
+    ("trajectory", {"revisions": [{**_REVISION,
+                                   "steps": [{**_STEP, "index": "x"}]}]}),
     ("report", '{"rows": [{}]}'),
     ("report", json.dumps({"categories": ["k"], "task_count": 1, "rows": [
         {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": "x"}]})),

@@ -159,6 +159,19 @@ def test_a_miss_within_the_one_family_names_the_closest_of_all_rules(
         [rule.name for rule in flat.rules]
 
 
+@pytest.mark.parametrize("text", ['a "quoted" id', "back\\slash",
+                                  "two\nlines", "a\ttab", "bell\x01",
+                                  "Café", "中文", "emoji \U0001F600", ""])
+def test_the_oracle_json_texts_are_json_dumps_bytes(text):
+    # Generated values are ASCII, so the rules pin would not catch an
+    # encoder that writes non-ASCII text unescaped.
+    lookup = oracle.Lookup(f"tool {text}", f"table {text}", text, text * 2)
+    assert lookup.emission == json.dumps({"tool": lookup.tool, "args": {
+        "table": lookup.table, "field": lookup.field, "value": lookup.value}})
+    assert oracle._react_json(text, f"Finish[{text}]") == json.dumps(
+        {"Thought": text, "Action": f"Finish[{text}]"})
+
+
 def test_each_lookup_spells_one_call_that_finds_rows():
     """A lookup's emission and ReAct action are one call, its script makes
     that call too, and the call finds rows in its task's environment."""

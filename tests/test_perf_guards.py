@@ -3,16 +3,17 @@
 A 3-task x 5-method oracle suite runs in a fresh interpreter, where an audit
 hook sees every file the process opens and wrappers count the request
 hashes the scripted backend computes, the rows rendered to JSON and the
-rows returned, the table-schema renders, and the planning
-frames filled.  Given an exemplar file, the same script runs GoalAct and
-Plan-and-Solve with it instead, to count its reads.  The same suite, run in
-this process, counts the trajectories alive after each run; replayed from a
-cassette recorded from it, it counts the request hashes.  The lazy oracle
-is guarded by counting the plan, ReAct and skill-rule renderings, the rule
-families a single run builds and the objective and sub-task texts it
-writes, and the planner by counting the JSON decodes of a `Tool[...]`
-action.  Table lookups are guarded by counting the row reads of a
-2,000-row table.
+rows returned, the other `json.dumps` calls made inside a run, every
+`dataclasses.replace` call (patched before `goalact` is imported), the
+table-schema renders, and the planning frames filled.  Given an exemplar
+file, the same script runs GoalAct and Plan-and-Solve with it instead, to
+count its reads.  The same suite, run in this process, counts the
+trajectories alive after each run; replayed from a cassette recorded from
+it, it counts the request hashes.  The lazy oracle is guarded by counting
+the plan, ReAct and skill-rule renderings, the rule families a single run
+builds and the objective and sub-task texts it writes, and the planner by
+counting the JSON decodes of a `Tool[...]` action.  Table lookups are
+guarded by counting the row reads of a 2,000-row table.
 """
 
 from __future__ import annotations
@@ -68,11 +69,8 @@ def audit(event, args):
 
 sys.addaudithook(audit)
 
-from goalact import (backends, environment, generator, oracle, orchestrator,
-                     planner, suite)
-
-counts = dict.fromkeys(("request_hashes", "row_dumps", "table_schemas",
-                        "frames", "rounds"), 0)
+counts = dict.fromkeys(("request_hashes", "row_dumps", "run_dumps",
+                        "replaces", "table_schemas", "frames", "rounds"), 0)
 
 
 def counting(name, original):
@@ -81,6 +79,14 @@ def counting(name, original):
         return original(*args, **kwargs)
     return counted
 
+
+# Before goalact is imported: a module that imports it by name keeps the
+# function it found.
+import dataclasses
+dataclasses.replace = counting("replaces", dataclasses.replace)
+
+from goalact import (backends, environment, generator, oracle, orchestrator,
+                     planner, suite)
 
 backends.request_hash = counting("request_hashes", backends.request_hash)
 cached = environment.ToolEnvironment.__dict__["_table_schemas"]
@@ -106,11 +112,26 @@ def invoke_tool(self, call):
 
 
 environment.ToolEnvironment.invoke_tool = invoke_tool
+in_run = [False]
+original_run_task = suite.run_task
+
+
+def run_task(*args):
+    in_run[0] = True
+    try:
+        return original_run_task(*args)
+    finally:
+        in_run[0] = False
+
+
+suite.run_task = run_task
 original_dumps = json.dumps
 
 
 def dumps(obj, *args, **kwargs):
-    counts["row_dumps"] += id(obj) in row_ids
+    row = id(obj) in row_ids
+    counts["row_dumps"] += row
+    counts["run_dumps"] += in_run[0] and not row
     return original_dumps(obj, *args, **kwargs)
 
 
@@ -241,6 +262,19 @@ def test_oracle_suite_renders_each_run_constant_once(suite_counts):
     # of GoalAct's planning rounds.
     assert suite_counts["frames"] == 2 * suite_counts["environments"]
     assert suite_counts["rounds"] > suite_counts["environments"]
+
+
+def test_a_run_writes_no_text_but_rows_through_json_dumps(suite_counts):
+    # The oracle writes its tool-call and ReAct texts with json's C string
+    # encoder; only the suite's own documents (its config hash, its
+    # reports) go through `json.dumps`, outside any run.
+    assert suite_counts["row_dumps"] > 0
+    assert suite_counts["run_dumps"] == 0
+
+
+def test_a_suite_rebuilds_no_record_through_dataclasses_replace(suite_counts):
+    # An executed plan step and its action come from their constructors.
+    assert suite_counts["replaces"] == 0
 
 
 def _count_renders(monkeypatch, *names: str) -> dict[str, int]:
