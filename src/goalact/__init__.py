@@ -32,7 +32,7 @@ from .generator import (
     generate_task,
     generate_writing_task,
 )
-from .oracle import build_oracle_rules, never_finishing_backend, oracle_backend
+from .oracle import build_oracle_rules, oracle_backend
 from .orchestrator import (
     METHODS,
     RunConfig,

@@ -35,7 +35,10 @@ class CompletionRequest:
     model: str = "scripted"
 
     def rendered(self) -> str:
-        return "\n".join(m["content"] for m in self.messages)
+        messages = self.messages
+        if len(messages) == 1:
+            return messages[0]["content"]
+        return "\n".join(m["content"] for m in messages)
 
 
 def user_request(content: str, model: str = "scripted") -> CompletionRequest:
@@ -76,7 +79,7 @@ def request_hash(request: CompletionRequest) -> str:
 
 # --- scripted backend -----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Rule:
     """A response and the substrings that must all occur in the prompt."""
 
@@ -101,14 +104,19 @@ class ScriptedBackend:
     A prompt tries the rules of each family whose marker it holds, in family
     order, then rule order; the first rule whose substrings all occur wins.
     A build refuses (ValueError) a rule with no substring holding its marker,
-    so the walk answers as an in-order scan of all rules would.  Each
-    built family is kept once, as its rules, each paired with its substrings
-    other than the marker: the walk enters a family only when the prompt
-    holds its marker, so a substring equal to the marker is not tested
-    again; one that merely contains it is.  A miss builds every family and
-    raises RuleMiss naming the closest rule.  `rules` lists the rules built
-    so far, in family order, flattened from that store on each read;
-    reading it builds nothing."""
+    so the walk answers as an in-order scan of all rules would.  A family is
+    built in one pass and kept once, as its rules, each paired with its
+    substrings less one equal to the marker (a tuple test), or else checked
+    to hold the marker inside a substring: the walk enters a family only
+    when the prompt holds its marker, so a substring equal to the marker is
+    not tested again; one that merely contains it is.  The walk searches
+    each marker and substring from the prompt's end (`rfind`, which answers
+    as `in` does): most prompts hold their marker near their end, and a
+    round's key is the value its newest lines first show, so a hit is found
+    after a short search, while a miss reads the whole prompt either way.
+    A miss builds every family and raises RuleMiss naming the closest rule.
+    `rules` lists the rules built so far, in family order, flattened from
+    that store on each read; reading it builds nothing."""
 
     def __init__(self, rules: Sequence[Rule], label: str = "scripted"):
         self._start({"": lambda: rules}, label)
@@ -138,27 +146,27 @@ class ScriptedBackend:
     def _family(self, marker: str) -> list[tuple[tuple[str, ...], Rule]]:
         built = self._built.get(marker)
         if built is None:
-            rules = list(self._families[marker]())
-            for i, rule in enumerate(rules):
-                for key in rule.substrings:
-                    if marker in key:
-                        break
-                else:
+            built = []
+            for i, rule in enumerate(self._families[marker]()):
+                keys = rule.substrings
+                if marker in keys:
+                    at = keys.index(marker)
+                    keys = keys[:at] + keys[at + 1:]
+                elif not any(marker in key for key in keys):
                     raise ValueError(f"[{self.label}] rule {rule.name or i!r} "
                                      f"holds no {marker!r} in its substrings")
-            built = self._built[marker] = [
-                (tuple(key for key in rule.substrings if key != marker), rule)
-                for rule in rules]
+                built.append((keys, rule))
+            self._built[marker] = built
         return built
 
     def complete(self, request: CompletionRequest) -> str:
         self.calls_made += 1
         prompt = request.rendered()
         for marker in self._families:
-            if marker in prompt:
+            if prompt.rfind(marker) >= 0:
                 for keys, rule in self._family(marker):
                     for key in keys:
-                        if key not in prompt:
+                        if prompt.rfind(key) < 0:
                             break
                     else:
                         return rule.response

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ToolError
 from .records import read_document
@@ -268,9 +268,3 @@ def save_table(table: Table, path: Path) -> None:
 
 def load_table(path: Path) -> Table:
     return read_document(path, table_from_dict)
-
-
-def load_environment(table_paths: Iterable[Path]) -> ToolEnvironment:
-    """Build an environment from one-document-per-table fixture files."""
-    tables = tuple(load_table(Path(p)) for p in sorted(table_paths, key=str))
-    return ToolEnvironment(tables=tables)

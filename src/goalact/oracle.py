@@ -26,9 +26,14 @@ ablations and Plan-and-Solve, which run skills, render skill rules).  The
 JSON texts (a lookup's emission, a ReAct turn) are written with json's C
 string encoder, byte for byte what `json.dumps` writes with its defaults
 (`ensure_ascii`, `", "` and `": "`), as `render_step_array` writes its own
-format.  Every rule holds its family's marker in one of its substrings;
-`ScriptedBackend` checks this when it builds a family and refuses a rule
-that does not.
+format.  A plan family renders each step's JSON object once
+(`render_step_object`) and joins each round's suffix from those objects
+(`join_step_objects`): GoalAct and Plan-and-Execute re-plan every round, so
+a plan of n+1 steps is read as n+1 suffixes, which rendered whole would
+write (n+1)(n+2)/2 step objects.  Every rule holds its family's marker in
+one of its substrings; `ScriptedBackend` checks this when it builds a
+family, in the same pass that drops the marker from the substrings it
+tests, and refuses a rule that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -53,7 +58,7 @@ from .orchestrator import (
     SUMMARY_MARKER,
 )
 from .plan import CODING, FINISH, SEARCHING, WRITING, SkillAction
-from .planner import PLANNING_MARKER, render_plan_steps, render_step_array
+from .planner import PLANNING_MARKER, join_step_objects, render_step_object
 from .skills import CODING_MARKER, SEARCHING_MARKER, WRITING_MARKER
 
 DISABLED_TEXT = "currently disabled"
@@ -168,14 +173,24 @@ def _round_rules(marker: str, responses: list[str], round_keys: Keys,
     responses[t-1] and keys on round_keys[t-1]; the opening round keys on
     the marker only.  With `disabled`, a first rule answers a "currently
     disabled" prompt with the last response."""
-    rules = [Rule.on_substrings(responses[-1], marker, DISABLED_TEXT,
-                                name=f"{prefix}-disabled")] if disabled else []
-    rules += [Rule.on_substrings(responses[t - 1], marker, round_keys[t - 1],
-                                 name=f"{prefix}-round{t}")
+    rules = [Rule(responses[-1], (marker, DISABLED_TEXT),
+                  f"{prefix}-disabled")] if disabled else []
+    rules += [Rule(responses[t - 1], (marker, round_keys[t - 1]),
+                   f"{prefix}-round{t}")
               for t in range(len(round_keys), 1, -1)]
-    rules.append(Rule.on_substrings(responses[0], marker,
-                                    name=f"{prefix}-round1"))
+    rules.append(Rule(responses[0], (marker,), f"{prefix}-round1"))
     return rules
+
+
+def _suffix_arrays(objects: list[str]) -> list[str]:
+    """Each round's plan continuation from rendered step objects: round t's
+    is the step suffix with t-1 steps executed."""
+    return [join_step_objects(objects[t:]) for t in range(len(objects))]
+
+
+def _plan_objects(s: Solution) -> list[str]:
+    return [render_step_object(thought, action.render())
+            for thought, action in s.steps]
 
 
 def _searching_family(s: Solution) -> list[Rule]:
@@ -203,17 +218,15 @@ def _summary_family(s: Solution) -> list[Rule]:
 
 
 def _plan_family(s: Solution) -> list[Rule]:
-    # The plan continuation at round t is the step suffix with t-1 steps
-    # executed.
-    return _round_rules(PLANNING_MARKER, [render_plan_steps(s.steps[t:])
-                                          for t in range(len(s.steps))],
+    return _round_rules(PLANNING_MARKER, _suffix_arrays(_plan_objects(s)),
                         s.round_keys, f"{s.prefix}-plan", disabled=True)
 
 
 def _single_family(s: Solution) -> list[Rule]:
     # The plan-less ablation answers with just step t.
     return _round_rules(NO_PLAN_MARKER,
-                        [render_plan_steps([step]) for step in s.steps],
+                        [join_step_objects([step])
+                         for step in _plan_objects(s)],
                         s.round_keys, f"{s.prefix}-single", disabled=True)
 
 
@@ -230,12 +243,11 @@ def _codeact_family(s: Solution) -> list[Rule]:
 
 
 def _pe_plan_family(s: Solution) -> list[Rule]:
-    steps = [(thinking, subtask)
-             for (_, thinking, _), subtask in zip(s.calls, s.subtasks)]
-    steps.append((s.finish[2], "Finish"))
-    return _round_rules(PE_PLAN_MARKER, [render_step_array(steps[t:])
-                                         for t in range(len(steps))],
-                        s.call_keys, f"{s.prefix}-pe")
+    objects = [render_step_object(thinking, subtask)
+               for (_, thinking, _), subtask in zip(s.calls, s.subtasks)]
+    objects.append(render_step_object(s.finish[2], "Finish"))
+    return _round_rules(PE_PLAN_MARKER, _suffix_arrays(objects), s.call_keys,
+                        f"{s.prefix}-pe")
 
 
 def _pe_subtask_family(s: Solution) -> list[Rule]:
@@ -523,30 +535,3 @@ def oracle_backend(task: Task) -> ScriptedBackend:
     return ScriptedBackend.from_families(build_oracle_rules(task),
                                          label=f"oracle:{task.id}")
 
-
-def never_finishing_backend() -> ScriptedBackend:
-    """Never finishes under any method: each round plans or takes one more
-    probe of a record that does not exist."""
-    probe = [("Probe the environment once more.",
-              SkillAction(SEARCHING, "probe the tables for anything new")),
-             ("Wrap up.", SkillAction(kind=FINISH))]
-    lookup = Lookup("get_record", "companies", "name", "Nonexistent Corp")
-    pe_probe = [(probe[0][0], lookup.subtask), (probe[1][0], "Finish")]
-    return ScriptedBackend([
-        Rule.on_substrings(render_plan_steps(probe), PLANNING_MARKER,
-                           name="nf-plan"),
-        Rule.on_substrings(render_plan_steps([probe[0]]), NO_PLAN_MARKER,
-                           name="nf-single"),
-        Rule.on_substrings(lookup.emission, SEARCHING_MARKER, name="nf-search"),
-        Rule.on_substrings(
-            "The iteration budget was exhausted before an answer emerged.",
-            SUMMARY_MARKER, name="nf-summary"),
-        Rule.on_substrings(render_step_array(pe_probe), PE_PLAN_MARKER,
-                           name="nf-pe-plan"),
-        Rule.on_substrings(lookup.emission, PE_SUBTASK_MARKER,
-                           name="nf-pe-sub"),
-        Rule.on_substrings(_react_json(probe[0][0], lookup.action),
-                           REACT_MARKER, name="nf-react"),
-        Rule.on_substrings(f"return {lookup.script}", CODEACT_MARKER,
-                           name="nf-codeact"),
-    ], label="never-finishing")

@@ -223,10 +223,9 @@ class RecordingBackend:
         if not response.isascii() and SURROGATE.search(response):
             raise BackendUnavailable("the completion holds a surrogate")
         self.trajectory.llm_calls.append(LlmExchange(
-            purpose=purpose, model=request.model,
-            temperature=BENCHMARK_TEMPERATURE, messages=list(request.messages),
-            response=response,
-            attempts=getattr(self.inner, "last_attempts", 1)))
+            purpose, request.model, BENCHMARK_TEMPERATURE,
+            list(request.messages), response,
+            getattr(self.inner, "last_attempts", 1)))
         return response
 
 

@@ -167,11 +167,15 @@ def build_planning_prompt(question: str, env: ToolEnvironment,
 
 def parse_action(text: str, kinds: Sequence[str]) -> SkillAction:
     """Split 'Kind[objective]' into a SkillAction; kind match is case-insensitive."""
+    return _read_action(text, {kind.lower(): kind for kind in kinds})
+
+
+def _read_action(text: str, canonical: dict[str, str]) -> SkillAction:
+    """`parse_action` against a built lower-case kind table."""
     match = _CALL_RE.match(text)
     if not match:
         raise PlanError(f"unparseable action string: {text!r}")
     word, objective = match.group(1), match.group(2) or ""
-    canonical = {kind.lower(): kind for kind in kinds}
     kind = canonical.get(word.lower())
     if kind is None:
         raise PlanError(f"action kind {word!r} is not a registered skill")
@@ -233,7 +237,8 @@ def parse_step_texts(raw: str) -> list[tuple[str, str]]:
 def parse_plan_response(raw: str, kinds: Sequence[str] = BUILTIN_KINDS
                         ) -> list[tuple[str, SkillAction]]:
     """Parse a planner completion into (thought, SkillAction) pairs."""
-    return [(thought, parse_action(text, kinds))
+    canonical = {kind.lower(): kind for kind in kinds}
+    return [(thought, _read_action(text, canonical))
             for thought, text in parse_step_texts(raw)]
 
 
@@ -329,6 +334,18 @@ def splice_pending(executed: tuple[PlanStep, ...],
                                     revision=revision), max_steps=max_steps)
 
 
+def render_step_object(thinking: str, action: str) -> str:
+    """One step object of `render_step_array`'s array, as it writes it."""
+    return (f'  {{\n    "Thinking": {_encode_string(thinking)},\n'
+            f'    "Action": {_encode_string(action)}\n  }}')
+
+
+def join_step_objects(objects: Sequence[str]) -> str:
+    """Rendered step objects as `render_step_array`'s array: a caller that
+    renders several arrays from one list of steps renders each step once."""
+    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
+
+
 def render_step_array(steps: Iterable[tuple[str, str]]) -> str:
     """(thinking, action text) pairs as a JSON array of step objects.
 
@@ -337,10 +354,8 @@ def render_step_array(steps: Iterable[tuple[str, str]]) -> str:
     `indent=` alone would send the whole document through the pure-Python
     encoder.
     """
-    objects = [f'  {{\n    "Thinking": {_encode_string(thinking)},\n'
-               f'    "Action": {_encode_string(action)}\n  }}'
-               for thinking, action in steps]
-    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
+    return join_step_objects([render_step_object(thinking, action)
+                              for thinking, action in steps])
 
 
 def render_plan_steps(steps: Sequence[tuple[str, SkillAction]]) -> str:

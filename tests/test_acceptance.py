@@ -28,7 +28,7 @@ from goalact.generator import (
     load_fixture,
     save_fixture,
 )
-from goalact.oracle import never_finishing_backend, oracle_backend
+from goalact.oracle import oracle_backend
 from goalact.orchestrator import METHODS, RunConfig, run_task
 from goalact.plan import (
     FINISH,
@@ -39,6 +39,8 @@ from goalact.planner import parse_plan_response, parse_step_texts, splice_pendin
 from goalact.sandbox import SandboxLimits, eval_script
 from goalact.skills import parse_tool_emission
 from goalact.suite import run_suite
+
+from conftest import never_finishing_backend
 
 
 def _verdict(name: str, detail: str) -> None:

@@ -191,6 +191,39 @@ def test_a_key_holding_its_marker_and_more_text_is_still_required():
     assert "(closest: b-x)" in str(miss.value)
 
 
+@pytest.mark.parametrize("prompt", ["[A] opens, then x",
+                                    "first x, then [A] mid-prompt, then more",
+                                    "x comes first and [A]"])
+def test_a_marker_anywhere_in_the_prompt_answers_the_same_rule(prompt):
+    built: list[str] = []
+    backend = ScriptedBackend.from_families(_families(built))
+    assert backend.complete(_req(prompt)) == "a-x"
+    assert built == ["[A]"]
+
+
+@pytest.mark.parametrize("prompt", ["[A] x, then [B] x", "[B] x, then [A] x"])
+def test_a_two_marker_prompt_answers_from_the_earlier_family(prompt):
+    # The marker nearer the prompt's end does not win: families are walked
+    # in family order.
+    built: list[str] = []
+    backend = ScriptedBackend.from_families(_families(built))
+    assert backend.complete(_req(prompt)) == "a-x"
+    assert built == ["[A]"]
+
+
+def test_a_rule_may_list_its_marker_anywhere_and_more_than_once():
+    backend = ScriptedBackend.from_families([("[A]", lambda: [
+        Rule("twice", ("x", "[A]", "[A]"), "twice"),
+        Rule("last", ("y", "[A]"), "last"),
+        Rule("inside", ("[A] z",), "inside")])], label="unit")
+    assert backend.complete(_req("x [A]")) == "twice"
+    assert backend.complete(_req("[A] y")) == "last"
+    assert backend.complete(_req("[A] z")) == "inside"
+    with pytest.raises(RuleMiss):
+        backend.complete(_req("z [A]"))
+    assert [rule.name for rule in backend.rules] == ["twice", "last", "inside"]
+
+
 def _count_request_hashes(monkeypatch) -> list:
     """Record every request `goalact.backends.request_hash` is called with."""
     import goalact.backends as backends_module

@@ -13,7 +13,7 @@ from goalact.environment import (
     Table,
     ToolCall,
     ToolEnvironment,
-    load_environment,
+    load_table,
     render_number,
     render_row,
     render_rows,
@@ -461,7 +461,7 @@ def test_table_files_are_one_document_per_table(tmp_path):
     save_fixture(task, env, tmp_path)
     table_files = sorted((tmp_path / "tables").glob(f"{task.id}__*.json"))
     assert len(table_files) == len(env.tables)
-    rebuilt = load_environment(table_files)
+    rebuilt = ToolEnvironment(tables=tuple(map(load_table, table_files)))
     assert {t.name for t in rebuilt.tables} == {t.name for t in env.tables}
 
 

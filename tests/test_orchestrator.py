@@ -16,11 +16,7 @@ from goalact.generator import (
     generate_writing_task,
 )
 from goalact.evaluation import success_rate
-from goalact.oracle import (
-    build_oracle_rules,
-    never_finishing_backend,
-    oracle_backend,
-)
+from goalact.oracle import build_oracle_rules, oracle_backend
 from goalact.orchestrator import (
     ABLATION_NO_GLOBAL_PLAN,
     CODEACT_MARKER,
@@ -58,7 +54,7 @@ from goalact.skills import (
     observe_emission,
 )
 
-from conftest import ask_of, scripted
+from conftest import ask_of, never_finishing_backend, scripted
 
 
 def _run(method: str, task, env, backend=None, **config_kwargs):

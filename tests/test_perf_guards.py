@@ -10,10 +10,11 @@ file, the same script runs GoalAct and Plan-and-Solve with it instead, to
 count its reads.  The same suite, run in this process, counts the
 trajectories alive after each run; replayed from a cassette recorded from
 it, it counts the request hashes.  The lazy oracle is guarded by counting
-the plan, ReAct and skill-rule renderings, the rule families a single run
-builds and the objective and sub-task texts it writes, and the planner by
-counting the JSON decodes of a `Tool[...]` action.  Table lookups are
-guarded by counting the row reads of a 2,000-row table.
+the plan, ReAct and skill-rule renderings, the plan-step strings encoded,
+the rule families a single run builds and the objective and sub-task texts
+it writes, and the planner by counting the JSON decodes of a `Tool[...]`
+action.  Table lookups are guarded by counting the row reads of a 2,000-row
+table.
 """
 
 from __future__ import annotations
@@ -289,13 +290,13 @@ def _count_renders(monkeypatch, *names: str) -> dict[str, int]:
 
 
 def test_a_codeact_run_renders_no_plan(monkeypatch):
-    counts = _count_renders(monkeypatch, "render_plan_steps",
-                            "render_step_array", "_searching_rules")
+    counts = _count_renders(monkeypatch, "render_step_object",
+                            "join_step_objects", "_searching_rules")
     task, env = generate_khop_task(seed=5, k=3)
     backend = oracle.oracle_backend(task)
     traj = run_task(task, env, RunConfig(method="CodeAct"), backend)
     assert traj.termination_reason == "finish"
-    assert counts == {"render_plan_steps": 0, "render_step_array": 0,
+    assert counts == {"render_step_object": 0, "join_step_objects": 0,
                       "_searching_rules": 0}
     assert {rule.name.split("-")[1] for rule in backend.rules} == \
         {"codeact", "summary"}
@@ -318,15 +319,37 @@ def test_a_run_sending_no_skill_prompt_renders_no_skill_rule(monkeypatch,
 
 def test_a_goalact_run_builds_no_react_or_plan_and_execute_family(
         monkeypatch):
-    counts = _count_renders(monkeypatch, "_react_json", "render_step_array")
+    counts = _count_renders(monkeypatch, "_react_json", "render_step_object")
     task, env = generate_writing_task(seed=5)
     backend = oracle.oracle_backend(task)
     traj = run_task(task, env, RunConfig(method="GoalAct"), backend)
     assert traj.termination_reason == "finish"
-    assert counts == {"_react_json": 0, "render_step_array": 0}
+    # The plan family's six steps, each rendered once; no step of
+    # Plan-and-Execute's plan.
+    assert counts == {"_react_json": 0, "render_step_object": 6}
     assert {rule.name.split("-")[1] for rule in backend.rules} == \
         {"search1", "search2", "search3", "search4", "compose", "summary",
          "plan"}
+
+
+@pytest.mark.parametrize("method", ["GoalAct", "PlanAndExecute",
+                                    "PlanAndSolve"])
+def test_a_plan_family_encodes_each_step_once(monkeypatch, method):
+    # A 5-hop plan has six steps, each with a thinking and an action string:
+    # 12 encodes, where rendering each round's suffix whole makes 42.
+    encodes = [0]
+    original = planner._encode_string
+
+    def counting(text):
+        encodes[0] += 1
+        return original(text)
+
+    monkeypatch.setattr(planner, "_encode_string", counting)
+    task, env = generate_khop_task(seed=5, k=5)
+    traj = run_task(task, env, RunConfig(method=method),
+                    oracle.oracle_backend(task))
+    assert traj.termination_reason == "finish"
+    assert encodes == [12]
 
 
 def test_table_lookups_read_each_row_once_per_field():
