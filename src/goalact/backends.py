@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import AuthFailure, BackendUnavailable, CassetteMiss, RuleMiss
-from .records import (check_types, read_lines, record_from_dict,
-                      record_to_dict)
+from .records import read_lines, record_from_dict, record_to_dict
 
 BENCHMARK_TEMPERATURE = 0.0
 
@@ -353,7 +352,7 @@ def _cassette_entry(doc: Any) -> tuple[str, str]:
 
 
 def _rule_from_dict(doc: Any) -> Rule:
-    rule = check_types(record_from_dict(Rule, {"name": "", **doc}))
+    rule = record_from_dict(Rule, {"name": "", **doc})
     if not rule.substrings:
         raise ValueError("a rule's substrings are a non-empty array")
     return rule

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -27,7 +28,7 @@ from .evaluation import (
 from .generator import generate_task, load_fixture, save_fixture
 from .orchestrator import METHOD_GOALACT, RunConfig, normalize_method
 from .plan import Trajectory, read_trajectories, write_trajectories
-from .records import check_types, read_document, record_from_dict
+from .records import quoted, read_document, record_from_dict
 from .sandbox import SandboxLimits
 from .suite import (
     ENV_MODEL,
@@ -103,7 +104,7 @@ def load_run_config(config_path: Optional[Path], method: str,
         settings = {**doc, "method": method}
         backend = settings.pop("backend", None)
         if not isinstance(backend, (str, type(None))):
-            raise TypeError(f"backend must be str, not {backend!r}")
+            raise TypeError(f"backend must be str, not {quoted(backend)}")
         model = os.environ.get(ENV_MODEL) or settings.pop("model", None)
         if model:
             settings["model"] = model
@@ -214,8 +215,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = args.results
     if path.is_dir():
         path = path / "report.json"
-    report = read_document(path, lambda doc: check_types(
-        record_from_dict(SuiteReport, doc)))
+    report = read_document(path, partial(record_from_dict, SuiteReport))
     render = render_report_json if args.format == "json" \
         else render_report_text
     print(render(report), end="")

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ToolError
-from .records import read_document
+from .records import read_document, record_from_dict, record_to_dict
 
 Scalar = Any  # str | int | float | bool
 Row = dict[str, Scalar]
@@ -49,7 +49,7 @@ class Table:
     field holds a value of a non-JSON type, whose `==` a text comparison
     cannot stand in for.  Only queried fields are ever built, so loading
     pays for none.  The cache is no dataclass state: it takes no part in
-    equality or repr, and `table_to_dict` does not see it.  Threads that
+    equality or repr, and its document does not hold it.  Threads that
     build one column at once each build an equal list from the same rows,
     and storing it is one atomic dict assignment, so every reader sees the
     same column.  The rows must not change after the first lookup.
@@ -64,7 +64,7 @@ class Table:
 
     name: str
     key_field: str
-    rows: tuple[Row, ...]
+    rows: tuple[dict, ...]  # Rows, read back checked only as objects
     _columns: dict[str, Optional[list[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _row_texts: dict[int, tuple[Row, str]] = field(
@@ -246,25 +246,10 @@ class ToolEnvironment:
 
 # --- fixture files -------------------------------------------------------------
 
-def table_to_dict(table: Table) -> dict[str, Any]:
-    return {"name": table.name, "key_field": table.key_field,
-            "rows": [dict(r) for r in table.rows]}
-
-
-def table_from_dict(doc: Mapping[str, Any]) -> Table:
-    """The table of a decoded fixture document, holding the decoded rows
-    themselves; TypeError unless every row is an object."""
-    rows = tuple(doc["rows"])
-    if set(map(type, rows)) - {dict}:
-        row = next(row for row in rows if type(row) is not dict)
-        raise TypeError(f"a table row is an object, not {type(row).__name__}")
-    return Table(name=doc["name"], key_field=doc["key_field"], rows=rows)
-
-
 def save_table(table: Table, path: Path) -> None:
-    path.write_text(json.dumps(table_to_dict(table), ensure_ascii=False, indent=2)
-                    + "\n", encoding="utf-8")
+    path.write_text(json.dumps(record_to_dict(table), ensure_ascii=False,
+                               indent=2) + "\n", encoding="utf-8")
 
 
-def load_table(path: Path) -> Table:
-    return read_document(path, table_from_dict)
+def load_table(path: str | Path) -> Table:
+    return read_document(path, partial(record_from_dict, Table))

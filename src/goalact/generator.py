@@ -17,6 +17,7 @@ is unambiguous.  The same (seed, family) always yields the same task.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Any, Callable, Mapping
 
 from .environment import (Table, ToolEnvironment, load_table, render_number,
                           save_table)
-from .records import read_document, record_to_dict
+from .records import read_document, record_from_dict, record_to_dict
 
 DISTRACTOR_CHAINS = 3
 AGGREGATION_ROWS = 20
@@ -55,7 +56,8 @@ class Task:
 
     gold_path lists the (table, key) lookups a correct solution traverses;
     recipe captures how the task was built (used by the scripted oracle and
-    the generator soundness checks, not by any agent).
+    the generator soundness checks, not by any agent).  A task without key
+    answers could never be scored: ValueError.
     """
 
     id: str
@@ -65,6 +67,10 @@ class Task:
     key_middles: tuple[str, ...]
     gold_path: tuple[tuple[str, str], ...]
     recipe: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.key_answers:
+            raise ValueError("key_answers must not be empty")
 
 
 class ValueMint:
@@ -386,35 +392,12 @@ def generate_task(category: str, seed: int) -> tuple[Task, ToolEnvironment]:
 
 # --- fixture persistence --------------------------------------------------------
 
-def task_to_dict(task: Task) -> dict[str, Any]:
-    """Every field of `task`; its tuples encode as JSON arrays."""
-    return record_to_dict(task)
+@dataclass(frozen=True)
+class _TaskFile:
+    """A task file's document: the task's keys, then `table_files`."""
 
-
-def _strings(value: Any, name: str) -> tuple[str, ...]:
-    """`value`, an array of strings, as a tuple; TypeError otherwise."""
-    if not isinstance(value, (list, tuple)) \
-            or not all(isinstance(item, str) for item in value):
-        raise TypeError(f"{name} must be an array of strings, not {value!r}")
-    return tuple(value)
-
-
-def task_from_dict(doc: Mapping[str, Any]) -> Task:
-    """TypeError unless `id`, `category` and `query` are strings,
-    `key_answers` and `key_middles` arrays of strings and `gold_path` one of
-    string pairs, ValueError if `key_answers` is empty."""
-    for name in ("id", "category", "query"):
-        if not isinstance(doc[name], str):
-            raise TypeError(f"{name} must be a string, not {doc[name]!r}")
-    gold_path = tuple((table, key) for table, key in (
-        _strings(pair, "a gold_path entry") for pair in doc["gold_path"]))
-    task = Task(id=doc["id"], category=doc["category"], query=doc["query"],
-                key_answers=_strings(doc["key_answers"], "key_answers"),
-                key_middles=_strings(doc["key_middles"], "key_middles"),
-                gold_path=gold_path, recipe=dict(doc.get("recipe", {})))
-    if not task.key_answers:
-        raise ValueError("key_answers must not be empty")
-    return task
+    task: Task
+    table_files: tuple[str, ...]
 
 
 def save_fixture(task: Task, env: ToolEnvironment, out_dir: Path) -> Path:
@@ -423,27 +406,24 @@ def save_fixture(task: Task, env: ToolEnvironment, out_dir: Path) -> Path:
     tables_dir = out_dir / "tables"
     tasks_dir.mkdir(parents=True, exist_ok=True)
     tables_dir.mkdir(parents=True, exist_ok=True)
-    table_files = []
-    for table in env.tables:
-        fname = f"{task.id}__{table.name}.json"
-        save_table(table, tables_dir / fname)
-        table_files.append(fname)
-    doc = task_to_dict(task)
-    doc["table_files"] = table_files
+    table_files = tuple(f"{task.id}__{table.name}.json" for table in env.tables)
+    for table, name in zip(env.tables, table_files):
+        save_table(table, tables_dir / name)
+    doc = record_to_dict(_TaskFile(task, table_files))
     task_path = tasks_dir / f"{task.id}.json"
     task_path.write_text(json.dumps(doc, ensure_ascii=False, indent=2) + "\n",
                          encoding="utf-8")
     return task_path
 
 
-def _fixture_from_dict(doc: Mapping[str, Any]) -> tuple[Task, list[str]]:
-    return task_from_dict(doc), [str(n) for n in doc.get("table_files", [])]
-
-
 def load_fixture(task_path: Path) -> tuple[Task, ToolEnvironment]:
     """A task and its tables as `save_fixture` wrote them; a task or table
     document that is malformed raises FatalError naming its file."""
-    task, table_files = read_document(task_path, _fixture_from_dict)
-    tables_dir = Path(task_path).parent.parent / "tables"
-    tables = tuple(load_table(tables_dir / name) for name in table_files)
-    return task, ToolEnvironment(tables=tables)
+    fixture = read_document(task_path, lambda doc: record_from_dict(
+        _TaskFile, {"recipe": {}, "table_files": [], **doc}))
+    # os.path, not pathlib: making Paths took a sixth of the load's time
+    tables_dir = os.path.join(os.path.dirname(os.path.dirname(task_path)),
+                              "tables")
+    return fixture.task, ToolEnvironment(tables=tuple(
+        load_table(os.path.join(tables_dir, name))
+        for name in fixture.table_files))

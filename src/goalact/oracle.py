@@ -59,6 +59,7 @@ from .orchestrator import (
 )
 from .plan import CODING, FINISH, SEARCHING, WRITING, SkillAction
 from .planner import PLANNING_MARKER, join_step_objects, render_step_object
+from .records import quoted
 from .skills import CODING_MARKER, SEARCHING_MARKER, WRITING_MARKER
 
 DISABLED_TEXT = "currently disabled"
@@ -111,8 +112,8 @@ def _read_texts(fields: Any, *names: Any) -> None:
     """TypeError unless each named field, which some rule holds, is a str."""
     for name in names:
         if not isinstance(fields[name], str):
-            raise TypeError(f"recipe field {name!r} holds {fields[name]!r}, "
-                            f"not a string")
+            raise TypeError(f"recipe field {name!r} holds "
+                            f"{quoted(fields[name])}, not a string")
 
 
 class _written:

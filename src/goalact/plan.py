@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import PlanError
-from .records import (check_types, read_lines, record_from_dict,
-                      record_to_dict)
+from .records import read_lines, record_from_dict, record_to_dict
 
 # Built-in skill kinds.  Custom kinds are plain strings registered at runtime.
 SEARCHING = "Searching"
@@ -201,17 +201,6 @@ class Trajectory:
     degraded: bool = False
 
 
-def trajectory_to_dict(traj: Trajectory) -> dict[str, Any]:
-    return record_to_dict(traj)
-
-
-def trajectory_from_dict(doc: Any) -> Trajectory:
-    """The trajectory whose document `doc` is; a TypeError or KeyError when
-    it, one of its calls or one of its plan revisions is malformed: a key
-    missing or extra, or a value not of its field's declared type."""
-    return check_types(record_from_dict(Trajectory, doc))
-
-
 # `json.dumps` with these options, made once: a trajectory's document holds
 # no cycle, so no container needs the circular-reference check.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
@@ -220,11 +209,11 @@ _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"),
 
 def encode_trajectory(traj: Trajectory) -> str:
     """One canonical JSON document, suitable for line-delimited logs."""
-    return _LINE_ENCODER.encode(trajectory_to_dict(traj))
+    return _LINE_ENCODER.encode(record_to_dict(traj))
 
 
 def decode_trajectory(line: str) -> Trajectory:
-    return trajectory_from_dict(json.loads(line))
+    return record_from_dict(Trajectory, json.loads(line))
 
 
 def write_trajectories(path: Any, trajectories: Sequence[Trajectory]) -> None:
@@ -237,4 +226,4 @@ def write_trajectories(path: Any, trajectories: Sequence[Trajectory]) -> None:
 def read_trajectories(path: Any) -> list[Trajectory]:
     """Every trajectory of a log; FatalError naming the file and line of a
     malformed one."""
-    return read_lines(path, trajectory_from_dict)
+    return read_lines(path, partial(record_from_dict, Trajectory))

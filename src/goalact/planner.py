@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring as _encode_string
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -37,7 +38,7 @@ from .plan import (
     history_of,
     validate_plan,
 )
-from .records import read_lines
+from .records import read_lines, record_from_dict
 
 PROMPT_VERSION = 1
 
@@ -89,24 +90,29 @@ def _template_parts() -> tuple[tuple[str, ...], tuple[str, ...]]:
     return texts, slots
 
 
-def _transcript(doc: Any) -> str:
-    if not isinstance(doc["transcript"], str):
-        raise TypeError("an exemplar's transcript is a string")
-    return doc["transcript"]
+@dataclass(frozen=True)
+class _Exemplar:
+    id: str  # may be absent
+    transcript: str
+
+
+def _transcripts(path: Any) -> tuple[str, ...]:
+    return tuple(exemplar.transcript for exemplar in read_lines(
+        path, lambda doc: record_from_dict(_Exemplar, {"id": "", **doc})))
 
 
 @functools.cache
 def _packaged_exemplars() -> tuple[str, ...]:
-    return tuple(read_lines(resources.files("goalact.prompts").joinpath(
-        "exemplars.jsonl"), _transcript))
+    return _transcripts(resources.files("goalact.prompts").joinpath(
+        "exemplars.jsonl"))
 
 
 def load_exemplars(path: Optional[Any], count: int) -> tuple[str, ...]:
     """The first `count` transcripts of the line-delimited exemplar log at
-    `path`, each line an object with a `transcript` field, or of the packaged
-    exemplars (parsed once per process) when `path` is None."""
+    `path`, each line an object of a `transcript` and an optional `id`, or
+    of the packaged exemplars (parsed once per process) when `path` is None."""
     transcripts = _packaged_exemplars() if path is None \
-        else read_lines(path, _transcript)
+        else _transcripts(path)
     if not 0 <= count <= len(transcripts):
         raise FatalError(f"{count} exemplars requested but "
                          f"{path or 'the package'} holds {len(transcripts)}")
@@ -373,17 +379,17 @@ def update_global_plan(plan_prev: Optional[GlobalPlan],
 
     `frame` holds the texts of the run's planning prompt around its history,
     built once per run; a round joins it with the rendered executed steps of
-    `plan_prev`.  The model is asked once, plus a single retry with `repair`
-    appended when `parse` or the plan's validation rejects the reply.  Raises
-    PlanningFailed naming `what` when both replies are unusable; backend
-    errors propagate.
+    `plan_prev`.  The model is asked once, plus, when `parse` or the plan's
+    validation rejects the reply, a single retry with `repair` appended, its
+    prompt built only then.  Raises PlanningFailed naming `what` when both
+    replies are unusable; backend errors propagate.
     """
     executed = history_of(plan_prev)
     revision = plan_prev.revision + 1 if plan_prev else 1
     prompt = render_history(executed).join(frame)
     failure: Exception | None = None
-    for attempt_prompt in (prompt, prompt + repair):
-        raw = ask(attempt_prompt)
+    for repairing in (False, True):
+        raw = ask(prompt + repair if repairing else prompt)
         try:
             return splice_pending(executed, parse(raw), revision,
                                   max_steps=max_plan_steps)

@@ -194,11 +194,12 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
             method_config = config.for_method(method)
 
             def one(pair: tuple[Task, ToolEnvironment]) -> tuple[
-                    str, Optional[TaskScore], Optional[BackendError]]:
+                    Optional[str], Optional[TaskScore], Optional[BackendError]]:
                 task, env = pair
                 trajectory, fault = run_recorded(task, env, method_config,
                                                  backend_factory(task))
-                return (encode_trajectory(trajectory), None if fault
+                line = encode_trajectory(trajectory) if out_dir else None
+                return (line, None if fault
                         else score_trajectory(task, trajectory), fault)
 
             log = nullcontext() if out_dir is None else open(

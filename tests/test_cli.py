@@ -10,7 +10,6 @@ from goalact.plan import (
     SkillAction,
     Trajectory,
     make_plan,
-    trajectory_to_dict,
 )
 from goalact.records import record_to_dict
 
@@ -182,6 +181,12 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     ("task", {"id": 5}),
     ("task", {"category": ["x"]}),
     ("task", {"query": None}),
+    # Keys read as what no task file means: a string as its characters'
+    # table files, a number as its text, an array of pairs as a recipe.
+    ("task", {"table_files": "ab"}),
+    ("task", {"table_files": [1]}),
+    ("task", {"recipe": [["kind", "khop"]]}),
+    ("task", {"bogus": 1}),
     # A recipe that lacks a field the oracle reads: the oracle refuses it
     # when it makes the task's backend, naming the task.
     ("task", {"recipe": {"kind": "khop"}}),
@@ -236,14 +241,15 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
            "trajectory": tmp_path / "trajectories.jsonl",
            "report": tmp_path / "report.json",
            "exemplars": tmp_path / "exemplars.jsonl"}[kind]
-    recipe_row = isinstance(text, dict) and "recipe" in text
+    recipe_row = isinstance(text, dict) \
+        and isinstance(text.get("recipe"), dict)
     if not isinstance(text, str):
         # A well-formed document less one of its keys, or with the fields
         # `text` holds.
         doc, key = {
             "task": (json.loads(task_file.read_text(encoding="utf-8")),
                      "query"),
-            "trajectory": (trajectory_to_dict(Trajectory("t", "GoalAct")),
+            "trajectory": (record_to_dict(Trajectory("t", "GoalAct")),
                            "llm_calls"),
         }[kind]
         if text is None:
@@ -270,6 +276,32 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
         assert f"task {task_id} carries a malformed oracle recipe: " in err
     else:
         assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "recipe"])
+def test_a_refusal_quotes_at_most_200_characters_of_a_value(tmp_path, capsys,
+                                                            kind):
+    huge = [0] * 1_000_000  # a 2 MB array
+    if kind == "trajectory":
+        bad = tmp_path / "trajectories.jsonl"
+        doc = record_to_dict(Trajectory("t", "GoalAct"))
+        bad.write_text(json.dumps({**doc, "final_answer": huge}) + "\n",
+                       encoding="utf-8")
+        args, named = ["replay", "--trajectory", str(bad)], (
+            f"{bad}:1:", "final_answer must be")
+    else:
+        fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+        bad = next((fixtures / "tasks").glob("*.json"))
+        doc = json.loads(bad.read_text(encoding="utf-8"))
+        doc["recipe"]["answer"] = huge
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        args, named = ["run", "--task", str(bad)], (
+            f"task {doc['id']} carries a malformed oracle recipe: ",
+            "recipe field 'answer' holds [0, 0,")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
+    assert len(err.encode("utf-8")) < 1024
 
 
 def _suite_refuses_its_last_recipe(tmp_path, capsys, edit):

@@ -17,22 +17,21 @@ from goalact.environment import (
     render_number,
     render_row,
     render_rows,
-    table_from_dict,
 )
 from goalact.errors import FatalError, ToolError
 from goalact.generator import (
     AGGREGATION_ROWS,
+    Task,
     generate_aggregation_task,
     generate_khop_task,
     generate_task,
     generate_writing_task,
     load_fixture,
     save_fixture,
-    task_from_dict,
-    task_to_dict,
 )
 from goalact.orchestrator import RecordingEnvironment
 from goalact.plan import Trajectory
+from goalact.records import record_from_dict, record_to_dict
 from goalact.skills import observe_emission
 
 
@@ -445,7 +444,7 @@ def test_generate_task_dispatches_by_category():
 
 def test_task_dict_round_trip():
     task, _ = generate_khop_task(seed=9, k=2)
-    assert task_from_dict(task_to_dict(task)) == task
+    assert record_from_dict(Task, record_to_dict(task)) == task
 
 
 def test_fixture_save_and_load_round_trip(tmp_path):
@@ -483,14 +482,14 @@ def test_a_table_row_that_is_no_object_is_a_malformed_fixture(tmp_path, row):
     doc = json.loads(table_file.read_text(encoding="utf-8"))
     doc["rows"].insert(1, row)
     table_file.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(FatalError, match="malformed .*a table row is an "
-                                         "object, not"):
+    with pytest.raises(FatalError, match=r"malformed .*rows must be "
+                                         r"tuple\[dict, \.\.\.\], not"):
         load_fixture(path)
 
 
 def test_a_table_holds_the_rows_it_was_decoded_with():
     doc = {"name": "t", "key_field": "id",
            "rows": [{"id": "a", "n": 1}, {"id": "b", "n": 2}]}
-    table = table_from_dict(doc)
+    table = record_from_dict(Table, doc)
     assert table.rows == tuple(doc["rows"])
     assert all(map(operator.is_, table.rows, doc["rows"]))

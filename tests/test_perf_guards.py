@@ -14,7 +14,9 @@ the plan, ReAct and skill-rule renderings, the plan-step strings encoded,
 the rule families a single run builds and the objective and sub-task texts
 it writes, and the planner by counting the JSON decodes of a `Tool[...]`
 action.  Table lookups are guarded by counting the row reads of a 2,000-row
-table.
+table.  A suite without a run directory encodes no trajectory, and a log
+read a second time walks no declared type: `typing.get_origin` is not
+called.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -47,7 +50,7 @@ from goalact.orchestrator import (
     RunConfig,
     run_task,
 )
-from goalact.plan import Trajectory
+from goalact.plan import Trajectory, read_trajectories
 from goalact.planner import PLANNING_MARKER
 from goalact.skills import SEARCHING_MARKER
 
@@ -432,3 +435,37 @@ def test_a_tool_call_action_is_not_json_decoded(monkeypatch):
                    "filter_records[table=statutes, field=topic, value=Y]"):
         assert planner._decoded(action) is None
     assert decoded == [0]
+
+
+@pytest.mark.parametrize("logged", [False, True])
+def test_a_suite_encodes_a_trajectory_only_for_a_log(monkeypatch, tmp_path,
+                                                     logged):
+    encoded = [0]
+    original = suite.encode_trajectory
+
+    def counting(trajectory):
+        encoded[0] += 1
+        return original(trajectory)
+
+    monkeypatch.setattr(suite, "encode_trajectory", counting)
+    pairs = _suite_pairs()
+    suite.run_suite(pairs, METHODS, RunConfig(), oracle.oracle_backend,
+                    out_dir=tmp_path / "run" if logged else None)
+    assert encoded == [len(pairs) * len(METHODS) if logged else 0]
+
+
+def test_a_second_read_of_a_log_walks_no_type(monkeypatch, tmp_path):
+    suite.run_suite(_suite_pairs(), METHODS, RunConfig(),
+                    oracle.oracle_backend, out_dir=tmp_path)
+    log = tmp_path / "trajectories" / "GoalAct.jsonl"
+    first = read_trajectories(log)
+    walked = [0]
+    original = typing.get_origin
+
+    def counting(hint):
+        walked[0] += 1
+        return original(hint)
+
+    monkeypatch.setattr(typing, "get_origin", counting)
+    assert read_trajectories(log) == first
+    assert walked == [0]

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from goalact.errors import PlanError
+from goalact.records import record_from_dict, record_to_dict
 from goalact.plan import (
     EXECUTED,
     FINISH,
@@ -23,8 +24,6 @@ from goalact.plan import (
     history_of,
     make_plan,
     read_trajectories,
-    trajectory_from_dict,
-    trajectory_to_dict,
     truncate_observation,
     validate_plan,
     write_trajectories,
@@ -212,7 +211,7 @@ def test_trajectory_lines_are_the_bytes_json_dumps_writes():
         messages=[{"role": "user", "content": "ünïcode\r\n\b\f"}],
         response='{"tool": "get_record", "args": {}}', attempts=2))
     encoded = encode_trajectory(traj)
-    assert encoded == json.dumps(trajectory_to_dict(traj), ensure_ascii=False,
+    assert encoded == json.dumps(record_to_dict(traj), ensure_ascii=False,
                                  separators=(",", ":"))
     assert "\\u0000" in encoded and "中文" in encoded
 
@@ -242,7 +241,7 @@ def test_trajectory_from_dict_refuses_an_unknown_key(where):
          "tool_call": doc["tool_calls"][0], "revision": doc["revisions"][0],
          "step": step}[where]["bogus"] = 1
     with pytest.raises(TypeError):
-        trajectory_from_dict(doc)
+        record_from_dict(Trajectory, doc)
 
 
 def test_trajectory_log_is_written_fresh(tmp_path):
