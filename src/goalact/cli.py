@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -81,12 +82,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@dataclass(frozen=True)
+class CustomSkill:
+    """A run config's `custom_skills` entry; its description may be left
+    out."""
+    name: str
+    description: str
+
+
+def _ablations(flags: Any) -> frozenset:
+    if not isinstance(flags, list):  # not a string taken as its characters
+        raise TypeError("ablations must be an array of strings")
+    return frozenset(flags)  # whose items RunConfig checks
+
+
+def _custom_skill(entry: Any) -> tuple[str, str]:
+    skill = record_from_dict(CustomSkill, {"description": "", **entry})
+    return skill.name, skill.description
+
+
 # The file form of the RunConfig fields that JSON cannot hold as they are.
 _FILE_FORMS = {
-    "ablations": frozenset,
+    "ablations": _ablations,
     "sandbox_limits": lambda limits: SandboxLimits(**limits),
-    "custom_skills": lambda entries: tuple(
-        (entry["name"], entry.get("description", "")) for entry in entries),
+    "custom_skills": lambda entries: tuple(map(_custom_skill, entries)),
 }
 
 

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
-from goalact.backends import Rule, ScriptedBackend, user_request
+from goalact.backends import (
+    CompletionRequest,
+    Rule,
+    ScriptedBackend,
+    user_request,
+)
 from goalact.environment import Table, ToolEnvironment
-from goalact.oracle import Lookup, _react_json
+from goalact.oracle import Lookup, _react_json, oracle_backend
 from goalact.orchestrator import (
     CODEACT_MARKER,
     NO_PLAN_MARKER,
@@ -86,3 +96,58 @@ def never_finishing_backend() -> ScriptedBackend:
         Rule.on_substrings(f"return {lookup.script}", CODEACT_MARKER,
                            name="nf-codeact"),
     ], label="never-finishing")
+
+
+QUESTION = "Question: "
+
+
+@contextlib.contextmanager
+def oracle_server(tasks):
+    """The base URL of a chat-completions server on an ephemeral loopback
+    port.  It routes each prompt by its `Question:` lines: a GoalAct
+    planning prompt also holds its exemplars' questions, so exactly one
+    line must name a query of the suite."""
+    by_query = {task.query: task for task in tasks}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(
+                int(self.headers["Content-Length"])))
+            request = CompletionRequest(tuple(body["messages"]), body["model"])
+            (query,) = by_query.keys() & {
+                line[len(QUESTION):]
+                for line in request.rendered().splitlines()
+                if line.startswith(QUESTION)}
+            content = oracle_backend(by_query[query]).complete(request)
+            reply = json.dumps({"choices": [{"message": {
+                "role": "assistant", "content": content}}]}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    # shutdown() waits for the loop's next poll: 0.5 s at the default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def loopback_only(monkeypatch):
+    """No proxy stands between the client and the loopback server."""
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")

@@ -2,7 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Everything here uses scripted backends and generated fixtures; the
-live-API smoke test is skipped unless endpoint environment variables are set.
+live-API smoke test runs against a loopback server that answers from the
+task's oracle, and against a real endpoint when its environment variables
+are set.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from goalact.sandbox import SandboxLimits, eval_script
 from goalact.skills import parse_tool_emission
 from goalact.suite import run_suite
 
-from conftest import never_finishing_backend
+from conftest import never_finishing_backend, oracle_server
 
 
 def _verdict(name: str, detail: str) -> None:
@@ -443,15 +445,29 @@ def test_acceptance_350_task_suite_bytes(tmp_path):
              "the 350-task x 5-method oracle suite wrote its pinned bytes")
 
 
-# --- criterion 8: optional live-API smoke ---------------------------------------------------
+# --- criterion 8: live-API smoke -------------------------------------------------------
 
 _LIVE_VARS = ("GOALACT_API_BASE", "GOALACT_API_KEY", "GOALACT_MODEL")
 
 
-@pytest.mark.skipif(
-    not all(os.environ.get(v) for v in _LIVE_VARS),
-    reason="live smoke needs " + ", ".join(_LIVE_VARS))
-def test_acceptance_live_api_smoke():
+@pytest.fixture(params=["loopback", "endpoint"])
+def live_api(request, monkeypatch):
+    """The endpoint the smoke calls, as its environment variables name it:
+    a loopback server answering from the task's oracle, or the real one
+    the variables already name, when they are all set."""
+    if request.param == "endpoint":
+        if not all(os.environ.get(v) for v in _LIVE_VARS):
+            pytest.skip("live smoke needs " + ", ".join(_LIVE_VARS))
+        yield
+        return
+    request.getfixturevalue("loopback_only")
+    with oracle_server([generate_khop_task(seed=1, k=1)[0]]) as base:
+        for name, value in zip(_LIVE_VARS, (base, "loopback", "scripted")):
+            monkeypatch.setenv(name, value)
+        yield
+
+
+def test_acceptance_live_api_smoke(live_api):
     from goalact.backends import HttpChatBackend
 
     backend = HttpChatBackend(

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import goalact
 from goalact.cli import main
+from goalact.orchestrator import CODEACT_MARKER, REACT_MARKER, SUMMARY_MARKER
 from goalact.plan import (
     FINISH,
+    TERMINATION_FATAL,
+    TERMINATION_FINISH,
     SkillAction,
     Trajectory,
     make_plan,
+    read_trajectories,
 )
+from goalact.planner import PLANNING_MARKER
 from goalact.records import record_to_dict
 
 # A one-step plan revision's document, and its step's.
@@ -150,6 +160,14 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+# What a row's refusal says besides the file's name.
+_SAYS = {
+    '{"custom_skills": [{"name": "Drafting", "descripton": "x"}]}':
+        "a CustomSkill is an object of exactly the keys name, description",
+    '{"ablations": "no_writing"}': "ablations must be an array of strings",
+}
+
+
 @pytest.mark.parametrize("kind, text", [
     ("config", "[1]"),
     ("config", '{"sandbox_limits": {"bogus": 1}}'),
@@ -227,9 +245,12 @@ def test_bad_configuration_exits_two(tmp_path, capsys):
         {"method": "GoalAct", "per_category": {"k": 1.0}, "overall": 1.0,
          "notes": "x"}]})),
     ("exemplars", '{"nope": 1}'),
+    ("config", '{"custom_skills": [{"name": "Drafting", "descripton": "x"}]}'),
+    ("config", '{"ablations": "no_writing"}'),
 ])
 def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
                                                         kind, text):
+    says = _SAYS.get(text, "") if isinstance(text, str) else ""
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     task_file = next((fixtures / "tasks").glob("*.json"))
     config = tmp_path / "config.json"
@@ -276,6 +297,7 @@ def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
         assert f"task {task_id} carries a malformed oracle recipe: " in err
     else:
         assert f"{bad}:1:" in err if line_delimited else f"{bad}: " in err
+    assert says in err
 
 
 @pytest.mark.parametrize("kind", ["trajectory", "recipe"])
@@ -424,6 +446,13 @@ def test_a_suite_that_holds_a_task_file_twice_exits_two_naming_the_id(
     assert not out.exists()
 
 
+def _write_rules(path, *rules):
+    """A rules file of `rules`, one JSON document per line."""
+    path.write_text("".join(json.dumps(rule) + "\n" for rule in rules),
+                    encoding="utf-8")
+    return path
+
+
 def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     task_file = next((fixtures / "tasks").glob("*.json"))
@@ -434,6 +463,65 @@ def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):
                  "--backend", f"scripted:{rules}"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("method, marker, reply, ending", [
+    ("react", REACT_MARKER,
+     json.dumps({"Thought": "Answer now.", "Action": "Finish[done]"}),
+     (1, TERMINATION_FINISH)),
+    # An integer past int()'s 4,300-digit conversion limit: a malformed plan.
+    ("goalact", PLANNING_MARKER,
+     '[{"Thinking": %s, "Action": "Finish"}]' % ("1" * 5000),
+     (1, TERMINATION_FATAL)),
+    # A lone surrogate, which UTF-8 cannot encode: an unusable reply.
+    ("codeact", CODEACT_MARKER, 'return "x \ud800"', (1, TERMINATION_FATAL)),
+], ids=["react-finishes", "over-long-integer", "lone-surrogate"])
+def test_a_rules_file_run_ends_as_its_reply_decides_and_exits_zero(
+        tmp_path, capsys, method, marker, reply, ending):
+    """A plain rules file, one rule per family keyed on its marker alone,
+    drives a run end to end; a reply the run cannot use ends it as data,
+    not as a configuration fault."""
+    fixtures = _generate(tmp_path, capsys, seed=3, k=2, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    rules = _write_rules(
+        tmp_path / "rules.jsonl",
+        {"name": "reply", "response": reply, "substrings": [marker]},
+        {"name": "summary", "response": "The run is over.",
+         "substrings": [SUMMARY_MARKER]})
+    out = tmp_path / "run"
+    assert main(["run", "--task", str(task_file), "--method", method,
+                 "--backend", f"scripted:{rules}", "--out", str(out)]) == 0
+    capsys.readouterr()
+    (trajectory,) = read_trajectories(out / "trajectories.jsonl")
+    assert (trajectory.step_count, trajectory.termination_reason) == ending
+
+
+def test_python_dash_m_goalact_exits_with_mains_status(tmp_path, capsys):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    rules = _write_rules(tmp_path / "rules.jsonl",
+                         {"response": "x", "substrings": ["never-present-key"]})
+    argvs = {0: ["generate", "--seed", "1", "--out", str(tmp_path / "more")],
+             2: ["generate", "--seed", "1", "--k", "0",
+                 "--out", str(tmp_path / "none")],
+             3: ["run", "--task", str(task_file),
+                 "--backend", f"scripted:{rules}"]}
+    src = str(Path(goalact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # Side by side: each pays an interpreter start.
+    children = {status: subprocess.Popen(
+        [sys.executable, "-m", "goalact", *argv], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for status, argv in argvs.items()}
+    try:
+        for status, child in children.items():
+            _, err = child.communicate(timeout=60)
+            assert child.returncode == status, err
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
 
 
 def test_cassette_replay_backend_through_the_cli(tmp_path, capsys):
@@ -466,16 +554,38 @@ def test_cassette_replay_backend_through_the_cli(tmp_path, capsys):
 
 
 def test_suite_with_jobs_flag_matches_serial(tmp_path, capsys):
-    fixtures = _generate(tmp_path, capsys, seed=5, k=1, count=3)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    main(["suite", "--fixtures", str(fixtures), "--methods", "goalact",
-          "--backend", "scripted:oracle", "--out", str(serial)])
-    main(["suite", "--fixtures", str(fixtures), "--methods", "goalact",
-          "--backend", "scripted:oracle", "--out", str(parallel),
-          "--jobs", "3"])
-    capsys.readouterr()
-    assert (serial / "report.json").read_bytes() == \
-        (parallel / "report.json").read_bytes()
-    assert (serial / "trajectories" / "GoalAct.jsonl").read_bytes() == \
-        (parallel / "trajectories" / "GoalAct.jsonl").read_bytes()
+    """Five methods over k-hop, writing and aggregation tasks write the same
+    bytes at --jobs 1 and 3, plain and with a config that reads its own
+    exemplars file and turns GoalAct's global plan off: the manifests
+    differ only in their jobs key, and every log replays, every run
+    finished."""
+    for category, count in (("khop", 3), ("writing", 1), ("aggregation", 1)):
+        fixtures = _generate(tmp_path, capsys, category=category, seed=5, k=2,
+                             count=count)
+    no_plan = tmp_path / "no-plan.json"
+    no_plan.write_text(json.dumps({
+        "exemplars_file": str(Path(goalact.__file__).parent / "prompts"
+                              / "exemplars.jsonl"),
+        "ablations": ["no_global_plan"]}), encoding="utf-8")
+    for name, config in (("plain", []), ("no-plan", ["--config", str(no_plan)])):
+        runs = {}
+        for jobs in (1, 3):
+            out = tmp_path / f"{name}-jobs{jobs}"
+            assert main(["suite", "--fixtures", str(fixtures), "--methods",
+                         "goalact,planandsolve,planandexecute,react,codeact",
+                         *config, "--jobs", str(jobs), "--out", str(out)]) == 0
+            runs[jobs] = {str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+        serial, parallel = (json.loads(runs[jobs].pop("manifest.json"))
+                            for jobs in (1, 3))
+        assert runs[1] == runs[3], name
+        assert (serial.pop("jobs"), parallel.pop("jobs")) == (1, 3)
+        assert serial == parallel, name
+        logs = sorted(out.glob("trajectories/*.jsonl"))
+        assert len(logs) == 5
+        capsys.readouterr()
+        for log in logs:
+            assert main(["replay", "--trajectory", str(log)]) == 0
+            assert [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("termination: ")] == \
+                ["termination: finish"] * 5, (name, log.name)

@@ -13,7 +13,6 @@ import re
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -30,51 +29,11 @@ from goalact.oracle import oracle_backend
 from goalact.orchestrator import METHOD_REACT, RunConfig, run_task
 from goalact.plan import TERMINATION_FINISH
 
+from conftest import oracle_server
+
 CATEGORIES = ("1hop", "3hop", "5hop", "writing", "aggregation")
 SEEDS = (1, 2)
 METHODS = "goalact,planandsolve,planandexecute,react,codeact"
-QUESTION = "Question: "
-
-
-@contextlib.contextmanager
-def _oracle_server(tasks):
-    """The base URL of a chat-completions server on an ephemeral loopback
-    port.  It routes each prompt by its `Question:` lines: a GoalAct
-    planning prompt also holds its exemplars' questions, so exactly one
-    line must name a query of the suite."""
-    by_query = {task.query: task for task in tasks}
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(
-                int(self.headers["Content-Length"])))
-            request = CompletionRequest(tuple(body["messages"]), body["model"])
-            (query,) = by_query.keys() & {
-                line[len(QUESTION):]
-                for line in request.rendered().splitlines()
-                if line.startswith(QUESTION)}
-            content = oracle_backend(by_query[query]).complete(request)
-            reply = json.dumps({"choices": [{"message": {
-                "role": "assistant", "content": content}}]}).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(reply)))
-            self.end_headers()
-            self.wfile.write(reply)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
 
 
 def _artifacts(run_dir):
@@ -83,7 +42,7 @@ def _artifacts(run_dir):
 
 
 def test_an_http_suite_over_loopback_writes_the_oracle_suites_bytes(
-        tmp_path, monkeypatch, capsys):
+        tmp_path, monkeypatch, loopback_only, capsys):
     fixtures = tmp_path / "fixtures"
     tasks = []
     for category in CATEGORIES:
@@ -103,12 +62,8 @@ def test_an_http_suite_over_loopback_writes_the_oracle_suites_bytes(
         return _artifacts(out)
 
     expected = suite("oracle", "scripted:oracle")
-    for name in ("http_proxy", "HTTP_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    for name in ("no_proxy", "NO_PROXY"):
-        monkeypatch.setenv(name, "127.0.0.1")
     monkeypatch.setenv("GOALACT_MODEL", "scripted")
-    with _oracle_server(tasks) as base:
+    with oracle_server(tasks) as base:
         monkeypatch.setenv("GOALACT_API_BASE", base)
         runs = {"http, jobs 1": suite("http1", "http"),
                 "http, jobs 2": suite("http2", "http", jobs=2),
@@ -211,15 +166,6 @@ def _scripted_server(script):
         for thread in [acceptor, *workers]:
             thread.join(timeout=10)
             assert not thread.is_alive()
-
-
-@pytest.fixture
-def loopback_only(monkeypatch):
-    """No proxy stands between the client and the loopback server."""
-    for name in ("http_proxy", "HTTP_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    for name in ("no_proxy", "NO_PROXY"):
-        monkeypatch.setenv(name, "127.0.0.1")
 
 
 def _client(base: str) -> HttpChatBackend:
