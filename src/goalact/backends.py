@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import AuthFailure, BackendUnavailable, CassetteMiss, RuleMiss
+from .errors import (AuthFailure, BackendUnavailable, CassetteMiss, FatalError,
+                     RuleMiss)
 from .records import read_lines, record_from_dict, record_to_dict
 
 BENCHMARK_TEMPERATURE = 0.0
@@ -42,6 +43,13 @@ class CompletionRequest:
 
 def user_request(content: str, model: str = "scripted") -> CompletionRequest:
     return CompletionRequest(({"role": "user", "content": content},), model)
+
+
+class Completion(str):
+    """A completion's text and the tries it took: 1 unless a backend that
+    retries says otherwise."""
+
+    attempts = 1
 
 
 # Each byte other than the space that `str.split()` counts as whitespace in
@@ -189,6 +197,8 @@ class ScriptedBackend:
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 AUTH_STATUS = {401, 403}
+MAX_ATTEMPTS = 4
+BACKOFF_BASE_S = 0.5
 
 # transport(url, headers, body_bytes, timeout) -> (status, body_text)
 Transport = Callable[[str, dict[str, str], bytes, float], tuple[int, str]]
@@ -220,33 +230,23 @@ class HttpChatBackend:
     """Chat-completions client with bounded exponential backoff.
 
     Retries timeouts, connection faults (a body cut short or late, whatever
-    the status, among them), 429, and 5xx up to `max_attempts` total tries;
-    401/403 fail immediately.
+    the status, among them), 429, and 5xx up to MAX_ATTEMPTS total tries,
+    sleeping BACKOFF_BASE_S, then twice as long, between them; 401/403 fail
+    immediately.  A completion carries the try that returned it, so the
+    client holds only its settings and one may serve any number of threads.
     """
 
     def __init__(self, endpoint: str, api_key: str, model: str,
-                 max_attempts: int = 4, backoff_base: float = 0.5,
                  timeout: float = 60.0, transport: Optional[Transport] = None,
                  sleeper: Callable[[float], None] = time.sleep):
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
         self.model = model
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.timeout = timeout
         self.transport = transport or _urllib_transport
         self.sleeper = sleeper
-        self._local = threading.local()
 
-    @property
-    def last_attempts(self) -> int:
-        """Tries made by this thread's last `complete` (0 before any).
-
-        Kept per thread, so one client shared by `--jobs` workers reports
-        each worker its own count."""
-        return getattr(self._local, "attempts", 0)
-
-    def complete(self, request: CompletionRequest) -> str:
+    def complete(self, request: CompletionRequest) -> Completion:
         body = json.dumps({
             "model": request.model if request.model != "scripted" else self.model,
             "messages": request.messages,
@@ -258,8 +258,7 @@ class HttpChatBackend:
         }
         url = f"{self.endpoint}/chat/completions"
         last_error = "no attempt made"
-        for attempt in range(1, self.max_attempts + 1):
-            self._local.attempts = attempt
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 status, text = self.transport(url, headers, body, self.timeout)
             except ConnectionError as exc:
@@ -269,12 +268,14 @@ class HttpChatBackend:
                 if status in AUTH_STATUS:
                     raise AuthFailure(f"endpoint returned HTTP {status}")
                 if status not in RETRYABLE_STATUS:
-                    return self._extract_content(text, status)
+                    completion = Completion(self._extract_content(text, status))
+                    completion.attempts = attempt
+                    return completion
                 last_error = f"HTTP {status}"
-            if attempt < self.max_attempts:
-                self.sleeper(self.backoff_base * (2 ** (attempt - 1)))
+            if attempt < MAX_ATTEMPTS:
+                self.sleeper(BACKOFF_BASE_S * (2 ** (attempt - 1)))
         raise BackendUnavailable(
-            f"gave up after {self.max_attempts} attempts ({last_error})")
+            f"gave up after {MAX_ATTEMPTS} attempts ({last_error})")
 
     @staticmethod
     def _extract_content(text: str, status: int) -> str:
@@ -299,14 +300,9 @@ class CassetteRecorder:
         self.entries: dict[str, str] = {}
         self._lock = threading.Lock()
 
-    @property
-    def last_attempts(self) -> int:
-        """The inner backend's attempt count for its last call, else 1."""
-        return getattr(self.inner, "last_attempts", 1)
-
     def complete(self, request: CompletionRequest) -> str:
-        """A completion UTF-8 cannot encode raises BackendUnavailable; it is
-        neither written nor kept."""
+        """The inner backend's completion as it returned it; one UTF-8 cannot
+        encode raises BackendUnavailable, and is neither written nor kept."""
         response = self.inner.complete(request)
         key = request_hash(request)
         with self._lock:
@@ -330,9 +326,10 @@ class CassetteReplayBackend:
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        entries = read_lines(self.path, _cassette_entry) \
-            if self.path.exists() else ()
-        self.entries: dict[str, str] = dict(entries)
+        if not self.path.exists():
+            raise FatalError(f"cassette not found: {self.path}")
+        self.entries: dict[str, str] = dict(read_lines(self.path,
+                                                       _cassette_entry))
 
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)

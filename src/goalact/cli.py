@@ -33,6 +33,7 @@ from .records import quoted, read_document, record_from_dict
 from .sandbox import SandboxLimits
 from .suite import (
     ENV_MODEL,
+    clear_run_dir,
     resolve_backend_factory,
     run_recorded,
     run_suite,
@@ -138,6 +139,8 @@ def load_run_config(config_path: Optional[Path], method: str,
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise FatalError(f"count must be at least 1, got {args.count}")
     written = []
     for i in range(args.count):
         task, env = generate_task(
@@ -166,6 +169,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"final answer: {trajectory.final_answer}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
+        clear_run_dir(args.out)
         write_trajectories(args.out / "trajectories.jsonl", [trajectory])
         report = None if fault else aggregate({method: [score]},
                                               {task.id: task.category})

@@ -324,32 +324,25 @@ def generate_writing_task(seed: int) -> tuple[Task, ToolEnvironment]:
     return task, env
 
 
-def generate_aggregation_task(seed: int, decimal_amounts: bool = False
-                              ) -> tuple[Task, ToolEnvironment]:
+def generate_aggregation_task(seed: int) -> tuple[Task, ToolEnvironment]:
     """A total over AGGREGATION_ROWS filtered rows; needs computation, not lookups."""
-    rng = random.Random(f"aggregation:{seed}:{int(decimal_amounts)}")
+    rng = random.Random(f"aggregation:{seed}:0")
     mint = ValueMint(rng)
     company_id = mint.code("C", 6)
     company_name = mint.company()
 
-    def amount() -> Any:
-        if decimal_amounts:
-            return round(rng.uniform(100.0, 9999.0), 2)
-        return rng.randint(1000, 99999)
-
     def ledger_row(owner: str) -> dict[str, Any]:
         return {"invoice_id": mint.code("IN", 6), "company_id": owner,
-                "amount": amount(), "issued_on": mint.date()}
+                "amount": rng.randint(1000, 99999), "issued_on": mint.date()}
 
     gold_rows = [ledger_row(company_id) for _ in range(AGGREGATION_ROWS)]
     distractor_rows = [ledger_row(mint.code("C", 6)) for _ in range(12)]
 
     total = sum(row["amount"] for row in gold_rows)
-    if not decimal_amounts:
-        # The rendered total must not occur inside any minted identifier.
-        while any(str(total) in value for value in mint.used):
-            gold_rows[0]["amount"] += 1
-            total += 1
+    # The rendered total must not occur inside any minted identifier.
+    while any(str(total) in value for value in mint.used):
+        gold_rows[0]["amount"] += 1
+        total += 1
 
     rows = gold_rows + distractor_rows
     rng.shuffle(rows)

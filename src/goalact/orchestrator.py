@@ -225,7 +225,7 @@ class RecordingBackend:
         self.trajectory.llm_calls.append(LlmExchange(
             purpose, request.model, BENCHMARK_TEMPERATURE,
             list(request.messages), response,
-            getattr(self.inner, "last_attempts", 1)))
+            getattr(response, "attempts", 1)))
         return response
 
 

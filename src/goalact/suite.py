@@ -21,9 +21,9 @@ earlier task's line is.  At `jobs` N > 1 at most N runs are in flight
 beyond the one whose line the suite waits to write, and the next starts
 only once that line is written, so a slow run holds back at most N
 finished lines.  The manifest and the reports are written last.
-Before its first line the suite deletes them and every method log an
-earlier run left, so no log of a method it does not run survives, and a
-directory without `manifest.json` holds an unfinished suite.
+Before its first line the suite clears the directory as `goalact run` does
+(`clear_run_dir`), so no log of a method or run it did not make survives,
+and a directory without `manifest.json` holds an unfinished suite.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
@@ -95,10 +95,7 @@ def resolve_backend_factory(spec: str) -> BackendFactory:
         recorder = CassetteRecorder(_http_backend_from_env(), cassette)
         return lambda task: recorder
     if spec.startswith("replay:"):
-        cassette = Path(spec.split(":", 1)[1])
-        if not cassette.exists():
-            raise FatalError(f"cassette not found: {cassette}")
-        replay = CassetteReplayBackend(cassette)
+        replay = CassetteReplayBackend(Path(spec.split(":", 1)[1]))
         return lambda task: replay
     raise FatalError(f"unknown backend spec {spec!r}")
 
@@ -180,11 +177,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     ordered = sorted(tasks_with_envs, key=lambda pair: pair[0].id)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        logs = out_dir / "trajectories"
-        logs.mkdir(parents=True, exist_ok=True)
-        for path in [*logs.glob("*.jsonl"), *map(out_dir.joinpath,
-                                                 SUMMARY_FILES)]:
-            path.unlink(missing_ok=True)
+        clear_run_dir(out_dir)
+        (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     runs: dict[str, list[TaskScore]] = {}
     failures: list[BackendError] = []
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
@@ -238,13 +232,24 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     return report
 
 
+def clear_run_dir(out_dir: Path) -> None:
+    """Delete what a suite or `goalact run` writes into `out_dir`, and
+    `trajectories/` if that leaves it empty."""
+    logs = out_dir / "trajectories"
+    for path in [*logs.glob("*.jsonl"), out_dir / "trajectories.jsonl",
+                 *map(out_dir.joinpath, SUMMARY_FILES)]:
+        path.unlink(missing_ok=True)
+    with suppress(OSError):  # absent, or holding other files
+        logs.rmdir()
+
+
 def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
                   config: RunConfig, methods: Sequence[str], backend_spec: str,
                   task_ids: Sequence[str], jobs: Optional[int] = None,
                   failures: Sequence[BackendError] = ()) -> None:
-    """Finish a run directory whose trajectory logs are written: write
-    `manifest.json`, then `report.txt` and `report.json` when there is a
-    report, else delete any an earlier run left.  The manifest holds a
+    """Finish a run directory that `clear_run_dir` cleared and whose
+    trajectory logs are written: write `manifest.json`, then `report.txt`
+    and `report.json` when there is a report.  The manifest holds a
     `jobs` key only when `jobs` is given, and a `failures` list (task id,
     method, error kind of each fault `run_recorded` returned) only when
     there are failures."""
@@ -265,8 +270,6 @@ def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    for name, render in REPORTS.items():
-        if report is None:
-            (out_dir / name).unlink(missing_ok=True)
-        else:
+    if report is not None:
+        for name, render in REPORTS.items():
             (out_dir / name).write_text(render(report), encoding="utf-8")

@@ -9,10 +9,12 @@ import threading
 
 import pytest
 
+from goalact import backends
 from goalact.backends import (
     BENCHMARK_TEMPERATURE,
     CassetteRecorder,
     CassetteReplayBackend,
+    Completion,
     CompletionRequest,
     HttpChatBackend,
     Rule,
@@ -394,10 +396,25 @@ def test_http_retries_429_then_succeeds():
     client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
                              model="m", transport=transport,
                              sleeper=sleeps.append)
-    assert client.complete(_req("x", model="m")) == "hi"
-    assert client.last_attempts == 2
+    completion = client.complete(_req("x", model="m"))
+    assert completion == "hi"
+    assert completion.attempts == 2
     assert transport.calls == 2
     assert len(sleeps) == 1
+
+
+def test_a_completion_after_one_429_carries_two_attempts(tmp_path):
+    """The tries travel with the completion: a recorder returns it as its
+    client did, and a completion that was never retried carries 1."""
+    transport = _SequenceTransport([(429, "slow down"), (200, _ok_body("hi"))])
+    recorder = CassetteRecorder(_client(transport), tmp_path / "c.jsonl")
+    completion = recorder.complete(_req("x", model="m"))
+    assert (completion, completion.attempts) == ("hi", 2)
+    assert isinstance(completion, Completion)
+    replayed = CassetteReplayBackend(tmp_path / "c.jsonl").complete(
+        _req("x", model="m"))
+    assert (replayed, getattr(replayed, "attempts", 1)) == ("hi", 1)
+    assert Completion("hi").attempts == 1
 
 
 def test_http_backoff_grows_exponentially():
@@ -405,7 +422,7 @@ def test_http_backoff_grows_exponentially():
     sleeps: list[float] = []
     client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
                              model="m", transport=transport,
-                             backoff_base=0.5, sleeper=sleeps.append)
+                             sleeper=sleeps.append)
     client.complete(_req("x", model="m"))
     assert sleeps == [0.5, 1.0]
 
@@ -413,11 +430,11 @@ def test_http_backoff_grows_exponentially():
 def test_http_gives_up_after_the_attempt_budget():
     transport = _SequenceTransport([(503, "")] * 4)
     client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
-                             model="m", transport=transport, max_attempts=4,
+                             model="m", transport=transport,
                              sleeper=lambda s: None)
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendUnavailable, match="gave up after 4 attempts"):
         client.complete(_req("x", model="m"))
-    assert client.last_attempts == 4
+    assert transport.calls == 4
 
 
 def test_http_auth_failures_never_retry():
@@ -456,7 +473,7 @@ def test_http_attempt_counts_stay_with_their_thread():
         return 200, _ok_body("ok")
 
     client = HttpChatBackend(endpoint="https://example.test/v1", api_key="k",
-                             model="m", transport=transport, max_attempts=4,
+                             model="m", transport=transport,
                              sleeper=lambda s: None)
     logs: list[tuple[int, Trajectory]] = []
 
@@ -551,12 +568,17 @@ class _Response:
 
 def test_an_http_body_that_is_not_utf8_is_a_backend_fault(monkeypatch):
     body = b'{"choices": [{"message": {"content": "ok \xff"}}]}'
-    monkeypatch.setattr("urllib.request.urlopen",
-                        lambda request, timeout: _Response(body))
+    opened = []
+
+    def urlopen(request, timeout):
+        opened.append(request)
+        return _Response(body)
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
     client = _client(None)  # the default, urllib transport
     with pytest.raises(BackendUnavailable, match="not UTF-8"):
         client.complete(_req("x", model="m"))
-    assert client.last_attempts == 1
+    assert len(opened) == 1
 
 
 @pytest.mark.parametrize("cut_reads", [4, 1])
@@ -566,13 +588,15 @@ def test_an_http_body_cut_short_is_retried(monkeypatch, cut_reads):
     monkeypatch.setattr("urllib.request.urlopen",
                         lambda request, timeout: _Response(bodies.pop(0)))
     client = _client(None)  # the default, urllib transport
-    if cut_reads < client.max_attempts:
-        assert client.complete(_req("x", model="m")) == "hi"
-        assert client.last_attempts == cut_reads + 1
+    if cut_reads < backends.MAX_ATTEMPTS:
+        completion = client.complete(_req("x", model="m"))
+        assert completion == "hi"
+        assert completion.attempts == cut_reads + 1
     else:
-        with pytest.raises(BackendUnavailable, match="IncompleteRead"):
+        with pytest.raises(BackendUnavailable,
+                           match=r"gave up after 4 attempts .*IncompleteRead"):
             client.complete(_req("x", model="m"))
-        assert client.last_attempts == client.max_attempts == 4
+        assert len(bodies) == 1  # four reads cut short, the fifth not made
 
 
 # --- cassettes ----------------------------------------------------------------------
@@ -626,9 +650,18 @@ def test_replay_misses_on_changed_prompt(tmp_path):
         replay.complete(_req("changed", model="m"))
 
 
+def test_a_missing_cassette_is_refused_at_load(tmp_path):
+    missing = tmp_path / "missing.jsonl"
+    with pytest.raises(FatalError) as refused:
+        CassetteReplayBackend(missing)
+    assert str(refused.value) == f"cassette not found: {missing}"
+
+
 def test_empty_cassette_misses_immediately(tmp_path):
-    replay = CassetteReplayBackend(tmp_path / "missing.jsonl")
-    with pytest.raises(CassetteMiss):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    replay = CassetteReplayBackend(empty)
+    with pytest.raises(CassetteMiss, match=r"\(0 entries loaded\)"):
         replay.complete(_req("anything"))
 
 

@@ -82,6 +82,37 @@ def test_run_twice_into_one_directory_rewrites_it(tmp_path, capsys):
     assert "jobs" not in json.loads(first["manifest.json"])
 
 
+def _run_dir_files(out_dir):
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*"))
+
+
+def test_a_run_into_a_suites_directory_leaves_no_method_log(tmp_path,
+                                                              capsys):
+    fixtures = _generate(tmp_path, capsys, seed=7, k=2, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    out_dir = tmp_path / "run"
+    assert main(["suite", "--fixtures", str(fixtures), "--methods",
+                 "goalact,react", "--out", str(out_dir)]) == 0
+    assert main(["run", "--task", str(task_file), "--method", "codeact",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert _run_dir_files(out_dir) == ["manifest.json", "report.json",
+                                       "report.txt", "trajectories.jsonl"]
+
+
+def test_a_suite_into_a_runs_directory_leaves_no_run_log(tmp_path, capsys):
+    fixtures = _generate(tmp_path, capsys, seed=7, k=2, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    out_dir = tmp_path / "run"
+    assert main(["run", "--task", str(task_file), "--out", str(out_dir)]) == 0
+    assert main(["suite", "--fixtures", str(fixtures), "--methods", "react",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert _run_dir_files(out_dir) == [
+        "manifest.json", "report.json", "report.txt", "trajectories",
+        "trajectories/ReAct.jsonl"]
+
+
 def test_suite_reports_one_row_per_method(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=2)
     out_dir = tmp_path / "suite"
@@ -409,12 +440,18 @@ def test_a_config_its_own_check_refuses_is_not_called_malformed(tmp_path,
             f"configuration fault: {config}: {message}\n"
 
 
-@pytest.mark.parametrize("k", [-1, 0, 6])
-def test_generate_names_the_allowed_hop_range(tmp_path, capsys, k):
-    assert main(["generate", "--seed", "1", "--k", str(k),
-                 "--out", str(tmp_path / "fixtures")]) == 2
+@pytest.mark.parametrize("flag, value, allowed", [
+    ("k", -1, "in 1..5"), ("k", 0, "in 1..5"), ("k", 6, "in 1..5"),
+    ("count", 0, "at least 1"), ("count", -3, "at least 1"),
+], ids=["k=-1", "k=0", "k=6", "count=0", "count=-3"])
+def test_generate_names_the_allowed_range_of_a_flag(tmp_path, capsys, flag,
+                                                     value, allowed):
+    out = tmp_path / "fixtures"
+    assert main(["generate", "--seed", "1", f"--{flag}", str(value),
+                 "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
-        f"configuration fault: k must be in 1..5, got {k}\n"
+        f"configuration fault: {flag} must be {allowed}, got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -551,6 +588,13 @@ def test_cassette_replay_backend_through_the_cli(tmp_path, capsys):
                  "--backend", f"replay:{cassette}"])
     capsys.readouterr()
     assert code == 3
+
+    # A cassette that is not there: exit 2 before any run.
+    missing = tmp_path / "missing.jsonl"
+    assert main(["run", "--task", str(task_file),
+                 "--backend", f"replay:{missing}"]) == 2
+    assert capsys.readouterr().err == \
+        f"configuration fault: cassette not found: {missing}\n"
 
 
 def test_suite_with_jobs_flag_matches_serial(tmp_path, capsys):

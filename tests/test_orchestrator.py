@@ -551,14 +551,15 @@ def test_config_loads_exemplars_from_file(tmp_path):
 
 
 def test_trajectory_records_retry_attempts():
+    from goalact.backends import Completion
     from goalact.orchestrator import RecordingBackend
     from goalact.plan import Trajectory
 
     class _RetryingStub:
-        last_attempts = 3
-
         def complete(self, request):
-            return "fine"
+            completion = Completion("fine")
+            completion.attempts = 3
+            return completion
 
     traj = Trajectory(task_id="t", method="GoalAct")
     recorder = RecordingBackend(_RetryingStub(), traj, "m")
