@@ -322,10 +322,11 @@ class CassetteRecorder:
 
 
 class CassetteReplayBackend:
-    """Answers from a recorded cassette; any cache miss is a hard error."""
+    """Answers from a recorded cassette; a request it lacks goes to
+    `fallback` when there is one, else is a hard error."""
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
+    def __init__(self, path: Path, fallback: Any = None):
+        self.path, self.fallback = Path(path), fallback
         if not self.path.exists():
             raise FatalError(f"cassette not found: {self.path}")
         self.entries: dict[str, str] = dict(read_lines(self.path,
@@ -334,6 +335,8 @@ class CassetteReplayBackend:
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)
         if key not in self.entries:
+            if self.fallback is not None:
+                return self.fallback.complete(request)
             raise CassetteMiss(
                 f"no cassette entry for request {key[:12]} "
                 f"({len(self.entries)} entries loaded); prompt: "
@@ -359,7 +362,7 @@ def load_rules_file(path: Path) -> list[Rule]:
     """Scripted-backend fixture format: one `Rule` document per line, its
     `substrings` not empty and its `name` "" when left out.  Any other line
     raises FatalError naming the file and line."""
-    return read_lines(path, _rule_from_dict)
+    return list(read_lines(path, _rule_from_dict))
 
 
 def save_rules_file(rules: Sequence[Rule], path: Path) -> None:

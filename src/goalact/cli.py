@@ -41,8 +41,6 @@ from .suite import (
     write_run_dir,
 )
 
-ENV_BACKEND = "GOALACT_BACKEND"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -112,11 +110,11 @@ _FILE_FORMS = {
 
 def load_run_config(config_path: Optional[Path], method: str,
                     backend_flag: Optional[str]) -> tuple[RunConfig, str]:
-    """Assemble config with precedence: flags > environment > config file.
-
-    The file is a JSON object of RunConfig fields plus `backend`; `method`
-    comes from the command line.  An unknown key, or a value not of its
-    field's type, raises FatalError naming the file and the key."""
+    """The file is a JSON object of RunConfig fields plus `backend`; `method`
+    comes from the command line.  The backend is `backend_flag`, else the
+    file's `backend`, else scripted:oracle; the model is GOALACT_MODEL, else
+    the file's `model`.  An unknown key, or a value not of its field's type,
+    raises FatalError naming the file and the key."""
 
     def build(doc: Any) -> tuple[RunConfig, str]:
         if not isinstance(doc, dict):
@@ -131,8 +129,8 @@ def load_run_config(config_path: Optional[Path], method: str,
         for key, form in _FILE_FORMS.items():
             if key in settings:
                 settings[key] = form(settings[key])
-        return RunConfig(**settings), backend_flag \
-            or os.environ.get(ENV_BACKEND) or backend or "scripted:oracle"
+        return RunConfig(**settings), \
+            backend_flag or backend or "scripted:oracle"
 
     return build({}) if config_path is None \
         else read_document(config_path, build)
@@ -173,8 +171,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_trajectories(args.out / "trajectories.jsonl", [trajectory])
         report = None if fault else aggregate({method: [score]},
                                               {task.id: task.category})
+        failures = [(task.id, method, type(fault).__name__)] if fault else ()
         write_run_dir(args.out, report, config, [method], backend_spec,
-                      [task.id], failures=[fault] if fault else ())
+                      [task.id], failures=failures)
     if fault is not None:
         raise fault
     return 0

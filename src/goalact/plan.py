@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import PlanError
 from .records import read_lines, record_from_dict, record_to_dict
@@ -223,7 +223,7 @@ def write_trajectories(path: Any, trajectories: Sequence[Trajectory]) -> None:
             handle.write(encode_trajectory(traj) + "\n")
 
 
-def read_trajectories(path: Any) -> list[Trajectory]:
-    """Every trajectory of a log; FatalError naming the file and line of a
-    malformed one."""
+def read_trajectories(path: Any) -> Iterator[Trajectory]:
+    """Yield each trajectory of a log as its line is read; FatalError naming
+    the file and line of a malformed one, after every trajectory before it."""
     return read_lines(path, partial(record_from_dict, Trajectory))

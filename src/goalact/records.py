@@ -22,7 +22,7 @@ import json
 import types
 import typing
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, NamedTuple, Optional, TypeVar
+from typing import Any, Callable, Iterator, NamedTuple, Optional, TypeVar
 
 from .errors import FatalError
 
@@ -182,16 +182,15 @@ def read_document(path: Any, build: Callable[[Any], T]) -> T:
         raise _refused(path, exc) from exc
 
 
-def read_lines(path: Any, build: Callable[[Any], T]) -> list[T]:
-    """`build` of the JSON document on each non-blank line of the file at
-    `path`.  Lines end at newlines only: JSON text may hold the other line
-    breaks of `str.splitlines` unescaped."""
-    records, number = [], 0
+def read_lines(path: Any, build: Callable[[Any], T]) -> Iterator[T]:
+    """Yield `build` of the JSON document on each non-blank line of the file
+    at `path`, each as it is read.  Lines end at newlines only: JSON text may
+    hold the other line breaks of `str.splitlines` unescaped."""
+    number = 0
     try:
         with open(path, encoding="utf-8", newline="\n") as handle:
             for number, line in enumerate(handle, 1):
                 if line.strip():
-                    records.append(build(json.loads(line)))
+                    yield build(json.loads(line))
     except _REFUSALS as exc:
         raise _refused(f"{path}:{number}", exc) from exc
-    return records

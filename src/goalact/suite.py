@@ -9,12 +9,13 @@ the calling thread at `jobs` 1, else on the one thread pool it makes.
 
 A run that raises a backend fault does not throw the suite's work away:
 `run_recorded`, which `goalact run` uses too, returns its partial trajectory
-and the fault, which is the failure's record.  A RuleMiss or CassetteMiss
-ends only its own task; an AuthFailure, which every later call would repeat,
-stops the suite at its task.  The run directory then holds every finished
-and partial trajectory, a report over the tasks that finished under every
-method run, and a manifest that lists the failures, and the first failure is
-raised.  Which runs are kept depends only on task order, never on `jobs`.
+and the fault.  A RuleMiss or CassetteMiss ends only its own task; an
+AuthFailure, which every later call would repeat, stops the suite at its
+task.  The run directory then holds every finished and partial trajectory,
+a report over the tasks that finished under every method run, and a
+manifest that lists the failures: once a failed run's line is written, the
+suite keeps only that entry, and the first fault, which it raises last.
+Which runs are kept depends only on task order, never on `jobs`.
 
 Each run's trajectory line is written to its method's log as soon as every
 earlier task's line is.  At `jobs` N > 1 at most N runs are in flight
@@ -93,7 +94,11 @@ def resolve_backend_factory(spec: str) -> BackendFactory:
     if spec.startswith("record:"):
         cassette = Path(spec.split(":", 1)[1])
         recorder = CassetteRecorder(_http_backend_from_env(), cassette)
-        return lambda task: recorder
+        if not cassette.exists():
+            return lambda task: recorder
+        replay = CassetteReplayBackend(cassette, fallback=recorder)
+        recorder.entries = replay.entries  # it records only what replay lacks
+        return lambda task: replay
     if spec.startswith("replay:"):
         replay = CassetteReplayBackend(Path(spec.split(":", 1)[1]))
         return lambda task: replay
@@ -113,10 +118,8 @@ def _http_backend_from_env() -> HttpChatBackend:
 
 def config_hash(config: RunConfig, methods: Sequence[str],
                 backend_spec: str) -> str:
-    doc = dataclasses.asdict(config)
-    doc["ablations"] = sorted(config.ablations)
-    doc["methods"] = list(methods)
-    doc["backend"] = backend_spec
+    doc = {**dataclasses.asdict(config), "ablations": sorted(config.ablations),
+           "methods": list(methods), "backend": backend_spec}
     canonical = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -155,11 +158,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
               backend_spec: str = "scripted:oracle",
               jobs: int = 1) -> SuiteReport:
     """Run every method over every task, in task-id order; optionally
-    persist run artifacts.
-
-    Raises the first failure, after writing the run directory, when a run
-    raised a backend fault (see the module docstring).
-    """
+    persist run artifacts.  Raises the first fault, after writing the run
+    directory, when a run raised one (see the module docstring)."""
     if not tasks_with_envs:
         raise FatalError("the suite has no tasks to run")
     if not methods:
@@ -180,7 +180,7 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
         clear_run_dir(out_dir)
         (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
     runs: dict[str, list[TaskScore]] = {}
-    failures: list[BackendError] = []
+    failures, first = [], None  # the manifest's entries; the first fault
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for method in methods:
@@ -200,17 +200,18 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
                 out_dir / "trajectories" / f"{method}.jsonl", "w",
                 encoding="utf-8")
             with log as handle:
-                for line, score, fault in (
+                for (task, _), (line, score, fault) in zip(ordered, (
                         _in_order(pool, one, ordered, jobs) if pool
-                        else map(one, ordered)):
+                        else map(one, ordered))):
                     if handle is not None:
                         handle.write(line + "\n")
                     if fault is None:
                         scores.append(score)
-                    else:
-                        failures.append(fault)
-                        if isinstance(fault, AuthFailure):
-                            break  # every later call would repeat it
+                        continue
+                    failures.append((task.id, method, type(fault).__name__))
+                    first = first or fault
+                    if isinstance(fault, AuthFailure):
+                        break  # every later call would repeat it
                 else:
                     continue  # every task ran: on to the next method
             break  # an AuthFailure stops the suite
@@ -227,8 +228,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     if out_dir is not None:
         write_run_dir(out_dir, report, config, methods, backend_spec,
                       sorted(categories), jobs=jobs, failures=failures)
-    if failures:
-        raise failures[0]
+    if first is not None:
+        raise first
     return report
 
 
@@ -246,13 +247,12 @@ def clear_run_dir(out_dir: Path) -> None:
 def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
                   config: RunConfig, methods: Sequence[str], backend_spec: str,
                   task_ids: Sequence[str], jobs: Optional[int] = None,
-                  failures: Sequence[BackendError] = ()) -> None:
+                  failures: Sequence[tuple[str, str, str]] = ()) -> None:
     """Finish a run directory that `clear_run_dir` cleared and whose
     trajectory logs are written: write `manifest.json`, then `report.txt`
     and `report.json` when there is a report.  The manifest holds a
-    `jobs` key only when `jobs` is given, and a `failures` list (task id,
-    method, error kind of each fault `run_recorded` returned) only when
-    there are failures."""
+    `jobs` key only when `jobs` is given, and a `failures` list only when
+    there are (task id, method, error kind) `failures`."""
     manifest: dict[str, Any] = {
         "config_hash": config_hash(config, methods, backend_spec),
         "backend": backend_spec,
@@ -264,9 +264,8 @@ def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
         manifest["jobs"] = jobs
     if failures:
         manifest["failures"] = [
-            {"task_id": fault.trajectory.task_id,
-             "method": fault.trajectory.method,
-             "error": type(fault).__name__} for fault in failures]
+            {"task_id": task_id, "method": method, "error": error}
+            for task_id, method, error in failures]
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")

@@ -686,6 +686,43 @@ def test_recorder_writes_each_request_once_under_threads(tmp_path):
     assert replay.complete(_req("request 7")) == "REQUEST 7"
 
 
+def test_a_second_record_session_appends_only_the_requests_it_lacks(
+        tmp_path, monkeypatch):
+    """A cassette keeps the first response recorded for a request, and a
+    later `record:` session answers that request from it."""
+    from goalact.suite import resolve_backend_factory
+
+    cassette = tmp_path / "c.jsonl"
+    asked = []
+
+    class Answer:
+        def __init__(self, text):
+            self.text = text
+
+        def complete(self, request):
+            asked.append(request.rendered())
+            return f"{self.text} {request.rendered()}"
+
+    def session(text, prompts):
+        monkeypatch.setattr("goalact.suite._http_backend_from_env",
+                            lambda: Answer(text))  # in place of HTTP
+        backend = resolve_backend_factory(f"record:{cassette}")(None)
+        return [backend.complete(_req(prompt)) for prompt in prompts]
+
+    assert session("first", ["a", "b"]) == ["first a", "first b"]
+    first = cassette.read_bytes()
+    assert session("second", ["a", "b"]) == ["first a", "first b"]
+    assert cassette.read_bytes() == first
+    assert session("third", ["b", "c", "c"]) == \
+        ["first b", "third c", "third c"]
+    assert cassette.read_bytes().startswith(first)
+    assert asked == ["a", "b", "c"]  # the live backend sees each key once
+    replay = CassetteReplayBackend(cassette)
+    assert [replay.complete(_req(p)) for p in "abc"] == \
+        ["first a", "first b", "third c"]
+    assert len(cassette.read_bytes().splitlines()) == 3
+
+
 def test_cassette_replays_responses_holding_unicode_line_breaks(tmp_path):
     # The recorder writes these characters unescaped; only "\n" ends a line.
     cassette = tmp_path / "breaks.jsonl"

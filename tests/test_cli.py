@@ -146,6 +146,24 @@ def test_replay_renders_byte_identically_without_backend_calls(tmp_path,
     assert "plan revisions" in first
 
 
+def test_replay_prints_each_transcript_before_a_malformed_line(tmp_path,
+                                                              capsys):
+    fixtures = _generate(tmp_path, capsys, seed=9, k=2, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    out_dir = tmp_path / "run"
+    main(["run", "--task", str(task_file), "--out", str(out_dir)])
+    capsys.readouterr()
+    log = out_dir / "trajectories.jsonl"
+    assert main(["replay", "--trajectory", str(log)]) == 0
+    first = capsys.readouterr().out
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write("[1]\n")
+    assert main(["replay", "--trajectory", str(log)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == first
+    assert printed.err.startswith(f"configuration fault: {log}:2: malformed")
+
+
 def test_report_command_formats(tmp_path, capsys):
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     out_dir = tmp_path / "suite"
@@ -196,6 +214,9 @@ _SAYS = {
     '{"custom_skills": [{"name": "Drafting", "descripton": "x"}]}':
         "a CustomSkill is an object of exactly the keys name, description",
     '{"ablations": "no_writing"}': "ablations must be an array of strings",
+    '{"key": "k", "response": 5}':
+        "a cassette entry's key and response are strings",
+    '{"backend": 5}': "backend must be str, not 5",
 }
 
 
@@ -278,6 +299,8 @@ _SAYS = {
     ("exemplars", '{"nope": 1}'),
     ("config", '{"custom_skills": [{"name": "Drafting", "descripton": "x"}]}'),
     ("config", '{"ablations": "no_writing"}'),
+    ("cassette", '{"key": "k", "response": 5}'),
+    ("config", '{"backend": 5}'),
 ])
 def test_malformed_input_files_exit_two_naming_the_file(tmp_path, capsys,
                                                         kind, text):
@@ -458,6 +481,7 @@ def test_generate_names_the_allowed_range_of_a_flag(tmp_path, capsys, flag,
     (["--jobs", "0"], "jobs must be at least 1, got 0"),
     (["--methods", "react,ReAct"],
      "the suite names a method more than once: ReAct, ReAct"),
+    (["--methods", ","], "no methods given"),
 ])
 def test_a_suite_of_no_jobs_or_a_method_named_twice_exits_two(
         tmp_path, capsys, flags, message):
@@ -466,6 +490,15 @@ def test_a_suite_of_no_jobs_or_a_method_named_twice_exits_two(
     assert main(["suite", "--fixtures", str(fixtures), *flags,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"configuration fault: {message}\n"
+    assert not out.exists()
+
+
+def test_a_suite_over_an_empty_tasks_directory_exits_two(tmp_path, capsys):
+    fixtures, out = tmp_path / "fixtures", tmp_path / "run"
+    (fixtures / "tasks").mkdir(parents=True)
+    assert main(["suite", "--fixtures", str(fixtures), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration fault: the suite has no tasks to run\n"
     assert not out.exists()
 
 

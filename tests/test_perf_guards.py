@@ -458,7 +458,7 @@ def test_a_second_read_of_a_log_walks_no_type(monkeypatch, tmp_path):
     suite.run_suite(_suite_pairs(), METHODS, RunConfig(),
                     oracle.oracle_backend, out_dir=tmp_path)
     log = tmp_path / "trajectories" / "GoalAct.jsonl"
-    first = read_trajectories(log)
+    first = list(read_trajectories(log))
     walked = [0]
     original = typing.get_origin
 
@@ -467,5 +467,5 @@ def test_a_second_read_of_a_log_walks_no_type(monkeypatch, tmp_path):
         return original(hint)
 
     monkeypatch.setattr(typing, "get_origin", counting)
-    assert read_trajectories(log) == first
+    assert list(read_trajectories(log)) == first
     assert walked == [0]

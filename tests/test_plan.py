@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -252,6 +253,18 @@ def test_trajectory_log_is_written_fresh(tmp_path):
     assert path.read_text("utf-8") == encode_trajectory(trajectories[0]) + "\n"
     assert [encode_trajectory(t) for t in read_trajectories(path)] == \
         [encode_trajectory(trajectories[0])]
+
+
+def test_a_log_is_read_one_trajectory_at_a_time(tmp_path):
+    path = tmp_path / "GoalAct.jsonl"
+    write_trajectories(path, [Trajectory(f"t{i}", "GoalAct")
+                              for i in range(3)])
+    read = []
+    for trajectory in read_trajectories(path):
+        read.append(weakref.ref(trajectory))
+        assert [ref() is not None for ref in read] == \
+            [False] * (len(read) - 1) + [True]
+    assert len(read) == 3
 
 
 def test_make_plan_numbers_from_one():

@@ -476,6 +476,11 @@ def _is_tool_emission_result(result) -> bool:
         problem is None if calls else isinstance(problem, str))
 
 
+@pytest.mark.parametrize("reply", ['"x"', "[1]"])
+def test_a_react_reply_whose_json_is_no_object_has_no_thought(reply):
+    assert parse_thought_action(reply) is None
+
+
 # Each reader, and what a value it returns must look like.
 _READERS = {
     "parse_step_texts": (parse_step_texts, lambda pairs: pairs and all(

@@ -318,3 +318,12 @@ def test_source_material_drops_oldest_first():
     assert "observation-9" in material  # newest survives
     assert "observation-0" not in material  # oldest dropped
     assert material.index("observation-8") < material.index("observation-9")
+
+
+def test_source_material_cuts_a_newest_block_over_the_budget_to_it():
+    history = executed_steps(
+        ("t0", SkillAction(SEARCHING, "old"), "observation-0"),
+        ("t1", SkillAction(SEARCHING, "new"), "observation-1 " + "y" * 400))
+    material = render_source_material(history, budget=300)
+    assert material == \
+        f"Action: Searching[new]\nObservation: observation-1 {'y' * 400}"[:300]

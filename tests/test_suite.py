@@ -3,6 +3,7 @@ interrupted."""
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from goalact.errors import AuthFailure, CassetteMiss, FatalError, RuleMiss
 from goalact.generator import (
     generate_aggregation_task,
     generate_khop_task,
+    generate_task,
     generate_writing_task,
     save_fixture,
 )
@@ -26,7 +28,7 @@ from goalact.orchestrator import (
     METHODS as ALL_METHODS,
     RunConfig,
 )
-from goalact.plan import read_trajectories
+from goalact.plan import Trajectory, read_trajectories
 from goalact.suite import REPORTS, SUMMARY_FILES, run_suite
 
 METHODS = [METHOD_GOALACT, METHOD_REACT]
@@ -139,6 +141,54 @@ def test_an_auth_failure_stops_the_suite_at_its_task(tmp_path):
         assert report["task_count"] == 1
         assert [row["method"] for row in report["rows"]] == [METHOD_GOALACT]
     _assert_same_but_jobs(*outs)
+
+
+class _MissingAt:
+    """A task's oracle, but for its `call`-th call, which raises RuleMiss."""
+
+    def __init__(self, task, call):
+        self.oracle, self.left = oracle_backend(task), call
+
+    def complete(self, request):
+        self.left -= 1
+        if self.left == 0:
+            raise RuleMiss("scripted miss")
+        return self.oracle.complete(request)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_suite_keeps_only_the_manifest_entry_of_a_failed_run(monkeypatch,
+                                                               tmp_path,
+                                                               jobs):
+    """Every run of 60 tasks x 5 methods misses at its second call: when the
+    suite writes its directory it holds the first fault's trajectory and at
+    most one more, not one per failed run.  A failed run's frames form a
+    cycle with its fault, so what is held is counted after a collection."""
+    pairs = [generate_task(category, seed) for seed in range(10)
+             for category in ("1hop", "2hop", "3hop", "5hop", "writing",
+                              "aggregation")]
+    ids = sorted(task.id for task, _ in pairs)
+    write_run_dir = suite.write_run_dir
+
+    def held() -> int:
+        gc.collect()
+        return sum(isinstance(o, Trajectory) for o in gc.get_objects())
+
+    def counting(*args, **kwargs):
+        alive.append(held())
+        return write_run_dir(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "write_run_dir", counting)
+    out, alive = tmp_path / "run", [held()]
+    with pytest.raises(RuleMiss) as raised:
+        run_suite(pairs, ALL_METHODS, RunConfig(),
+                  lambda task: _MissingAt(task, 2), out_dir=out, jobs=jobs)
+    assert len(alive) == 2 and alive[1] - alive[0] <= 2
+    assert json.loads((out / "manifest.json").read_text())["failures"] == [
+        {"error": "RuleMiss", "method": method, "task_id": task_id}
+        for method in ALL_METHODS for task_id in ids]
+    first = raised.value.trajectory
+    assert (first.task_id, first.method) == (ids[0], ALL_METHODS[0])
 
 
 def test_a_clean_suite_writes_no_failure_list(tmp_path):
@@ -272,8 +322,8 @@ def _interrupt(out, jobs):
 def test_an_interrupt_keeps_every_line_written_before_it(tmp_path, jobs):
     out = tmp_path / "run"
     ids = _interrupt(out, jobs)
-    logs = {method: read_trajectories(out / "trajectories" / f"{method}.jsonl")
-            for method in METHODS}
+    logs = {method: list(read_trajectories(
+        out / "trajectories" / f"{method}.jsonl")) for method in METHODS}
     assert [run.task_id for run in logs[METHOD_GOALACT]] == ids
     assert [run.task_id for run in logs[METHOD_REACT]] == ids[:1]
     assert all(run.termination_reason == "finish"
@@ -286,8 +336,8 @@ def test_an_interrupted_suite_leaves_no_earlier_manifest_or_report(tmp_path):
     assert all((out / name).exists() for name in SUMMARY_FILES)
     _interrupt(out, jobs=1)
     assert not any((out / name).exists() for name in SUMMARY_FILES)
-    assert len(read_trajectories(
-        out / "trajectories" / f"{METHOD_REACT}.jsonl")) == 1
+    assert len(list(read_trajectories(
+        out / "trajectories" / f"{METHOD_REACT}.jsonl"))) == 1
 
 
 def test_a_suite_into_a_used_directory_leaves_a_fresh_runs_bytes(tmp_path):
