@@ -412,14 +412,3 @@ def _holds_surrogate(doc: Any) -> bool:
             stack.extend(value)
     return False
 
-
-_CODE_FENCE = re.compile(r"^```[a-zA-Z0-9_-]*\n(.*)\n?```$", re.DOTALL)
-
-
-def strip_code_fences(text: str) -> str:
-    """Remove a single wrapping ``` fence (with optional language tag)."""
-    stripped = text.strip()
-    match = _CODE_FENCE.match(stripped)
-    if match:
-        return match.group(1).strip()
-    return stripped

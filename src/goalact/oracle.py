@@ -22,18 +22,18 @@ first, so one rule set serves every method deterministically.
 builders to a fresh solution, so a backend built from the families writes
 only the texts of the prompt types a run sends (a CodeAct run writes its
 scripts and summary, never a plan or an objective, and only GoalAct, its
-ablations and Plan-and-Solve, which run skills, render skill rules).  The
-JSON texts (a lookup's emission, a ReAct turn) are written with json's C
-string encoder, byte for byte what `json.dumps` writes with its defaults
-(`ensure_ascii`, `", "` and `": "`), as `render_step_array` writes its own
-format.  A plan family renders each step's JSON object once
-(`render_step_object`) and joins each round's suffix from those objects
-(`join_step_objects`): GoalAct and Plan-and-Execute re-plan every round, so
-a plan of n+1 steps is read as n+1 suffixes, which rendered whole would
-write (n+1)(n+2)/2 step objects.  Every rule holds its family's marker in
-one of its substrings; `ScriptedBackend` checks this when it builds a
-family, in the same pass that drops the marker from the substrings it
-tests, and refuses a rule that does not.
+ablations and Plan-and-Solve, which run skills, render skill rules).  Every
+text the scripted model writes is written here, the JSON ones with json's C
+string encoder: a lookup's emission and a ReAct turn byte for byte what
+`json.dumps` writes with its defaults (`ensure_ascii`, `", "` and `": "`), a
+plan reply what it writes with `ensure_ascii=False, indent=2`.  A plan
+family renders each step's JSON object once (`render_step_object`) and joins
+each round's suffix from those objects (`join_step_objects`): GoalAct and
+Plan-and-Execute re-plan every round, so a plan of n+1 steps is read as n+1
+suffixes, which rendered whole would write (n+1)(n+2)/2 step objects.  Every
+rule holds its family's marker in one of its substrings; `ScriptedBackend`
+checks this when it builds a family, in the same pass that drops the marker
+from the substrings it tests, and refuses a rule that does not.
 
 The summary rules come in two tiers: a success rule keyed on content that
 only a completed run leaves in the history, and a fallback for runs that got
@@ -44,8 +44,9 @@ separations.
 from __future__ import annotations
 
 from functools import partial
+from json.encoder import encode_basestring as _encode_unicode
 from json.encoder import encode_basestring_ascii as _encode_string
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .backends import Rule, RuleFamily, ScriptedBackend
 from .generator import Task
@@ -58,7 +59,7 @@ from .orchestrator import (
     SUMMARY_MARKER,
 )
 from .plan import CODING, FINISH, SEARCHING, WRITING, SkillAction
-from .planner import PLANNING_MARKER, join_step_objects, render_step_object
+from .planner import PLANNING_MARKER
 from .records import quoted
 from .skills import CODING_MARKER, SEARCHING_MARKER, WRITING_MARKER
 
@@ -98,6 +99,20 @@ class Lookup(NamedTuple):
 def _react_json(thought: str, action: str) -> str:
     return (f'{{"Thought": {_encode_string(thought)}, '
             f'"Action": {_encode_string(action)}}}')
+
+
+def render_step_object(thinking: str, action: str) -> str:
+    """One step object of a plan reply, as `join_step_objects` joins it."""
+    return (f'  {{\n    "Thinking": {_encode_unicode(thinking)},\n'
+            f'    "Action": {_encode_unicode(action)}\n  }}')
+
+
+def join_step_objects(objects: Sequence[str]) -> str:
+    """Rendered step objects as a plan reply: the bytes of `json.dumps([
+    {"Thinking": t, "Action": a}, ...], ensure_ascii=False, indent=2)`, with
+    json's C string encoder, where `indent=` would take the pure-Python one.
+    A family joining several arrays from one list renders each step once."""
+    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
 
 
 def _searching_rules(lookups: list[Lookup], prefix: str) -> list[Rule]:

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Any, Callable, Optional
 
-from .backends import (BENCHMARK_TEMPERATURE, SURROGATE, strip_code_fences,
-                       user_request)
+from .backends import BENCHMARK_TEMPERATURE, SURROGATE, user_request
 from .environment import (TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment,
                           ToolResult)
 from .errors import (
@@ -80,6 +79,7 @@ from .planner import (
     planning_frame,
     render_history,
     render_skill_menu,
+    strip_code_fences,
     update_global_plan,
 )
 from .records import check_types

@@ -11,8 +11,9 @@ the run's task, and the few-shot exemplars (`load_exemplars`) and skill menu
 that its run config builds once.
 
 Every completion a run acts on is read here: plan arrays, `Kind[objective]`
-actions, ReAct thought/action objects, `Finish[answer]` turns and tool-call
-emissions.  Each reader returns a fault as data or raises PlanError.
+actions, ReAct thought/action objects, `Finish[answer]` turns, tool-call
+emissions and fenced scripts.  Each reader returns a fault as data or
+raises PlanError.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from json.encoder import encode_basestring as _encode_string
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from .backends import decode_json, strip_code_fences
+from .backends import decode_json
 from .environment import TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment
 from .errors import FatalError, GoalActError, PlanError, PlanningFailed
 from .plan import (
@@ -66,6 +66,8 @@ _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[(.*)\])?\s*$",
 # refuses any other text.
 _JSON_START = re.compile(
     r'[ \t\n\r]*(?:[{\["\-0-9]|true|false|null|NaN|Infinity)')
+
+_CODE_FENCE = re.compile(r"^```[a-zA-Z0-9_-]*\n(.*)\n?```$", re.DOTALL)
 
 
 def count_word(n: int) -> str:
@@ -203,6 +205,15 @@ def finish_answer(text: str) -> Optional[str]:
     return (match.group(2) or "").strip()
 
 
+def strip_code_fences(text: str) -> str:
+    """Remove a single wrapping ``` fence (with optional language tag)."""
+    stripped = text.strip()
+    match = _CODE_FENCE.match(stripped)
+    if match:
+        return match.group(1).strip()
+    return stripped
+
+
 def _locate_json(raw: str, brackets: str, what: str) -> Any:
     """A completion's JSON document: the text in an optional code fence, or
     else its span from the first `brackets[0]` to the last `brackets[1]`.
@@ -338,36 +349,6 @@ def splice_pending(executed: tuple[PlanStep, ...],
     )
     return validate_plan(GlobalPlan(steps=executed + pending,
                                     revision=revision), max_steps=max_steps)
-
-
-def render_step_object(thinking: str, action: str) -> str:
-    """One step object of `render_step_array`'s array, as it writes it."""
-    return (f'  {{\n    "Thinking": {_encode_string(thinking)},\n'
-            f'    "Action": {_encode_string(action)}\n  }}')
-
-
-def join_step_objects(objects: Sequence[str]) -> str:
-    """Rendered step objects as `render_step_array`'s array: a caller that
-    renders several arrays from one list of steps renders each step once."""
-    return "[\n" + ",\n".join(objects) + "\n]" if objects else "[]"
-
-
-def render_step_array(steps: Iterable[tuple[str, str]]) -> str:
-    """(thinking, action text) pairs as a JSON array of step objects.
-
-    Writes exactly the bytes of `json.dumps([{"Thinking": t, "Action": a},
-    ...], ensure_ascii=False, indent=2)`, but with `json`'s C string encoder:
-    `indent=` alone would send the whole document through the pure-Python
-    encoder.
-    """
-    return join_step_objects([render_step_object(thinking, action)
-                              for thinking, action in steps])
-
-
-def render_plan_steps(steps: Sequence[tuple[str, SkillAction]]) -> str:
-    """The inverse of parse_plan_response, in the planner's output format."""
-    return render_step_array((thought, action.render())
-                             for thought, action in steps)
 
 
 def update_global_plan(plan_prev: Optional[GlobalPlan],

@@ -9,8 +9,8 @@ kind it cannot run, and a backend outage inside the executor.
 `observe_emission` is the one path from a model's tool-call emission to an
 observation, a tool fault included; Searching, a Plan-and-Execute sub-task
 and a ReAct action all run their emission through it.  `planner` reads the
-emission, and Coding runs its script on `sandbox`.  Finish is listed for
-prompt rendering but executed by the run loop, not here.
+emission and unfences a script, which Coding runs on `sandbox`.  Finish is
+listed for prompt rendering but executed by the run loop, not here.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
-from .backends import strip_code_fences
 from .environment import TOOL_DESCRIPTIONS, ToolEnvironment
 from .errors import BackendUnavailable, FatalError
 from .plan import (
@@ -30,7 +29,7 @@ from .plan import (
     SkillAction,
     truncate_observation,
 )
-from .planner import parse_tool_emission
+from .planner import parse_tool_emission, strip_code_fences
 from .sandbox import GRAMMAR_REFERENCE, SandboxResult, eval_script
 
 CODING_MARKER = "Computation objective:"

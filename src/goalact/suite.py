@@ -210,6 +210,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
                         continue
                     failures.append((task.id, method, type(fault).__name__))
                     first = first or fault
+                    if fault is not first:  # its traceback's frames hold it
+                        fault.__traceback__ = None
                     if isinstance(fault, AuthFailure):
                         break  # every later call would repeat it
                 else:

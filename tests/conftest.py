@@ -23,8 +23,8 @@ from goalact.orchestrator import (
     REACT_MARKER,
     SUMMARY_MARKER,
 )
-from goalact.plan import FINISH, SEARCHING, PlanStep, SkillAction
-from goalact.planner import PLANNING_MARKER, render_plan_steps, render_step_array
+from goalact.plan import PlanStep
+from goalact.planner import PLANNING_MARKER
 from goalact.skills import SEARCHING_MARKER
 
 
@@ -70,24 +70,30 @@ def ask_of(backend):
     return lambda prompt: backend.complete(user_request(prompt))
 
 
+def plan_reply(steps) -> str:
+    """(thinking, action text) pairs as the JSON array of a plan reply."""
+    return json.dumps([{"Thinking": t, "Action": a} for t, a in steps],
+                      ensure_ascii=False, indent=2)
+
+
 def never_finishing_backend() -> ScriptedBackend:
     """Never finishes under any method: each round plans or takes one more
     probe of a record that does not exist."""
     probe = [("Probe the environment once more.",
-              SkillAction(SEARCHING, "probe the tables for anything new")),
-             ("Wrap up.", SkillAction(kind=FINISH))]
+              "Searching[probe the tables for anything new]"),
+             ("Wrap up.", "Finish[]")]
     lookup = Lookup("get_record", "companies", "name", "Nonexistent Corp")
     pe_probe = [(probe[0][0], lookup.subtask), (probe[1][0], "Finish")]
     return ScriptedBackend([
-        Rule.on_substrings(render_plan_steps(probe), PLANNING_MARKER,
+        Rule.on_substrings(plan_reply(probe), PLANNING_MARKER,
                            name="nf-plan"),
-        Rule.on_substrings(render_plan_steps([probe[0]]), NO_PLAN_MARKER,
+        Rule.on_substrings(plan_reply([probe[0]]), NO_PLAN_MARKER,
                            name="nf-single"),
         Rule.on_substrings(lookup.emission, SEARCHING_MARKER, name="nf-search"),
         Rule.on_substrings(
             "The iteration budget was exhausted before an answer emerged.",
             SUMMARY_MARKER, name="nf-summary"),
-        Rule.on_substrings(render_step_array(pe_probe), PE_PLAN_MARKER,
+        Rule.on_substrings(plan_reply(pe_probe), PE_PLAN_MARKER,
                            name="nf-pe-plan"),
         Rule.on_substrings(lookup.emission, PE_SUBTASK_MARKER,
                            name="nf-pe-sub"),

@@ -23,7 +23,6 @@ from goalact.backends import (
     load_rules_file,
     request_hash,
     save_rules_file,
-    strip_code_fences,
     user_request,
 )
 from goalact.errors import (
@@ -33,6 +32,7 @@ from goalact.errors import (
     FatalError,
     RuleMiss,
 )
+from goalact.planner import strip_code_fences
 
 
 def _req(text: str, model: str = "scripted") -> CompletionRequest:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import goalact
+from goalact import planner
 from goalact.cli import main
+from goalact.generator import generate_task
 from goalact.orchestrator import CODEACT_MARKER, REACT_MARKER, SUMMARY_MARKER
 from goalact.plan import (
     FINISH,
@@ -47,6 +49,12 @@ def test_generate_writes_deterministic_fixtures(tmp_path, capsys):
     assert [p.name for p in first_tasks] == [p.name for p in second_tasks]
     for a, b in zip(first_tasks, second_tasks):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_generate_writes_the_tasks_of_consecutive_seeds(tmp_path, capsys):
+    fixtures = _generate(tmp_path, capsys, seed=7, k=2, count=3)
+    assert sorted(path.stem for path in (fixtures / "tasks").glob("*.json")) \
+        == sorted(generate_task("2hop", seed)[0].id for seed in (7, 8, 9))
 
 
 def test_run_single_task_with_oracle(tmp_path, capsys):
@@ -380,9 +388,10 @@ def test_a_refusal_quotes_at_most_200_characters_of_a_value(tmp_path, capsys,
     assert len(err.encode("utf-8")) < 1024
 
 
-def _suite_refuses_its_last_recipe(tmp_path, capsys, edit):
+def _suite_refuses_its_last_recipe(tmp_path, capsys, edit,
+                                   says="carries a malformed oracle recipe: "):
     """A suite whose last task's recipe `edit` changed exits 2 naming that
-    task before its first run, writing nothing."""
+    task and saying `says` before its first run, writing nothing."""
     fixtures = _generate(tmp_path, capsys, seed=3, k=2, count=3)
     last = sorted((fixtures / "tasks").glob("*.json"))[-1]
     doc = json.loads(last.read_text(encoding="utf-8"))
@@ -391,8 +400,7 @@ def _suite_refuses_its_last_recipe(tmp_path, capsys, edit):
     out = tmp_path / "run"
     assert main(["suite", "--fixtures", str(fixtures), "--methods",
                  "goalact,react", "--out", str(out)]) == 2
-    assert f"task {doc['id']} carries a malformed oracle recipe: " in \
-        capsys.readouterr().err
+    assert f"task {doc['id']} {says}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -408,6 +416,12 @@ def test_a_suite_refuses_a_recipe_value_that_is_not_a_string(tmp_path,
                                                              capsys):
     _suite_refuses_its_last_recipe(
         tmp_path, capsys, lambda recipe: recipe.update(answer=5))
+
+
+def test_a_suite_refuses_a_task_with_no_recipe_before_its_first_run(tmp_path,
+                                                                  capsys):
+    _suite_refuses_its_last_recipe(tmp_path, capsys, dict.clear,
+                                   says="carries no oracle recipe")
 
 
 def test_a_suite_with_goalact_takes_ablations_in_any_method_order(tmp_path,
@@ -482,9 +496,14 @@ def test_generate_names_the_allowed_range_of_a_flag(tmp_path, capsys, flag,
     (["--methods", "react,ReAct"],
      "the suite names a method more than once: ReAct, ReAct"),
     (["--methods", ","], "no methods given"),
+    (["--backend", "nosuch"], "unknown backend spec 'nosuch'"),
+    (["--backend", "http"], "the http backend needs GOALACT_API_BASE and "
+     "GOALACT_MODEL set (and usually GOALACT_API_KEY)"),
 ])
 def test_a_suite_of_no_jobs_or_a_method_named_twice_exits_two(
-        tmp_path, capsys, flags, message):
+        tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.delenv("GOALACT_API_BASE", raising=False)
+    monkeypatch.delenv("GOALACT_MODEL", raising=False)
     fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
     out = tmp_path / "run"
     assert main(["suite", "--fixtures", str(fixtures), *flags,
@@ -533,6 +552,21 @@ def test_unmatched_scripted_rules_exit_three(tmp_path, capsys):
                  "--backend", f"scripted:{rules}"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_a_run_whose_planning_template_lost_a_slot_exits_three(
+        tmp_path, capsys, monkeypatch):
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    template = planner.load_template().replace("{memory}", "")
+    monkeypatch.setattr(planner, "load_template", lambda: template)
+    planner._template_parts.cache_clear()
+    try:
+        assert main(["run", "--task", str(task_file)]) == 3
+    finally:
+        planner._template_parts.cache_clear()
+    assert capsys.readouterr().err == \
+        "run failed: template lost its {memory} marker\n"
 
 
 @pytest.mark.parametrize("method, marker, reply, ending", [

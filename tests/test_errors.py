@@ -1,4 +1,6 @@
-"""The fault model: a fault type exists only where a handler names it."""
+"""Where each job is done, read from the source: a fault type exists only
+where a handler names it, and each path and model-text format has one
+owner."""
 
 from __future__ import annotations
 
@@ -45,6 +47,17 @@ def _caught(node: ast.AST) -> list[str]:
 def _attributes(node: ast.AST) -> list[str]:
     """The attribute an `x.name` expression reads."""
     return [node.attr] if isinstance(node, ast.Attribute) else []
+
+
+def _defined(node: ast.AST) -> list[str]:
+    """The name a `def` binds."""
+    return [node.name] if isinstance(node, ast.FunctionDef) else []
+
+
+def _called(node: ast.AST) -> list[str]:
+    """The name a call of a bare name calls (`strip_code_fences(text)`)."""
+    return [node.func.id] if isinstance(node, ast.Call) \
+        and isinstance(node.func, ast.Name) else []
 
 
 def _parse(path: Path) -> ast.AST:
@@ -102,3 +115,24 @@ def test_a_tool_error_is_caught_in_tool_environment_call_only():
 def test_only_tool_environment_call_runs_invoke_tool():
     assert _sites("invoke_tool", _attributes) == {
         "environment.ToolEnvironment.call"}
+
+
+def test_the_oracle_writes_and_the_planner_reads_every_model_text():
+    """The plan-reply writers live and run in `oracle` alone, the fence
+    reader lives in `planner`, and of the functions `backends` defines, a
+    run calls only its request builder and the JSON decoder its HTTP client
+    reads its own response envelope with."""
+    def modules(sites: set[str]) -> set[str]:
+        return {site.split(".")[0] for site in sites}
+
+    for name in ("render_step_object", "join_step_objects"):
+        assert modules(_sites(name, _defined)) == {"oracle"}
+        assert modules(_sites(name, _called)) == {"oracle"}
+    assert modules(_sites("strip_code_fences", _defined)) == {"planner"}
+    transport = {node.name for node in _parse(SOURCE / "backends.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    run_calls = {name for module in ("orchestrator", "skills", "planner")
+                 for name in _names_by_function(
+                     _parse(SOURCE / f"{module}.py"), _called)}
+    assert transport & run_calls == {"decode_json", "user_request"}
+    assert "backends" in modules(_sites("decode_json", _called))

@@ -341,13 +341,13 @@ def test_a_plan_family_encodes_each_step_once(monkeypatch, method):
     # A 5-hop plan has six steps, each with a thinking and an action string:
     # 12 encodes, where rendering each round's suffix whole makes 42.
     encodes = [0]
-    original = planner._encode_string
+    original = oracle._encode_unicode
 
     def counting(text):
         encodes[0] += 1
         return original(text)
 
-    monkeypatch.setattr(planner, "_encode_string", counting)
+    monkeypatch.setattr(oracle, "_encode_unicode", counting)
     task, env = generate_khop_task(seed=5, k=5)
     traj = run_task(task, env, RunConfig(method=method),
                     oracle.oracle_backend(task))

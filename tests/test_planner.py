@@ -12,7 +12,8 @@ from goalact.backends import Rule, decode_json
 from goalact.environment import TOOL_DESCRIPTIONS, ToolCall, ToolEnvironment
 from goalact.errors import FatalError, GoalActError, PlanError, PlanningFailed
 from goalact.generator import CATEGORY_ORDER, generate_task
-from goalact.oracle import build_oracle_rules
+from goalact.oracle import (build_oracle_rules, join_step_objects,
+                            render_step_object)
 from goalact.plan import (BUILTIN_KINDS, FINISH, SEARCHING, History,
                           SkillAction, history_of)
 from goalact.planner import (
@@ -29,14 +30,12 @@ from goalact.planner import (
     parse_tool_emission,
     planning_frame,
     render_history,
-    render_plan_steps,
     render_skill_menu,
-    render_step_array,
     update_global_plan,
 )
 from goalact.skills import SkillDescriptor, default_registry, register_skill
 
-from conftest import ask_of, executed_steps, scripted
+from conftest import ask_of, executed_steps, plan_reply, scripted
 
 
 def _prompt(env: ToolEnvironment, history: History = (),
@@ -206,7 +205,8 @@ def test_parse_render_parse_is_idempotent():
         {"Thinking": "done", "Action": "Finish[]"},
     ])
     parsed = parse_plan_response(raw)
-    assert parse_plan_response(render_plan_steps(parsed)) == parsed
+    assert parse_plan_response(plan_reply(
+        (thought, action.render()) for thought, action in parsed)) == parsed
 
 
 # Characters the JSON string encoder treats specially, plus multi-byte ones.
@@ -222,30 +222,17 @@ def test_step_array_writes_the_bytes_of_json_dumps_with_indent():
         return "".join(rng.choice(_FUZZ_ALPHABET)
                        for _ in range(rng.randint(0, 12)))
 
-    assert render_step_array([]) == "[]" == json.dumps([], indent=2)
+    assert join_step_objects([]) == "[]" == json.dumps([], indent=2)
     for _ in range(20_000):
         steps = [(text(), text()) for _ in range(rng.randint(0, 5))]
-        expected = json.dumps([{"Thinking": t, "Action": a} for t, a in steps],
-                              ensure_ascii=False, indent=2)
-        assert render_step_array(steps) == expected
-
-
-def test_render_plan_steps_matches_json_dumps():
-    steps = [("find \"it\"\n",
-              SkillAction(SEARCHING, "tables → 漢字 \U0001F600")),
-             ("done", SkillAction(FINISH))]
-    assert render_plan_steps(steps) == json.dumps(
-        [{"Thinking": t, "Action": a.render()} for t, a in steps],
-        ensure_ascii=False, indent=2)
-    assert render_plan_steps([]) == "[]"
+        assert join_step_objects([render_step_object(t, a)
+                                  for t, a in steps]) == plan_reply(steps)
 
 
 def _fixture_plan_text() -> str:
-    return render_plan_steps([
-        ("find the record", SkillAction(SEARCHING, "companies by name")),
-        ("read the city", SkillAction(SEARCHING, "cases by case_id")),
-        ("answer", SkillAction(FINISH)),
-    ])
+    return plan_reply([("find the record", "Searching[companies by name]"),
+                       ("read the city", "Searching[cases by case_id]"),
+                       ("answer", "Finish[]")])
 
 
 def _update(env, plan_prev, ask):
@@ -275,10 +262,8 @@ def test_update_preserves_the_executed_prefix_verbatim(company_env):
     executed = plan.steps[0].mark_executed("saw the record")
     plan = type(plan)(steps=(executed,) + plan.steps[1:], revision=plan.revision)
 
-    continuation = render_plan_steps([
-        ("new direction", SkillAction(SEARCHING, "cases by status")),
-        ("answer", SkillAction(FINISH)),
-    ])
+    continuation = plan_reply([("new direction", "Searching[cases by status]"),
+                               ("answer", "Finish[]")])
     backend2 = scripted(Rule.on_substrings(continuation, PLANNING_MARKER))
     updated = _update(company_env, plan, ask_of(backend2))
     assert updated.revision == 2
@@ -288,9 +273,8 @@ def test_update_preserves_the_executed_prefix_verbatim(company_env):
 
 
 def test_update_fails_after_two_finishless_attempts(company_env):
-    no_finish = render_plan_steps([
-        ("just keep looking", SkillAction(SEARCHING, "companies by name")),
-    ])
+    no_finish = plan_reply([("just keep looking",
+                             "Searching[companies by name]")])
     backend = scripted(Rule.on_substrings(no_finish, PLANNING_MARKER))
     with pytest.raises(PlanningFailed):
         _update(company_env, None, ask_of(backend))

@@ -16,11 +16,10 @@ import json
 
 import pytest
 
-from goalact.backends import strip_code_fences
 from goalact.generator import CATEGORY_ORDER, generate_task
 from goalact.oracle import build_oracle_rules
 from goalact.orchestrator import CODEACT_MARKER
-from goalact.planner import finish_answer
+from goalact.planner import finish_answer, strip_code_fences
 from goalact.sandbox import (FAULT_LIMIT, FAULT_PARSE, FAULT_RUNTIME,
                              MAX_INT_BITS, MAX_NESTING_DEPTH, MAX_STRING_CHARS,
                              SandboxLimits, eval_script)

@@ -327,3 +327,15 @@ def test_source_material_cuts_a_newest_block_over_the_budget_to_it():
     material = render_source_material(history, budget=300)
     assert material == \
         f"Action: Searching[new]\nObservation: observation-1 {'y' * 400}"[:300]
+
+
+def test_source_material_counts_two_separator_characters_per_block():
+    history = executed_steps(
+        ("t0", SkillAction(SEARCHING, "old"), "observation-0"),
+        ("t1", SkillAction(SEARCHING, "new"), "observation-1"))
+    old, new = (f"Action: Searching[{objective}]\nObservation: observation-{i}"
+                for i, objective in enumerate(("old", "new")))
+    both = len(old) + 2 + len(new) + 2
+    assert render_source_material(history, budget=both) == f"{old}\n\n{new}"
+    # The older block fits only if a separator goes uncounted.
+    assert render_source_material(history, budget=both - 1) == new

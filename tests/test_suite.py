@@ -162,8 +162,8 @@ def test_a_suite_keeps_only_the_manifest_entry_of_a_failed_run(monkeypatch,
                                                                jobs):
     """Every run of 60 tasks x 5 methods misses at its second call: when the
     suite writes its directory it holds the first fault's trajectory and at
-    most one more, not one per failed run.  A failed run's frames form a
-    cycle with its fault, so what is held is counted after a collection."""
+    most one more, not one per failed run.  They are counted with the cyclic
+    collector off, so a failed run must be freed by its references alone."""
     pairs = [generate_task(category, seed) for seed in range(10)
              for category in ("1hop", "2hop", "3hop", "5hop", "writing",
                               "aggregation")]
@@ -171,7 +171,6 @@ def test_a_suite_keeps_only_the_manifest_entry_of_a_failed_run(monkeypatch,
     write_run_dir = suite.write_run_dir
 
     def held() -> int:
-        gc.collect()
         return sum(isinstance(o, Trajectory) for o in gc.get_objects())
 
     def counting(*args, **kwargs):
@@ -179,10 +178,15 @@ def test_a_suite_keeps_only_the_manifest_entry_of_a_failed_run(monkeypatch,
         return write_run_dir(*args, **kwargs)
 
     monkeypatch.setattr(suite, "write_run_dir", counting)
-    out, alive = tmp_path / "run", [held()]
-    with pytest.raises(RuleMiss) as raised:
-        run_suite(pairs, ALL_METHODS, RunConfig(),
-                  lambda task: _MissingAt(task, 2), out_dir=out, jobs=jobs)
+    gc.collect()
+    gc.disable()
+    try:
+        out, alive = tmp_path / "run", [held()]
+        with pytest.raises(RuleMiss) as raised:
+            run_suite(pairs, ALL_METHODS, RunConfig(),
+                      lambda task: _MissingAt(task, 2), out_dir=out, jobs=jobs)
+    finally:
+        gc.enable()
     assert len(alive) == 2 and alive[1] - alive[0] <= 2
     assert json.loads((out / "manifest.json").read_text())["failures"] == [
         {"error": "RuleMiss", "method": method, "task_id": task_id}
