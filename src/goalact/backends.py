@@ -291,6 +291,16 @@ class HttpChatBackend:
 
 # --- cassette record / replay ----------------------------------------------------
 
+@dataclass(slots=True)
+class CassetteEntry:
+    """A cassette line: a request's key, the response recorded for it and
+    a preview of its prompt, which replay reads as "" when left out."""
+
+    key: str
+    response: str
+    prompt_preview: str
+
+
 class CassetteRecorder:
     """Wraps a live backend and persists (request-hash -> response) pairs."""
 
@@ -308,9 +318,8 @@ class CassetteRecorder:
         with self._lock:
             if key not in self.entries:
                 try:
-                    line = (json.dumps(
-                        {"key": key, "response": response,
-                         "prompt_preview": _preview(request.rendered(), 80)},
+                    line = (json.dumps(record_to_dict(CassetteEntry(
+                        key, response, _preview(request.rendered(), 80))),
                         ensure_ascii=False) + "\n").encode("utf-8")
                 except UnicodeEncodeError as exc:
                     raise BackendUnavailable(
@@ -323,14 +332,18 @@ class CassetteRecorder:
 
 class CassetteReplayBackend:
     """Answers from a recorded cassette; a request it lacks goes to
-    `fallback` when there is one, else is a hard error."""
+    `fallback` when there is one, else is a hard error.  A missing cassette
+    is refused, unless there is a fallback: it then starts empty."""
 
     def __init__(self, path: Path, fallback: Any = None):
         self.path, self.fallback = Path(path), fallback
-        if not self.path.exists():
+        exists = self.path.exists()
+        if not exists and fallback is None:
             raise FatalError(f"cassette not found: {self.path}")
-        self.entries: dict[str, str] = dict(read_lines(self.path,
-                                                       _cassette_entry))
+        lines = read_lines(self.path, lambda doc: record_from_dict(
+            CassetteEntry, {"prompt_preview": "", **doc})) if exists else ()
+        self.entries: dict[str, str] = {
+            entry.key: entry.response for entry in lines}
 
     def complete(self, request: CompletionRequest) -> str:
         key = request_hash(request)
@@ -342,13 +355,6 @@ class CassetteReplayBackend:
                 f"({len(self.entries)} entries loaded); prompt: "
                 f"{_preview(request.rendered(), 120)!r}")
         return self.entries[key]
-
-
-def _cassette_entry(doc: Any) -> tuple[str, str]:
-    entry = doc["key"], doc["response"]
-    if not all(isinstance(text, str) for text in entry):
-        raise TypeError("a cassette entry's key and response are strings")
-    return entry
 
 
 def _rule_from_dict(doc: Any) -> Rule:

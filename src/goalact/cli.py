@@ -5,6 +5,8 @@ flags or configuration, 3 for backend faults.  Every file a command reads
 (run config, task fixture and table, rules file, cassette, trajectory log,
 report, exemplar file) goes through `records`, so a malformed one exits with
 2 and a message naming the file, and the line of a line-delimited one.
+`run` and `suite` write their run directory only through `suite.write_runs`,
+and only once every configuration fault has been refused.
 """
 
 from __future__ import annotations
@@ -16,29 +18,28 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .errors import BackendError, FatalError, GoalActError
 from .evaluation import (
     SuiteReport,
-    aggregate,
     path_coverage,
     render_report_json,
     render_report_text,
 )
 from .generator import generate_task, load_fixture, save_fixture
 from .orchestrator import METHOD_GOALACT, RunConfig, normalize_method
-from .plan import Trajectory, read_trajectories, write_trajectories
+from .plan import Trajectory, encode_trajectory, read_trajectories
 from .records import quoted, read_document, record_from_dict
 from .sandbox import SandboxLimits
 from .suite import (
     ENV_MODEL,
-    clear_run_dir,
+    Outcome,
     resolve_backend_factory,
     run_recorded,
     run_suite,
     score_trajectory,
-    write_run_dir,
+    write_runs,
 )
 
 
@@ -154,28 +155,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, backend_spec = load_run_config(args.config, method, args.backend)
     task, env = load_fixture(args.task)
     backend = resolve_backend_factory(backend_spec)(task)
-    trajectory, fault = run_recorded(task, env, config, backend)
-    if fault is None:
-        score = score_trajectory(task, trajectory)
-        trajectory_text = "\n".join(
-            call.response for call in trajectory.llm_calls)
-        coverage = path_coverage(task.key_middles, trajectory_text)
-        print(f"task {task.id} [{task.category}] via {method}: "
-              f"s={score.s:.4f} path_coverage={coverage:.4f} "
-              f"steps={trajectory.step_count} "
-              f"termination={trajectory.termination_reason}")
-        print(f"final answer: {trajectory.final_answer}")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        clear_run_dir(args.out)
-        write_trajectories(args.out / "trajectories.jsonl", [trajectory])
-        report = None if fault else aggregate({method: [score]},
-                                              {task.id: task.category})
-        failures = [(task.id, method, type(fault).__name__)] if fault else ()
-        write_run_dir(args.out, report, config, [method], backend_spec,
-                      [task.id], failures=failures)
-    if fault is not None:
-        raise fault
+
+    def outcome() -> Iterator[Outcome]:
+        trajectory, fault = run_recorded(task, env, config, backend)
+        score = None if fault else score_trajectory(task, trajectory)
+        if score is not None:
+            trajectory_text = "\n".join(
+                call.response for call in trajectory.llm_calls)
+            coverage = path_coverage(task.key_middles, trajectory_text)
+            print(f"task {task.id} [{task.category}] via {method}: "
+                  f"s={score.s:.4f} path_coverage={coverage:.4f} "
+                  f"steps={trajectory.step_count} "
+                  f"termination={trajectory.termination_reason}")
+            print(f"final answer: {trajectory.final_answer}")
+        yield method, task.id, encode_trajectory(trajectory), score, fault
+
+    write_runs(args.out, outcome(), config, [method], backend_spec,
+               {task.id: task.category}, log="trajectories.jsonl")
     return 0
 
 

@@ -17,14 +17,14 @@ manifest that lists the failures: once a failed run's line is written, the
 suite keeps only that entry, and the first fault, which it raises last.
 Which runs are kept depends only on task order, never on `jobs`.
 
-Each run's trajectory line is written to its method's log as soon as every
-earlier task's line is.  At `jobs` N > 1 at most N runs are in flight
-beyond the one whose line the suite waits to write, and the next starts
-only once that line is written, so a slow run holds back at most N
-finished lines.  The manifest and the reports are written last.
-Before its first line the suite clears the directory as `goalact run` does
-(`clear_run_dir`), so no log of a method or run it did not make survives,
-and a directory without `manifest.json` holds an unfinished suite.
+`write_runs`, the one writer of a suite's and `goalact run`'s directory,
+clears it before the first run, so no log of a method or run it did not
+make survives and a directory without `manifest.json` holds an unfinished
+run or suite.  It writes each run's line as soon as every earlier task's
+line is, and the manifest and the reports last.  At `jobs` N > 1 at most N
+runs are in flight beyond the one whose line the suite waits to write, and
+the next starts only once that line is written, so a slow run holds back
+at most N finished lines.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext, suppress
-from itertools import islice
+from contextlib import ExitStack, suppress
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -64,6 +64,10 @@ from .plan import Trajectory, encode_trajectory
 from .planner import PROMPT_VERSION
 
 BackendFactory = Callable[[Task], Any]
+# A run as `write_runs` takes it: method, task id, trajectory line (None
+# when no log is written), score (None for a run that raised) and fault.
+Outcome = tuple[str, str, Optional[str], Optional[TaskScore],
+                Optional[BackendError]]
 
 ENV_ENDPOINT = "GOALACT_API_BASE"
 ENV_API_KEY = "GOALACT_API_KEY"
@@ -94,8 +98,6 @@ def resolve_backend_factory(spec: str) -> BackendFactory:
     if spec.startswith("record:"):
         cassette = Path(spec.split(":", 1)[1])
         recorder = CassetteRecorder(_http_backend_from_env(), cassette)
-        if not cassette.exists():
-            return lambda task: recorder
         replay = CassetteReplayBackend(cassette, fallback=recorder)
         recorder.entries = replay.entries  # it records only what replay lacks
         return lambda task: replay
@@ -158,8 +160,8 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
               backend_spec: str = "scripted:oracle",
               jobs: int = 1) -> SuiteReport:
     """Run every method over every task, in task-id order; optionally
-    persist run artifacts.  Raises the first fault, after writing the run
-    directory, when a run raised one (see the module docstring)."""
+    write their run directory.  Raises the first fault, after writing the
+    run directory, when a run raised one (see the module docstring)."""
     if not tasks_with_envs:
         raise FatalError("the suite has no tasks to run")
     if not methods:
@@ -175,51 +177,72 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
     if jobs < 1:
         raise FatalError(f"jobs must be at least 1, got {jobs}")
     ordered = sorted(tasks_with_envs, key=lambda pair: pair[0].id)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        clear_run_dir(out_dir)
-        (out_dir / "trajectories").mkdir(parents=True, exist_ok=True)
-    runs: dict[str, list[TaskScore]] = {}
-    failures, first = [], None  # the manifest's entries; the first fault
     pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+
+    def outcomes(method: str) -> Iterator[Outcome]:
+        method_config = config.for_method(method)
+
+        def one(pair: tuple[Task, ToolEnvironment]) -> Outcome:
+            task, env = pair
+            trajectory, fault = run_recorded(task, env, method_config,
+                                             backend_factory(task))
+            return (method, task.id,
+                    encode_trajectory(trajectory) if out_dir else None,
+                    None if fault else score_trajectory(task, trajectory),
+                    fault)
+
+        return _in_order(pool, one, ordered, jobs) if pool \
+            else map(one, ordered)
+
     try:
-        for method in methods:
-            scores = runs[method] = []
-            method_config = config.for_method(method)
-
-            def one(pair: tuple[Task, ToolEnvironment]) -> tuple[
-                    Optional[str], Optional[TaskScore], Optional[BackendError]]:
-                task, env = pair
-                trajectory, fault = run_recorded(task, env, method_config,
-                                                 backend_factory(task))
-                line = encode_trajectory(trajectory) if out_dir else None
-                return (line, None if fault
-                        else score_trajectory(task, trajectory), fault)
-
-            log = nullcontext() if out_dir is None else open(
-                out_dir / "trajectories" / f"{method}.jsonl", "w",
-                encoding="utf-8")
-            with log as handle:
-                for (task, _), (line, score, fault) in zip(ordered, (
-                        _in_order(pool, one, ordered, jobs) if pool
-                        else map(one, ordered))):
-                    if handle is not None:
-                        handle.write(line + "\n")
-                    if fault is None:
-                        scores.append(score)
-                        continue
-                    failures.append((task.id, method, type(fault).__name__))
-                    first = first or fault
-                    if fault is not first:  # its traceback's frames hold it
-                        fault.__traceback__ = None
-                    if isinstance(fault, AuthFailure):
-                        break  # every later call would repeat it
-                else:
-                    continue  # every task ran: on to the next method
-            break  # an AuthFailure stops the suite
+        return write_runs(out_dir, chain.from_iterable(map(outcomes, methods)),
+                          config, methods, backend_spec, categories, jobs=jobs)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
+
+
+def write_runs(out_dir: Optional[Path], outcomes: Iterator[Outcome],
+               config: RunConfig, methods: Sequence[str], backend_spec: str,
+               categories: dict[str, str], jobs: Optional[int] = None,
+               log: Optional[str] = None) -> SuiteReport:
+    """Write the run directory `out_dir` of `outcomes`, taken one at a time
+    and kept as the module docstring says, and return their report; with no
+    `out_dir`, write nothing.  First delete what a suite or `goalact run`
+    writes there.  Each line goes to its method's log, opened at its first
+    outcome, or to the one log `out_dir / log` when that is named.  The
+    manifest holds `jobs` when it is given."""
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        log_dir = out_dir / "trajectories"
+        for path in [*log_dir.glob("*.jsonl"), out_dir / "trajectories.jsonl",
+                     *map(out_dir.joinpath, SUMMARY_FILES)]:
+            path.unlink(missing_ok=True)
+        with suppress(OSError):  # absent, or holding other files
+            log_dir.rmdir()
+        (out_dir if log else log_dir).mkdir(parents=True, exist_ok=True)
+    runs: dict[str, list[TaskScore]] = {}
+    failures, first = [], None  # the manifest's entries; the first fault
+    with ExitStack() as opened:
+        for method, task_id, line, score, fault in outcomes:
+            if method not in runs:
+                if out_dir is not None and (log is None or not runs):
+                    opened.close()  # the last method's log
+                    handle = opened.enter_context(open(
+                        out_dir / (log or f"trajectories/{method}.jsonl"),
+                        "w", encoding="utf-8"))
+                runs[method] = []
+            if out_dir is not None:
+                handle.write(line + "\n")
+            if fault is None:
+                runs[method].append(score)
+                continue
+            failures.append((task_id, method, type(fault).__name__))
+            first = first or fault
+            if fault is not first:  # its traceback's frames hold it
+                fault.__traceback__ = None
+            if isinstance(fault, AuthFailure):
+                break  # every later call would repeat it
     finished = set.intersection(*({score.task_id for score in scores}
                                   for scores in runs.values()))
     report = aggregate({
@@ -228,49 +251,25 @@ def run_suite(tasks_with_envs: Sequence[tuple[Task, ToolEnvironment]],
         if finished else None
 
     if out_dir is not None:
-        write_run_dir(out_dir, report, config, methods, backend_spec,
-                      sorted(categories), jobs=jobs, failures=failures)
+        manifest: dict[str, Any] = {
+            "config_hash": config_hash(config, methods, backend_spec),
+            "backend": backend_spec,
+            "methods": list(methods),
+            "prompt_version": PROMPT_VERSION,
+            "task_ids": sorted(categories),
+        }
+        if jobs is not None:
+            manifest["jobs"] = jobs
+        if failures:
+            manifest["failures"] = [
+                {"task_id": task_id, "method": method, "error": error}
+                for task_id, method, error in failures]
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+        if report is not None:
+            for name, render in REPORTS.items():
+                (out_dir / name).write_text(render(report), encoding="utf-8")
     if first is not None:
         raise first
     return report
-
-
-def clear_run_dir(out_dir: Path) -> None:
-    """Delete what a suite or `goalact run` writes into `out_dir`, and
-    `trajectories/` if that leaves it empty."""
-    logs = out_dir / "trajectories"
-    for path in [*logs.glob("*.jsonl"), out_dir / "trajectories.jsonl",
-                 *map(out_dir.joinpath, SUMMARY_FILES)]:
-        path.unlink(missing_ok=True)
-    with suppress(OSError):  # absent, or holding other files
-        logs.rmdir()
-
-
-def write_run_dir(out_dir: Path, report: Optional[SuiteReport],
-                  config: RunConfig, methods: Sequence[str], backend_spec: str,
-                  task_ids: Sequence[str], jobs: Optional[int] = None,
-                  failures: Sequence[tuple[str, str, str]] = ()) -> None:
-    """Finish a run directory that `clear_run_dir` cleared and whose
-    trajectory logs are written: write `manifest.json`, then `report.txt`
-    and `report.json` when there is a report.  The manifest holds a
-    `jobs` key only when `jobs` is given, and a `failures` list only when
-    there are (task id, method, error kind) `failures`."""
-    manifest: dict[str, Any] = {
-        "config_hash": config_hash(config, methods, backend_spec),
-        "backend": backend_spec,
-        "methods": list(methods),
-        "prompt_version": PROMPT_VERSION,
-        "task_ids": list(task_ids),
-    }
-    if jobs is not None:
-        manifest["jobs"] = jobs
-    if failures:
-        manifest["failures"] = [
-            {"task_id": task_id, "method": method, "error": error}
-            for task_id, method, error in failures]
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    if report is not None:
-        for name, render in REPORTS.items():
-            (out_dir / name).write_text(render(report), encoding="utf-8")

@@ -689,7 +689,8 @@ def test_recorder_writes_each_request_once_under_threads(tmp_path):
 def test_a_second_record_session_appends_only_the_requests_it_lacks(
         tmp_path, monkeypatch):
     """A cassette keeps the first response recorded for a request, and a
-    later `record:` session answers that request from it."""
+    later `record:` session answers that request from it, as does the
+    session that recorded it, fresh cassette or not."""
     from goalact.suite import resolve_backend_factory
 
     cassette = tmp_path / "c.jsonl"
@@ -709,7 +710,8 @@ def test_a_second_record_session_appends_only_the_requests_it_lacks(
         backend = resolve_backend_factory(f"record:{cassette}")(None)
         return [backend.complete(_req(prompt)) for prompt in prompts]
 
-    assert session("first", ["a", "b"]) == ["first a", "first b"]
+    assert session("first", ["a", "a", "b"]) == \
+        ["first a", "first a", "first b"]
     first = cassette.read_bytes()
     assert session("second", ["a", "b"]) == ["first a", "first b"]
     assert cassette.read_bytes() == first

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import goalact
-from goalact import planner
+from goalact import cli, planner
 from goalact.cli import main
 from goalact.generator import generate_task
 from goalact.orchestrator import CODEACT_MARKER, REACT_MARKER, SUMMARY_MARKER
@@ -222,8 +222,7 @@ _SAYS = {
     '{"custom_skills": [{"name": "Drafting", "descripton": "x"}]}':
         "a CustomSkill is an object of exactly the keys name, description",
     '{"ablations": "no_writing"}': "ablations must be an array of strings",
-    '{"key": "k", "response": 5}':
-        "a cassette entry's key and response are strings",
+    '{"key": "k", "response": 5}': "response must be str, not 5",
     '{"backend": 5}': "backend must be str, not 5",
 }
 
@@ -567,6 +566,40 @@ def test_a_run_whose_planning_template_lost_a_slot_exits_three(
         planner._template_parts.cache_clear()
     assert capsys.readouterr().err == \
         "run failed: template lost its {memory} marker\n"
+
+
+class _Interrupting:
+    def complete(self, request):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("ending", ["interrupted", "run-failed"])
+def test_an_unfinished_run_leaves_no_finished_looking_directory(
+        tmp_path, capsys, monkeypatch, ending):
+    """`run` clears its directory before its run, as a suite does, so a run
+    that never finishes leaves no earlier run's manifest, report or log."""
+    fixtures = _generate(tmp_path, capsys, seed=3, k=1, count=1)
+    task_file = next((fixtures / "tasks").glob("*.json"))
+    out = tmp_path / "run"
+    argv = ["run", "--task", str(task_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert _run_dir_files(out) == ["manifest.json", "report.json",
+                                   "report.txt", "trajectories.jsonl"]
+    if ending == "interrupted":
+        monkeypatch.setattr(cli, "resolve_backend_factory",
+                            lambda spec: lambda task: _Interrupting())
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--method", "react"])
+    else:
+        template = planner.load_template().replace("{memory}", "")
+        monkeypatch.setattr(planner, "load_template", lambda: template)
+        planner._template_parts.cache_clear()
+        try:
+            assert main(argv) == 3
+        finally:
+            planner._template_parts.cache_clear()
+    capsys.readouterr()
+    assert _run_dir_files(out) == []
 
 
 @pytest.mark.parametrize("method, marker, reply, ending", [

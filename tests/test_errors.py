@@ -1,6 +1,6 @@
 """Where each job is done, read from the source: a fault type exists only
-where a handler names it, and each path and model-text format has one
-owner."""
+where a handler names it, and each path, model-text format and run
+directory has one owner."""
 
 from __future__ import annotations
 
@@ -58,6 +58,12 @@ def _called(node: ast.AST) -> list[str]:
     """The name a call of a bare name calls (`strip_code_fences(text)`)."""
     return [node.func.id] if isinstance(node, ast.Call) \
         and isinstance(node.func, ast.Name) else []
+
+
+def _strings(node: ast.AST) -> list[str]:
+    """The text of a string constant."""
+    return [node.value] if isinstance(node, ast.Constant) \
+        and isinstance(node.value, str) else []
 
 
 def _parse(path: Path) -> ast.AST:
@@ -136,3 +142,18 @@ def test_the_oracle_writes_and_the_planner_reads_every_model_text():
                      _parse(SOURCE / f"{module}.py"), _called)}
     assert transport & run_calls == {"decode_json", "user_request"}
     assert "backends" in modules(_sites("decode_json", _called))
+
+
+def test_one_function_writes_every_run_directory():
+    """`suite.write_runs` is the only function that names `manifest.json`,
+    and `cli` reaches a run directory through it alone: it aggregates no
+    scores and writes, creates or deletes no file of its own."""
+    assert _sites("manifest.json", _strings) - {"suite.<module>"} == {
+        "suite.write_runs"}
+    cli = _parse(SOURCE / "cli.py")
+    calls = {*_names_by_function(cli, _called),
+             *_names_by_function(cli, _attributes)}
+    assert "write_runs" in calls
+    assert calls & {"aggregate", "write_trajectories", "clear_run_dir",
+                    "write_run_dir", "open", "mkdir", "unlink", "rmdir",
+                    "write_text", "write_bytes"} == set()

@@ -168,16 +168,16 @@ def test_a_suite_keeps_only_the_manifest_entry_of_a_failed_run(monkeypatch,
              for category in ("1hop", "2hop", "3hop", "5hop", "writing",
                               "aggregation")]
     ids = sorted(task.id for task, _ in pairs)
-    write_run_dir = suite.write_run_dir
+    config_hash = suite.config_hash  # called as the manifest is written
 
     def held() -> int:
         return sum(isinstance(o, Trajectory) for o in gc.get_objects())
 
     def counting(*args, **kwargs):
         alive.append(held())
-        return write_run_dir(*args, **kwargs)
+        return config_hash(*args, **kwargs)
 
-    monkeypatch.setattr(suite, "write_run_dir", counting)
+    monkeypatch.setattr(suite, "config_hash", counting)
     gc.collect()
     gc.disable()
     try:
